@@ -176,7 +176,6 @@ def _cmd_census(args) -> int:
         result = census(
             args.k,
             args.n,
-            workers=args.workers,
             budget=args.budget,
             override=args.budget_override,
         )
@@ -238,6 +237,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aritygap",
@@ -271,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("census", help="classify all symmetric functions at (k, n)")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("-k", type=_int_at_least(2), required=True)
+    p.add_argument("-n", type=_int_at_least(0), required=True)
+    p.add_argument("--workers", type=int, default=1, help="accepted; the census runs in one process")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--budget-override", action="store_true")
     add_common(p)
@@ -281,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one registered verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-k", type=_int_at_least(2), required=True)
+    p.add_argument("-n", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sample", type=int, default=None)

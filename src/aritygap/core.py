@@ -35,11 +35,11 @@ class DecompositionError(PreconditionError):
 class BudgetError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int, unit="candidates", limit="budget"):
+        override = " or an explicit budget override" if limit == "budget" else ""
         super().__init__(
-            f"exhaustive enumeration requires {required} candidates, over the "
-            f"budget of {budget}; use sampling (with an explicit seed) or an "
-            f"explicit budget override"
+            f"exhaustive enumeration requires {required} {unit}, over the "
+            f"{limit} of {budget}; use sampling (with an explicit seed){override}"
         )
         self.required = required
         self.budget = budget

@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .core import DomainError, FiniteFunction
-from .symmetric import GapNSpec, LinearSpec, SymmetricSpec, TernaryGap2Spec
+from .symmetric import GapNSpec, LinearSpec, TernaryGap2Spec
 
 
 class DocumentError(ValueError):
@@ -121,25 +121,6 @@ def load_recompose_spec(obj: Any) -> tuple[FiniteFunction, FiniteFunction]:
     _require(isinstance(obj, dict), "spec document must be an object")
     _require("g" in obj and "h" in obj, "recompose spec needs 'g' and 'h' documents")
     return load_function(obj["g"]), load_function(obj["h"])
-
-
-def load_symmetric_spec(obj: Any) -> SymmetricSpec:
-    _require(isinstance(obj, dict), "spec document must be an object")
-    k = _int_field(obj, "k")
-    n = _int_field(obj, "n")
-    values = obj.get("values")
-    _require(isinstance(values, dict), "field 'values' must be an object")
-    mapping = {}
-    for key, v in values.items():
-        _require(
-            isinstance(v, int) and not isinstance(v, bool),
-            "'values' entries must be integers",
-        )
-        mapping[_values_key(key)] = v
-    try:
-        return SymmetricSpec(k, n, mapping)
-    except DomainError as exc:
-        raise DocumentError(str(exc)) from exc
 
 
 def parse_json(text: str) -> Any:

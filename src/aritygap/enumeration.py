@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of symmetric functions and the gap census.
+"""Enumeration of symmetric functions, the gap census and the gap >= 2 class.
 
 The population is the multiset representation: a symmetric function of
 arity n over K is one value per size-n multiset, so there are
@@ -16,30 +16,44 @@ patterns on the multiset vector:
 * y is fictive iff F is constant on {y, y} + alpha over y for each alpha,
   z is fictive iff F({y, y, z} + alpha) does not depend on z.
 
-Both checks are finite lists of index groups computed once per (k, n),
-which is what lets the scan over k^C(k+n-1, n) candidates run as batched
-integer comparisons (numpy). The gap index of the few non-trivial-gap
-functions is computed honestly by the generic minor closure. Equivalence
-of the fast path with the generic profile is covered by tests.
+Both conditions say that F is constant on fixed groups of multisets
+(``y_groups``, ``z_groups``), so each has exactly k^c solutions, c being
+the number of union-find components of its groups. The census counts every
+bucket in closed form from the components of Y, Z and Y u Z, in a single
+process and without visiting a candidate. The gap >= 2 class is listed for
+any n >= 2 within the budget and ``LIST_LIMIT`` by assigning values to
+components, and the gap index of each member is computed honestly by the
+generic minor closure. Tests check the counts and the class against a scan
+of every candidate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .core import BudgetError, DomainError, FiniteFunction, iter_points
-from .minors import GapProfile, gap_index, gap_profile
-from .symmetric import SymmetricSpec, compress, expand, multisets
+from .core import BudgetError, DomainError, FiniteFunction, PreconditionError, iter_points
+from .minors import GapProfile, gap_index
+from .symmetric import (
+    GapNSpec,
+    TernaryGap2Spec,
+    compress,
+    construct_gap2_ternary,
+    construct_gap_n,
+    multisets,
+)
 
 DEFAULT_BUDGET = 10**8
-_BATCH = 1 << 18
+# Most table entries (class size x k^n) a listing of the gap >= 2 class may
+# span, whatever the budget: every consumer expands each member to its full
+# table, and the class jumps from 130 044 members at (4, 3) to 48 828 120 at (5, 2).
+LIST_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -52,7 +66,11 @@ class SymmetryIndex:
     index: dict
     y_groups: tuple[tuple[int, ...], ...]
     z_groups: tuple[tuple[int, ...], ...]
-    orbit_of_point: tuple[int, ...]
+
+    @functools.cached_property
+    def orbit_of_point(self) -> tuple[int, ...]:
+        """Multiset index of each of the k^n table points, built on first use."""
+        return tuple(self.index[tuple(sorted(p))] for p in iter_points(self.k, self.n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -72,8 +90,38 @@ def symmetry_index(k: int, n: int) -> SymmetryIndex:
                 z_groups.append(
                     tuple(index[tuple(sorted(alpha + (y, y, z)))] for z in range(k))
                 )
-    orbit = tuple(index[tuple(sorted(p))] for p in iter_points(k, n))
-    return SymmetryIndex(k, n, msets, index, tuple(y_groups), tuple(z_groups), orbit)
+    return SymmetryIndex(k, n, msets, index, tuple(y_groups), tuple(z_groups))
+
+
+def _component_reps(m: int, groups) -> tuple[int, ...]:
+    """For each of m positions, the first position of its union-find
+    component under "equal within each group"."""
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for grp in groups:
+        root = find(grp[0])
+        for t in grp[1:]:
+            parent[find(t)] = root
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(find(j), j) for j in range(m))
+
+
+@functools.lru_cache(maxsize=64)
+def _fictive_reps(k: int, n: int):
+    """Component representatives of "y fictive", "z fictive" and both: a
+    spec satisfies a condition iff spec[j] == spec[rep[j]] for every j."""
+    idx = symmetry_index(k, n)
+    m = len(idx.msets)
+    return tuple(
+        _component_reps(m, groups)
+        for groups in (idx.y_groups, idx.z_groups, idx.y_groups + idx.z_groups)
+    )
 
 
 def symmetric_spec_count(k: int, n: int) -> int:
@@ -86,13 +134,15 @@ def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
     return FiniteFunction(k, n, (spec[o] for o in orbit))
 
 
-def spec_of_index(k: int, n: int, idx: int) -> tuple[int, ...]:
+def sample_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """``count`` uniformly random specs; draw i comes from its own
+    generator, seeded with (seed << 24) ^ i."""
     m = comb(k + n - 1, n)
-    digits = []
-    for _ in range(m):
-        idx, r = divmod(idx, k)
-        digits.append(r)
-    return tuple(reversed(digits))
+    out = []
+    for i in range(count):
+        rng = random.Random((seed << 24) ^ i)
+        out.append(tuple(rng.randrange(k) for _ in range(m)))
+    return out
 
 
 def enumerate_symmetric(
@@ -109,23 +159,17 @@ def enumerate_symmetric(
     budget; sampling mode requires an explicit seed and yields uniformly
     random multiset assignments.
     """
-    m = comb(k + n - 1, n)
     if sample is not None:
         if seed is None:
             raise DomainError("sampling mode requires an explicit seed")
-        import random
-
-        for i in range(sample):
-            rng = random.Random((seed << 24) ^ i)
-            spec = tuple(rng.randrange(k) for _ in range(m))
-            yield spec_to_function(k, n, spec)
-        return
-    total = symmetric_spec_count(k, n)
-    if total > budget:
-        raise BudgetError(total, budget)
-    orbit = symmetry_index(k, n).orbit_of_point
-    for spec in itertools.product(range(k), repeat=m):
-        yield FiniteFunction(k, n, tuple(spec[o] for o in orbit))
+        specs = sample_specs(k, n, sample, seed)
+    else:
+        total = symmetric_spec_count(k, n)
+        if total > budget:
+            raise BudgetError(total, budget)
+        specs = itertools.product(range(k), repeat=comb(k + n - 1, n))
+    for spec in specs:
+        yield spec_to_function(k, n, spec)
 
 
 def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None]:
@@ -135,21 +179,10 @@ def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None
         return 0, None
     if n < 2:
         return n, None
-    idx = symmetry_index(k, n)
-    y_ess = False
-    for grp in idx.y_groups:
-        v0 = spec[grp[0]]
-        if any(spec[t] != v0 for t in grp[1:]):
-            y_ess = True
-            break
-    z_ess = False
-    for grp in idx.z_groups:
-        v0 = spec[grp[0]]
-        if any(spec[t] != v0 for t in grp[1:]):
-            z_ess = True
-            break
-    minor_ess = (1 if y_ess else 0) + (n - 2) * (1 if z_ess else 0)
-    return n, n - minor_ess
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    y_ess = any(spec[j] != spec[r] for j, r in enumerate(y_rep))
+    z_ess = any(spec[j] != spec[r] for j, r in enumerate(z_rep))
+    return n, n - y_ess - (n - 2) * z_ess
 
 
 def symmetric_gap_profile(f: FiniteFunction) -> GapProfile:
@@ -175,9 +208,7 @@ class Census:
 
     @property
     def nontrivial_count(self) -> int:
-        return sum(
-            c for (e, g), c in self.counts.items() if g is not None and g >= 2
-        )
+        return _nontrivial(self.counts)
 
     def to_doc(self) -> dict:
         return {
@@ -198,46 +229,31 @@ class Census:
         }
 
 
-def _scan_range(k: int, n: int, start: int, stop: int):
-    """Bucket counts plus non-trivial-gap spec indices for one index range."""
-    idx = symmetry_index(k, n)
-    m = len(idx.msets)
-    counts: Counter = Counter()
-    nontrivial: list[int] = []
-    weights = np.array([k ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    for lo in range(start, stop, _BATCH):
-        hi = min(lo + _BATCH, stop)
-        a = np.arange(lo, hi, dtype=np.int64)
-        v = ((a[:, None] // weights[None, :]) % k).astype(np.int8)
-        const = np.all(v == v[:, :1], axis=1)
-        if n < 2:
-            nc = int(const.sum())
-            counts[(0, None)] += nc
-            counts[(n, None)] += len(a) - nc
-            continue
-        y_fict = np.ones(len(a), dtype=bool)
-        for grp in idx.y_groups:
-            g0 = v[:, grp[0]]
-            for t in grp[1:]:
-                y_fict &= v[:, t] == g0
-        z_fict = np.ones(len(a), dtype=bool)
-        for grp in idx.z_groups:
-            g0 = v[:, grp[0]]
-            for t in grp[1:]:
-                z_fict &= v[:, t] == g0
-        ess_n = ~const
-        counts[(0, None)] += int(const.sum())
-        for y_f, z_f in itertools.product((False, True), repeat=2):
-            mask = ess_n & (y_fict == y_f) & (z_fict == z_f)
-            c = int(mask.sum())
-            if not c:
-                continue
-            minor_ess = (0 if y_f else 1) + (n - 2) * (0 if z_f else 1)
-            g = n - minor_ess
-            counts[(n, g)] += c
-            if g >= 2:
-                nontrivial.extend(int(i) for i in a[mask])
-    return counts, nontrivial
+def _bucket_counts(k: int, n: int) -> dict:
+    """(ess, gap) -> count, in closed form: a condition whose groups form c
+    components has exactly k^c solutions, and inclusion-exclusion over Y, Z
+    and Y u Z splits the non-constant specs into the four (y fictive,
+    z fictive) cells."""
+    m = comb(k + n - 1, n)
+    counts = Counter({(0, None): k})
+    if n < 2:
+        counts[(n, None)] += k**m - k
+        return dict(counts)
+    cy, cz, cyz = (len(set(rep)) for rep in _fictive_reps(k, n))
+    cells = {
+        (True, True): k**cyz - k,
+        (True, False): k**cy - k**cyz,
+        (False, True): k**cz - k**cyz,
+        (False, False): k**m - k**cy - k**cz + k**cyz,
+    }
+    for (y_f, z_f), c in cells.items():
+        if c:
+            counts[(n, n - (not y_f) - (n - 2) * (not z_f))] += c
+    return dict(counts)
+
+
+def _nontrivial(counts: dict) -> int:
+    return sum(c for (e, g), c in counts.items() if g is not None and g >= 2)
 
 
 def census(
@@ -248,30 +264,19 @@ def census(
     budget: int = DEFAULT_BUDGET,
     override: bool = False,
 ) -> Census:
-    """Classify every symmetric function of arity n over K by (ess, gap)."""
+    """Classify every symmetric function of arity n over K by (ess, gap).
+
+    The counts take no scan, so the census runs in one process whatever
+    ``workers`` says; the budget still bounds the candidate count.
+    """
     total = symmetric_spec_count(k, n)
     if total > budget and not override:
         raise BudgetError(total, budget)
-    if workers <= 1 or total < 4 * _BATCH:
-        counts, nontrivial = _scan_range(k, n, 0, total)
-    else:
-        step = -(-total // workers)
-        ranges = [(k, n, s, min(s + step, total)) for s in range(0, total, step)]
-        counts = Counter()
-        nontrivial = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_counts, part_non in pool.map(_scan_worker, ranges):
-                counts.update(part_counts)
-                nontrivial.extend(part_non)
-    ind_dist: Counter = Counter()
-    for spec_idx in nontrivial:
-        f = spec_to_function(k, n, spec_of_index(k, n, spec_idx))
-        ind_dist[gap_index(f)] += 1
-    return Census(k, n, total, dict(counts), dict(ind_dist))
-
-
-def _scan_worker(args):
-    return _scan_range(*args)
+    ind_dist = Counter(
+        gap_index(spec_to_function(k, n, spec))
+        for spec in _nontrivial_gap_specs_impl(k, n, total)
+    )
+    return Census(k, n, total, _bucket_counts(k, n), dict(ind_dist))
 
 
 @functools.lru_cache(maxsize=8)
@@ -285,54 +290,68 @@ def nontrivial_gap_specs(
     return list(_nontrivial_gap_specs_cached(k, n, budget))
 
 
+def _solutions(k: int, rep: tuple[int, ...]) -> np.ndarray:
+    """Every spec with spec[j] == spec[rep[j]], one row each, in ascending
+    spec order: number the components in order of first position, and the
+    base-k digits of 0, 1, ... (component 0 most significant) are their
+    values."""
+    firsts, labels = np.unique(rep, return_inverse=True)
+    c = len(firsts)
+    values = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    digits = [np.tile(np.repeat(values, k ** (c - 1 - d)), k**d) for d in range(c)]
+    return np.stack(digits, axis=1)[:, labels]
+
+
+def _fictive(specs: np.ndarray, rep: tuple[int, ...]) -> np.ndarray:
+    return np.all(specs == specs[:, rep], axis=1)
+
+
 def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, ...]]:
     """Multiset specs of every symmetric function with gap at least 2.
 
-    Scans the full spec space when that fits the budget. For n = 3 beyond
-    the budget the class is enumerated structurally: gap >= 2 at n = 3
-    means the one-step minor m(y, z) = F({y, y, z}) has at most one
-    essential variable, i.e. F on repeated-value multisets is a function
-    of the lone value only (phi) or of the doubled value only (psi); both
-    branches plus free values on all-distinct multisets enumerate the
-    class exactly, by the definition of the gap.
+    For n >= 3 the gap is at least 2 exactly when y or z is fictive, for
+    n = 2 exactly when y is fictive; the class is the union of those
+    solution sets minus the constants, listed by assigning values to
+    components. The budget bounds the class size and ``LIST_LIMIT`` its
+    table entries, both checked from the counts before anything is built.
+    Suite witness lists follow the order of this list, so the order is part
+    of every report: when the whole domain fits the budget, the list is
+    grouped by cell,
+    (y essential, z fictive), then (y fictive, z essential), then (both
+    fictive), each ascending, as a scan of the domain in batches of 2^18
+    candidates finds it (a class spans several cells only at (2, 3),
+    (3, 3) and beyond 10^12 candidates). Beyond the budget the list is
+    ascending.
     """
-    total = symmetric_spec_count(k, n)
-    if total <= budget:
-        _, nontrivial = _scan_range(k, n, 0, total)
-        return [spec_of_index(k, n, i) for i in nontrivial]
-    if n != 3:
-        raise BudgetError(total, budget)
-    idx = symmetry_index(k, 3)
-    msets = idx.msets
-    dis_positions = [i for i, m in enumerate(msets) if len(set(m)) == 3]
-    out: set[tuple[int, ...]] = set()
-    for by_lone in (True, False):
-        for coeffs in itertools.product(range(k), repeat=k):
-            base = [0] * len(msets)
-            for i, m in enumerate(msets):
-                counts = Counter(m)
-                if len(counts) == 1:
-                    base[i] = coeffs[m[0]]
-                elif len(counts) == 2:
-                    doubled = next(v for v, c in counts.items() if c == 2)
-                    lone = next(v for v, c in counts.items() if c == 1)
-                    base[i] = coeffs[lone] if by_lone else coeffs[doubled]
-            for dis_vals in itertools.product(range(k), repeat=len(dis_positions)):
-                spec = list(base)
-                for pos, v in zip(dis_positions, dis_vals):
-                    spec[pos] = v
-                t = tuple(spec)
-                ess, g = spec_ess_gap(k, 3, t)
-                if g is not None and g >= 2:
-                    out.add(t)
-    return sorted(out)
+    size = _nontrivial(_bucket_counts(k, n))
+    if size > budget:
+        raise BudgetError(size, budget, "class members")
+    if size * k**n > LIST_LIMIT:
+        raise BudgetError(size * k**n, LIST_LIMIT, "table entries", "listing limit")
+    if not size:
+        return []
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    specs = _solutions(k, y_rep)
+    cell = 1 + _fictive(specs, z_rep)
+    if n >= 3:
+        z_only = _solutions(k, z_rep)
+        z_only = z_only[~_fictive(z_only, y_rep)]
+        specs = np.concatenate([specs, z_only])
+        cell = np.concatenate([cell, np.zeros(len(z_only), dtype=cell.dtype)])
+    keep = ~np.all(specs == specs[:, :1], axis=1)
+    specs, cell = specs[keep], cell[keep]
+    keys = list(specs.T[::-1])
+    if symmetric_spec_count(k, n) <= budget:
+        keys.append(cell)  # lexsort's last key is its primary one
+    specs = specs[np.lexsort(keys)]
+    members: list[tuple[int, ...]] = []
+    for lo in range(0, len(specs), 4096):  # blocks bound the transient lists
+        members.extend(zip(*specs[lo : lo + 4096].T.tolist()))
+    return members
 
 
 def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:
     """Tables of every valid full-gap construction at (k, n), deduplicated."""
-    from .symmetric import GapNSpec, construct_gap_n
-    from .core import PreconditionError
-
     if not 2 <= n <= k:
         return set()
     subsets = list(itertools.combinations(range(k), n))
@@ -351,9 +370,6 @@ def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:
 
 def gap2_ternary_images(k: int) -> set[tuple[int, ...]]:
     """Tables of every valid ternary gap-2 construction, both families."""
-    from .symmetric import TernaryGap2Spec, construct_gap2_ternary
-    from .core import PreconditionError
-
     subsets = list(itertools.combinations(range(k), 3))
     images: set[tuple[int, ...]] = set()
     for family in ("minority", "majority"):

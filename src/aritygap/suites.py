@@ -72,6 +72,7 @@ from .enumeration import (
     gap2_ternary_images,
     gap_n_images,
     nontrivial_gap_specs,
+    sample_specs,
     spec_ess_gap,
     spec_to_function,
     symmetric_spec_count,
@@ -133,15 +134,6 @@ def _violation(f: FiniteFunction, assertion: str, **info) -> dict:
 # populations
 
 
-def _sample_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    m = comb(k + n - 1, n)
-    out = []
-    for i in range(count):
-        rng = random.Random((seed << 24) ^ i)
-        out.append(tuple(rng.randrange(k) for _ in range(m)))
-    return out
-
-
 def _sample_raw_tables(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     size = k**n
     out = []
@@ -195,7 +187,7 @@ def _population_symmetric(k, n, mode, seed, sample, budget, notes):
     if mode == "sample":
         if seed is None:
             raise DomainError("sampling mode requires an explicit seed")
-        items = _sample_specs(k, n, sample or 1000, seed)
+        items = sample_specs(k, n, sample or 1000, seed)
         return items, f"sample({len(items)})"
     if total <= FULL_SCAN_LIMIT:
         m = comb(k + n - 1, n)

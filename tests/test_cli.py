@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,6 +144,53 @@ def test_census_budget_refusal(capsys):
     code, _, err = run_cli(capsys, "census", "-k", "4", "-n", "3")
     assert code == 2
     assert str(4**20) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "-k", "1", "-n", "3"),
+        ("census", "-k", "3", "-n", "-1"),
+        ("verify", "lemma2_2", "-k", "0", "-n", "3"),
+    ],
+)
+def test_domain_arguments_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err
+
+
+def test_verify_refuses_class_over_listing_limit(capsys):
+    # the (5, 2) class has 48 828 120 members, 25 table entries each: refused
+    # from the counts, before anything is built
+    code, out, err = run_cli(capsys, "verify", "thm4_1", "-k", "5", "-n", "2")
+    assert code == 2
+    assert out == ""
+    assert "1220703000 table entries" in err and "listing limit" in err
+
+
+# sha256 of the JSON reports, recorded before the census counted in closed
+# form; every report must stay byte-identical
+GOLDEN_REPORTS = [
+    (("census", "-k", "3", "-n", "3"), 0,
+     "26569463959c808b887273b27ff7b83bea444694b54b6a78b19bda9197c1381e"),
+    (("census", "-k", "3", "-n", "4"), 0,
+     "a1389c36be35d474d83fe3f3ee956b43b2f2585977603cb9662dc384359009e0"),
+    (("verify", "thm3_2", "-k", "3", "-n", "3"), 1,
+     "ed269ab8301f2158d681b6707bb1c9e01402f2c253051dd874f53317f608fd2a"),
+    (("verify", "cor3_1", "-k", "3", "-n", "3"), 1,
+     "788be11c6c8eaa07dad818e180b2668a0865fef8ba97315437408c007835ccd6"),
+    (("verify", "lemma2_4", "-k", "3", "-n", "4"), 0,
+     "81b21f8b1352579cb4675bdcd73ab0b95bca79d9dbc9ce5ff289c29599afc179"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_REPORTS)
+def test_golden_reports(capsys, argv, exit_code, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_pass_and_fail(capsys):

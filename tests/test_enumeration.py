@@ -1,5 +1,9 @@
+import hashlib
 import itertools
 import math
+from collections import Counter
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,87 @@ from aritygap import (
     spec_to_function,
     symmetric_spec_count,
 )
-from aritygap.enumeration import spec_ess_gap, spec_of_index, gap_n_images
+from aritygap.enumeration import (
+    LIST_LIMIT,
+    _bucket_counts,
+    _nontrivial,
+    _nontrivial_gap_specs_impl,
+    gap_n_images,
+    sample_specs,
+    spec_ess_gap,
+    symmetry_index,
+)
+
+_BATCH = 1 << 18
+
+
+def spec_of_index(k, n, idx):
+    """The spec whose base-k digits (first multiset most significant) are idx."""
+    m = math.comb(k + n - 1, n)
+    digits = []
+    for _ in range(m):
+        idx, r = divmod(idx, k)
+        digits.append(r)
+    return tuple(reversed(digits))
+
+
+def scan_range(k, n, start, stop):
+    """Oracle: bucket counts plus non-trivial-gap spec indices for one index
+    range, by testing every candidate's y and z groups (numpy, in batches)."""
+    idx = symmetry_index(k, n)
+    m = len(idx.msets)
+    counts = Counter()
+    nontrivial = []
+    weights = np.array([k ** (m - 1 - j) for j in range(m)], dtype=np.int64)
+    for lo in range(start, stop, _BATCH):
+        hi = min(lo + _BATCH, stop)
+        a = np.arange(lo, hi, dtype=np.int64)
+        v = ((a[:, None] // weights[None, :]) % k).astype(np.int8)
+        const = np.all(v == v[:, :1], axis=1)
+        if n < 2:
+            nc = int(const.sum())
+            counts[(0, None)] += nc
+            counts[(n, None)] += len(a) - nc
+            continue
+        y_fict = np.ones(len(a), dtype=bool)
+        for grp in idx.y_groups:
+            g0 = v[:, grp[0]]
+            for t in grp[1:]:
+                y_fict &= v[:, t] == g0
+        z_fict = np.ones(len(a), dtype=bool)
+        for grp in idx.z_groups:
+            g0 = v[:, grp[0]]
+            for t in grp[1:]:
+                z_fict &= v[:, t] == g0
+        ess_n = ~const
+        counts[(0, None)] += int(const.sum())
+        for y_f, z_f in itertools.product((False, True), repeat=2):
+            mask = ess_n & (y_fict == y_f) & (z_fict == z_f)
+            c = int(mask.sum())
+            if not c:
+                continue
+            minor_ess = (0 if y_f else 1) + (n - 2) * (0 if z_f else 1)
+            g = n - minor_ess
+            counts[(n, g)] += c
+            if g >= 2:
+                nontrivial.extend(int(i) for i in a[mask])
+    return counts, nontrivial
+
+
+# every (k, n) with k in 2..4, n in 0..8 and at most 2^20 candidates
+SCANNABLE = [
+    (k, n)
+    for k in range(2, 5)
+    for n in range(0, 9)
+    if symmetric_spec_count(k, n) <= 1 << 20
+]
+
+
+def _digest(specs):
+    h = hashlib.sha256()
+    for s in specs:
+        h.update(bytes(s))
+    return h.hexdigest()
 
 
 def census_reference(k, n):
@@ -53,6 +137,16 @@ def test_sampling_requires_seed():
     assert len(sampled) == 5
     again = list(enumerate_symmetric(3, 3, sample=5, seed=1))
     assert [f.table for f in sampled] == [f.table for f in again]
+
+
+def test_sample_specs_seed_scheme():
+    specs = sample_specs(3, 4, 50, 7)
+    # recorded from the suites' former private copy of the sampler
+    assert _digest(specs) == (
+        "14a0c5b608c135df107197f13fef29fbe1cb297489f7acdd2a4a6d4a6cf6c71f"
+    )
+    sampled = enumerate_symmetric(3, 4, sample=50, seed=7)
+    assert [f.table for f in sampled] == [spec_to_function(3, 4, s).table for s in specs]
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (2, 3)])
@@ -111,21 +205,68 @@ def test_nontrivial_specs_small_scan():
 
 
 def test_nontrivial_specs_structural_ternary():
-    # 4^20 specs is over any scan budget; the structural route must agree
-    # with the non-trivial-gap arithmetic: 1020 full-gap + 129024 gap-2
+    # 4^20 specs is over any scan budget; listed by components, the class
+    # must agree with the non-trivial-gap arithmetic: 1020 full-gap +
+    # 129024 gap-2, ascending, and the very list the n = 3 structural
+    # enumeration gave
     specs = nontrivial_gap_specs(4, 3, budget=10**6)
     assert len(specs) == 130044
+    assert specs == sorted(specs)
     gaps = [spec_ess_gap(4, 3, s)[1] for s in specs]
     assert gaps.count(3) == 1020
     assert gaps.count(2) == 129024
+    assert _digest(specs) == (
+        "fb575330b033e5d8981930fd1e25702278d01d88c533ab88681af84b252af90a"
+    )
 
 
 def test_structural_equals_scan_where_both_available():
-    scan = set(nontrivial_gap_specs(3, 3))
-    from aritygap.enumeration import _nontrivial_gap_specs_impl
+    # (3, 3) over a budget that admits the class but not the domain: the
+    # ascending listing holds exactly the oracle's members
+    _, nontrivial = scan_range(3, 3, 0, symmetric_spec_count(3, 3))
+    structural = _nontrivial_gap_specs_impl(3, 3, budget=150)
+    assert structural == sorted(spec_of_index(3, 3, i) for i in nontrivial)
+    with pytest.raises(BudgetError) as err:
+        _nontrivial_gap_specs_impl(3, 3, budget=149)
+    assert err.value.required == 150
 
-    structural = set(_nontrivial_gap_specs_impl(3, 3, budget=1))
-    assert structural == scan
+
+def test_class_over_listing_limit_refused():
+    # 48 828 120 members under the default budget, but 25 table entries each
+    # put the class over LIST_LIMIT; (3, 20) has 78 members of 3^20 entries
+    for k, n, size in ((5, 2, 48828120), (3, 20, 78)):
+        assert _nontrivial(_bucket_counts(k, n)) == size
+        with pytest.raises(BudgetError) as err:
+            nontrivial_gap_specs(k, n)
+        assert err.value.required == size * k**n
+        assert err.value.budget == LIST_LIMIT
+    with pytest.raises(BudgetError):
+        census(5, 2, override=True)
+
+
+@pytest.mark.parametrize("k,n", SCANNABLE)
+def test_counts_and_class_equal_scan(k, n):
+    total = symmetric_spec_count(k, n)
+    counts, nontrivial = scan_range(k, n, 0, total)
+    assert _bucket_counts(k, n) == dict(counts)
+    assert nontrivial_gap_specs(k, n) == [spec_of_index(k, n, i) for i in nontrivial]
+
+
+def test_nontrivial_specs_gap4_quaternary():
+    specs = nontrivial_gap_specs(4, 4)
+    assert len(specs) == 65532
+    assert specs == sorted(specs)
+    gaps = Counter(spec_ess_gap(4, 4, s) for s in specs)
+    assert gaps == {(4, 4): 12, (4, 2): 65520}
+
+
+@pytest.mark.parametrize("k,n,size", [(4, 5, 65532), (3, 5, 78), (3, 6, 78)])
+def test_nontrivial_specs_beyond_scan(k, n, size):
+    specs = nontrivial_gap_specs(k, n)
+    assert len(specs) == size
+    assert len(set(specs)) == size
+    sample = specs[:: max(1, size // 200)]
+    assert all(spec_ess_gap(k, n, s)[1] >= 2 for s in sample)
 
 
 def test_gap_n_images_counts():
