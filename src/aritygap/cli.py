@@ -9,6 +9,7 @@ validation error. Identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import (
@@ -248,6 +249,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _worker_count(text: str) -> int:
+    """argparse type: a worker count from 1 to the machine's CPU count."""
+    value = _int_at_least(1)(text)
+    cap = os.cpu_count() or 1
+    if value > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap} (the CPU count), got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aritygap",
@@ -295,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--sample", type=_int_at_least(1), default=None)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_common(p)
     p.set_defaults(fn=_cmd_verify)

@@ -35,14 +35,26 @@ class DecompositionError(PreconditionError):
 class BudgetError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int, unit="candidates", limit="budget"):
-        override = " or an explicit budget override" if limit == "budget" else ""
-        super().__init__(
-            f"exhaustive enumeration requires {required} {unit}, over the "
-            f"{limit} of {budget}; use sampling (with an explicit seed){override}"
-        )
+    def __init__(
+        self, required: int, budget: int, unit="candidates", limit="budget", *,
+        sampling=False,
+    ):
+        if sampling:
+            message = (
+                f"sampling draws from the listed class, whose listing requires "
+                f"{required} {unit}, over the {limit} of {budget}"
+            )
+        else:
+            override = " or an explicit budget override" if limit == "budget" else ""
+            message = (
+                f"exhaustive enumeration requires {required} {unit}, over the "
+                f"{limit} of {budget}; use sampling (with an explicit seed){override}"
+            )
+        super().__init__(message)
         self.required = required
         self.budget = budget
+        self.unit = unit
+        self.limit = limit
 
 
 def index_of(point: Sequence[int], k: int) -> int:
@@ -86,9 +98,9 @@ class FiniteFunction:
             raise DomainError(
                 f"table has {len(tab)} entries, expected {k}^{n} = {k ** n}"
             )
-        for v in tab:
-            if not 0 <= v < k:
-                raise DomainError(f"table value {v} outside 0..{k - 1}")
+        if not (0 <= min(tab) and max(tab) < k):
+            v = next(v for v in tab if not 0 <= v < k)
+            raise DomainError(f"table value {v} outside 0..{k - 1}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", tab)

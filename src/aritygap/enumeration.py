@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -172,16 +173,25 @@ def enumerate_symmetric(
         yield spec_to_function(k, n, spec)
 
 
+@functools.lru_cache(maxsize=64)
+def _fictive_getters(k: int, n: int):
+    """Gathers of the "y fictive" and "z fictive" representatives (n >= 2,
+    so a spec has at least 3 entries and each getter returns a tuple): a
+    spec satisfies a condition iff its gather equals the spec."""
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    return operator.itemgetter(*y_rep), operator.itemgetter(*z_rep)
+
+
 def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None]:
     """(essential count, gap) of the symmetric function with this spec."""
-    first = spec[0]
-    if all(v == first for v in spec):
+    if spec.count(spec[0]) == len(spec):
         return 0, None
     if n < 2:
         return n, None
-    y_rep, z_rep, _ = _fictive_reps(k, n)
-    y_ess = any(spec[j] != spec[r] for j, r in enumerate(y_rep))
-    z_ess = any(spec[j] != spec[r] for j, r in enumerate(z_rep))
+    y_get, z_get = _fictive_getters(k, n)
+    spec = tuple(spec)
+    y_ess = y_get(spec) != spec
+    z_ess = z_get(spec) != spec
     return n, n - y_ess - (n - 2) * z_ess
 
 

@@ -13,13 +13,16 @@ Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import DomainError, FiniteFunction, PreconditionError
 
 
-@functools.lru_cache(maxsize=1 << 18)
+@functools.lru_cache(maxsize=1 << 15)
 def _essential_positions(k: int, n: int, table: tuple) -> tuple[int, ...]:
     ess = []
     size = len(table)
@@ -52,16 +55,20 @@ def essential_count(f: FiniteFunction) -> int:
     return len(_essential_positions(f.k, f.n, f.table))
 
 
-def _identify_table(k: int, n: int, table: tuple, i: int, j: int) -> tuple:
-    # x_i := x_j on 0-based positions i, j
+@functools.lru_cache(maxsize=1024)
+def _identify_getter(k: int, n: int, i: int, j: int) -> operator.itemgetter:
+    # entry m of the minor is entry m + (c_j - c_i) * k^(n-1-i) of the table
     step_i = k ** (n - 1 - i)
     step_j = k ** (n - 1 - j)
-    out = []
-    for m in range(len(table)):
-        ci = (m // step_i) % k
-        cj = (m // step_j) % k
-        out.append(table[m + (cj - ci) * step_i])
-    return tuple(out)
+    return operator.itemgetter(
+        *(m + ((m // step_j) % k - (m // step_i) % k) * step_i for m in range(k**n))
+    )
+
+
+def _identify_table(k: int, n: int, table: tuple, i: int, j: int) -> tuple:
+    # x_i := x_j on 0-based positions i, j; a gather of k^n >= 2 entries,
+    # so the getter returns a tuple
+    return _identify_getter(k, n, i, j)(table)
 
 
 def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
@@ -93,12 +100,17 @@ class MinorRecord:
     depth: int
 
 
-def _minor_closure(f: FiniteFunction) -> dict[tuple, int]:
-    """All iterated minor tables mapped to their maximal chain length."""
-    k, n = f.k, f.n
+@functools.lru_cache(maxsize=1 << 10)
+def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
+    """All iterated minor tables mapped to their maximal chain length.
+
+    Memoised on f, that is on (k, n, table): every caller that asks about
+    the same table shares the mapping, so it is read-only.
+    """
+    k, n, table = f.k, f.n, f.table
     children: dict[tuple, set[tuple]] = {}
-    seen: set[tuple] = {f.table}
-    queue = deque([f.table])
+    seen: set[tuple] = {table}
+    queue = deque([table])
     while queue:
         tab = queue.popleft()
         kids = set()
@@ -122,8 +134,8 @@ def _minor_closure(f: FiniteFunction) -> dict[tuple, int]:
         for child in children[tab]:
             if d + 1 > depth[child]:
                 depth[child] = d + 1
-    depth.pop(f.table, None)
-    return depth
+    depth.pop(table, None)
+    return MappingProxyType(depth)
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:

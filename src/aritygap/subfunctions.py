@@ -33,15 +33,18 @@ from .minors import _essential_positions, essential_count, identify
 from .symmetric import is_symmetric, is_totally_symmetric
 
 
-def _restrict_table(k: int, n: int, table: tuple, i: int, c: int) -> tuple:
-    # fix 1-based position i to c, dropping the position
+@functools.lru_cache(maxsize=1024)
+def _restrict_index(k: int, n: int, i: int, c: int) -> tuple[int, ...]:
     step = k ** (n - i)
-    block = step * k
-    out = []
-    for base in range(0, len(table), block):
-        s = base + c * step
-        out.extend(table[s : s + step])
-    return tuple(out)
+    return tuple(
+        s for base in range(c * step, k**n, step * k) for s in range(base, base + step)
+    )
+
+
+def _restrict_table(k: int, n: int, table: tuple, i: int, c: int) -> tuple:
+    # fix 1-based position i to c, dropping the position; a gather through a
+    # shared index (map keeps the one-entry result at n = 1 a tuple)
+    return tuple(map(table.__getitem__, _restrict_index(k, n, i, c)))
 
 
 def restrict(f: FiniteFunction, i: int, c: int) -> FiniteFunction:
@@ -175,7 +178,7 @@ def _closure_symmetric(f: FiniteFunction) -> _Closure:
     return _Closure(_build_records(k, found), frozenset(separable))
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@functools.lru_cache(maxsize=1 << 10)
 def _closure_cached(k: int, n: int, table: tuple) -> _Closure:
     f = FiniteFunction(k, n, table)
     if is_totally_symmetric(f):

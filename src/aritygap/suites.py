@@ -17,6 +17,7 @@ seed, whatever the worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter, deque
@@ -144,11 +145,32 @@ def _sample_raw_tables(k: int, n: int, count: int, seed: int) -> list[tuple[int,
 
 
 def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """Seeded gap-2 symmetric specs at n = 4 via the fictive-doubled-slot
-    structure (values on repeated multisets come from one function of the
-    residual pair, with a shared diagonal value); every draw is verified."""
+    """``count`` seeded gap-2 symmetric specs, as a fresh list (the draws
+    are memoised per process, so suites sharing a sample draw it once)."""
+    return list(_gap2_draws(k, n, count, seed))
+
+
+@functools.lru_cache(maxsize=64)
+def _gap2_draws(k: int, n: int, count: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """At n = 4, draws via the fictive-doubled-slot structure (values on
+    repeated multisets come from one function of the residual pair, with a
+    shared diagonal value), every draw verified. At any other n, uniform
+    draws with replacement from the listed gap-2 members, draw i from its
+    own generator seeded with (seed << 28) ^ i."""
     if n != 4:
-        raise BudgetError(symmetric_spec_count(k, n), FULL_SCAN_LIMIT)
+        try:
+            members = nontrivial_gap_specs(k, n)
+        except BudgetError as exc:
+            raise BudgetError(
+                exc.required, exc.budget, exc.unit, exc.limit, sampling=True
+            ) from None
+        members = [s for s in members if spec_ess_gap(k, n, s) == (n, 2)]
+        if not members:
+            return ()
+        return tuple(
+            members[random.Random((seed << 28) ^ i).randrange(len(members))]
+            for i in range(count)
+        )
     idx = symmetry_index(k, n)
     out: list[tuple[int, ...]] = []
     attempt = 0
@@ -176,7 +198,7 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int,
         ess, g = spec_ess_gap(k, n, t)
         if ess == n and g == 2:
             out.append(t)
-    return out
+    return tuple(out)
 
 
 def _population_symmetric(k, n, mode, seed, sample, budget, notes):
@@ -227,6 +249,10 @@ def _check_lemma2_1(k, n, spec):
     if essential_count(f) != n:
         return None
     violations = []
+    # Per distinct table: (symmetric, essential positions, the k restrictions
+    # at each of them). Many BFS states share a table; each state still
+    # reports its own violations.
+    facts = {}
     root = (tuple(range(1, n + 1)), f.table)
     seen = {root}
     queue = deque([root])
@@ -234,24 +260,32 @@ def _check_lemma2_1(k, n, spec):
         remaining, table = queue.popleft()
         arity = len(remaining)
         order = n - arity
+        fact = facts.get(table)
+        if fact is None:
+            ess_local = _essential_positions(k, arity, table)
+            fact = facts[table] = (
+                order > 0 and is_symmetric(FiniteFunction(k, arity, table)),
+                ess_local,
+                [(p, [_restrict_table(k, arity, table, p, c) for c in range(k)])
+                 for p in ess_local],
+            )
+        symmetric, ess_local, children = fact
         if order > 0:
-            g = FiniteFunction(k, arity, table)
-            if not is_symmetric(g):
+            if not symmetric:
                 violations.append(
                     _violation(f, "lemma2_1.subfunction-symmetric", order=order)
                 )
-            e = essential_count(g)
+            e = len(ess_local)
             if e > 0 and e != arity:
                 violations.append(
                     _violation(
                         f, "lemma2_1.ess-equals-n-minus-order", order=order, ess=e
                     )
                 )
-        ess_local = _essential_positions(k, arity, table)
-        for p in ess_local:
+        for p, tables in children:
             rest = remaining[: p - 1] + remaining[p:]
-            for c in range(k):
-                child = (rest, _restrict_table(k, arity, table, p, c))
+            for child_table in tables:
+                child = (rest, child_table)
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)

@@ -170,6 +170,54 @@ def test_verify_refuses_class_over_listing_limit(capsys):
     assert "1220703000 table entries" in err and "listing limit" in err
 
 
+@pytest.mark.parametrize("k,n,members", [(4, 5, 65532), (3, 5, 78)])
+def test_verify_samples_gap2_class_beyond_n4(capsys, k, n, members):
+    from aritygap.enumeration import nontrivial_gap_specs, spec_ess_gap
+    from aritygap.suites import _sample_gap2_specs
+
+    gap2 = [s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s) == (n, 2)]
+    assert len(gap2) == members
+    argv = ("verify", "thm4_1", "-k", str(k), "-n", str(n), "--mode", "sample",
+            "--seed", "1", "--sample", "5", "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["mode"] == "sample(gap-2, 5)"
+    assert report["instances_checked"] == 5
+    drawn = _sample_gap2_specs(k, n, 5, 1)
+    assert all(s in set(gap2) for s in drawn)
+    assert _sample_gap2_specs(k, n, 5, 2) != drawn
+    assert run_cli(capsys, *argv)[1] == out
+
+
+def test_sampling_class_over_listing_limit_names_the_limit(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm4_1", "-k", "5", "-n", "2",
+                             "--mode", "sample", "--seed", "1", "--sample", "5")
+    assert code == 2
+    assert out == ""
+    assert "1220703000 table entries" in err and "listing limit" in err
+    assert "use sampling" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--sample", "0"), ("--sample", "-3"),
+                                        ("--workers", "0"), ("--workers", "3")])
+def test_verify_count_arguments_rejected(capsys, monkeypatch, flag, value):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "verify", "thm4_1", "-k", "3", "-n", "3",
+                             "--mode", "sample", "--seed", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err and ("at least 1" in err or "at most 2" in err)
+
+
+def test_verify_workers_cap_follows_cpu_count(capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    argv = ("verify", "cor4_1", "-k", "2", "-n", "3", "--workers")
+    code, _, err = run_cli(capsys, *argv, "2")
+    assert code == 2 and "at most 1" in err
+    assert run_cli(capsys, *argv, "1")[0] == 0
+
+
 # sha256 of the JSON reports, recorded before the census counted in closed
 # form; every report must stay byte-identical
 GOLDEN_REPORTS = [

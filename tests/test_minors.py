@@ -213,3 +213,32 @@ def test_willard_bound_sampled():
         f = FiniteFunction(2, 3, [rng.randrange(2) for _ in range(8)])
         if essential_count(f) == 3:
             assert gap(f) <= 2
+
+
+def test_minor_closure_memo_hits_return_equal_data():
+    from aritygap.minors import _minor_closure
+
+    _minor_closure.cache_clear()
+    first = dict(_minor_closure(DOUBLE4))
+    hits = _minor_closure.cache_info().hits
+    again = _minor_closure(FiniteFunction(4, 4, DOUBLE4.table))
+    assert _minor_closure.cache_info().hits == hits + 1
+    assert dict(again) == first
+    assert {FiniteFunction(4, 4, t): d for t, d in first.items()} == oracle_minor_closure(
+        DOUBLE4
+    )
+
+
+def test_minor_closure_memo_cannot_be_changed_by_callers():
+    from aritygap.minors import _minor_closure
+
+    index = gap_index(DOUBLE4)
+    records = list(all_minors(DOUBLE4))
+    records.clear()
+    depths = _minor_closure(DOUBLE4)
+    with pytest.raises(TypeError):
+        depths[DOUBLE4.table] = 99
+    with pytest.raises(TypeError):
+        del depths[next(iter(depths))]
+    assert gap_index(DOUBLE4) == index == 2
+    assert len(all_minors(DOUBLE4)) == len(depths) > 0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from aritygap import FiniteFunction, UnknownSuiteError, run_suite
@@ -178,3 +183,28 @@ def test_worker_determinism():
     a = run_suite("lemma2_2", 3, 3, workers=1)
     b = run_suite("lemma2_2", 3, 3, workers=2)
     assert a.to_doc() == b.to_doc()
+
+
+def test_worker_determinism_through_the_pool():
+    # 4001 tables make three chunks of 2000, so two workers run the pool
+    docs = [run_suite("willard", 3, 2, seed=1, sample=4001, workers=w).to_doc()
+            for w in (1, 2)]
+    assert docs[0]["instances_checked"] > 2000
+    assert docs[0] == docs[1]
+
+
+def test_memo_warm_report_equals_cold_process():
+    from aritygap.cli import main
+    from aritygap.documents import to_json
+
+    argv = ["verify", "thm3_2", "-k", "4", "-n", "4", "--mode", "sample",
+            "--seed", "1", "--sample", "20", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cold = subprocess.run([sys.executable, "-m", "aritygap", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert cold.returncode == 0, cold.stderr
+    run_suite("thm3_2", 4, 4, mode="sample", seed=1, sample=20)  # warm the memos
+    warm = to_json(run_suite("thm3_2", 4, 4, mode="sample", seed=1, sample=20).to_doc())
+    assert warm == cold.stdout
