@@ -35,26 +35,22 @@ class DecompositionError(PreconditionError):
 class BudgetError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
-    def __init__(
-        self, required: int, budget: int, unit="candidates", limit="budget", *,
-        sampling=False,
-    ):
-        if sampling:
-            message = (
-                f"sampling draws from the listed class, whose listing requires "
-                f"{required} {unit}, over the {limit} of {budget}"
-            )
-        else:
-            override = " or an explicit budget override" if limit == "budget" else ""
+    def __init__(self, required: int, budget: int, unit="candidates", limit="budget"):
+        if limit == "budget":
             message = (
                 f"exhaustive enumeration requires {required} {unit}, over the "
-                f"{limit} of {budget}; use sampling (with an explicit seed){override}"
+                f"budget of {budget}; use sampling (with an explicit seed) or an "
+                f"explicit budget override"
+            )
+        else:
+            # a fixed limit: no override lifts it, and sampling lists the
+            # same class, so there is nothing to suggest
+            message = (
+                f"listing requires {required} {unit}, over the {limit} of {budget}"
             )
         super().__init__(message)
         self.required = required
         self.budget = budget
-        self.unit = unit
-        self.limit = limit
 
 
 def index_of(point: Sequence[int], k: int) -> int:

@@ -100,12 +100,15 @@ class MinorRecord:
     depth: int
 
 
-@functools.lru_cache(maxsize=1 << 10)
+@functools.lru_cache(maxsize=4)
 def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     """All iterated minor tables mapped to their maximal chain length.
 
-    Memoised on f, that is on (k, n, table): every caller that asks about
-    the same table shares the mapping, so it is read-only.
+    Memoised on f, that is on (k, n, table), for the last 4 functions
+    only: a check that asks about one table twice (the gap index and then
+    the minors of f) builds the closure once, while a run over many
+    functions keeps none of them. Callers share the mapping, so it is
+    read-only.
     """
     k, n, table = f.k, f.n, f.table
     children: dict[tuple, set[tuple]] = {}

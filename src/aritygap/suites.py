@@ -17,7 +17,6 @@ seed, whatever the worker count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import Counter, deque
@@ -145,32 +144,22 @@ def _sample_raw_tables(k: int, n: int, count: int, seed: int) -> list[tuple[int,
 
 
 def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """``count`` seeded gap-2 symmetric specs, as a fresh list (the draws
-    are memoised per process, so suites sharing a sample draw it once)."""
-    return list(_gap2_draws(k, n, count, seed))
-
-
-@functools.lru_cache(maxsize=64)
-def _gap2_draws(k: int, n: int, count: int, seed: int) -> tuple[tuple[int, ...], ...]:
-    """At n = 4, draws via the fictive-doubled-slot structure (values on
-    repeated multisets come from one function of the residual pair, with a
-    shared diagonal value), every draw verified. At any other n, uniform
-    draws with replacement from the listed gap-2 members, draw i from its
-    own generator seeded with (seed << 28) ^ i."""
+    """``count`` seeded gap-2 symmetric specs. At n = 4, draws via the
+    fictive-doubled-slot structure (values on repeated multisets come from
+    one function of the residual pair, with a shared diagonal value), every
+    draw verified. At any other n, uniform draws with replacement from the
+    listed gap-2 members, draw i from its own generator seeded with
+    (seed << 28) ^ i."""
     if n != 4:
-        try:
-            members = nontrivial_gap_specs(k, n)
-        except BudgetError as exc:
-            raise BudgetError(
-                exc.required, exc.budget, exc.unit, exc.limit, sampling=True
-            ) from None
-        members = [s for s in members if spec_ess_gap(k, n, s) == (n, 2)]
+        members = [
+            s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s) == (n, 2)
+        ]
         if not members:
-            return ()
-        return tuple(
+            return []
+        return [
             members[random.Random((seed << 28) ^ i).randrange(len(members))]
             for i in range(count)
-        )
+        ]
     idx = symmetry_index(k, n)
     out: list[tuple[int, ...]] = []
     attempt = 0
@@ -198,7 +187,7 @@ def _gap2_draws(k: int, n: int, count: int, seed: int) -> tuple[tuple[int, ...],
         ess, g = spec_ess_gap(k, n, t)
         if ess == n and g == 2:
             out.append(t)
-    return tuple(out)
+    return out
 
 
 def _population_symmetric(k, n, mode, seed, sample, budget, notes):

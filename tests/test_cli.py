@@ -168,6 +168,7 @@ def test_verify_refuses_class_over_listing_limit(capsys):
     assert code == 2
     assert out == ""
     assert "1220703000 table entries" in err and "listing limit" in err
+    assert "use sampling" not in err
 
 
 @pytest.mark.parametrize("k,n,members", [(4, 5, 65532), (3, 5, 78)])

@@ -242,3 +242,23 @@ def test_minor_closure_memo_cannot_be_changed_by_callers():
         del depths[next(iter(depths))]
     assert gap_index(DOUBLE4) == index == 2
     assert len(all_minors(DOUBLE4)) == len(depths) > 0
+
+
+def test_minor_closure_memo_keeps_no_earlier_instance():
+    from aritygap.minors import _minor_closure
+
+    _minor_closure.cache_clear()
+    gap_index(DOUBLE4)
+    all_minors(DOUBLE4)
+    assert _minor_closure.cache_info().hits == 1
+    rng = random.Random(5)
+    others = set()
+    while len(others) < _minor_closure.cache_info().maxsize:
+        f = FiniteFunction(3, 3, [rng.randrange(3) for _ in range(27)])
+        if essential_count(f) >= 2:
+            others.add(f)
+    for f in others:
+        gap_index(f)
+    misses = _minor_closure.cache_info().misses
+    gap_index(DOUBLE4)
+    assert _minor_closure.cache_info().misses == misses + 1
