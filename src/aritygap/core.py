@@ -14,6 +14,7 @@ after construction, so everything is safe to use from parallel workers.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -77,6 +78,23 @@ def point_of(index: int, n: int, k: int) -> tuple[int, ...]:
 def iter_points(k: int, n: int) -> Iterator[tuple[int, ...]]:
     """All points of K^n in table order."""
     return itertools.product(range(k), repeat=n)
+
+
+def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """A gather of the entries at ``indices``, always returned as a tuple
+    (``operator.itemgetter`` over a single index returns the bare entry)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return operator.itemgetter(*indices)
+
+
+def check_domain(k: int, n: int):
+    """Reject a radix below 2 or a negative arity."""
+    if k < 2:
+        raise DomainError(f"radix must be at least 2, got {k}")
+    if n < 0:
+        raise DomainError(f"arity must be non-negative, got {n}")
 
 
 class FiniteFunction:

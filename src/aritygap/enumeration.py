@@ -39,7 +39,15 @@ from math import comb
 
 import numpy as np
 
-from .core import BudgetError, DomainError, FiniteFunction, PreconditionError, iter_points
+from .core import (
+    BudgetError,
+    DomainError,
+    FiniteFunction,
+    PreconditionError,
+    check_domain,
+    iter_points,
+    tuple_getter,
+)
 from .minors import GapProfile, gap_index
 from .symmetric import (
     GapNSpec,
@@ -72,6 +80,11 @@ class SymmetryIndex:
     def orbit_of_point(self) -> tuple[int, ...]:
         """Multiset index of each of the k^n table points, built on first use."""
         return tuple(self.index[tuple(sorted(p))] for p in iter_points(self.k, self.n))
+
+    @functools.cached_property
+    def orbit_getter(self):
+        """Gather of a spec into the full table through ``orbit_of_point``."""
+        return tuple_getter(self.orbit_of_point)
 
 
 @functools.lru_cache(maxsize=64)
@@ -131,8 +144,7 @@ def symmetric_spec_count(k: int, n: int) -> int:
 
 def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
     """Expand a multiset value tuple (canonical order) to a full table."""
-    orbit = symmetry_index(k, n).orbit_of_point
-    return FiniteFunction(k, n, (spec[o] for o in orbit))
+    return FiniteFunction(k, n, symmetry_index(k, n).orbit_getter(spec))
 
 
 def sample_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -279,6 +291,7 @@ def census(
     The counts take no scan, so the census runs in one process whatever
     ``workers`` says; the budget still bounds the candidate count.
     """
+    check_domain(k, n)
     total = symmetric_spec_count(k, n)
     if total > budget and not override:
         raise BudgetError(total, budget)
@@ -316,6 +329,38 @@ def _fictive(specs: np.ndarray, rep: tuple[int, ...]) -> np.ndarray:
     return np.all(specs == specs[:, rep], axis=1)
 
 
+def _listable_class_size(k: int, n: int, budget: int) -> int:
+    """Size of the gap >= 2 class, refused from the counts, before anything
+    is built, when it is over the budget or its table entries are over
+    ``LIST_LIMIT``."""
+    size = _nontrivial(_bucket_counts(k, n))
+    if size > budget:
+        raise BudgetError(size, budget, "class members")
+    if size * k**n > LIST_LIMIT:
+        raise BudgetError(size * k**n, LIST_LIMIT, "table entries", "listing limit")
+    return size
+
+
+def _tuples(specs: np.ndarray) -> list[tuple[int, ...]]:
+    members: list[tuple[int, ...]] = []
+    for lo in range(0, len(specs), 4096):  # blocks bound the transient lists
+        members.extend(zip(*specs[lo : lo + 4096].T.tolist()))
+    return members
+
+
+def full_gap_specs(
+    k: int, n: int, *, budget: int = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """The members of ``nontrivial_gap_specs(k, n)`` with gap n, in the same
+    order, listed directly: they are the non-constant specs with y and z
+    both fictive (y alone for n = 2), which ascend in every listing of the
+    class. Refused exactly when the whole class would be."""
+    if not _listable_class_size(k, n, budget):
+        return []
+    specs = _solutions(k, _fictive_reps(k, n)[2])
+    return _tuples(specs[~np.all(specs == specs[:, :1], axis=1)])
+
+
 def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, ...]]:
     """Multiset specs of every symmetric function with gap at least 2.
 
@@ -333,12 +378,7 @@ def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, .
     (3, 3) and beyond 10^12 candidates). Beyond the budget the list is
     ascending.
     """
-    size = _nontrivial(_bucket_counts(k, n))
-    if size > budget:
-        raise BudgetError(size, budget, "class members")
-    if size * k**n > LIST_LIMIT:
-        raise BudgetError(size * k**n, LIST_LIMIT, "table entries", "listing limit")
-    if not size:
+    if not _listable_class_size(k, n, budget):
         return []
     y_rep, z_rep, _ = _fictive_reps(k, n)
     specs = _solutions(k, y_rep)
@@ -353,11 +393,7 @@ def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, .
     keys = list(specs.T[::-1])
     if symmetric_spec_count(k, n) <= budget:
         keys.append(cell)  # lexsort's last key is its primary one
-    specs = specs[np.lexsort(keys)]
-    members: list[tuple[int, ...]] = []
-    for lo in range(0, len(specs), 4096):  # blocks bound the transient lists
-        members.extend(zip(*specs[lo : lo + 4096].T.tolist()))
-    return members
+    return _tuples(specs[np.lexsort(keys)])
 
 
 def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:

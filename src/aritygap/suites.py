@@ -17,7 +17,10 @@ seed, whatever the worker count.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
+import os
 import random
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +31,7 @@ from .core import (
     BudgetError,
     DomainError,
     FiniteFunction,
+    check_domain,
     is_all_distinct,
     iter_points,
     range_size,
@@ -69,6 +73,7 @@ from .symmetric import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    full_gap_specs,
     gap2_ternary_images,
     gap_n_images,
     nontrivial_gap_specs,
@@ -160,34 +165,44 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int,
             members[random.Random((seed << 28) ^ i).randrange(len(members))]
             for i in range(count)
         ]
-    idx = symmetry_index(k, n)
+    plan = _gap2_draw_plan(k, n)
+    draws = 1 + comb(k, 2)
     out: list[tuple[int, ...]] = []
     attempt = 0
     while len(out) < count and attempt < 60 * count:
         rng = random.Random((seed << 28) ^ attempt)
         attempt += 1
-        shared = rng.randrange(k)
-        pair_val = {}
-        for a in range(k):
-            pair_val[(a, a)] = shared
-        for p in itertools.combinations(range(k), 2):
-            pair_val[p] = rng.randrange(k)
-        spec = []
-        for m in idx.msets:
-            counts = Counter(m)
-            doubled = next((v for v, c in counts.items() if c >= 2), None)
-            if doubled is None:
-                spec.append(rng.randrange(k))
-            else:
-                rest = list(m)
-                rest.remove(doubled)
-                rest.remove(doubled)
-                spec.append(pair_val[tuple(sorted(rest))])
-        t = tuple(spec)
+        # the shared diagonal value, then one value per pair a < b
+        pair_val = [rng.randrange(k) for _ in range(draws)]
+        t = tuple(rng.randrange(k) if src < 0 else pair_val[src] for src in plan)
         ess, g = spec_ess_gap(k, n, t)
         if ess == n and g == 2:
             out.append(t)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _gap2_draw_plan(k: int, n: int) -> tuple[int, ...]:
+    """Where each multiset's value comes from in a structured gap-2 draw:
+    -1 for a free draw (no repeated value), otherwise the index of the
+    residual pair's value (0 for the shared diagonal value, 1 + the rank of
+    a < b among the pairs) after removing the smallest repeated value
+    twice."""
+    pair_src = {(a, a): 0 for a in range(k)}
+    for r, p in enumerate(itertools.combinations(range(k), 2)):
+        pair_src[p] = 1 + r
+    plan = []
+    for m in symmetry_index(k, n).msets:
+        counts = Counter(m)
+        doubled = next((v for v, c in counts.items() if c >= 2), None)
+        if doubled is None:
+            plan.append(-1)
+        else:
+            rest = list(m)
+            rest.remove(doubled)
+            rest.remove(doubled)
+            plan.append(pair_src[tuple(sorted(rest))])
+    return tuple(plan)
 
 
 def _population_symmetric(k, n, mode, seed, sample, budget, notes):
@@ -212,7 +227,9 @@ def _population_symmetric(k, n, mode, seed, sample, budget, notes):
     return items, "exhaustive(non-trivial-gap subclass)"
 
 
-def _population_nontrivial(k, n, mode, seed, sample, budget):
+def _population_nontrivial(k, n, mode, seed, sample, budget, full_gap):
+    """The gap-2 sample, or the listed gap >= 2 class; ``full_gap`` lists
+    only its gap-n members, for checkers that accept no others."""
     if mode == "sample":
         if seed is None:
             raise DomainError("sampling mode requires an explicit seed")
@@ -220,7 +237,11 @@ def _population_nontrivial(k, n, mode, seed, sample, budget):
             _sample_gap2_specs(k, n, sample or 300, seed),
             f"sample(gap-2, {sample or 300})",
         )
-    return nontrivial_gap_specs(k, n, budget=budget), "exhaustive(non-trivial gap)"
+    if full_gap:
+        items = full_gap_specs(k, n, budget=budget)
+    else:
+        items = nontrivial_gap_specs(k, n, budget=budget)
+    return items, "exhaustive(non-trivial gap)"
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +636,10 @@ _CHECKERS = {
     "willard": _check_willard,
 }
 
+# Checkers whose hypothesis is gap = n: an exhaustive run lists them only
+# that cell of the gap >= 2 class, every other member being skipped anyway.
+_FULL_GAP_CHECKERS = frozenset({"thm3_1", "lemma3_1"})
+
 
 def _chunk_worker(args):
     name, k, n, chunk = args
@@ -637,25 +662,22 @@ def _chunk_worker(args):
 
 
 def _map_population(name, k, n, items, workers):
-    chunks = [items[i : i + 2000] for i in range(0, len(items), 2000)]
+    """Check ``items`` in chunks of 2000, merged in chunk order; a pool runs
+    when more than one worker is useful, with no more workers than chunks
+    or CPUs."""
+    tasks = [(name, k, n, items[i : i + 2000]) for i in range(0, len(items), 2000)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     instances = 0
     subcounts: Counter = Counter()
     total_violations = 0
     kept: list = []
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _chunk_worker, [(name, k, n, c) for c in chunks]
-            )
-            for inst, sc, tv, kv in results:
-                instances += inst
-                subcounts.update(sc)
-                total_violations += tv
-                if len(kept) < VIOLATION_CAP:
-                    kept.extend(kv[: VIOLATION_CAP - len(kept)])
-    else:
-        for c in chunks:
-            inst, sc, tv, kv = _chunk_worker((name, k, n, c))
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_chunk_worker, tasks)
+        else:
+            results = map(_chunk_worker, tasks)
+        for inst, sc, tv, kv in results:
             instances += inst
             subcounts.update(sc)
             total_violations += tv
@@ -699,7 +721,9 @@ def _run_on_symmetric(name, k, n, mode, seed, sample, workers, budget):
 
 
 def _run_on_nontrivial(name, k, n, mode, seed, sample, workers, budget):
-    items, mode_desc = _population_nontrivial(k, n, mode, seed, sample, budget)
+    items, mode_desc = _population_nontrivial(
+        k, n, mode, seed, sample, budget, name in _FULL_GAP_CHECKERS
+    )
     inst, sc, tv, kept = _map_population(name, k, n, items, workers)
     return _mk_report(
         name, k, n, mode_desc,
@@ -756,9 +780,7 @@ def _run_thm2_2(name, k, n, mode, seed, sample, workers, budget):
     """Full-gap symmetric classification: the census bucket equals the image
     of the full-gap constructor, and coefficients read back off each member."""
     bucket = {
-        spec_to_function(k, n, s).table
-        for s in nontrivial_gap_specs(k, n, budget=budget)
-        if spec_ess_gap(k, n, s)[1] == n
+        spec_to_function(k, n, s).table for s in full_gap_specs(k, n, budget=budget)
     }
     images = gap_n_images(k, n)
     violations = []
@@ -1066,11 +1088,7 @@ def _run_cor2_1(name, k, n, mode, seed, sample, workers, budget):
     total = 0
     bucket = None
     if symmetric_spec_count(k, n) <= FULL_SCAN_LIMIT:
-        bucket = sum(
-            1
-            for s in nontrivial_gap_specs(k, n, budget=budget)
-            if spec_ess_gap(k, n, s)[1] == n
-        )
+        bucket = len(full_gap_specs(k, n, budget=budget))
     if constructive != proof_logic:
         total += 1
         violations.append(
@@ -1145,6 +1163,7 @@ def run_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> SuiteReport:
     """Run one registered suite and return its report."""
+    check_domain(k, n)
     if mode not in ("exhaustive", "sample"):
         raise UnknownSuiteError(f"unknown mode {mode!r}; use exhaustive or sample")
     if name in _SIMPLE_RUNNERS:

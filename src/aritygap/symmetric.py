@@ -23,6 +23,7 @@ The constructors build the classified families:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -37,6 +38,7 @@ from .core import (
     index_of,
     is_all_distinct,
     iter_points,
+    tuple_getter,
 )
 from .minors import _essential_positions, essential_count, gap
 
@@ -46,20 +48,22 @@ def multisets(k: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(k), n))
 
 
-def _swap_invariant(f: FiniteFunction, a: int, b: int) -> bool:
-    # a, b are 0-based positions
-    k, n, t = f.k, f.n, f.table
+@functools.lru_cache(maxsize=256)
+def _swap_getter(k: int, n: int, a: int, b: int):
+    # entry m of the table with the 0-based positions a and b swapped
     step_a = k ** (n - 1 - a)
     step_b = k ** (n - 1 - b)
-    for m in range(len(t)):
-        ca = (m // step_a) % k
-        cb = (m // step_b) % k
-        if ca >= cb:
-            continue
-        swapped = m + (cb - ca) * step_a + (ca - cb) * step_b
-        if t[m] != t[swapped]:
-            return False
-    return True
+    return tuple_getter(
+        tuple(
+            m + ((m // step_b) % k - (m // step_a) % k) * (step_a - step_b)
+            for m in range(k**n)
+        )
+    )
+
+
+def _swap_invariant(f: FiniteFunction, a: int, b: int) -> bool:
+    # a, b are 0-based positions
+    return _swap_getter(f.k, f.n, a, b)(f.table) == f.table
 
 
 def is_symmetric(f: FiniteFunction) -> bool:
@@ -71,13 +75,23 @@ def is_symmetric(f: FiniteFunction) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
+def _sorted_point_getter(k: int, n: int):
+    # entry m of the table read at the sorted coordinates of point m
+    return tuple_getter(tuple(index_of(sorted(p), k) for p in iter_points(k, n)))
+
+
 def is_totally_symmetric(f: FiniteFunction) -> bool:
     """Whether the table depends only on the multiset of coordinates."""
-    k, n, t = f.k, f.n, f.table
-    for m, p in enumerate(iter_points(k, n)):
-        if t[m] != t[index_of(sorted(p), k)]:
-            return False
-    return True
+    return _sorted_point_getter(f.k, f.n)(f.table) == f.table
+
+
+@functools.lru_cache(maxsize=64)
+def _multiset_getter(k: int, n: int):
+    """The size-n multisets over K and a gather of their entries (each one
+    at its sorted point) from a table."""
+    msets = tuple(multisets(k, n))
+    return msets, tuple_getter(tuple(index_of(m, k) for m in msets))
 
 
 @dataclass
@@ -120,8 +134,8 @@ def compress(f: FiniteFunction) -> SymmetricSpec:
         raise PreconditionError(
             "table is not invariant under all coordinate permutations"
         )
-    values = {m: f.table[index_of(m, f.k)] for m in multisets(f.k, f.n)}
-    return SymmetricSpec(f.k, f.n, values)
+    msets, getter = _multiset_getter(f.k, f.n)
+    return SymmetricSpec(f.k, f.n, dict(zip(msets, getter(f.table))))
 
 
 def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:

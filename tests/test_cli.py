@@ -232,6 +232,19 @@ GOLDEN_REPORTS = [
      "788be11c6c8eaa07dad818e180b2668a0865fef8ba97315437408c007835ccd6"),
     (("verify", "lemma2_4", "-k", "3", "-n", "4"), 0,
      "81b21f8b1352579cb4675bdcd73ab0b95bca79d9dbc9ce5ff289c29599afc179"),
+    # recorded before the full-gap suites listed only their cell and the
+    # symmetric layer was gathered
+    (("verify", "thm3_1", "-k", "4", "-n", "3"), 0,
+     "9b30a71356b1d40af89cf11a1ffcc47ebf73449fce47f027c390f9ed9d59dfbb"),
+    (("verify", "lemma3_1", "-k", "4", "-n", "3"), 0,
+     "7ab3ef99d2cbf9d9135449f000a59c6b9014901f791c3a77c443efde6b8be907"),
+    (("verify", "thm2_2", "-k", "4", "-n", "3"), 0,
+     "c82bedf1477a2a916549b5b14160208e2c753803fedbb57ed19fbc09c221ae21"),
+    (("verify", "cor2_1", "-k", "4", "-n", "3"), 0,
+     "cd131d960ebe0dc975d660c96d244276e2f74ad571b8a172c2b06f74f8b479a2"),
+    (("verify", "cor3_1", "-k", "4", "-n", "4", "--mode", "sample", "--seed", "1",
+      "--sample", "300"), 0,
+     "5187a981cf2fa6698248b9b3c104d2126669837d87e7d34d4c9bbd979e42cf64"),
 ]
 
 

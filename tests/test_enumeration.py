@@ -130,6 +130,16 @@ def test_enumeration_budget_refusal():
         census(4, 3)
 
 
+@pytest.mark.parametrize(
+    "k,n,message",
+    [(1, 3, "radix must be at least 2, got 1"), (3, -1, "arity must be non-negative, got -1")],
+)
+def test_census_rejects_bad_domain(k, n, message):
+    # k = 1 used to give a one-function census, n = -1 to fail inside math.comb
+    with pytest.raises(DomainError, match=message):
+        census(k, n)
+
+
 def test_sampling_requires_seed():
     with pytest.raises(DomainError):
         list(enumerate_symmetric(3, 3, sample=5))

@@ -1,26 +1,41 @@
 """The gather-index table kernels against the per-entry loops they replaced.
 
 The loop versions below are kept verbatim as oracles: an identification, a
-restriction and the symmetric (ess, gap) test must give the same tables and
-the same answers, on every position pair and constant, for k in 2..4 and
-n in 0..4.
+restriction, the symmetric (ess, gap) test, a swap test, the total-symmetry
+test, compression and spec expansion must give the same tables and the
+same answers, on every position pair and constant, for k in 2..4 and n in
+0..4. The direct full-gap listing and the planned gap-2 sampler are checked
+against the filter and the draw loop they replaced.
 """
 
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aritygap import FiniteFunction, DomainError
+from aritygap import FiniteFunction, DomainError, PreconditionError
+from aritygap.core import BudgetError, index_of, iter_points
 from aritygap.enumeration import (
     _fictive_reps,
+    full_gap_specs,
     nontrivial_gap_specs,
     spec_ess_gap,
+    spec_to_function,
+    symmetric_spec_count,
 )
 from aritygap.minors import _identify_table
 from aritygap.subfunctions import _restrict_table
+from aritygap.suites import _sample_gap2_specs
+from aritygap.symmetric import (
+    _swap_invariant,
+    compress,
+    is_totally_symmetric,
+    multisets,
+)
 
 DOMAINS = [(k, n) for k in range(2, 5) for n in range(0, 5)]
 
@@ -125,3 +140,169 @@ def test_table_range_check_names_first_bad_value():
     with pytest.raises(DomainError, match="table value -1 outside 0..2"):
         FiniteFunction(3, 1, (0, -1, 3))
     assert FiniteFunction(3, 1, (0, 2, 1)).table == (0, 2, 1)
+
+
+def loop_swap_invariant(f, a, b):
+    # a, b are 0-based positions
+    k, n, t = f.k, f.n, f.table
+    step_a = k ** (n - 1 - a)
+    step_b = k ** (n - 1 - b)
+    for m in range(len(t)):
+        ca = (m // step_a) % k
+        cb = (m // step_b) % k
+        if ca >= cb:
+            continue
+        swapped = m + (cb - ca) * step_a + (ca - cb) * step_b
+        if t[m] != t[swapped]:
+            return False
+    return True
+
+
+def loop_is_totally_symmetric(f):
+    k, n, t = f.k, f.n, f.table
+    for m, p in enumerate(iter_points(k, n)):
+        if t[m] != t[index_of(sorted(p), k)]:
+            return False
+    return True
+
+
+def loop_compress_values(f):
+    if not loop_is_totally_symmetric(f):
+        raise PreconditionError("table is not invariant under all coordinate permutations")
+    return {m: f.table[index_of(m, f.k)] for m in multisets(f.k, f.n)}
+
+
+def loop_spec_to_function(k, n, spec):
+    index = {m: i for i, m in enumerate(multisets(k, n))}
+    return FiniteFunction(k, n, (spec[index[tuple(sorted(p))]] for p in iter_points(k, n)))
+
+
+def symmetrized(k, n, table, a, b):
+    """The table made invariant under swapping the 0-based positions a and b
+    (each entry takes the value at the smaller index of its swap pair)."""
+    out = list(table)
+    for m, p in enumerate(iter_points(k, n)):
+        q = list(p)
+        q[a], q[b] = q[b], q[a]
+        out[m] = table[min(m, index_of(q, k))]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k,n", DOMAINS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_swap_invariant_equals_loop(k, n, data):
+    table = data.draw(tables(k, n))
+    spec = data.draw(specs(k, n))
+    for t in (table, loop_spec_to_function(k, n, spec).table):
+        for a, b in itertools.product(range(n), repeat=2):
+            for u in (t, symmetrized(k, n, t, a, b)):
+                f = FiniteFunction(k, n, u)
+                got = _swap_invariant(f, a, b)
+                assert got == loop_swap_invariant(f, a, b)
+                if u is not t:
+                    assert got
+
+
+@pytest.mark.parametrize("k,n", DOMAINS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_total_symmetry_and_compress_equal_loop(k, n, data):
+    table = data.draw(tables(k, n))
+    spec = data.draw(specs(k, n))
+    for f in (FiniteFunction(k, n, table), loop_spec_to_function(k, n, spec)):
+        want = loop_is_totally_symmetric(f)
+        assert is_totally_symmetric(f) == want
+        if want:
+            assert compress(f).values == loop_compress_values(f)
+        else:
+            with pytest.raises(PreconditionError):
+                compress(f)
+
+
+@pytest.mark.parametrize("k,n", DOMAINS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_spec_to_function_equals_loop(k, n, data):
+    spec = data.draw(specs(k, n))
+    got = spec_to_function(k, n, spec)
+    assert type(got.table) is tuple
+    assert got == loop_spec_to_function(k, n, spec)
+    assert compress(got).as_tuple() == spec
+
+
+# every (k, n) of the scan oracle in tests/test_enumeration.py, and beyond it
+FULL_GAP_DOMAINS = [
+    (k, n) for k in range(2, 5) for n in range(0, 9) if symmetric_spec_count(k, n) <= 1 << 20
+] + [(4, 3), (4, 4), (4, 5), (3, 5)]
+
+
+@pytest.mark.parametrize("k,n", FULL_GAP_DOMAINS)
+def test_full_gap_listing_equals_filter(k, n):
+    want = [s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s)[1] == n]
+    assert full_gap_specs(k, n) == want
+
+
+def test_full_gap_listing_follows_the_ascending_listing():
+    # a budget that admits the class but not the domain lists it ascending
+    want = [s for s in nontrivial_gap_specs(3, 3, budget=150) if spec_ess_gap(3, 3, s)[1] == 3]
+    assert full_gap_specs(3, 3, budget=150) == want
+    assert len(want) == 6
+
+
+@pytest.mark.parametrize("k,n,budget", [(3, 3, 149), (5, 2, 10**8), (3, 20, 10**8)])
+def test_full_gap_listing_refused_like_the_class(k, n, budget):
+    with pytest.raises(BudgetError) as want:
+        nontrivial_gap_specs(k, n, budget=budget)
+    with pytest.raises(BudgetError) as got:
+        full_gap_specs(k, n, budget=budget)
+    assert str(got.value) == str(want.value)
+    assert (got.value.required, got.value.budget) == (want.value.required, want.value.budget)
+
+
+def loop_sample_gap2_n4(k, n, count, seed):
+    """The structured n = 4 gap-2 draw loop, one Counter per multiset."""
+    msets = multisets(k, n)
+    out = []
+    attempt = 0
+    while len(out) < count and attempt < 60 * count:
+        rng = random.Random((seed << 28) ^ attempt)
+        attempt += 1
+        shared = rng.randrange(k)
+        pair_val = {}
+        for a in range(k):
+            pair_val[(a, a)] = shared
+        for p in itertools.combinations(range(k), 2):
+            pair_val[p] = rng.randrange(k)
+        spec = []
+        for m in msets:
+            counts = Counter(m)
+            doubled = next((v for v, c in counts.items() if c >= 2), None)
+            if doubled is None:
+                spec.append(rng.randrange(k))
+            else:
+                rest = list(m)
+                rest.remove(doubled)
+                rest.remove(doubled)
+                spec.append(pair_val[tuple(sorted(rest))])
+        t = tuple(spec)
+        ess, g = spec_ess_gap(k, n, t)
+        if ess == n and g == 2:
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4])
+def test_gap2_sampler_draws_equal_loop(k, seed):
+    got = _sample_gap2_specs(k, 4, 100, seed)
+    assert got == loop_sample_gap2_n4(k, 4, 100, seed)
+    assert len(got) == 100
+
+
+def test_gap2_sampler_refusal_message_unchanged():
+    with pytest.raises(BudgetError) as err:
+        _sample_gap2_specs(5, 2, 5, 1)
+    assert str(err.value) == (
+        "listing requires 1220703000 table entries, over the listing limit of 100000000"
+    )

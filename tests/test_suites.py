@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from aritygap import FiniteFunction, UnknownSuiteError, run_suite
+from aritygap import DomainError, FiniteFunction, UnknownSuiteError, run_suite
+from aritygap import suites
 from aritygap.suites import SUITE_NAMES
 
 
@@ -14,6 +15,16 @@ def test_unknown_suite():
         run_suite("lemma9_9", 3, 3)
     with pytest.raises(UnknownSuiteError):
         run_suite("lemma2_2", 3, 3, mode="fuzz")
+
+
+@pytest.mark.parametrize(
+    "k,n,message",
+    [(1, 3, "radix must be at least 2, got 1"), (3, -1, "arity must be non-negative, got -1")],
+)
+def test_run_suite_rejects_bad_domain(k, n, message):
+    # k = 1 used to pass vacuously, n = -1 to fail inside math.comb
+    with pytest.raises(DomainError, match=message):
+        run_suite("thm4_1", k, n)
 
 
 def test_suite_names_registered():
@@ -191,6 +202,32 @@ def test_worker_determinism_through_the_pool():
             for w in (1, 2)]
     assert docs[0]["instances_checked"] > 2000
     assert docs[0] == docs[1]
+
+
+def test_pool_starts_no_more_workers_than_chunks_or_cpus(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    three_chunks = run_suite("willard", 3, 2, seed=1, sample=4001, workers=8)
+    monkeypatch.setattr("os.cpu_count", lambda: 16)
+    run_suite("willard", 3, 2, seed=1, sample=4001, workers=8)
+    one_chunk = run_suite("willard", 3, 2, seed=1, sample=2000, workers=8)
+    assert started == [2, 3]
+    assert three_chunks.to_doc() == run_suite("willard", 3, 2, seed=1, sample=4001).to_doc()
+    assert one_chunk.instances_checked > 0
 
 
 def test_memo_warm_report_equals_cold_process():
