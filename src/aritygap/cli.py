@@ -216,6 +216,15 @@ def _cmd_verify(args) -> int:
     except (UnknownSuiteError, BudgetError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.stats:
+        st = report.stats
+        print(
+            f"stats: population={st['source']} instances={st['instances']} "
+            f"checker_rows={st['checker_rows']} build_s={st['build_s']:.3f} "
+            f"check_s={st['check_s']:.3f} merge_s={st['merge_s']:.3f} "
+            f"workers={st['workers']}",
+            file=sys.stderr,
+        )
     doc = report.to_doc()
     if args.format == "json":
         _write_text(args.output, docs.to_json(doc))
@@ -308,6 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=_int_at_least(1), default=None)
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--stats", action="store_true",
+        help="print one line of run statistics to stderr (not part of the report)",
+    )
     add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -362,7 +362,12 @@ def full_gap_specs(
 
 
 def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, ...]]:
-    """Multiset specs of every symmetric function with gap at least 2.
+    return _tuples(_nontrivial_gap_array(k, n, budget))
+
+
+def _nontrivial_gap_array(k: int, n: int, budget: int) -> np.ndarray:
+    """Multiset specs of every symmetric function with gap at least 2, one
+    row each.
 
     For n >= 3 the gap is at least 2 exactly when y or z is fictive, for
     n = 2 exactly when y is fictive; the class is the union of those
@@ -379,7 +384,7 @@ def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, .
     ascending.
     """
     if not _listable_class_size(k, n, budget):
-        return []
+        return np.zeros((0, comb(k + n - 1, n)), dtype=np.uint8)
     y_rep, z_rep, _ = _fictive_reps(k, n)
     specs = _solutions(k, y_rep)
     cell = 1 + _fictive(specs, z_rep)
@@ -393,7 +398,7 @@ def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, .
     keys = list(specs.T[::-1])
     if symmetric_spec_count(k, n) <= budget:
         keys.append(cell)  # lexsort's last key is its primary one
-    return _tuples(specs[np.lexsort(keys)])
+    return specs[np.lexsort(keys)]
 
 
 def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:

@@ -1,0 +1,425 @@
+"""Batched facts about chunks of symmetric functions, for the suite screens.
+
+A chunk is an (N, C(k+n-1, n)) uint8 array of multiset specs, one row per
+function, in the canonical multiset order. :class:`SpecFacts` computes, for
+every row at once, the facts that the symmetric claims are about:
+
+* (ess, gap) from the "y fictive" / "z fictive" components;
+* the order-o restrictions: fixing a multiset mu of o constants maps a spec
+  to the spec s_mu(m') = s(m' + mu) over size-(n - o) multisets, one gather
+  per (k, n, o); their (ess, gap), the dominants (constant order-1
+  restrictions) and the weak dominants (read off the identification minor,
+  the shape (2, 1^(n-2)) below);
+* the subfunction closure counts: the closure of a multiset-determined
+  function has one state per multiset of substituted constants; every state
+  it never reaches is constant with a value it already counts, so sub is the
+  range size plus the distinct non-constant restrictions of each order, and
+  the separable sets are whole levels, C(n, n - o) sets for each order o
+  with a non-constant restriction, plus the empty set;
+* the identification-shape DAG: an iterated identification minor of s is
+  F_lambda(y) = s(y_1^l1 ... y_r^lr) up to a relabeling of its variables,
+  lambda a partition of n, and identifying two essential variables merges
+  two essential parts. Every path of the table closure lifts to a path of
+  shapes and back, so the longest merge chain is the gap index, and a
+  shape's gap is its essential count minus the best among its children.
+
+:func:`slice_flags` screens raw value tables for the restriction claim of
+Lemma 2.1 by testing every fixing of (positions, constants).
+
+``SCREENS`` turns the facts into each symmetric suite's claim: per row, the
+instance flag, the violation count and the subcase counts.
+
+Gathers are built on first use and cached per (k, n, o) or per shape;
+nothing is built at import.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from math import comb
+
+import numpy as np
+
+from .core import iter_points
+from .enumeration import _fictive_reps, symmetry_index
+from .symmetric import multisets
+
+
+def _constant(a: np.ndarray) -> np.ndarray:
+    """Whether each vector along the last axis is constant."""
+    return np.all(a == a[..., :1], axis=-1)
+
+
+def _ess_gap(k: int, n: int, specs: np.ndarray):
+    """(ess, gap) of specs at (k, n) along the last axis, gap -1 for None,
+    as ``enumeration.spec_ess_gap`` gives them."""
+    const = _constant(specs)
+    ess = np.where(const, 0, n).astype(np.int8)
+    if n < 2:
+        return ess, np.full(const.shape, -1, np.int8)
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    y_ess = np.any(specs != specs[..., y_rep], axis=-1)
+    z_ess = np.any(specs != specs[..., z_rep], axis=-1)
+    gap = n - y_ess.astype(np.int8) - (n - 2) * z_ess.astype(np.int8)
+    return ess, np.where(const, -1, gap).astype(np.int8)
+
+
+@functools.lru_cache(maxsize=64)
+def _restriction_gather(k: int, n: int, o: int) -> np.ndarray:
+    """Entry [mu, m'] is the index of the multiset m' + mu: row mu of a
+    gathered spec is the spec of the restriction fixing the constants mu."""
+    index = symmetry_index(k, n).index
+    return np.array(
+        [[index[tuple(sorted(m + mu))] for m in multisets(k, n - o)]
+         for mu in multisets(k, o)],
+        dtype=np.intp,
+    )
+
+
+def _partitions(n: int, most: int | None = None):
+    """Partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+@functools.lru_cache(maxsize=64)
+def _shape_gather(k: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Entry y (a point of K^r in table order) is the index of the multiset
+    y_1^l1 ... y_r^lr: the table of F_shape, gathered from a spec."""
+    index = symmetry_index(k, n).index
+    return np.array(
+        [index[tuple(sorted(itertools.chain.from_iterable(
+            (v,) * part for v, part in zip(y, shape))))]
+         for y in iter_points(k, len(shape))],
+        dtype=np.intp,
+    )
+
+
+def _merge(shape: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    rest = [p for q, p in enumerate(shape) if q not in (i, j)]
+    return tuple(sorted(rest + [shape[i] + shape[j]], reverse=True))
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_dag(n: int):
+    """Partitions of n with more parts first (a topological order of the
+    merges), and each one's merges (i, j, child)."""
+    shapes = sorted(_partitions(n), key=len, reverse=True)
+    return tuple(
+        (shape, tuple((i, j, _merge(shape, i, j))
+                      for i, j in itertools.combinations(range(len(shape)), 2)))
+        for shape in shapes
+    )
+
+
+def _distinct_codes(rows: np.ndarray, k: int) -> np.ndarray:
+    """One int64 code per row of a 2-d array of values below k, equal
+    exactly when the rows are equal: base-k digits, re-numbered densely
+    whenever another digit could overflow."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    room = (1 << 62) // k
+    top = 0  # an upper bound on the codes so far
+    for j in range(rows.shape[1]):
+        if top >= room:
+            _, code = np.unique(code, return_inverse=True)
+            code = code.astype(np.int64).reshape(-1)
+            top = len(rows)
+        code = code * k + rows[:, j]
+        top = top * k + k
+    return code
+
+
+def _distinct_per_row(codes: np.ndarray) -> np.ndarray:
+    """Distinct non-negative codes in each row of a 2-d array."""
+    codes = np.sort(codes, axis=1)
+    new = np.ones(codes.shape, dtype=bool)
+    new[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    return np.sum(new & (codes >= 0), axis=1)
+
+
+class SpecFacts:
+    """Facts about a chunk of specs at (k, n), each computed on first use."""
+
+    def __init__(self, k: int, n: int, specs):
+        self.k = k
+        self.n = n
+        self.specs = np.asarray(specs, dtype=np.uint8).reshape(-1, comb(k + n - 1, n))
+        self._restrictions: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def ess_gap(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ess, gap) per row, gap -1 where it is undefined."""
+        return _ess_gap(self.k, self.n, self.specs)
+
+    @functools.cached_property
+    def yz_essential(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether y and whether z is essential in the identification minor
+        m(y, z_3, ..., z_n) = s({y, y, z_3, ..., z_n}) (n >= 2)."""
+        y_rep, z_rep, _ = _fictive_reps(self.k, self.n)
+        return tuple(np.any(self.specs != self.specs[:, rep], axis=1) for rep in (y_rep, z_rep))
+
+    def restriction(self, o: int) -> np.ndarray:
+        """(N, C(k+o-1, o), C(k+n-o-1, n-o)): the spec of every order-o
+        restriction, one per multiset of fixed constants (1 <= o <= n)."""
+        if o not in self._restrictions:
+            self._restrictions[o] = self.specs[:, _restriction_gather(self.k, self.n, o)]
+        return self._restrictions[o]
+
+    def restriction_ess_gap(self, o: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ess, gap) of every order-o restriction, (N, C(k+o-1, o)) each."""
+        return _ess_gap(self.k, self.n - o, self.restriction(o))
+
+    @functools.cached_property
+    def dominants(self) -> np.ndarray:
+        """(N, k): whether fixing one variable to c makes the row constant."""
+        return _constant(self.restriction(1))
+
+    @functools.cached_property
+    def weak_dominants(self) -> np.ndarray:
+        """(N, k): the dominants of the essential core of the minor
+        m(y, z_3, ..., z_n) = s({y, y, z_3, ..., z_n}); every constant when
+        the core has at most one variable. Defined where the core has at
+        most one variable or y is fictive, which covers every gap-2 row."""
+        k, n = self.k, self.n
+        out = np.ones((len(self.specs), k), dtype=bool)
+        if n >= 4:
+            y_ess, z_ess = self.yz_essential
+            index = symmetry_index(k, 3).index
+            # the core is h(z) = s({0, 0, z...}); its dominants are the c
+            # that make s({0, 0, c, z...}) constant
+            h_dom = _constant(self.restriction(3)[:, [index[(0, 0, c)] for c in range(k)]])
+            rows = z_ess & ~y_ess
+            out[rows] = h_dom[rows]
+        return out
+
+    @functools.cached_property
+    def closure_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sub, sep) per row, as the subfunction closure counts them."""
+        k, n, specs = self.k, self.n, self.specs
+        const = _constant(specs)
+        sub = sum(np.any(specs == v, axis=1) for v in range(k)).astype(np.int64)
+        sep = 1 + (~const).astype(np.int64)
+        for o in range(1, n):
+            r = self.restriction(o)
+            varying = ~_constant(r)
+            codes = _distinct_codes(r.reshape(-1, r.shape[-1]), k).reshape(r.shape[:2])
+            sub += _distinct_per_row(np.where(varying, codes, -1))
+            sep += comb(n, n - o) * np.any(varying, axis=1)
+        sub[const] = 0
+        sep[const] = 1
+        return sub, sep
+
+    @functools.cached_property
+    def shapes(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
+        """(shape, depth, ess, gap) for every shape but the root, each an
+        (N,) array: the longest merge chain reaching the shape (-1 when it
+        is not reached), its essential parts and its gap (-1 below 2
+        essential parts). Empty for n < 2."""
+        k, n, specs = self.k, self.n, self.specs
+        if n < 2:
+            return []
+        rows = len(specs)
+        parts = {}
+        for shape, _ in _shape_dag(n):
+            r = len(shape)
+            table = specs[:, _shape_gather(k, n, shape)].reshape((rows,) + (k,) * r)
+            parts[shape] = np.stack(
+                [np.any((table != np.take(table, [0], axis=1 + a)).reshape(rows, k**r), axis=1)
+                 for a in range(r)],
+                axis=1,
+            )
+        count = {shape: e.sum(axis=1) for shape, e in parts.items()}
+        root = (1,) * n
+        depth = {shape: np.full(rows, -1, dtype=np.int64) for shape in parts}
+        depth[root][:] = 0
+        out = []
+        for shape, merges in _shape_dag(n):
+            d, e = depth[shape], parts[shape]
+            best = np.full(rows, -1, dtype=np.int64)
+            for i, j, child in merges:
+                active = (d >= 0) & e[:, i] & e[:, j]
+                depth[child] = np.maximum(depth[child], np.where(active, d + 1, -1))
+                best = np.maximum(best, np.where(active, count[child], -1))
+            if shape != root:
+                gap = np.where(count[shape] >= 2, count[shape] - best, -1)
+                out.append((shape, d, count[shape], gap))
+        return out
+
+    @functools.cached_property
+    def gap_index(self) -> np.ndarray:
+        """The longest merge chain per row (0 below 2 essential variables)."""
+        index = np.zeros(len(self.specs), dtype=np.int64)
+        for _, depth, _, _ in self.shapes:
+            index = np.maximum(index, depth)
+        return index
+
+    @functools.cached_property
+    def diagonal_equal(self) -> np.ndarray:
+        """Whether s(c^n) is the same for every constant c."""
+        index = symmetry_index(self.k, self.n).index
+        return _constant(self.specs[:, [index[(c,) * self.n] for c in range(self.k)]])
+
+    @functools.cached_property
+    def slice_flags(self) -> np.ndarray:
+        """:func:`slice_flags` of the expanded value tables."""
+        tables = self.specs[:, symmetry_index(self.k, self.n).orbit_of_point]
+        return slice_flags(self.k, self.n, tables)
+
+
+def slice_flags(k: int, n: int, tables) -> np.ndarray:
+    """Rows of an (N, k^n) array of value tables with a restriction, fixing
+    o of the n positions to constants (1 <= o < n), that is not invariant
+    under a swap of two of its essential positions or has 0 < ess < n - o.
+    Every state of Lemma 2.1's per-instance closure is such a restriction,
+    so a row that is not flagged has no violation."""
+    t = np.asarray(tables, dtype=np.uint8)
+    rows = len(t)
+    t = t.reshape((rows,) + (k,) * n)
+    flagged = np.zeros(rows, dtype=bool)
+    for o in range(1, n):
+        arity = n - o
+        axes = tuple(range(2, 2 + arity))
+        for fixed in itertools.combinations(range(n), o):
+            free = [p for p in range(n) if p not in fixed]
+            s = t.transpose([0] + [1 + p for p in fixed] + [1 + p for p in free])
+            s = s.reshape((rows, k**o) + (k,) * arity)
+            ess = np.stack(
+                [np.any(s != np.take(s, [0], axis=2 + a), axis=axes) for a in range(arity)],
+                axis=-1,
+            )
+            count = ess.sum(axis=-1)
+            bad = (count > 0) & (count != arity)
+            for a, b in itertools.combinations(range(arity), 2):
+                swapped = np.swapaxes(s, 2 + a, 2 + b)
+                bad |= ess[..., a] & ess[..., b] & np.any(s != swapped, axis=axes)
+            flagged |= bad.any(axis=1)
+    return flagged
+
+
+# ---------------------------------------------------------------------------
+# screens: each suite's claim as predicates over the facts of a chunk
+#
+# A screen is (hypothesis, verdict). The hypothesis gives each row its
+# instance flag; the verdict gives each row its violation count and its
+# subcase counts, exactly as the suite's per-instance checker counts them.
+# Where a screen only bounds the violations (``BOUND_SCREENS``), a row it
+# passes has none, and a row it flags may have none.
+
+
+def _all_essential(f: SpecFacts):
+    return f.ess_gap[0] == f.n
+
+
+def _nontrivial_gap(f: SpecFacts):
+    ess, gap = f.ess_gap
+    return (ess == f.n) & (gap >= 2)
+
+
+def _gap_2(f: SpecFacts):
+    ess, gap = f.ess_gap
+    return (ess == f.n) & (gap == 2)
+
+
+def _full_gap(f: SpecFacts):
+    ess, gap = f.ess_gap
+    return (ess == f.n) & (gap == f.n) & (f.n > 2)
+
+
+def _verdict_thm3_1(f):
+    n = f.n
+    ess, gap = f.restriction_ess_gap(1)
+    wrong = ~f.dominants & ~((ess == n - 1) & (gap == n - 1))
+    return n * wrong.sum(axis=1), {}
+
+
+def _verdict_thm3_2(f):
+    k, n = f.k, f.n
+    ind = f.gap_index if n >= 4 else np.ones(len(f.specs), dtype=np.int64)
+    doubled = [symmetry_index(k, 2).index[(c, c)] for c in range(k)]
+    ess2, gap2 = (a[:, doubled] for a in f.restriction_ess_gap(2))
+    ess1, gap1 = f.restriction_ess_gap(1)
+    wdom = f.weak_dominants
+    wrong_i = ~((ess2 == n - 2) & (gap2 == 2))
+    wrong_ii = ~((ess2 == n - 2) & ((ess2 < 2) | (gap2 == ess2)))
+    wrong_iii_iv = np.where(wdom, gap1 != n - 1, gap1 != 2) | (ess1 != n - 1)
+    counts = (
+        np.where(ind > 2, wrong_i.sum(axis=1), 0)
+        + np.where(ind == 2, wrong_ii.sum(axis=1), 0)
+        + wrong_iii_iv.sum(axis=1)
+    )
+    subcounts = {
+        "i": k * (ind > 2), "ii": k * (ind == 2),
+        "iii": wdom.sum(axis=1), "iv": (~wdom).sum(axis=1),
+    }
+    return counts, subcounts
+
+
+def _verdict_cor3_1(f):
+    _, gap = f.restriction_ess_gap(1)
+    return np.sum(~f.dominants & (gap < 2), axis=1), {}
+
+
+def _verdict_sep(f):
+    # the separable sets of a symmetric function are whole levels, so they
+    # are every subset exactly when there are 2^n of them
+    return f.closure_counts[1] != 2**f.n, {}
+
+
+def _verdict_cor4_2(f):
+    return f.closure_counts[0] < 2**f.n, {}
+
+
+def _verdict_lemma2_4(f):
+    return f.n * (f.n - 1) * f.yz_essential[0], {}
+
+
+def _verdict_thm2_4(f):
+    k, n = f.k, f.n
+    gap, ind, equal = f.ess_gap[1], f.gap_index, f.diagonal_equal
+    equal_case = (gap == n) | ((gap == 2) & (n % 2 == 0)) | ((gap == 2) & (2 * ind < n - 1))
+    differs_case = (n % 2 == 1 and 3 <= n <= k) & (gap == 2) & (2 * ind == n - 1)
+    counts = (equal_case & ~equal).astype(np.int64) + (differs_case & equal)
+    return counts, {"diagonal-equal": equal_case, "diagonal-differs": differs_case}
+
+
+def _verdict_lemma2_5(f):
+    n, ind = f.n, f.gap_index
+    flagged = ~((1 <= ind) & (2 * ind <= n))
+    for _, depth, ess, _ in f.shapes:
+        flagged |= (depth >= 0) & (ess != n - 2 * depth)
+    return flagged, {}
+
+
+def _verdict_remark2_2(f):
+    n, ind = f.n, f.gap_index
+    flagged = np.zeros(len(f.specs), dtype=bool)
+    for _, depth, ess, gap in f.shapes:
+        below = (depth < ind) & ~((ess >= 2) & (gap == 2))
+        at = (depth >= ind) & ~((ess < 2) | (gap == ess))
+        flagged |= (depth >= 0) & ((ess != n - 2 * depth) | below | at)
+    return flagged, {}
+
+
+def _verdict_lemma2_1(f):
+    return f.slice_flags, {}
+
+
+SCREENS = {
+    "thm3_1": (_full_gap, _verdict_thm3_1),
+    "thm3_2": (lambda f: _gap_2(f) & (min(f.n, f.k) >= 3), _verdict_thm3_2),
+    "cor3_1": (_nontrivial_gap, _verdict_cor3_1),
+    "thm4_1": (_nontrivial_gap, _verdict_sep),
+    "cor4_1": (_nontrivial_gap, _verdict_sep),
+    "cor4_2": (_nontrivial_gap, _verdict_cor4_2),
+    "lemma2_4": (lambda f: _gap_2(f) & (f.n > 3), _verdict_lemma2_4),
+    "lemma2_5": (_gap_2, _verdict_lemma2_5),
+    "remark2_2": (_gap_2, _verdict_remark2_2),
+    "thm2_4": (_nontrivial_gap, _verdict_thm2_4),
+    "lemma2_1": (_all_essential, _verdict_lemma2_1),
+}
+BOUND_SCREENS = frozenset({"lemma2_1", "lemma2_5", "remark2_2"})

@@ -11,6 +11,12 @@ unrestricted ones. Where a full symmetric space is out of reach, the
 exhaustively enumerable non-trivial-gap subclass (see
 ``nontrivial_gap_specs``) is used and the report says so in its notes.
 
+Most symmetric suites are decided chunk by chunk by the batched screens of
+``facts`` (imported on first use: every CLI process imports this module,
+and only these suites need it); their per-instance checkers then run only
+on rows with violations, to write the records, and stay the oracles the
+screens are tested against.
+
 Reports are deterministic: byte-identical for identical parameters and
 seed, whatever the worker count.
 """
@@ -26,12 +32,16 @@ from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
+from time import perf_counter
+
+import numpy as np
 
 from .core import (
     BudgetError,
     DomainError,
     FiniteFunction,
     check_domain,
+    index_of,
     is_all_distinct,
     iter_points,
     range_size,
@@ -73,6 +83,7 @@ from .symmetric import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    _nontrivial_gap_array,
     full_gap_specs,
     gap2_ternary_images,
     gap_n_images,
@@ -105,6 +116,9 @@ class SuiteReport:
     vacuous: bool
     subcases: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    # how the run went (population source, rows sent to the per-instance
+    # checker, build/check/merge seconds, workers); never part of the report
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -156,13 +170,11 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int,
     listed gap-2 members, draw i from its own generator seeded with
     (seed << 28) ^ i."""
     if n != 4:
-        members = [
-            s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s) == (n, 2)
-        ]
-        if not members:
+        members = _gap2_members(k, n, DEFAULT_BUDGET)
+        if not len(members):
             return []
         return [
-            members[random.Random((seed << 28) ^ i).randrange(len(members))]
+            tuple(members[random.Random((seed << 28) ^ i).randrange(len(members))].tolist())
             for i in range(count)
         ]
     plan = _gap2_draw_plan(k, n)
@@ -179,6 +191,15 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int,
         if ess == n and g == 2:
             out.append(t)
     return out
+
+
+def _gap2_members(k: int, n: int, budget: int) -> np.ndarray:
+    """The gap-2 members of the listed gap >= 2 class, in its order."""
+    from .facts import SpecFacts
+
+    specs = _nontrivial_gap_array(k, n, budget)
+    ess, gap = SpecFacts(k, n, specs).ess_gap
+    return specs[(ess == n) & (gap == 2)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -641,8 +662,53 @@ _CHECKERS = {
 _FULL_GAP_CHECKERS = frozenset({"thm3_1", "lemma3_1"})
 
 
+def _screened_chunk(name, k, n, chunk, cap):
+    """A chunk of a screened suite: the screen decides every row, and the
+    checker runs only on rows with violations, to write their records
+    (until ``cap`` are kept) or, under a bound, to count them."""
+    from .facts import BOUND_SCREENS, SCREENS, SpecFacts
+
+    checker = _CHECKERS[name]
+    hypothesis, verdict = SCREENS[name]
+    facts = SpecFacts(k, n, chunk)
+    instance = hypothesis(facts)
+    if not instance.any():
+        return 0, Counter(), 0, [], 0
+    counts, per_row = verdict(facts)
+    counts = np.where(instance, counts, 0)
+    subcounts = Counter()
+    for key, values in per_row.items():
+        if values[instance].sum():
+            subcounts[key] = int(values[instance].sum())
+    exact = name not in BOUND_SCREENS
+    total = int(counts.sum()) if exact else 0
+    kept: list = []
+    checked = 0
+    for i in np.flatnonzero(counts):
+        if exact and len(kept) >= cap:
+            break
+        spec = tuple(facts.specs[i].tolist())
+        sc, violations = checker(k, n, spec)
+        checked += 1
+        if exact and (
+            len(violations) != counts[i]
+            or sc != Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
+        ):
+            raise RuntimeError(f"{name}: the fact screen and the checker disagree on {spec}")
+        if not exact:
+            total += len(violations)
+        kept.extend(violations[: cap - len(kept)])
+    return int(instance.sum()), subcounts, total, kept, checked
+
+
 def _chunk_worker(args):
-    name, k, n, chunk = args
+    """Check one chunk: (instances, subcounts, violations, the first ``cap``
+    violation records, rows sent to the per-instance checker)."""
+    from .facts import SCREENS
+
+    name, k, n, chunk, cap = args
+    if name in SCREENS:
+        return _screened_chunk(name, k, n, chunk, cap)
     checker = _CHECKERS[name]
     instances = 0
     subcounts: Counter = Counter()
@@ -656,41 +722,57 @@ def _chunk_worker(args):
         sc, violations = out
         subcounts.update(sc)
         total_violations += len(violations)
-        if len(kept) < VIOLATION_CAP:
-            kept.extend(violations[: VIOLATION_CAP - len(kept)])
-    return instances, subcounts, total_violations, kept
+        kept.extend(violations[: cap - len(kept)])
+    return instances, subcounts, total_violations, kept, len(chunk)
 
 
 def _map_population(name, k, n, items, workers):
     """Check ``items`` in chunks of 2000, merged in chunk order; a pool runs
     when more than one worker is useful, with no more workers than chunks
-    or CPUs."""
-    tasks = [(name, k, n, items[i : i + 2000]) for i in range(0, len(items), 2000)]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    or CPUs. Returns the merged counts and the run's stats."""
+    chunks = [items[i : i + 2000] for i in range(0, len(items), 2000)]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     instances = 0
     subcounts: Counter = Counter()
     total_violations = 0
     kept: list = []
+    checked = 0
+    merge_s = 0.0
+    start = perf_counter()
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_chunk_worker, tasks)
+            results = pool.map(
+                _chunk_worker, [(name, k, n, c, VIOLATION_CAP) for c in chunks]
+            )
         else:
-            results = map(_chunk_worker, tasks)
-        for inst, sc, tv, kv in results:
+            # lazily, so each chunk keeps only the records still wanted
+            results = (
+                _chunk_worker((name, k, n, c, VIOLATION_CAP - len(kept))) for c in chunks
+            )
+        for inst, sc, tv, kv, rows in results:
+            t0 = perf_counter()
             instances += inst
             subcounts.update(sc)
             total_violations += tv
-            if len(kept) < VIOLATION_CAP:
-                kept.extend(kv[: VIOLATION_CAP - len(kept)])
-    return instances, subcounts, total_violations, kept
+            checked += rows
+            kept.extend(kv[: VIOLATION_CAP - len(kept)])
+            merge_s += perf_counter() - t0
+    stats = {
+        "checker_rows": checked,
+        "check_s": perf_counter() - start - merge_s,
+        "merge_s": merge_s,
+        "workers": max(workers, 1),
+    }
+    return instances, subcounts, total_violations, kept, stats
 
 
 # ---------------------------------------------------------------------------
 # suite runners
 
 
-def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, notes):
+def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, notes,
+               stats=None):
     subcases = {
         key: {"instances": int(cnt), "vacuous": cnt == 0}
         for key, cnt in sorted(subcounts.items())
@@ -707,27 +789,34 @@ def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, note
         vacuous=instances == 0,
         subcases=subcases,
         notes=notes,
+        stats=stats or {},
     )
+
+
+def _check_population(name, k, n, items, mode_desc, build_s, workers, params, notes):
+    inst, sc, tv, kept, stats = _map_population(name, k, n, items, workers)
+    stats["build_s"] = build_s
+    return _mk_report(name, k, n, mode_desc, params, inst, sc, tv, kept, notes, stats)
 
 
 def _run_on_symmetric(name, k, n, mode, seed, sample, workers, budget):
     notes: list[str] = []
+    t0 = perf_counter()
     items, mode_desc = _population_symmetric(k, n, mode, seed, sample, budget, notes)
-    inst, sc, tv, kept = _map_population(name, k, n, items, workers)
-    return _mk_report(
-        name, k, n, mode_desc,
-        {"seed": seed, "sample": sample}, inst, sc, tv, kept, notes,
+    return _check_population(
+        name, k, n, items, mode_desc, perf_counter() - t0, workers,
+        {"seed": seed, "sample": sample}, notes,
     )
 
 
 def _run_on_nontrivial(name, k, n, mode, seed, sample, workers, budget):
+    t0 = perf_counter()
     items, mode_desc = _population_nontrivial(
         k, n, mode, seed, sample, budget, name in _FULL_GAP_CHECKERS
     )
-    inst, sc, tv, kept = _map_population(name, k, n, items, workers)
-    return _mk_report(
-        name, k, n, mode_desc,
-        {"seed": seed, "sample": sample}, inst, sc, tv, kept, notes=[],
+    return _check_population(
+        name, k, n, items, mode_desc, perf_counter() - t0, workers,
+        {"seed": seed, "sample": sample}, [],
     )
 
 
@@ -744,6 +833,7 @@ def _run_thm3_2(name, k, n, mode, seed, sample, workers, budget):
 
 
 def _run_on_raw(name, k, n, mode, seed, sample, workers, budget):
+    t0 = perf_counter()
     total = k ** (k**n)
     if mode == "exhaustive" and total <= FULL_SCAN_LIMIT:
         size = k**n
@@ -757,22 +847,21 @@ def _run_on_raw(name, k, n, mode, seed, sample, workers, budget):
             raise DomainError("sampling raw tables requires an explicit seed")
         items = _sample_raw_tables(k, n, sample or 1000, seed)
         mode_desc = f"sample(raw tables, {len(items)})"
-    inst, sc, tv, kept = _map_population(name, k, n, items, workers)
-    return _mk_report(
-        name, k, n, mode_desc,
-        {"seed": seed, "sample": sample}, inst, sc, tv, kept, notes=[],
+    return _check_population(
+        name, k, n, items, mode_desc, perf_counter() - t0, workers,
+        {"seed": seed, "sample": sample}, [],
     )
 
 
 def _run_willard(name, k, n, mode, seed, sample, workers, budget):
     if seed is None:
         raise DomainError("willard samples raw tables; provide an explicit seed")
+    t0 = perf_counter()
     count = sample or 10000
     items = _sample_raw_tables(k, n, count, seed)
-    inst, sc, tv, kept = _map_population(name, k, n, items, workers)
-    return _mk_report(
-        name, k, n, f"sample(raw tables, {count})",
-        {"seed": seed, "sample": count}, inst, sc, tv, kept, notes=[],
+    return _check_population(
+        name, k, n, items, f"sample(raw tables, {count})", perf_counter() - t0,
+        workers, {"seed": seed, "sample": count}, [],
     )
 
 
@@ -822,8 +911,7 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
         raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET)
     bucket = {
         spec_to_function(k, 3, s).table
-        for s in nontrivial_gap_specs(k, 3, budget=budget)
-        if spec_ess_gap(k, 3, s)[1] == 2
+        for s in _gap2_members(k, 3, budget).tolist()
     }
     images = gap2_ternary_images(k)
     violations = []
@@ -835,13 +923,11 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
             _violation(FiniteFunction(k, 3, sample_tab), "thm2_3.image-equals-bucket",
                        bucket=len(bucket), image=len(images))
         )
+    diagonal = [index_of((i, i, i), k) for i in range(k)]
+    subsets = [(frozenset(c), index_of(c, k)) for c in itertools.combinations(range(k), 3)]
     for tab in sorted(bucket):
-        f = FiniteFunction(k, 3, tab)
-        a = tuple(f((i, i, i)) for i in range(k))
-        b = {
-            frozenset(c): f(tuple(c))
-            for c in itertools.combinations(range(k), 3)
-        }
+        a = tuple(tab[m] for m in diagonal)
+        b = {s: tab[m] for s, m in subsets}
         fits = False
         for family in ("minority", "majority"):
             try:
@@ -853,7 +939,7 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
         if not fits:
             total += 1
             if len(violations) < VIOLATION_CAP:
-                violations.append(_violation(f, "thm2_3.read-off"))
+                violations.append(_violation(FiniteFunction(k, 3, tab), "thm2_3.read-off"))
     return _mk_report(
         name, k, 3, "exhaustive(constructive)",
         {}, len(bucket), Counter(), total, violations[:VIOLATION_CAP], [],
@@ -866,7 +952,6 @@ def _run_thm2_1(name, k, n, mode, seed, sample, workers, budget):
     all-essential table is constant on repeated points."""
     if not 2 <= n <= k:
         raise UnknownSuiteError("thm2_1 needs 2 <= n <= k")
-    from .core import index_of
 
     dis_index = [
         (index_of(p, k), p) for p in iter_points(k, n) if is_all_distinct(p)
@@ -1166,10 +1251,17 @@ def run_suite(
     check_domain(k, n)
     if mode not in ("exhaustive", "sample"):
         raise UnknownSuiteError(f"unknown mode {mode!r}; use exhaustive or sample")
-    if name in _SIMPLE_RUNNERS:
-        return _SIMPLE_RUNNERS[name](name, k, n, mode, seed, sample, workers, budget)
-    if name in _CUSTOM_RUNNERS:
-        return _CUSTOM_RUNNERS[name](name, k, n, mode, seed, sample, workers, budget)
-    raise UnknownSuiteError(
-        f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
-    )
+    runner = _SIMPLE_RUNNERS.get(name) or _CUSTOM_RUNNERS.get(name)
+    if runner is None:
+        raise UnknownSuiteError(
+            f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
+        )
+    t0 = perf_counter()
+    report = runner(name, k, n, mode, seed, sample, workers, budget)
+    if not report.stats:
+        # a runner that checks each instance itself, in this process
+        report.stats = {"checker_rows": report.instances_checked, "build_s": 0.0,
+                        "check_s": perf_counter() - t0, "merge_s": 0.0, "workers": 1}
+    report.stats = {"source": report.mode, "instances": report.instances_checked,
+                    **report.stats}
+    return report

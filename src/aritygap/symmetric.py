@@ -162,21 +162,25 @@ def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _zero_coefficients(k: int, size: int) -> dict[frozenset[int], int]:
+    """Every size-element subset of K, in combinations order, mapped to 0."""
+    return {frozenset(c): 0 for c in itertools.combinations(range(k), size)}
+
+
 def _normalize_coefficient_map(
     b: Mapping, k: int, size: int, what: str
 ) -> dict[frozenset[int], int]:
-    out = {}
+    out = dict(_zero_coefficients(k, size))
     for key, v in b.items():
         fs = frozenset(key)
-        if len(fs) != size or any(not 0 <= c < k for c in fs):
+        if fs not in out and (len(fs) != size or any(not 0 <= c < k for c in fs)):
             raise DomainError(
                 f"{what} key {sorted(key)} is not a {size}-element subset of 0..{k - 1}"
             )
         if not 0 <= v < k:
             raise DomainError(f"{what} value {v} outside 0..{k - 1}")
         out[fs] = v
-    for combo in itertools.combinations(range(k), size):
-        out.setdefault(frozenset(combo), 0)
     return out
 
 
@@ -247,23 +251,32 @@ def construct_gap2_ternary(k: int, spec: TernaryGap2Spec) -> FiniteFunction:
             "at least two among the diagonal coefficients a_i must be distinct"
         )
     b = _normalize_coefficient_map(spec.b, k, 3, "subset coefficient")
-    lone = spec.family == "minority"
-    table = []
-    for p in iter_points(k, 3):
-        counts = Counter(p)
-        if len(counts) == 1:
-            table.append(a[p[0]])
-        elif len(counts) == 3:
-            table.append(b[frozenset(p)])
+    subsets, minority, majority = _ternary_plan(k)
+    getter = minority if spec.family == "minority" else majority
+    return FiniteFunction(k, 3, getter(a + tuple(b[s] for s in subsets)))
+
+
+@functools.lru_cache(maxsize=16)
+def _ternary_plan(k: int):
+    """The 3-subsets of K, and for each family a gather that reads every
+    point's value off the coefficients a_0, ..., a_{k-1} followed by one
+    coefficient per subset: a_i on (i, i, i), the subset's coefficient on an
+    all-distinct point, and on {c, c, d} a_d (minority) or a_c (majority)."""
+    subsets = tuple(_zero_coefficients(k, 3))
+    slot = {s: k + r for r, s in enumerate(subsets)}
+    minority, majority = [], []
+    for x, y, z in iter_points(k, 3):
+        if x == y == z:
+            lone = doubled = x
+        elif len({x, y, z}) == 3:
+            lone = doubled = slot[frozenset((x, y, z))]
+        elif x in (y, z):
+            doubled, lone = x, (z if x == y else y)
         else:
-            doubled, single = None, None
-            for v, c in counts.items():
-                if c == 2:
-                    doubled = v
-                else:
-                    single = v
-            table.append(a[single] if lone else a[doubled])
-    return FiniteFunction(k, 3, table)
+            doubled, lone = y, x
+        minority.append(lone)
+        majority.append(doubled)
+    return subsets, tuple_getter(minority), tuple_getter(majority)
 
 
 @dataclass

@@ -1,0 +1,367 @@
+"""The batched fact screens of the symmetric suites against their oracles.
+
+``aritygap.facts`` computes, for a whole chunk of multiset specs at once,
+the facts the symmetric claims are about, and ``facts.SCREENS`` turns
+them into each row's instance flag, subcase counts and violation count; the
+per-instance ``_check_*`` functions only write the records. Here every
+batched fact is checked against the per-function code it stands for (the
+two subfunction closures, the minor closure, ``gap_profile``, the dominant
+functions and each checker), and the reports are checked against sha256
+digests recorded from the program as it was before the screens: every
+instance then went through its checker.
+"""
+
+import hashlib
+import itertools
+import random
+from collections import Counter
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aritygap import FiniteFunction, TernaryGap2Spec
+from aritygap.cli import main
+from aritygap.enumeration import (
+    _fictive_reps,
+    nontrivial_gap_specs,
+    spec_ess_gap,
+    spec_to_function,
+)
+from aritygap.facts import BOUND_SCREENS, SCREENS, SpecFacts, slice_flags
+from aritygap.minors import essential_count, gap_index, gap_profile
+from aritygap.subfunctions import (
+    _closure_generic,
+    _closure_symmetric,
+    dominants,
+    restrict,
+    weak_dominants,
+)
+from aritygap import suites
+from aritygap.suites import VIOLATION_CAP, _sample_gap2_specs, run_suite
+from aritygap.symmetric import construct_gap2_ternary, is_symmetric
+
+# (verify arguments, exit code, sha256 of the JSON report)
+GOLDEN = [
+    ("thm3_1 -k 4 -n 3", 0,
+     "9b30a71356b1d40af89cf11a1ffcc47ebf73449fce47f027c390f9ed9d59dfbb"),
+    ("thm3_1 -k 3 -n 3", 0,
+     "6c93051a836c9047854877bc817106aa3547247c370b7e73bbe7d49698cd23d0"),
+    ("thm3_2 -k 4 -n 3", 1,
+     "51eac9dea6fa3aa97dd16b4b6bdaa7fa7d32bdaf2e2f354645c93bc220af27a8"),
+    ("thm3_2 -k 3 -n 3", 1,
+     "ed269ab8301f2158d681b6707bb1c9e01402f2c253051dd874f53317f608fd2a"),
+    ("cor3_1 -k 4 -n 3", 1,
+     "0833e34246030529027aa9ebc6110cf91ff09479d724bb3a0625977a96dab4e3"),
+    ("cor3_1 -k 3 -n 3", 1,
+     "788be11c6c8eaa07dad818e180b2668a0865fef8ba97315437408c007835ccd6"),
+    ("lemma2_1 -k 4 -n 3", 0,
+     "a547b2762e4db63dfb08fabd47f5d2f6a6c0b9e8f8a7e160cdd7e872efc09b3b"),
+    ("lemma2_1 -k 3 -n 3", 0,
+     "6b2a4a83fb94f1acd6f05af790daa2f89e227976823dc330b43da023f204d453"),
+    ("thm4_1 -k 4 -n 3", 0,
+     "a62eaf27eef8ce629d785a64d8fba7b99f4d8634cc8dbd67fe606b309ab0d578"),
+    ("thm4_1 -k 3 -n 3", 0,
+     "367d001349f95a01488275680894f9612c137f35c5b3b157ffd852f7cf037f01"),
+    ("cor4_1 -k 4 -n 3", 0,
+     "2038e63741cd03ea551b9b4ab933d1d769fe4b797e15c2b4128c738ab84ae11c"),
+    ("cor4_1 -k 3 -n 3", 0,
+     "d5d75789f46f81216ed71744844a911b3484615c3adad76566d799a956382adf"),
+    ("cor4_2 -k 4 -n 3", 1,
+     "1408d307c7aa8b69ea4378ea5b8c4102757f156c150d8d43e545131910057cb7"),
+    ("cor4_2 -k 3 -n 3", 1,
+     "7a54469de075b1ec75c9a8eb9d2dd375198c683c994bf87211a404f3fae2a411"),
+    ("thm2_3 -k 4 -n 3", 0,
+     "19d734f3fd6561e4f8c87a21d25b3f84843b7a03903b7e5795400b409f6f500e"),
+    ("thm3_2 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "6b3056d7b3462d8b6f5ca3c13e720e7a2e2f7addd0d60cff8a352445fc077336"),
+    ("thm3_2 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "c94601fc05ac2bac3e824e1d6f2188bf0096dd273305c70e4b2dd7f96b3139a4"),
+    ("cor3_1 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "5187a981cf2fa6698248b9b3c104d2126669837d87e7d34d4c9bbd979e42cf64"),
+    ("cor3_1 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "dc7fda4b59e0941f80eb1255040b66d23701804830e59170036cb889a95ce75b"),
+    ("thm4_1 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "07375619a5e4385180f77fe9e733ac7b2cdc1eb089720b6b4f13355a21ab6b96"),
+    ("thm4_1 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "2b76813c9fc0ea49ff9c631bc8830dde59940ef1f3e1b99cf13603f5fb4e8608"),
+    ("cor4_1 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "3cc6eec224aa8bcaf9730174f2fb41ffd11df253b56ec6b0c1c9051e568dd63c"),
+    ("cor4_1 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "8d1696d4a4ebb1462b5cdca6fa2ac2fc88bb798bc3055819fe37c58604d33025"),
+    ("cor4_2 -k 4 -n 4 --mode sample --seed 1 --sample 300", 1,
+     "8381fd826494569c0f96561097ef8dcc06c1d1fd72f2369b39bcf93947d30f25"),
+    ("cor4_2 -k 4 -n 4 --mode sample --seed 2 --sample 300", 1,
+     "66e2fb410be8c7a9628bcfa939a573c3ca1c3f1e681ca8bfc56971b58a6e3163"),
+    ("lemma2_4 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "bdbc65c402b83286c622d76423960207d0556931cc6d8bcb35cb67e96cd90079"),
+    ("lemma2_4 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "d0d972487c93f1ab38eb47b47a5ca1bcc4ae014175376c39ffff884e43c5665f"),
+    ("lemma2_5 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "e430715459281ab06245928a14833cd025e07a7bb525abaec1b134de495f6d4c"),
+    ("lemma2_5 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "283742bcb9ab76d2ea01dfb4ea2f29a78796b910bdcc39fa45609dde785be1aa"),
+    ("remark2_2 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "e5c7ca096689ba012e14a4504dc3449ccb6d7efd60d1b2b8941c302b7b4a4ca5"),
+    ("remark2_2 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "87ae990b0e9527aedcb51888764f8a2fc509b8dd65e630d995f198b16c5691fa"),
+    ("thm2_4 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "50d6b93336c44d53b663a249d0327a99744284b019b0f7d1d8c473bf6cc33dd8"),
+    ("thm2_4 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "3753286f54e6313ca759dd3cf20713407b968e79b6492e5921a6d9596e807f4f"),
+    ("lemma2_1 -k 4 -n 4 --mode sample --seed 1 --sample 300", 0,
+     "e7a840ddec60b433609f2030233c8dd001130c29c5ba697c5b7249f44c88749a"),
+    ("lemma2_1 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
+     "d5ee203e86b837c2d668815d1d515ce1e644cfaf4fc3ca6c6c17f6e3a97c2f88"),
+]
+
+
+@pytest.mark.parametrize("args,exit_code,digest", GOLDEN)
+def test_report_unchanged(capsys, args, exit_code, digest):
+    code = main(["verify", *args.split(), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_stats_go_to_stderr_only(capsys):
+    argv = ["verify", "cor4_2", "-k", "3", "-n", "3", "--format", "json"]
+    main(argv)
+    plain = capsys.readouterr()
+    main(argv + ["--stats"])
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out
+    assert plain.err == ""
+    (line,) = with_stats.err.splitlines()
+    assert line.startswith("stats: population=exhaustive(non-trivial gap) instances=150 ")
+    for key in ("checker_rows=", "build_s=", "check_s=", "merge_s=", "workers=1"):
+        assert key in line
+
+
+@pytest.mark.parametrize("suite,violations", [("cor4_2", 168), ("thm3_2", 258048)])
+def test_screened_reports_same_through_the_pool(suite, violations):
+    # violations fall in many of the 65 chunks, and the record cap is reached
+    docs = [run_suite(suite, 4, 3, workers=w).to_doc() for w in (1, 2)]
+    assert docs[0]["violations_total"] == violations
+    assert len(docs[0]["violations"]) == VIOLATION_CAP
+    assert docs[0] == docs[1]
+
+
+# ---------------------------------------------------------------------------
+# batched facts against their oracles
+
+DOMAINS = [(k, n) for k in range(2, 5) for n in range(0, 6)]
+# the per-table oracles walk closures of k^n-entry tables; keep them small
+TABLE_LIMIT = 256
+
+
+@st.composite
+def chunks(draw, domains=DOMAINS):
+    """A (k, n) and a few specs there: uniform, over two values (so that
+    restrictions turn constant), or with y fictive, z fictive or both (the
+    gap >= 2 class, its gap-n cell and the constants)."""
+    k, n = draw(st.sampled_from(domains))
+    m = comb(k + n - 1, n)
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("uniform", "binary", "fictive")))
+        top = 1 if kind == "binary" else k - 1
+        spec = [draw(st.integers(0, top)) for _ in range(m)]
+        if kind == "fictive" and n >= 2:
+            rep = draw(st.sampled_from(_fictive_reps(k, n)))
+            spec = [spec[r] for r in rep]  # constant on each component
+        specs.append(tuple(spec))
+    return k, n, specs
+
+
+def _none(g):
+    return -1 if g is None else g
+
+
+@given(chunks())
+@settings(max_examples=80, deadline=None)
+def test_closure_counts_equal_the_closures(chunk):
+    k, n, specs = chunk
+    sub, sep = SpecFacts(k, n, specs).closure_counts
+    for i, spec in enumerate(specs):
+        f = spec_to_function(k, n, spec)
+        oracles = [_closure_symmetric(f)]
+        if k**n <= TABLE_LIMIT:
+            oracles.append(_closure_generic(f))
+        for closure in oracles:
+            assert (sub[i], sep[i]) == (closure.sub_count, closure.sep_count), spec
+
+
+@given(chunks([(k, n) for k, n in DOMAINS if k**n <= TABLE_LIMIT]))
+@settings(max_examples=60, deadline=None)
+def test_shape_gap_index_equals_the_minor_closure(chunk):
+    k, n, specs = chunk
+    facts = SpecFacts(k, n, specs)
+    ess, gap = facts.ess_gap
+    for i, spec in enumerate(specs):
+        assert (ess[i], gap[i]) == tuple(map(_none, spec_ess_gap(k, n, spec)))
+        if ess[i] >= 2:
+            assert facts.gap_index[i] == gap_index(spec_to_function(k, n, spec)), spec
+
+
+@given(chunks([(k, n) for k, n in DOMAINS if n >= 1 and k**n <= TABLE_LIMIT]))
+@settings(max_examples=60, deadline=None)
+def test_restriction_profiles_equal_gap_profile(chunk):
+    k, n, specs = chunk
+    facts = SpecFacts(k, n, specs)
+    for o in range(1, n + 1):
+        ess, gap = facts.restriction_ess_gap(o)
+        for i, spec in enumerate(specs):
+            for j, mu in enumerate(itertools.combinations_with_replacement(range(k), o)):
+                t = spec_to_function(k, n, spec)
+                for c in mu:
+                    t = restrict(t, t.n, c)
+                p = gap_profile(t)
+                assert (ess[i, j], gap[i, j]) == (p.ess, _none(p.gap)), (spec, mu)
+    for i, spec in enumerate(specs):
+        f = spec_to_function(k, n, spec)
+        if essential_count(f) != n:
+            continue
+        assert set(np.flatnonzero(facts.dominants[i])) == dominants(f)
+        if n >= 3 and spec_ess_gap(k, n, spec)[1] == 2:
+            assert set(np.flatnonzero(facts.weak_dominants[i])) == weak_dominants(f)
+
+
+def screened_rows(name, k, n, specs):
+    """Each row's instance flag, violation count (or flag) and subcounts."""
+    facts = SpecFacts(k, n, specs)
+    hypothesis, verdict = SCREENS[name]
+    instance = hypothesis(facts)
+    if not instance.any():
+        return instance, np.zeros(len(specs), dtype=int), {}
+    return (instance,) + verdict(facts)
+
+
+@pytest.mark.parametrize("name", sorted(SCREENS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_violation_counts_equal_the_checkers(name, data):
+    domains = [(k, n) for k, n in DOMAINS if k**n <= TABLE_LIMIT]
+    k, n, specs = data.draw(chunks(domains))
+    instance, counts, per_row = screened_rows(name, k, n, specs)
+    exact = name not in BOUND_SCREENS
+    for i, spec in enumerate(specs):
+        out = suites._CHECKERS[name](k, n, spec)
+        assert (out is not None) == instance[i], spec
+        if out is None:
+            continue
+        sc, violations = out
+        if exact:
+            assert len(violations) == counts[i], spec
+            assert sc == Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
+        elif violations:
+            assert counts[i], spec  # a row the screen passes has no violation
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 3), (3, 4)])
+def test_every_listed_member_screened_like_its_checker(k, n):
+    # a stride through the whole gap >= 2 class, every screened suite
+    specs = nontrivial_gap_specs(k, n)[:: max(1, len(nontrivial_gap_specs(k, n)) // 150)]
+    for name in sorted(SCREENS):
+        instance, counts, _ = screened_rows(name, k, n, specs)
+        for i, spec in enumerate(specs):
+            out = suites._CHECKERS[name](k, n, spec)
+            assert (out is not None) == instance[i], (name, spec)
+            if out is not None and name not in BOUND_SCREENS:
+                assert len(out[1]) == counts[i], (name, spec)
+            elif out is not None and out[1]:
+                assert counts[i], (name, spec)
+
+
+def loop_slice_flag(k, n, table):
+    """Whether some restriction fixing 1 <= o < n positions has
+    0 < ess < n - o or is not symmetric, one restriction at a time."""
+    f = FiniteFunction(k, n, table)
+    for o in range(1, n):
+        for fixed in itertools.combinations(range(1, n + 1), o):
+            for consts in itertools.product(range(k), repeat=o):
+                g = f
+                for p, c in sorted(zip(fixed, consts), reverse=True):
+                    g = restrict(g, p, c)
+                e = essential_count(g)
+                if 0 < e != g.n or not is_symmetric(g):
+                    return True
+    return False
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_slice_screen_equals_loop(data):
+    k, n = data.draw(st.sampled_from([(k, n) for k, n in DOMAINS if k**n <= 81]))
+    tables = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            m = comb(k + n - 1, n)
+            spec = tuple(data.draw(st.integers(0, k - 1)) for _ in range(m))
+            table = list(spec_to_function(k, n, spec).table)
+            if data.draw(st.booleans()):  # one changed entry
+                j = data.draw(st.integers(0, k**n - 1))
+                table[j] = (table[j] + 1) % k
+        else:
+            table = [data.draw(st.integers(0, k - 1)) for _ in range(k**n)]
+        tables.append(table)
+    flags = slice_flags(k, n, tables)
+    assert list(flags) == [loop_slice_flag(k, n, t) for t in tables]
+
+
+def test_slice_screen_flags_a_non_symmetric_table():
+    # x1 AND NOT x2, padded with a fictive x3: fixing x3 leaves a
+    # non-symmetric function of two essential variables
+    table = [int(x1 == 1 and x2 == 0) for x1, x2, x3 in itertools.product(range(2), repeat=3)]
+    assert list(slice_flags(2, 3, [table])) == [True]
+    symmetric = list(spec_to_function(2, 3, (0, 1, 1, 0)).table)
+    assert list(slice_flags(2, 3, [symmetric])) == [False]
+
+
+# ---------------------------------------------------------------------------
+# the ternary gap-2 constructor and the gap-2 sampler beyond n = 4
+
+
+def loop_construct_gap2_ternary(k, family, a, b):
+    table = []
+    for p in itertools.product(range(k), repeat=3):
+        counts = Counter(p)
+        if len(counts) == 1:
+            table.append(a[p[0]])
+        elif len(counts) == 3:
+            table.append(b.get(frozenset(p), 0))
+        else:
+            doubled = next(v for v, c in counts.items() if c == 2)
+            single = next(v for v, c in counts.items() if c == 1)
+            table.append(a[single] if family == "minority" else a[doubled])
+    return tuple(table)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("family", ["minority", "majority"])
+def test_ternary_construction_equals_loop(k, family):
+    rng = random.Random(k)
+    subsets = [frozenset(c) for c in itertools.combinations(range(k), 3)]
+    for _ in range(30):
+        a = [rng.randrange(k) for _ in range(k)]
+        if len(set(a)) < 2:
+            continue
+        b = {s: rng.randrange(k) for s in subsets if rng.random() < 0.7}
+        got = construct_gap2_ternary(k, TernaryGap2Spec(family, a, b)).table
+        assert got == loop_construct_gap2_ternary(k, family, a, b)
+
+
+def loop_sample_gap2(k, n, count, seed):
+    members = [s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s) == (n, 2)]
+    if not members:
+        return []
+    return [members[random.Random((seed << 28) ^ i).randrange(len(members))]
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3), (4, 3), (3, 5)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gap2_sampler_beyond_n4_equals_filter(k, n, seed):
+    assert _sample_gap2_specs(k, n, 40, seed) == loop_sample_gap2(k, n, 40, seed)
