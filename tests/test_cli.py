@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -245,12 +247,120 @@ GOLDEN_REPORTS = [
     (("verify", "cor3_1", "-k", "4", "-n", "4", "--mode", "sample", "--seed", "1",
       "--sample", "300"), 0,
      "5187a981cf2fa6698248b9b3c104d2126669837d87e7d34d4c9bbd979e42cf64"),
+    # recorded before the minor and subfunction closures of one table became
+    # numpy kernels; "@name" is a document of GOLDEN_DOCS
+    (('analyze', '@raw33-1', '--format', 'json'), 0,
+     "907a7f3c01d25f71c3bc8fb4d69be80f36b54434b9826019260ce075912c2287"),
+    (('analyze', '@raw33-1', '--format', 'text'), 0,
+     "e2733161c00eb8483a41f126cefc2eedecf12bbfe2c94f601bd2d2ea4035224d"),
+    (('analyze', '@raw33-2', '--format', 'json'), 0,
+     "6e4093eecad3478e7b907f0e3bc46e8d5ac0427b82fc86e1e09baf50a0bd5e21"),
+    (('analyze', '@raw33-2', '--format', 'text'), 0,
+     "8c50ed6f6fd92132009cafee9e614e561972b78c202b2478f8860b17b2bc2371"),
+    (('analyze', '@raw43-1', '--format', 'json'), 0,
+     "1c214db4369af65f13f03d1316d9b876c52007988fda6bf63dbb355dcab9b7e9"),
+    (('analyze', '@raw43-1', '--format', 'text'), 0,
+     "ef42416542c7e461bbe24c578ed5622b8648fc76e6a815855dd59e7b0fc003ed"),
+    (('analyze', '@raw43-2', '--format', 'json'), 0,
+     "3ee00e3b256bbb00e064972d512956c98873d327eaa66d3e817aa5bbec109171"),
+    (('analyze', '@raw43-2', '--format', 'text'), 0,
+     "5baf41b9f684d6b7a20434ff38356b033378a18b858cdfec49ff6234b5f9d335"),
+    (('analyze', '@sym43-1', '--format', 'json'), 0,
+     "d6bc006c4b7e82721927a3c1f6768d8b7e99f9df57bc10ba48f392e007ea57de"),
+    (('analyze', '@sym43-1', '--format', 'text'), 0,
+     "3a79dba1d1f570d71987118198d5dd7bb055f5c62730d25e2ce9e5bc9ffc005b"),
+    (('analyze', '@sym43-2', '--format', 'json'), 0,
+     "865c707e30f507cea8a2e60e0e7258201687e35b22a90f530ce19694e664dcde"),
+    (('analyze', '@sym43-2', '--format', 'text'), 0,
+     "eca03631bef2eb3484c16c27232723e34a452e3157f1fd246dbbdb9157d870d6"),
+    (('analyze', '@raw34-1', '--format', 'json'), 0,
+     "9a752ed2de0799787a24dab0c3919cbf2e734268b5c970de9f074b06862b0fea"),
+    (('analyze', '@raw34-1', '--format', 'text'), 0,
+     "aa1be8b980077f3c62be529d1eee65026392a1999263bc07f0f8ec907a4426cf"),
+    (('analyze', '@raw34-2', '--format', 'json'), 0,
+     "e5d1aa761763c10b6d3af3ca0a67f55401c87d94b31e50b04935f5fb5e8270fb"),
+    (('analyze', '@raw34-2', '--format', 'text'), 0,
+     "20f3ce65550cd06a2a903a1eb7ec33357f27b8670e7c797c144b447bfc947cbe"),
+    (('analyze', '@raw44-1', '--format', 'json'), 0,
+     "d29af05cd4d78ffa6dc8b5d3ecbc2f19523013ec01fc9ad0f5bb91c20daaf536"),
+    (('analyze', '@raw44-1', '--format', 'text'), 0,
+     "19d2f1a43f525b73901d3b139499359f68c8e58f0bde489cb9f620de9afa3bb8"),
+    (('analyze', '@raw44-2', '--format', 'json'), 0,
+     "a8b1087fabcae93c4b47ded567cb92bf1af4ade0c3e5697f7ed4a5096b9aaeda"),
+    (('analyze', '@raw44-2', '--format', 'text'), 0,
+     "2ea941d281935fe1410a7d333ef2a13d6ed5a54d9d23ec4d865027243ec53603"),
+    (('analyze', '@const', '--format', 'json'), 0,
+     "065dcb9a43312c76fdbaea4e2cd96db0b210f34a54d79dc1f19c0da58bb23a87"),
+    (('analyze', '@const', '--format', 'text'), 0,
+     "3db4ba5a48dbafd87d9394ec3d30c07071972091ac48cacd9c871912df2ac2eb"),
+    (('analyze', '@n0', '--format', 'json'), 0,
+     "ecc841f7a2c1bc50d6f5ec3999ddaab3698aa12d297f1927fbb61a5598a71d85"),
+    (('analyze', '@n0', '--format', 'text'), 0,
+     "deae28d28bb045185a9fe258513a8986376eeada59593fcae9d6afba4ce721ae"),
+    (('analyze', '@n1', '--format', 'json'), 0,
+     "b40f5898f7b8282084807da1d8b4cb611266a19c9ea2ad080d4e2061cca761ed"),
+    (('analyze', '@n1', '--format', 'text'), 0,
+     "43d1f6388113f076c3b2a7b37406c17bdaa38acfb69826b54dce4ef83116d92e"),
+    (('analyze', '@k5n3', '--format', 'json'), 0,
+     "039b32be8d181562ce3a83d7f30352ad01a5787196ca8c45439923e593395945"),
+    (('analyze', '@k5n3', '--format', 'text'), 0,
+     "c141e399e8baf550aa071063806986c754e177bff8d9a88aaf9ea1180309e3ab"),
+    (('analyze', '@k300n1', '--format', 'json'), 0,
+     "5c4f51ccce0136f45590d24ab3599781ca1c02b80b78499a8cf48a63770425ad"),
+    (('analyze', '@k300n1', '--format', 'text'), 0,
+     "809cb8247d74d46e8ad61081764bb9f256bf9983070f24bc70b46752961e3e46"),
+    (('census', '-k', '3', '-n', '4', '--format', 'text'), 0,
+     "5fc4b1bf28cdfc1836f7c6865d526bc25b477400af62092cca8743e6eb8ea4b3"),
+    (('census', '-k', '3', '-n', '3', '--format', 'text'), 0,
+     "8c577711b1bb4b1821bb9ba89003e47aa2b03b38d777f30873533f8773598487"),
+    (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'json'), 0,
+     "3f160fc1965154c4794c97a92e6eb06e1ca404fd24724267b3e1a776ab650a54"),
+    (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'text'), 0,
+     "f56bd7dac34fabaed9b65b3fe843cc3cdacc1b81ac2177de2b611bceb26c8624"),
 ]
 
 
+def _seeded_table(rng, k, n, symmetric=False):
+    """A uniformly random value table, or a random multiset-determined one."""
+    if not symmetric:
+        return [rng.randrange(k) for _ in range(k**n)]
+    values = {}
+    return [values.setdefault(tuple(sorted(p)), rng.randrange(k))
+            for p in itertools.product(range(k), repeat=n)]
+
+
+def _golden_docs():
+    """Function documents named by the analyze rows below as "@name"."""
+    rng = random.Random("golden-analyze")
+    out = {}
+    for kind, k, n in (("raw", 3, 3), ("raw", 4, 3), ("sym", 4, 3), ("raw", 3, 4),
+                       ("raw", 4, 4)):
+        for i in (1, 2):
+            out[f"{kind}{k}{n}-{i}"] = (k, n, _seeded_table(rng, k, n, kind == "sym"))
+    out["const"] = (3, 2, [1] * 9)
+    out["n0"] = (3, 0, [2])
+    out["n1"] = (4, 1, [0, 2, 2, 1])
+    out["k5n3"] = (5, 3, _seeded_table(rng, 5, 3))
+    # every value 0..299 once, so a table dtype that wraps at 256 shows
+    wide = list(range(300))
+    rng.shuffle(wide)
+    out["k300n1"] = (300, 1, wide)
+    return out
+
+
+GOLDEN_DOCS = _golden_docs()
+
+
 @pytest.mark.parametrize("argv,exit_code,digest", GOLDEN_REPORTS)
-def test_golden_reports(capsys, argv, exit_code, digest):
-    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+def test_golden_reports(tmp_path, capsys, argv, exit_code, digest):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg.startswith("@"):
+            k, n, table = GOLDEN_DOCS[arg[1:]]
+            argv[i] = write_doc(tmp_path, "doc.json", {"k": k, "n": n, "table": table})
+    if "--format" not in argv:
+        argv += ["--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
