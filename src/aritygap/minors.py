@@ -7,6 +7,11 @@ remove essential variables, the maximum over all iterated minors is
 attained after a single step; the single-step computation is used here and
 the equivalence with the closure-wide maximum is exercised by tests.
 
+Every iterated minor of f is f composed with an idempotent map sigma of the
+positions (x_p reads x_sigma(p)), so the minor closure of one table is a
+numpy kernel over a fixed plan per (k, n): one gather gives every f o sigma
+table, and reachability runs over the fixed DAG of those maps.
+
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 """
 
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+
+import numpy as np
 
 from .core import DomainError, FiniteFunction, PreconditionError
 
@@ -100,6 +106,83 @@ class MinorRecord:
     depth: int
 
 
+def _values(k: int, table) -> np.ndarray:
+    """A table as a numpy array of a dtype that holds 0..k-1."""
+    return np.array(table, dtype=np.uint8 if k <= 256 else np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _points(k: int, n: int) -> np.ndarray:
+    """Every point of K^n in table order, one row each."""
+    return np.indices((k,) * n).reshape(n, k**n).T
+
+
+@functools.lru_cache(maxsize=16)
+def _minor_plan(k: int, n: int):
+    """The identification-minor plan at (k, n), n >= 2.
+
+    The idempotent maps sigma of the 0-based positions, from the identity
+    on, breadth first: identifying x_i := x_j (i, j in the image) turns
+    sigma into r o sigma with r(i) = j, which has one image point fewer, so
+    the maps come in layers of image size n, n - 1, ..., 1. Returns
+
+    * ``gather`` (S, k^n): row s indexes f's table into f o sigma_s;
+    * ``pair_a``, ``pair_b``, ``starts``: one slot per map of image size at
+      least 2 and position p of its image, holding every point of the image
+      variables with x_p != 0 (``pair_a``) and the same point with x_p := 0
+      (``pair_b``) as indices into f's table; p is essential in f o sigma
+      exactly when the slot's entries differ somewhere;
+    * ``layers``: per layer of sources, the (src, slot of i, slot of j, dst)
+      arrays of its edges;
+    * ``depth`` (S,): n minus the image size, the length of every path from
+      the identity to that map.
+    """
+    maps = [tuple(range(n))]
+    index = {maps[0]: 0}
+    images = []
+    edges = []  # (image size, src, i and j as indices into the image, dst)
+    for src, sigma in enumerate(maps):
+        image = sorted(set(sigma))
+        images.append(image)
+        for li, i in enumerate(image):
+            for lj, j in enumerate(image):
+                if i != j:
+                    child = tuple(j if q == i else q for q in sigma)
+                    if child not in index:
+                        index[child] = len(maps)
+                        maps.append(child)
+                    edges.append((len(image), src, li, lj, index[child]))
+    sizes = np.array([len(image) for image in images])
+    weights = k ** np.arange(n - 1, -1, -1)
+    pair_a, pair_b, offsets = [], [], []
+    first = {}  # image size -> (the layer's first map, its first slot)
+    slots = offset = 0
+    for m in range(n, 1, -1):
+        members = np.flatnonzero(sizes == m)
+        first[m] = (members[0], slots)
+        sub = _points(k, m)
+        local = [[images[s].index(q) for q in maps[s]] for s in members]
+        full = (sub[:, np.array(local)] @ weights).T  # (maps, k^m) into f's table
+        a = [np.flatnonzero(sub[:, j]) for j in range(m)]
+        b = [a[j] - sub[a[j], j] * k ** (m - 1 - j) for j in range(m)]
+        pair_a.append(full[:, np.concatenate(a)].ravel())
+        pair_b.append(full[:, np.concatenate(b)].ravel())
+        count, length = len(members) * m, len(a[0])
+        offsets.append(offset + length * np.arange(count))
+        slots += count
+        offset += length * count
+    edges = np.array(edges)
+    layers = []
+    for m in range(n, 1, -1):
+        size, src, li, lj, dst = edges[edges[:, 0] == m].T
+        lo, base = first[m]
+        slot = base + (src - lo) * m
+        layers.append((src, slot + li, slot + lj, dst))
+    gather = np.ascontiguousarray((_points(k, n)[:, np.array(maps)] @ weights).T)
+    return (gather, np.concatenate(pair_a), np.concatenate(pair_b),
+            np.concatenate(offsets), layers, n - sizes)
+
+
 @functools.lru_cache(maxsize=4)
 def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     """All iterated minor tables mapped to their maximal chain length.
@@ -109,36 +192,28 @@ def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     the minors of f) builds the closure once, while a run over many
     functions keeps none of them. Callers share the mapping, so it is
     read-only.
+
+    A map sigma is reached when a reached map leads to it by identifying
+    two positions essential in its own table. Every table path of the
+    closure lifts to such a path of maps and every map path projects to a
+    table path, so a minor's depth is the largest depth among the reached
+    maps that give its table.
     """
-    k, n, table = f.k, f.n, f.table
-    children: dict[tuple, set[tuple]] = {}
-    seen: set[tuple] = {table}
-    queue = deque([table])
-    while queue:
-        tab = queue.popleft()
-        kids = set()
-        ess = _essential_positions(k, n, tab)
-        for i in ess:
-            for j in ess:
-                if i == j:
-                    continue
-                child = _identify_table(k, n, tab, i - 1, j - 1)
-                kids.add(child)
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        children[tab] = kids
-    # Longest path; every edge strictly reduces the essential count, so
-    # sorting by essential count descending is a topological order.
-    depth = {tab: 0 for tab in seen}
-    order = sorted(seen, key=lambda t: -len(_essential_positions(k, n, t)))
-    for tab in order:
-        d = depth[tab]
-        for child in children[tab]:
-            if d + 1 > depth[child]:
-                depth[child] = d + 1
-    depth.pop(table, None)
-    return MappingProxyType(depth)
+    k, n = f.k, f.n
+    if n < 2:
+        return MappingProxyType({})
+    gather, pair_a, pair_b, starts, layers, depth = _minor_plan(k, n)
+    table = _values(k, f.table)
+    ess = np.logical_or.reduceat(table[pair_a] != table[pair_b], starts)
+    reached = np.zeros(len(gather), dtype=bool)
+    reached[0] = True
+    for src, si, sj, dst in layers:
+        reached[dst[reached[src] & ess[si] & ess[sj]]] = True
+    reached[0] = False
+    rows = np.flatnonzero(reached)
+    # maps come in order of depth, so the last write of a table is its deepest
+    depths = dict(zip(map(tuple, table[gather[rows]].tolist()), depth[rows].tolist()))
+    return MappingProxyType(depths)
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:

@@ -14,10 +14,13 @@ set of some chain state, mapped back to original positions; the empty set
 is always included, and the essential set of f itself (the zero-step
 state) counts as separable.
 
-For multiset-determined tables the closure collapses to one state per
-multiset of substituted constants, which is what makes exhaustive sweeps
-over large symmetric populations affordable; the two paths are
-interchangeable and cross-checked by tests.
+Every chain state is the image of a slice: a set S of fixed positions with
+their constants. The closure of one table is a numpy kernel over all slices,
+one gather per level |S|; a slice is reached when fixing one of its
+positions essential in a reached parent slice leads to it. The breadth-first
+walks ``_closure_generic`` and ``_closure_symmetric`` (for
+multiset-determined tables, one state per multiset of constants) are kept
+as the oracles the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DomainError, FiniteFunction, PreconditionError
-from .minors import _essential_positions, essential_count, identify
-from .symmetric import is_symmetric, is_totally_symmetric
+from .minors import _essential_positions, _points, _values, essential_count, identify
+from .symmetric import is_symmetric
 
 
 @functools.lru_cache(maxsize=1024)
@@ -95,13 +100,24 @@ def _build_records(k: int, found: dict) -> tuple[SubfunctionRecord, ...]:
 
 
 class _Closure:
-    __slots__ = ("records", "separable", "sub_count", "sep_count")
+    """Counts and separable sets of one closure; its records are built by
+    ``build`` when first read."""
 
-    def __init__(self, records, separable):
-        self.records = records
+    __slots__ = ("_records", "_build", "separable", "sub_count", "sep_count")
+
+    def __init__(self, build, separable, sub_count):
+        self._records = None
+        self._build = build
         self.separable = separable
-        self.sub_count = len(records)
+        self.sub_count = sub_count
         self.sep_count = len(separable)
+
+    @property
+    def records(self) -> tuple[SubfunctionRecord, ...]:
+        if self._records is None:
+            self._records = self._build()
+            self._build = None
+        return self._records
 
 
 def _closure_generic(f: FiniteFunction) -> _Closure:
@@ -132,7 +148,8 @@ def _closure_generic(f: FiniteFunction) -> _Closure:
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
-    return _Closure(_build_records(k, found), frozenset(separable))
+    return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
+                    len(found))
 
 
 def _closure_symmetric(f: FiniteFunction) -> _Closure:
@@ -175,15 +192,124 @@ def _closure_symmetric(f: FiniteFunction) -> _Closure:
             if child not in states:
                 states[child] = _restrict_table(k, arity, table, 1, c)
                 queue.append(child)
-    return _Closure(_build_records(k, found), frozenset(separable))
+    return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
+                    len(found))
+
+
+@functools.lru_cache(maxsize=16)
+def _slice_plan(k: int, n: int):
+    """The slices at (k, n), one level per number o of fixed positions.
+
+    Row s * k^o + c of level o fixes the o-subset number s of the 0-based
+    positions (in combinations order) to the constants with index c (in
+    table order); its table lists the free positions in table order. Per
+    level:
+
+    * ``gather`` (rows, k^(n-o)): the slice tables as indices into f's;
+    * ``pair_a``, ``pair_b`` (rows, n - o, L): for each free position, every
+      point of the slice with it != 0 and the same point with it := 0, so
+      the free position is essential in the slice exactly when they differ;
+    * ``bits`` (rows, n - o): 1 << the original position of each free one;
+    * ``parent`` (rows, o): for each fixed position p, the parent slice
+      with p free, as a flat index into the parent level's
+      (rows, n - o + 1) essential array at p;
+    * ``free``: per subset, the 1-based free positions.
+    """
+    weights = k ** np.arange(n - 1, -1, -1)
+    plan = []
+    prev = {}
+    for o in range(n + 1):
+        a = n - o
+        subsets = list(itertools.combinations(range(n), o))
+        free = [tuple(p for p in range(n) if p not in fixed) for fixed in subsets]
+        consts, points = _points(k, o), _points(k, a)
+        fixed_part = consts @ weights[np.array(subsets, dtype=np.intp)].T  # (k^o, C)
+        free_part = points @ weights[np.array(free, dtype=np.intp)].T  # (k^a, C)
+        gather = (fixed_part.T[:, :, None] + free_part.T[:, None, :]).reshape(-1, k**a)
+        pa = [np.flatnonzero(points[:, j]) for j in range(a)]
+        pb = [pa[j] - points[pa[j], j] * k ** (a - 1 - j) for j in range(a)]
+        shape = (len(gather), a, len(pa[0]) if a else 0)
+        pair_a = gather[:, np.concatenate(pa or [[]]).astype(np.intp)].reshape(shape)
+        pair_b = gather[:, np.concatenate(pb or [[]]).astype(np.intp)].reshape(shape)
+        bits = np.repeat(1 << np.array(free, dtype=np.int64).reshape(len(free), a), k**o,
+                         axis=0)
+        parent = np.empty((len(gather), o), dtype=np.intp)
+        c = np.arange(k**o)
+        for s, fixed in enumerate(subsets):
+            for j, p in enumerate(fixed):
+                up = prev[fixed[:j] + fixed[j + 1 :]]
+                c_up = c // k ** (o - j) * k ** (o - 1 - j) + c % k ** (o - 1 - j)
+                parent[s * k**o : (s + 1) * k**o, j] = (up * k ** (o - 1) + c_up) * (a + 1) + p - j
+        prev = {fixed: s for s, fixed in enumerate(subsets)}
+        plan.append((gather, pair_a, pair_b, bits, parent,
+                     [tuple(p + 1 for p in rest) for rest in free]))
+    return plan
+
+
+def _slice_levels(k: int, n: int, table: tuple):
+    """Per level o with a reached slice: (o, the slice tables, which slices
+    are reached, each slice's essential positions as a bit mask)."""
+    t = _values(k, table)
+    for o, (gather, pair_a, pair_b, bits, parent, _) in enumerate(_slice_plan(k, n)):
+        if o == 0:
+            reached = np.ones(1, dtype=bool)
+        else:
+            reached = alive.ravel()[parent].any(axis=1)
+            if not reached.any():
+                return
+        ess = (t[pair_a] != t[pair_b]).any(axis=2)
+        alive = ess & reached[:, None]
+        yield o, t[gather], reached, (ess * bits).sum(axis=1)
+
+
+def _distinct_rows(rows: np.ndarray) -> int:
+    return len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))))
+
+
+def _slice_closure(k: int, n: int, table: tuple) -> _Closure:
+    """The closure of one table from its reached slices: a state per distinct
+    (free positions, table) image. A non-constant table has arity n - o, so
+    tables of different levels never meet; constants count by value."""
+    masks, constants = [], []
+    tables = 0
+    for o, tabs, reached, mask in _slice_levels(k, n, table):
+        masks.append(mask[reached])
+        if o:
+            constants.append(tabs[reached & (mask == 0), 0])
+            tables += _distinct_rows(tabs[reached & (mask != 0)])
+    separable = {frozenset()}
+    for m in np.unique(np.concatenate(masks)).tolist():
+        separable.add(frozenset(p + 1 for p in range(n) if m >> p & 1))
+    if constants:
+        tables += len(np.unique(np.concatenate(constants)))
+    return _Closure(functools.partial(_slice_records, k, n, table), frozenset(separable),
+                    tables)
+
+
+def _slice_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...]:
+    """The records of a closure. A record's ``remaining_vars`` are the free
+    positions of the first reached slice (in level order, then row order)
+    that gives its table: at level n - arity for a non-constant table, at
+    the deepest level reaching its value for a constant."""
+    plan = _slice_plan(k, n)
+    found: dict = {}
+    for o, tabs, reached, mask in _slice_levels(k, n, table):
+        if o == 0:
+            continue
+        free = plan[o][5]
+        for r in np.flatnonzero(reached).tolist():
+            row = tuple(tabs[r].tolist())
+            rem = free[r // k**o]
+            if mask[r]:
+                found.setdefault(("table", n - o, row), [o, rem])
+            elif found.get(("const", row[0]), (0,))[0] < o:
+                found[("const", row[0])] = [o, rem]
+    return _build_records(k, found)
 
 
 @functools.lru_cache(maxsize=1 << 10)
 def _closure_cached(k: int, n: int, table: tuple) -> _Closure:
-    f = FiniteFunction(k, n, table)
-    if is_totally_symmetric(f):
-        return _closure_symmetric(f)
-    return _closure_generic(f)
+    return _slice_closure(k, n, table)
 
 
 def subfunction_closure(f: FiniteFunction) -> _Closure:
