@@ -183,6 +183,13 @@ def _cmd_census(args) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.stats:
+        st = result.stats
+        print(
+            f"stats: population={result.population} specs_indexed={st['specs_indexed']} "
+            f"count_s={st['count_s']:.3f} index_s={st['index_s']:.3f}",
+            file=sys.stderr,
+        )
     doc = result.to_doc()
     if args.format == "json":
         _write_text(args.output, docs.to_json(doc))
@@ -305,6 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="accepted; the census runs in one process")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--budget-override", action="store_true")
+    p.add_argument(
+        "--stats", action="store_true",
+        help="print one line of run statistics to stderr (not part of the report)",
+    )
     add_common(p)
     p.set_defaults(fn=_cmd_census)
 

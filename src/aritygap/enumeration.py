@@ -34,8 +34,9 @@ import itertools
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
+from time import perf_counter
 
 import numpy as np
 
@@ -51,10 +52,9 @@ from .core import (
 from .minors import GapProfile, gap_index
 from .symmetric import (
     GapNSpec,
-    TernaryGap2Spec,
     compress,
-    construct_gap2_ternary,
     construct_gap_n,
+    gap2_ternary_table,
     multisets,
 )
 
@@ -227,6 +227,9 @@ class Census:
     population: int
     counts: dict
     ind_distribution: dict
+    # specs gap-indexed and the seconds spent counting and indexing; never
+    # part of the report
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def nontrivial_count(self) -> int:
@@ -295,11 +298,14 @@ def census(
     total = symmetric_spec_count(k, n)
     if total > budget and not override:
         raise BudgetError(total, budget)
-    ind_dist = Counter(
-        gap_index(spec_to_function(k, n, spec))
-        for spec in _nontrivial_gap_specs_impl(k, n, total)
-    )
-    return Census(k, n, total, _bucket_counts(k, n), dict(ind_dist))
+    t0 = perf_counter()
+    counts = _bucket_counts(k, n)
+    t1 = perf_counter()
+    specs = _nontrivial_gap_specs_impl(k, n, total)
+    ind_dist = Counter(gap_index(spec_to_function(k, n, spec)) for spec in specs)
+    stats = {"specs_indexed": len(specs), "count_s": t1 - t0,
+             "index_s": perf_counter() - t1}
+    return Census(k, n, total, counts, dict(ind_dist), stats)
 
 
 @functools.lru_cache(maxsize=8)
@@ -421,15 +427,11 @@ def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:
 
 def gap2_ternary_images(k: int) -> set[tuple[int, ...]]:
     """Tables of every valid ternary gap-2 construction, both families."""
-    subsets = list(itertools.combinations(range(k), 3))
     images: set[tuple[int, ...]] = set()
     for family in ("minority", "majority"):
         for a in itertools.product(range(k), repeat=k):
             if len(set(a)) < 2:
                 continue
-            for combo in itertools.product(range(k), repeat=len(subsets)):
-                f = construct_gap2_ternary(
-                    k, TernaryGap2Spec(family, a, dict(zip(subsets, combo)))
-                )
-                images.add(f.table)
+            for combo in itertools.product(range(k), repeat=comb(k, 3)):
+                images.add(gap2_ternary_table(k, family, a, combo))
     return images

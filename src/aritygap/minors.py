@@ -22,6 +22,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +118,18 @@ def _points(k: int, n: int) -> np.ndarray:
     return np.indices((k,) * n).reshape(n, k**n).T
 
 
+class _MinorPlan(NamedTuple):
+    gather: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    starts: np.ndarray
+    map_starts: np.ndarray
+    layers: list
+    depth: np.ndarray
+
+
 @functools.lru_cache(maxsize=16)
-def _minor_plan(k: int, n: int):
+def _minor_plan(k: int, n: int) -> _MinorPlan:
     """The identification-minor plan at (k, n), n >= 2.
 
     The idempotent maps sigma of the 0-based positions, from the identity
@@ -127,11 +138,12 @@ def _minor_plan(k: int, n: int):
     the maps come in layers of image size n, n - 1, ..., 1. Returns
 
     * ``gather`` (S, k^n): row s indexes f's table into f o sigma_s;
-    * ``pair_a``, ``pair_b``, ``starts``: one slot per map of image size at
-      least 2 and position p of its image, holding every point of the image
-      variables with x_p != 0 (``pair_a``) and the same point with x_p := 0
-      (``pair_b``) as indices into f's table; p is essential in f o sigma
-      exactly when the slot's entries differ somewhere;
+    * ``pair_a``, ``pair_b``, ``starts``: one slot per map and position p
+      of its image, holding every point of the image variables with
+      x_p != 0 (``pair_a``) and the same point with x_p := 0 (``pair_b``)
+      as indices into f's table; p is essential in f o sigma exactly when
+      the slot's entries differ somewhere. ``map_starts``: each map's first
+      slot;
     * ``layers``: per layer of sources, the (src, slot of i, slot of j, dst)
       arrays of its edges;
     * ``depth`` (S,): n minus the image size, the length of every path from
@@ -157,7 +169,7 @@ def _minor_plan(k: int, n: int):
     pair_a, pair_b, offsets = [], [], []
     first = {}  # image size -> (the layer's first map, its first slot)
     slots = offset = 0
-    for m in range(n, 1, -1):
+    for m in range(n, 0, -1):
         members = np.flatnonzero(sizes == m)
         first[m] = (members[0], slots)
         sub = _points(k, m)
@@ -179,8 +191,15 @@ def _minor_plan(k: int, n: int):
         slot = base + (src - lo) * m
         layers.append((src, slot + li, slot + lj, dst))
     gather = np.ascontiguousarray((_points(k, n)[:, np.array(maps)] @ weights).T)
-    return (gather, np.concatenate(pair_a), np.concatenate(pair_b),
-            np.concatenate(offsets), layers, n - sizes)
+    map_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return _MinorPlan(gather, np.concatenate(pair_a), np.concatenate(pair_b),
+                      np.concatenate(offsets), map_starts, layers, n - sizes)
+
+
+def _slot_essentials(plan: _MinorPlan, k: int, table: tuple) -> np.ndarray:
+    """Whether each slot's position is essential in its map's table."""
+    t = _values(k, table)
+    return np.logical_or.reduceat(t[plan.pair_a] != t[plan.pair_b], plan.starts)
 
 
 @functools.lru_cache(maxsize=4)
@@ -202,18 +221,27 @@ def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     k, n = f.k, f.n
     if n < 2:
         return MappingProxyType({})
-    gather, pair_a, pair_b, starts, layers, depth = _minor_plan(k, n)
-    table = _values(k, f.table)
-    ess = np.logical_or.reduceat(table[pair_a] != table[pair_b], starts)
-    reached = np.zeros(len(gather), dtype=bool)
+    plan = _minor_plan(k, n)
+    ess = _slot_essentials(plan, k, f.table)
+    reached = np.zeros(len(plan.gather), dtype=bool)
     reached[0] = True
-    for src, si, sj, dst in layers:
+    for src, si, sj, dst in plan.layers:
         reached[dst[reached[src] & ess[si] & ess[sj]]] = True
     reached[0] = False
     rows = np.flatnonzero(reached)
+    tables = _values(k, f.table)[plan.gather[rows]].tolist()
     # maps come in order of depth, so the last write of a table is its deepest
-    depths = dict(zip(map(tuple, table[gather[rows]].tolist()), depth[rows].tolist()))
-    return MappingProxyType(depths)
+    return MappingProxyType(dict(zip(map(tuple, tables), plan.depth[rows].tolist())))
+
+
+def _one_step_best(f: FiniteFunction) -> int:
+    """The largest essential count among the one-step identification minors
+    of f, which has at least two essential variables."""
+    plan = _minor_plan(f.k, f.n)
+    ess = _slot_essentials(plan, f.k, f.table)
+    src, si, sj, dst = plan.layers[0]
+    counts = np.add.reduceat(ess, plan.map_starts, dtype=np.intp)
+    return int(counts[dst[ess[si] & ess[sj]]].max())
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:
@@ -272,12 +300,7 @@ def gap_profile(f: FiniteFunction) -> GapProfile:
     ess = essential_count(f)
     if ess < 2:
         return GapProfile(ess, None, None, None)
-    depths = _minor_closure(f)
-    k, n = f.k, f.n
-    one_step_best = max(
-        len(_essential_positions(k, n, tab)) for tab, d in depths.items() if d == 1
-    )
-    g = ess - one_step_best
-    ind = max(depths.values())
+    g = ess - _one_step_best(f)
+    ind = max(_minor_closure(f).values())
     label = (ess, g, f.k) if g >= 2 else None
     return GapProfile(ess, g, ind, label)

@@ -68,14 +68,13 @@ from .subfunctions import (
 from .symmetric import (
     GapNSpec,
     construct_gap_n,
-    construct_gap2_ternary,
     construct_linear,
     LinearSpec,
-    TernaryGap2Spec,
     compress,
     diagonal_values,
     expand,
     extract_decomposition,
+    gap2_ternary_table,
     is_symmetric,
     multisets,
     recompose,
@@ -729,9 +728,18 @@ def _chunk_worker(args):
 def _map_population(name, k, n, items, workers):
     """Check ``items`` in chunks of 2000, merged in chunk order; a pool runs
     when more than one worker is useful, with no more workers than chunks
-    or CPUs. Returns the merged counts and the run's stats."""
+    or CPUs, and never for a screened suite. Returns the merged counts and
+    the run's stats."""
     chunks = [items[i : i + 2000] for i in range(0, len(items), 2000)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        from .facts import SCREENS
+
+        if name in SCREENS:
+            # a screen checks a row in microseconds: a pool's start-up costs
+            # more, and each pooled chunk would send its own first records to
+            # the checker instead of the ones still wanted
+            workers = 1
     instances = 0
     subcounts: Counter = Counter()
     total_violations = 0
@@ -909,10 +917,8 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
         raise UnknownSuiteError("thm2_3 is a ternary claim; run it with n=3")
     if k > 4:
         raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET)
-    bucket = {
-        spec_to_function(k, 3, s).table
-        for s in _gap2_members(k, 3, budget).tolist()
-    }
+    orbit = np.array(symmetry_index(k, 3).orbit_of_point)
+    bucket = set(map(tuple, _gap2_members(k, 3, budget)[:, orbit].tolist()))
     images = gap2_ternary_images(k)
     violations = []
     total = 0
@@ -924,18 +930,14 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
                        bucket=len(bucket), image=len(images))
         )
     diagonal = [index_of((i, i, i), k) for i in range(k)]
-    subsets = [(frozenset(c), index_of(c, k)) for c in itertools.combinations(range(k), 3)]
+    subsets = [index_of(c, k) for c in itertools.combinations(range(k), 3)]
     for tab in sorted(bucket):
-        a = tuple(tab[m] for m in diagonal)
-        b = {s: tab[m] for s, m in subsets}
-        fits = False
-        for family in ("minority", "majority"):
-            try:
-                if construct_gap2_ternary(k, TernaryGap2Spec(family, a, b)).table == tab:
-                    fits = True
-                    break
-            except Exception:
-                pass
+        a = [tab[m] for m in diagonal]
+        b = [tab[m] for m in subsets]
+        # a constant diagonal fits neither family
+        fits = len(set(a)) > 1 and any(
+            gap2_ternary_table(k, family, a, b) == tab for family in ("minority", "majority")
+        )
         if not fits:
             total += 1
             if len(violations) < VIOLATION_CAP:

@@ -251,9 +251,16 @@ def construct_gap2_ternary(k: int, spec: TernaryGap2Spec) -> FiniteFunction:
             "at least two among the diagonal coefficients a_i must be distinct"
         )
     b = _normalize_coefficient_map(spec.b, k, 3, "subset coefficient")
-    subsets, minority, majority = _ternary_plan(k)
-    getter = minority if spec.family == "minority" else majority
-    return FiniteFunction(k, 3, getter(a + tuple(b[s] for s in subsets)))
+    subsets = _ternary_plan(k)[0]
+    return FiniteFunction(k, 3, gap2_ternary_table(k, spec.family, a, [b[s] for s in subsets]))
+
+
+def gap2_ternary_table(k: int, family: str, a: Sequence[int], b: Sequence[int]) -> tuple:
+    """The table :func:`construct_gap2_ternary` builds, from the diagonal
+    coefficients ``a`` and one coefficient per 3-subset of K in
+    combinations order, ``b``; nothing is checked."""
+    _, minority, majority = _ternary_plan(k)
+    return (minority if family == "minority" else majority)((*a, *b))
 
 
 @functools.lru_cache(maxsize=16)

@@ -142,6 +142,20 @@ def test_census_command(capsys):
     assert rows[(3, 2)] == 144
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_census_stats_go_to_stderr_only(capsys, fmt):
+    argv = ["census", "-k", "3", "-n", "4", "--format", fmt]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out
+    assert plain.err == ""
+    (line,) = with_stats.err.splitlines()
+    assert line.startswith("stats: population=14348907 specs_indexed=78 count_s=")
+    assert " index_s=" in line
+
+
 def test_census_budget_refusal(capsys):
     code, _, err = run_cli(capsys, "census", "-k", "4", "-n", "3")
     assert code == 2
@@ -315,8 +329,6 @@ GOLDEN_REPORTS = [
      "8c577711b1bb4b1821bb9ba89003e47aa2b03b38d777f30873533f8773598487"),
     (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'json'), 0,
      "3f160fc1965154c4794c97a92e6eb06e1ca404fd24724267b3e1a776ab650a54"),
-    (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'text'), 0,
-     "f56bd7dac34fabaed9b65b3fe843cc3cdacc1b81ac2177de2b611bceb26c8624"),
 ]
 
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aritygap import (
     FiniteFunction,
@@ -262,3 +264,37 @@ def test_minor_closure_memo_keeps_no_earlier_instance():
     misses = _minor_closure.cache_info().misses
     gap_index(DOUBLE4)
     assert _minor_closure.cache_info().misses == misses + 1
+
+
+@st.composite
+def kernel_cases(draw):
+    """A (k, n) with k^n <= 256 and a table there: uniform, over two values,
+    totally symmetric, symmetric in x_1 and x_2, with forced fictive
+    positions, or constant."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 5 if k < 4 else 4))
+    kind = draw(st.sampled_from(("raw", "binary", "symmetric", "pair", "fictive", "constant")))
+    points = list(iter_points(k, n))
+    top = 1 if kind == "binary" else k - 1
+    values = draw(st.lists(st.integers(0, top), min_size=len(points), max_size=len(points)))
+    fictive = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    canon = {
+        "symmetric": lambda p: tuple(sorted(p)),
+        "pair": lambda p: tuple(sorted(p[:2])) + p[2:],
+        "fictive": lambda p: tuple(0 if i in fictive else c for i, c in enumerate(p)),
+        "constant": lambda p: points[0],
+    }.get(kind, lambda p: p)
+    index = {p: m for m, p in enumerate(points)}
+    return FiniteFunction(k, n, [values[index[canon(p)]] for p in points])
+
+
+@given(kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_minor_kernel_equals_oracle(f):
+    from aritygap.minors import _minor_closure
+
+    got = {FiniteFunction(f.k, f.n, t): d for t, d in _minor_closure(f).items()}
+    assert got == oracle_minor_closure(f)
+    if essential_count(f) >= 2:
+        assert gap_profile(f).gap == gap(f)
+        assert gap_profile(f).index == max(got.values())

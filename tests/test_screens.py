@@ -149,6 +149,24 @@ def test_screened_reports_same_through_the_pool(suite, violations):
     assert docs[0] == docs[1]
 
 
+def test_screened_suite_starts_no_pool(capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a screened suite started a pool")
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    argv = ["verify", "thm3_2", "-k", "4", "-n", "3", "--format", "json", "--stats"]
+    assert main(argv + ["--workers", "2"]) == 1
+    two = capsys.readouterr()
+    assert main(argv) == 1
+    one = capsys.readouterr()
+    assert two.out == one.out
+    assert hashlib.sha256(two.out.encode()).hexdigest() == dict(
+        (a, d) for a, _, d in GOLDEN)["thm3_2 -k 4 -n 3"]
+    # one serial pass keeps only the records still wanted
+    assert " checker_rows=25 " in two.err and two.err.rstrip().endswith(" workers=1")
+
+
 # ---------------------------------------------------------------------------
 # batched facts against their oracles
 

@@ -25,8 +25,8 @@ from aritygap import (
     sub_count,
     weak_dominants,
 )
-from aritygap.subfunctions import _closure_generic, _closure_symmetric
-from aritygap.symmetric import LinearSpec, construct_linear
+from aritygap.subfunctions import _closure_cached, _closure_generic, _closure_symmetric
+from aritygap.symmetric import LinearSpec, construct_linear, is_totally_symmetric
 from aritygap.enumeration import spec_to_function
 
 
@@ -248,3 +248,59 @@ def test_reduced_convention_can_push_sub_below_sep():
     assert report.sep_count == 8
     assert report.sub_count == 5
     assert report.sub_count < report.sep_count
+
+
+@st.composite
+def kernel_cases(draw):
+    """A (k, n) with k^n <= 256 and a table there: uniform, over two values,
+    totally symmetric, symmetric in x_1 and x_2, with forced fictive
+    positions, or constant."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 5 if k < 4 else 4))
+    kind = draw(st.sampled_from(("raw", "binary", "symmetric", "pair", "fictive", "constant")))
+    points = list(iter_points(k, n))
+    top = 1 if kind == "binary" else k - 1
+    values = draw(st.lists(st.integers(0, top), min_size=len(points), max_size=len(points)))
+    fictive = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    canon = {
+        "symmetric": lambda p: tuple(sorted(p)),
+        "pair": lambda p: tuple(sorted(p[:2])) + p[2:],
+        "fictive": lambda p: tuple(0 if i in fictive else c for i, c in enumerate(p)),
+        "constant": lambda p: points[0],
+    }.get(kind, lambda p: p)
+    index = {p: m for m, p in enumerate(points)}
+    return FiniteFunction(k, n, [values[index[canon(p)]] for p in points])
+
+
+def record_keys(closure):
+    return sorted((r.function.n, r.function.table, r.max_order) for r in closure.records)
+
+
+def fix(f, positions, constants):
+    """f with each 1-based position fixed to its constant, the rest free."""
+    for p, c in sorted(zip(positions, constants), reverse=True):
+        f = restrict(f, p, c)
+    return f
+
+
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_slice_kernel_equals_the_closures(f):
+    kernel = _closure_cached.__wrapped__(f.k, f.n, f.table)
+    oracles = [_closure_generic(f)]
+    if is_totally_symmetric(f):
+        oracles.append(_closure_symmetric(f))
+    for oracle in oracles:
+        assert kernel.sub_count == oracle.sub_count == len(oracle.records)
+        assert (kernel.separable, kernel.sep_count) == (oracle.separable, oracle.sep_count)
+        assert record_keys(kernel) == record_keys(oracle)
+    # remaining_vars names the reached slice a record was read from: those
+    # positions free, the others fixed, n - max_order of them free
+    for r in kernel.records:
+        assert len(r.remaining_vars) == f.n - r.max_order
+        fixed = [p for p in range(1, f.n + 1) if p not in r.remaining_vars]
+        seen = set()
+        for constants in itertools.product(range(f.k), repeat=len(fixed)):
+            g = fix(f, fixed, constants)
+            seen.add(g.table[:1] if g.is_constant() else g.table)
+        assert r.function.table in seen
