@@ -159,13 +159,19 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
         for li, i in enumerate(image):
             for lj, j in enumerate(image):
                 if i != j:
-                    child = tuple(j if q == i else q for q in sigma)
+                    child = tuple([j if q == i else q for q in sigma])
                     if child not in index:
                         index[child] = len(maps)
                         maps.append(child)
                     edges.append((len(image), src, li, lj, index[child]))
     sizes = np.array([len(image) for image in images])
-    weights = k ** np.arange(n - 1, -1, -1)
+    # f o sigma at x reads f at the index sum_q x[sigma(q)] k^(n-1-q): the
+    # weight of x_p is the sum of k^(n-1-q) over the positions q sigma sends to p
+    weights = [[0] * n for _ in maps]
+    for row, sigma in zip(weights, maps):
+        for q, p in enumerate(sigma):
+            row[p] += k ** (n - 1 - q)
+    weights = np.array(weights)
     pair_a, pair_b, offsets = [], [], []
     first = {}  # image size -> (the layer's first map, its first slot)
     slots = offset = 0
@@ -173,8 +179,8 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
         members = np.flatnonzero(sizes == m)
         first[m] = (members[0], slots)
         sub = _points(k, m)
-        local = [[images[s].index(q) for q in maps[s]] for s in members]
-        full = (sub[:, np.array(local)] @ weights).T  # (maps, k^m) into f's table
+        # (maps, k^m): f o sigma as a table of its image variables, into f's
+        full = weights[members[:, None], np.array([images[s] for s in members])] @ sub.T
         a = [np.flatnonzero(sub[:, j]) for j in range(m)]
         b = [a[j] - sub[a[j], j] * k ** (m - 1 - j) for j in range(m)]
         pair_a.append(full[:, np.concatenate(a)].ravel())
@@ -186,11 +192,11 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
     edges = np.array(edges)
     layers = []
     for m in range(n, 1, -1):
-        size, src, li, lj, dst = edges[edges[:, 0] == m].T
+        _, src, li, lj, dst = edges[edges[:, 0] == m].T
         lo, base = first[m]
         slot = base + (src - lo) * m
         layers.append((src, slot + li, slot + lj, dst))
-    gather = np.ascontiguousarray((_points(k, n)[:, np.array(maps)] @ weights).T)
+    gather = weights @ _points(k, n).T
     map_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     return _MinorPlan(gather, np.concatenate(pair_a), np.concatenate(pair_b),
                       np.concatenate(offsets), map_starts, layers, n - sizes)

@@ -30,6 +30,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,8 +197,17 @@ def _closure_symmetric(f: FiniteFunction) -> _Closure:
                     len(found))
 
 
+class _SliceLevel(NamedTuple):
+    gather: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    bits: np.ndarray
+    parent: np.ndarray
+    free: list
+
+
 @functools.lru_cache(maxsize=16)
-def _slice_plan(k: int, n: int):
+def _slice_plan(k: int, n: int) -> list[_SliceLevel]:
     """The slices at (k, n), one level per number o of fixed positions.
 
     Row s * k^o + c of level o fixes the o-subset number s of the 0-based
@@ -233,16 +243,17 @@ def _slice_plan(k: int, n: int):
         pair_b = gather[:, np.concatenate(pb or [[]]).astype(np.intp)].reshape(shape)
         bits = np.repeat(1 << np.array(free, dtype=np.int64).reshape(len(free), a), k**o,
                          axis=0)
-        parent = np.empty((len(gather), o), dtype=np.intp)
+        parent = np.empty((len(subsets), k**o, o), dtype=np.intp)
         c = np.arange(k**o)
         for s, fixed in enumerate(subsets):
             for j, p in enumerate(fixed):
-                up = prev[fixed[:j] + fixed[j + 1 :]]
-                c_up = c // k ** (o - j) * k ** (o - 1 - j) + c % k ** (o - 1 - j)
-                parent[s * k**o : (s + 1) * k**o, j] = (up * k ** (o - 1) + c_up) * (a + 1) + p - j
+                # drop digit j of the constants; p is free position p - j there
+                up = prev[fixed[:j] + fixed[j + 1 :]] * k ** (o - 1)
+                up += c // k ** (o - j) * k ** (o - 1 - j) + c % k ** (o - 1 - j)
+                parent[s, :, j] = up * (a + 1) + p - j
         prev = {fixed: s for s, fixed in enumerate(subsets)}
-        plan.append((gather, pair_a, pair_b, bits, parent,
-                     [tuple(p + 1 for p in rest) for rest in free]))
+        plan.append(_SliceLevel(gather, pair_a, pair_b, bits, parent.reshape(len(gather), o),
+                                [tuple(p + 1 for p in rest) for rest in free]))
     return plan
 
 
@@ -250,16 +261,16 @@ def _slice_levels(k: int, n: int, table: tuple):
     """Per level o with a reached slice: (o, the slice tables, which slices
     are reached, each slice's essential positions as a bit mask)."""
     t = _values(k, table)
-    for o, (gather, pair_a, pair_b, bits, parent, _) in enumerate(_slice_plan(k, n)):
+    for o, level in enumerate(_slice_plan(k, n)):
         if o == 0:
             reached = np.ones(1, dtype=bool)
         else:
-            reached = alive.ravel()[parent].any(axis=1)
+            reached = alive.ravel()[level.parent].any(axis=1)
             if not reached.any():
                 return
-        ess = (t[pair_a] != t[pair_b]).any(axis=2)
+        ess = (t[level.pair_a] != t[level.pair_b]).any(axis=2)
         alive = ess & reached[:, None]
-        yield o, t[gather], reached, (ess * bits).sum(axis=1)
+        yield o, t[level.gather], reached, (ess * level.bits).sum(axis=1)
 
 
 def _distinct_rows(rows: np.ndarray) -> int:
@@ -296,7 +307,7 @@ def _slice_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...
     for o, tabs, reached, mask in _slice_levels(k, n, table):
         if o == 0:
             continue
-        free = plan[o][5]
+        free = plan[o].free
         for r in np.flatnonzero(reached).tolist():
             row = tuple(tabs[r].tolist())
             rem = free[r // k**o]
