@@ -277,24 +277,29 @@ def _distinct_rows(rows: np.ndarray) -> int:
     return len(np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))))
 
 
+@functools.lru_cache(maxsize=16)
+def _mask_sets(n: int) -> tuple[frozenset[int], ...]:
+    """The 1-based position set of each bit mask over n positions."""
+    return tuple(frozenset(p + 1 for p in range(n) if m >> p & 1) for m in range(1 << n))
+
+
 def _slice_closure(k: int, n: int, table: tuple) -> _Closure:
     """The closure of one table from its reached slices: a state per distinct
     (free positions, table) image. A non-constant table has arity n - o, so
     tables of different levels never meet; constants count by value."""
-    masks, constants = [], []
-    tables = 0
+    separable = np.zeros(1 << n, dtype=bool)
+    separable[0] = True  # the empty set always counts
+    constants = np.zeros(k, dtype=bool)
+    count = 0
     for o, tabs, reached, mask in _slice_levels(k, n, table):
-        masks.append(mask[reached])
+        separable[mask[reached]] = True
         if o:
-            constants.append(tabs[reached & (mask == 0), 0])
-            tables += _distinct_rows(tabs[reached & (mask != 0)])
-    separable = {frozenset()}
-    for m in np.unique(np.concatenate(masks)).tolist():
-        separable.add(frozenset(p + 1 for p in range(n) if m >> p & 1))
-    if constants:
-        tables += len(np.unique(np.concatenate(constants)))
-    return _Closure(functools.partial(_slice_records, k, n, table), frozenset(separable),
-                    tables)
+            constants[tabs[reached & (mask == 0), 0]] = True
+            count += _distinct_rows(tabs[reached & (mask != 0)])
+    sets = _mask_sets(n)
+    return _Closure(functools.partial(_slice_records, k, n, table),
+                    frozenset(sets[m] for m in np.flatnonzero(separable).tolist()),
+                    count + int(constants.sum()))
 
 
 def _slice_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...]:
