@@ -52,9 +52,9 @@ from .core import (
 from .minors import GapProfile, gap_index
 from .symmetric import (
     GapNSpec,
+    _gap2_ternary_table,
     compress,
     construct_gap_n,
-    gap2_ternary_table,
     multisets,
 )
 
@@ -433,5 +433,5 @@ def gap2_ternary_images(k: int) -> set[tuple[int, ...]]:
             if len(set(a)) < 2:
                 continue
             for combo in itertools.product(range(k), repeat=comb(k, 3)):
-                images.add(gap2_ternary_table(k, family, a, combo))
+                images.add(_gap2_ternary_table(k, family, a, combo))
     return images

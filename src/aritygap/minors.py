@@ -267,16 +267,7 @@ def gap(f: FiniteFunction) -> int:
         raise PreconditionError(
             f"arity gap undefined: only {len(ess)} essential variable(s)"
         )
-    best = 0
-    for i in ess:
-        for j in ess:
-            if i == j:
-                continue
-            child = _identify_table(f.k, f.n, f.table, i - 1, j - 1)
-            m = len(_essential_positions(f.k, f.n, child))
-            if m > best:
-                best = m
-    return len(ess) - best
+    return len(ess) - _one_step_best(f)
 
 
 def gap_index(f: FiniteFunction) -> int:
@@ -306,7 +297,7 @@ def gap_profile(f: FiniteFunction) -> GapProfile:
     ess = essential_count(f)
     if ess < 2:
         return GapProfile(ess, None, None, None)
-    g = ess - _one_step_best(f)
+    g = gap(f)
     ind = max(_minor_closure(f).values())
     label = (ess, g, f.k) if g >= 2 else None
     return GapProfile(ess, g, ind, label)

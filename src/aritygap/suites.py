@@ -67,6 +67,7 @@ from .subfunctions import (
 )
 from .symmetric import (
     GapNSpec,
+    _gap2_ternary_table,
     construct_gap_n,
     construct_linear,
     LinearSpec,
@@ -74,7 +75,6 @@ from .symmetric import (
     diagonal_values,
     expand,
     extract_decomposition,
-    gap2_ternary_table,
     is_symmetric,
     multisets,
     recompose,
@@ -936,7 +936,7 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
         b = [tab[m] for m in subsets]
         # a constant diagonal fits neither family
         fits = len(set(a)) > 1 and any(
-            gap2_ternary_table(k, family, a, b) == tab for family in ("minority", "majority")
+            _gap2_ternary_table(k, family, a, b) == tab for family in ("minority", "majority")
         )
         if not fits:
             total += 1

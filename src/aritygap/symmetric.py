@@ -252,10 +252,10 @@ def construct_gap2_ternary(k: int, spec: TernaryGap2Spec) -> FiniteFunction:
         )
     b = _normalize_coefficient_map(spec.b, k, 3, "subset coefficient")
     subsets = _ternary_plan(k)[0]
-    return FiniteFunction(k, 3, gap2_ternary_table(k, spec.family, a, [b[s] for s in subsets]))
+    return FiniteFunction(k, 3, _gap2_ternary_table(k, spec.family, a, [b[s] for s in subsets]))
 
 
-def gap2_ternary_table(k: int, family: str, a: Sequence[int], b: Sequence[int]) -> tuple:
+def _gap2_ternary_table(k: int, family: str, a: Sequence[int], b: Sequence[int]) -> tuple:
     """The table :func:`construct_gap2_ternary` builds, from the diagonal
     coefficients ``a`` and one coefficient per 3-subset of K in
     combinations order, ``b``; nothing is checked."""
