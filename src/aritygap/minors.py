@@ -129,13 +129,16 @@ class _MinorPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _minor_plan(k: int, n: int) -> _MinorPlan:
-    """The identification-minor plan at (k, n), n >= 2.
+def _minor_plan(k: int, n: int, ess: tuple[int, ...]) -> _MinorPlan:
+    """The identification-minor plan at (k, n) for tables whose essential
+    positions are ``ess`` (0-based, at least two).
 
-    The idempotent maps sigma of the 0-based positions, from the identity
-    on, breadth first: identifying x_i := x_j (i, j in the image) turns
-    sigma into r o sigma with r(i) = j, which has one image point fewer, so
-    the maps come in layers of image size n, n - 1, ..., 1. Returns
+    A fictive position stays fictive in every minor, so the maps are the
+    idempotent maps sigma of ``ess`` (every other position maps to itself),
+    from the identity on, breadth first: identifying x_i := x_j (i, j in
+    the image sigma(ess)) turns sigma into r o sigma with r(i) = j, which
+    has one image point fewer, so the maps come in layers of image size
+    |ess|, |ess| - 1, ..., 1. Returns
 
     * ``gather`` (S, k^n): row s indexes f's table into f o sigma_s;
     * ``pair_a``, ``pair_b``, ``starts``: one slot per map and position p
@@ -146,23 +149,24 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
       slot;
     * ``layers``: per layer of sources, the (src, slot of i, slot of j, dst)
       arrays of its edges;
-    * ``depth`` (S,): n minus the image size, the length of every path from
-      the identity to that map.
+    * ``depth`` (S,): |ess| minus the image size, the length of every path
+      from the identity to that map.
     """
     maps = [tuple(range(n))]
+    images = [list(ess)]
     index = {maps[0]: 0}
-    images = []
     edges = []  # (image size, src, i and j as indices into the image, dst)
     for src, sigma in enumerate(maps):
-        image = sorted(set(sigma))
-        images.append(image)
+        image = images[src]
         for li, i in enumerate(image):
+            rest = [p for p in image if p != i]
             for lj, j in enumerate(image):
                 if i != j:
                     child = tuple([j if q == i else q for q in sigma])
                     if child not in index:
                         index[child] = len(maps)
                         maps.append(child)
+                        images.append(rest)
                     edges.append((len(image), src, li, lj, index[child]))
     sizes = np.array([len(image) for image in images])
     # f o sigma at x reads f at the index sum_q x[sigma(q)] k^(n-1-q): the
@@ -175,11 +179,12 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
     pair_a, pair_b, offsets = [], [], []
     first = {}  # image size -> (the layer's first map, its first slot)
     slots = offset = 0
-    for m in range(n, 0, -1):
+    for m in range(len(ess), 0, -1):
         members = np.flatnonzero(sizes == m)
         first[m] = (members[0], slots)
         sub = _points(k, m)
-        # (maps, k^m): f o sigma as a table of its image variables, into f's
+        # (maps, k^m): f o sigma as a table of its image variables, the
+        # others at 0, into f's
         full = weights[members[:, None], np.array([images[s] for s in members])] @ sub.T
         a = [np.flatnonzero(sub[:, j]) for j in range(m)]
         b = [a[j] - sub[a[j], j] * k ** (m - 1 - j) for j in range(m)]
@@ -191,7 +196,7 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
         offset += length * count
     edges = np.array(edges)
     layers = []
-    for m in range(n, 1, -1):
+    for m in range(len(ess), 1, -1):
         _, src, li, lj, dst = edges[edges[:, 0] == m].T
         lo, base = first[m]
         slot = base + (src - lo) * m
@@ -199,7 +204,13 @@ def _minor_plan(k: int, n: int) -> _MinorPlan:
     gather = weights @ _points(k, n).T
     map_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     return _MinorPlan(gather, np.concatenate(pair_a), np.concatenate(pair_b),
-                      np.concatenate(offsets), map_starts, layers, n - sizes)
+                      np.concatenate(offsets), map_starts, layers, len(ess) - sizes)
+
+
+def _plan_of(f: FiniteFunction) -> _MinorPlan:
+    """The minor plan for f, which has at least two essential variables."""
+    ess = _essential_positions(f.k, f.n, f.table)
+    return _minor_plan(f.k, f.n, tuple(p - 1 for p in ess))
 
 
 def _slot_essentials(plan: _MinorPlan, k: int, table: tuple) -> np.ndarray:
@@ -224,18 +235,17 @@ def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     table path, so a minor's depth is the largest depth among the reached
     maps that give its table.
     """
-    k, n = f.k, f.n
-    if n < 2:
+    if essential_count(f) < 2:
         return MappingProxyType({})
-    plan = _minor_plan(k, n)
-    ess = _slot_essentials(plan, k, f.table)
+    plan = _plan_of(f)
+    ess = _slot_essentials(plan, f.k, f.table)
     reached = np.zeros(len(plan.gather), dtype=bool)
     reached[0] = True
     for src, si, sj, dst in plan.layers:
         reached[dst[reached[src] & ess[si] & ess[sj]]] = True
     reached[0] = False
     rows = np.flatnonzero(reached)
-    tables = _values(k, f.table)[plan.gather[rows]].tolist()
+    tables = _values(f.k, f.table)[plan.gather[rows]].tolist()
     # maps come in order of depth, so the last write of a table is its deepest
     return MappingProxyType(dict(zip(map(tuple, tables), plan.depth[rows].tolist())))
 
@@ -243,7 +253,7 @@ def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
 def _one_step_best(f: FiniteFunction) -> int:
     """The largest essential count among the one-step identification minors
     of f, which has at least two essential variables."""
-    plan = _minor_plan(f.k, f.n)
+    plan = _plan_of(f)
     ess = _slot_essentials(plan, f.k, f.table)
     src, si, sj, dst = plan.layers[0]
     counts = np.add.reduceat(ess, plan.map_starts, dtype=np.intp)

@@ -207,52 +207,67 @@ class _SliceLevel(NamedTuple):
 
 
 @functools.lru_cache(maxsize=16)
-def _slice_plan(k: int, n: int) -> list[_SliceLevel]:
-    """The slices at (k, n), one level per number o of fixed positions.
+def _slice_plan(k: int, n: int, ess: tuple[int, ...]) -> list[_SliceLevel]:
+    """The slices at (k, n) of tables whose essential positions are ``ess``
+    (0-based), one level per number o of fixed positions.
 
-    Row s * k^o + c of level o fixes the o-subset number s of the 0-based
-    positions (in combinations order) to the constants with index c (in
-    table order); its table lists the free positions in table order. Per
-    level:
+    A fictive position stays fictive in every subfunction, so only essential
+    positions are ever fixed. Row s * k^o + c of level o fixes the o-subset
+    number s of ``ess`` (in combinations order) to the constants with index
+    c (in table order); its table lists the free positions, fictive ones
+    included, in table order. Per level:
 
     * ``gather`` (rows, k^(n-o)): the slice tables as indices into f's;
-    * ``pair_a``, ``pair_b`` (rows, n - o, L): for each free position, every
-      point of the slice with it != 0 and the same point with it := 0, so
-      the free position is essential in the slice exactly when they differ;
-    * ``bits`` (rows, n - o): 1 << the original position of each free one;
+    * ``pair_a``, ``pair_b`` (rows, |ess| - o, L): for each free position of
+      ``ess``, every point of the slice with it != 0 and the same point with
+      it := 0, so it is essential in the slice exactly when they differ;
+    * ``bits`` (rows, |ess| - o): 1 << the original position of each;
     * ``parent`` (rows, o): for each fixed position p, the parent slice
-      with p free, as a flat index into the parent level's
-      (rows, n - o + 1) essential array at p;
+      with p free, as a flat index into the parent level's essential array
+      at p;
     * ``free``: per subset, the 1-based free positions.
     """
     weights = k ** np.arange(n - 1, -1, -1)
     plan = []
     prev = {}
-    for o in range(n + 1):
-        a = n - o
-        subsets = list(itertools.combinations(range(n), o))
+    for o in range(len(ess) + 1):
+        a, e = n - o, len(ess) - o
+        subsets = list(itertools.combinations(ess, o))
         free = [tuple(p for p in range(n) if p not in fixed) for fixed in subsets]
+        checked = [tuple(j for j, p in enumerate(rest) if p in ess) for rest in free]
         consts, points = _points(k, o), _points(k, a)
         fixed_part = consts @ weights[np.array(subsets, dtype=np.intp)].T  # (k^o, C)
         free_part = points @ weights[np.array(free, dtype=np.intp)].T  # (k^a, C)
-        gather = (fixed_part.T[:, :, None] + free_part.T[:, None, :]).reshape(-1, k**a)
-        pa = [np.flatnonzero(points[:, j]) for j in range(a)]
-        pb = [pa[j] - points[pa[j], j] * k ** (a - 1 - j) for j in range(a)]
-        shape = (len(gather), a, len(pa[0]) if a else 0)
-        pair_a = gather[:, np.concatenate(pa or [[]]).astype(np.intp)].reshape(shape)
-        pair_b = gather[:, np.concatenate(pb or [[]]).astype(np.intp)].reshape(shape)
-        bits = np.repeat(1 << np.array(free, dtype=np.int64).reshape(len(free), a), k**o,
-                         axis=0)
-        parent = np.empty((len(subsets), k**o, o), dtype=np.intp)
-        c = np.arange(k**o)
-        for s, fixed in enumerate(subsets):
-            for j, p in enumerate(fixed):
-                # drop digit j of the constants; p is free position p - j there
-                up = prev[fixed[:j] + fixed[j + 1 :]] * k ** (o - 1)
-                up += c // k ** (o - j) * k ** (o - 1 - j) + c % k ** (o - 1 - j)
-                parent[s, :, j] = up * (a + 1) + p - j
+        pairs = {}  # local indices of the checked positions -> their point pairs
+        for local in checked:
+            if local not in pairs:
+                pa = [np.flatnonzero(points[:, j]) for j in local]
+                pb = [pa_j - points[pa_j, j] * k ** (a - 1 - j) for pa_j, j in zip(pa, local)]
+                pairs[local] = (np.concatenate(pa or [[]]), np.concatenate(pb or [[]]))
+        shape = (len(subsets) * k**o, e, k ** (a - 1) * (k - 1) if e else 0)
+        rows = np.arange(len(subsets))[:, None]
+        pair_a, pair_b = (
+            (fixed_part.T[:, :, None] + free_part.T[rows, np.array(side, dtype=np.intp)][:, None, :])
+            .reshape(shape)
+            for side in zip(*(pairs[local] for local in checked))
+        )
+        gather = fixed_part.T[:, :, None] + free_part.T[:, None, :]  # (C, k^o, k^a)
+        bits = np.array([[1 << rest[j] for j in local] for rest, local in zip(free, checked)],
+                        dtype=np.int64).reshape(len(subsets), e)
+        # the parent without fixed position j: its subset, its constants
+        # (digit j dropped), and p's place among its free positions of ess
+        up = np.array([[prev[fixed[:j] + fixed[j + 1 :]] for j in range(o)] for fixed in subsets],
+                      dtype=np.intp).reshape(len(subsets), o)
+        place = np.array([[ess.index(p) - j for j, p in enumerate(fixed)] for fixed in subsets],
+                         dtype=np.intp).reshape(len(subsets), o)
+        c = np.arange(k**o)[:, None]
+        j = np.arange(o)
+        c_up = c // k ** (o - j) * k ** (o - 1 - j) + c % k ** (o - 1 - j)  # (k^o, o)
+        parent = ((up[:, None, :] * k ** (o - 1) + c_up) * (e + 1) + place[:, None, :])
         prev = {fixed: s for s, fixed in enumerate(subsets)}
-        plan.append(_SliceLevel(gather, pair_a, pair_b, bits, parent.reshape(len(gather), o),
+        plan.append(_SliceLevel(gather.reshape(-1, k**a), pair_a, pair_b,
+                                np.repeat(bits, k**o, axis=0),
+                                parent.reshape(len(subsets) * k**o, o),
                                 [tuple(p + 1 for p in rest) for rest in free]))
     return plan
 
@@ -261,16 +276,17 @@ def _slice_levels(k: int, n: int, table: tuple):
     """Per level o with a reached slice: (o, the slice tables, which slices
     are reached, each slice's essential positions as a bit mask)."""
     t = _values(k, table)
-    for o, level in enumerate(_slice_plan(k, n)):
+    ess = tuple(p - 1 for p in _essential_positions(k, n, table))
+    for o, level in enumerate(_slice_plan(k, n, ess)):
         if o == 0:
             reached = np.ones(1, dtype=bool)
         else:
             reached = alive.ravel()[level.parent].any(axis=1)
             if not reached.any():
                 return
-        ess = (t[level.pair_a] != t[level.pair_b]).any(axis=2)
-        alive = ess & reached[:, None]
-        yield o, t[level.gather], reached, (ess * level.bits).sum(axis=1)
+        ess_free = (t[level.pair_a] != t[level.pair_b]).any(axis=2)
+        alive = ess_free & reached[:, None]
+        yield o, t[level.gather], reached, (ess_free * level.bits).sum(axis=1)
 
 
 def _distinct_rows(rows: np.ndarray) -> int:
@@ -310,7 +326,7 @@ def _slice_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...
     positions of the first reached slice (in level order, then row order)
     that gives its table: at level n - arity for a non-constant table, at
     the deepest level reaching its value for a constant."""
-    plan = _slice_plan(k, n)
+    plan = _slice_plan(k, n, tuple(p - 1 for p in _essential_positions(k, n, table)))
     found: dict = {}
     for o, tabs, reached, mask in _slice_levels(k, n, table):
         if o == 0:

@@ -306,3 +306,11 @@ def test_minor_kernel_equals_oracle(f):
     if essential_count(f) >= 2:
         assert gap(f) == gap_profile(f).gap == oracle_gap(f)
         assert gap_profile(f).index == max(got.values())
+
+
+def test_minor_kernel_on_a_wide_table_with_two_essential_variables():
+    # the plan maps only the essential positions, so 12 arguments cost
+    # no more than 2
+    f = FiniteFunction.from_callable(2, 12, lambda *x: x[3] ^ x[9])
+    assert {r.function: r.depth for r in all_minors(f)} == oracle_minor_closure(f)
+    assert (gap(f), gap_index(f)) == (2, 1)

@@ -304,3 +304,13 @@ def test_slice_kernel_equals_the_closures(f):
             g = fix(f, fixed, constants)
             seen.add(g.table[:1] if g.is_constant() else g.table)
         assert r.function.table in seen
+
+
+def test_slice_kernel_on_a_wide_table_with_two_essential_variables():
+    # only essential positions are ever fixed, so 8 arguments cost no more
+    # than 2
+    f = FiniteFunction.from_callable(3, 8, lambda *x: (x[1] + 2 * x[6]) % 3 == 0)
+    kernel = _closure_cached.__wrapped__(f.k, f.n, f.table)
+    oracle = _closure_generic(f)
+    assert (kernel.sub_count, kernel.separable) == (oracle.sub_count, oracle.separable)
+    assert record_keys(kernel) == record_keys(oracle)
