@@ -314,3 +314,14 @@ def test_minor_kernel_on_a_wide_table_with_two_essential_variables():
     f = FiniteFunction.from_callable(2, 12, lambda *x: x[3] ^ x[9])
     assert {r.function: r.depth for r in all_minors(f)} == oracle_minor_closure(f)
     assert (gap(f), gap_index(f)) == (2, 1)
+
+
+def test_minor_kernel_equals_oracle_on_every_binary_ternary_table():
+    # small enough to take every table, among them those where an
+    # identification makes a third variable fictive
+    from aritygap.minors import _minor_closure
+
+    for idx in range(2**8):
+        f = FiniteFunction(2, 3, [(idx >> i) & 1 for i in range(8)])
+        got = {FiniteFunction(2, 3, t): d for t, d in _minor_closure(f).items()}
+        assert got == oracle_minor_closure(f), f

@@ -283,9 +283,23 @@ def fix(f, positions, constants):
     return f
 
 
-@given(kernel_cases())
-@settings(max_examples=80, deadline=None)
-def test_slice_kernel_equals_the_closures(f):
+def closure_states(f):
+    """Every (remaining positions, table) state of the breadth-first
+    closure, constants as their one-entry table."""
+    root = (tuple(range(1, f.n + 1)), f)
+    states, todo = {root}, [root]
+    while todo:
+        remaining, g = todo.pop()
+        for p in essential_variables(g):
+            for c in range(g.k):
+                child = (remaining[: p - 1] + remaining[p:], restrict(g, p, c))
+                if child not in states:
+                    states.add(child)
+                    todo.append(child)
+    return {(rem, g.table[:1] if g.is_constant() else g.table) for rem, g in states}
+
+
+def assert_slice_kernel_equals_the_closures(f):
     kernel = _closure_cached.__wrapped__(f.k, f.n, f.table)
     oracles = [_closure_generic(f)]
     if is_totally_symmetric(f):
@@ -294,23 +308,36 @@ def test_slice_kernel_equals_the_closures(f):
         assert kernel.sub_count == oracle.sub_count == len(oracle.records)
         assert (kernel.separable, kernel.sep_count) == (oracle.separable, oracle.sep_count)
         assert record_keys(kernel) == record_keys(oracle)
-    # remaining_vars names the reached slice a record was read from: those
-    # positions free, the others fixed, n - max_order of them free
+    # remaining_vars names the reached slice a record was read from: a state
+    # of the breadth-first closure with n - max_order positions free, whose
+    # table some fixing of the other positions gives
+    states = closure_states(f)
     for r in kernel.records:
         assert len(r.remaining_vars) == f.n - r.max_order
+        assert (r.remaining_vars, r.function.table) in states
         fixed = [p for p in range(1, f.n + 1) if p not in r.remaining_vars]
-        seen = set()
-        for constants in itertools.product(range(f.k), repeat=len(fixed)):
-            g = fix(f, fixed, constants)
-            seen.add(g.table[:1] if g.is_constant() else g.table)
-        assert r.function.table in seen
+        slices = (fix(f, fixed, c) for c in itertools.product(range(f.k), repeat=len(fixed)))
+        assert r.function.table in {g.table[:1] if g.is_constant() else g.table for g in slices}
+
+
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_slice_kernel_equals_the_closures(f):
+    assert_slice_kernel_equals_the_closures(f)
 
 
 def test_slice_kernel_on_a_wide_table_with_two_essential_variables():
     # only essential positions are ever fixed, so 8 arguments cost no more
     # than 2
-    f = FiniteFunction.from_callable(3, 8, lambda *x: (x[1] + 2 * x[6]) % 3 == 0)
-    kernel = _closure_cached.__wrapped__(f.k, f.n, f.table)
-    oracle = _closure_generic(f)
-    assert (kernel.sub_count, kernel.separable) == (oracle.sub_count, oracle.separable)
-    assert record_keys(kernel) == record_keys(oracle)
+    assert_slice_kernel_equals_the_closures(
+        FiniteFunction.from_callable(3, 8, lambda *x: (x[1] + 2 * x[6]) % 3 == 0)
+    )
+
+
+def test_slice_kernel_equals_generic_on_every_binary_ternary_table():
+    # every table, among them those where fixing one variable makes another
+    # fictive
+    for idx in range(2**8):
+        assert_slice_kernel_equals_the_closures(
+            FiniteFunction(2, 3, [(idx >> i) & 1 for i in range(8)])
+        )
