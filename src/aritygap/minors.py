@@ -7,10 +7,11 @@ remove essential variables, the maximum over all iterated minors is
 attained after a single step; the single-step computation is used here and
 the equivalence with the closure-wide maximum is exercised by tests.
 
-Every iterated minor of f is f composed with an idempotent map sigma of the
-positions (x_p reads x_sigma(p)), so the minor closure of one table is a
-numpy kernel over a fixed plan per (k, n): one gather gives every f o sigma
-table, and reachability runs over the fixed DAG of those maps.
+Every iterated minor of f is f composed with an idempotent map sigma of its
+essential positions (x_p reads x_sigma(p)), so the minor closure of one
+table is a numpy kernel over a plan fixed per (k, n, essential positions):
+one gather gives every f o sigma table, and reachability runs over the
+fixed DAG of those maps.
 
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 """

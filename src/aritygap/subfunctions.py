@@ -14,10 +14,11 @@ set of some chain state, mapped back to original positions; the empty set
 is always included, and the essential set of f itself (the zero-step
 state) counts as separable.
 
-Every chain state is the image of a slice: a set S of fixed positions with
-their constants. The closure of one table is a numpy kernel over all slices,
-one gather per level |S|; a slice is reached when fixing one of its
-positions essential in a reached parent slice leads to it. The breadth-first
+Every chain state is the image of a slice: a set S of fixed positions,
+all essential in f, with their constants. The closure of one table is a
+numpy kernel over these slices, one gather per level |S|; a slice is
+reached when fixing one of its positions essential in a reached parent
+slice leads to it. The breadth-first
 walks ``_closure_generic`` and ``_closure_symmetric`` (for
 multiset-determined tables, one state per multiset of constants) are kept
 as the oracles the kernel is tested against.
