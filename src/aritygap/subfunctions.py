@@ -274,8 +274,8 @@ def _slice_plan(k: int, n: int, ess: tuple[int, ...]) -> list[_SliceLevel]:
 
 
 def _slice_levels(k: int, n: int, table: tuple):
-    """Per level o with a reached slice: (o, the slice tables, which slices
-    are reached, each slice's essential positions as a bit mask)."""
+    """Per level o with a reached slice: (o, its plan, the slice tables, which
+    slices are reached, each slice's essential positions as a bit mask)."""
     t = _values(k, table)
     ess = tuple(p - 1 for p in _essential_positions(k, n, table))
     for o, level in enumerate(_slice_plan(k, n, ess)):
@@ -287,7 +287,7 @@ def _slice_levels(k: int, n: int, table: tuple):
                 return
         ess_free = (t[level.pair_a] != t[level.pair_b]).any(axis=2)
         alive = ess_free & reached[:, None]
-        yield o, t[level.gather], reached, (ess_free * level.bits).sum(axis=1)
+        yield o, level, t[level.gather], reached, (ess_free * level.bits).sum(axis=1)
 
 
 def _distinct_rows(rows: np.ndarray) -> int:
@@ -311,7 +311,7 @@ def _slice_closure(k: int, n: int, table: tuple) -> _Closure:
     separable[0] = True  # the empty set always counts
     constants = np.zeros(k, dtype=bool)
     count = 0
-    for o, tabs, reached, mask in _slice_levels(k, n, table):
+    for o, _, tabs, reached, mask in _slice_levels(k, n, table):
         separable[mask[reached]] = True
         if o:
             constants[tabs[reached & (mask == 0), 0]] = True
@@ -327,15 +327,13 @@ def _slice_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...
     positions of the first reached slice (in level order, then row order)
     that gives its table: at level n - arity for a non-constant table, at
     the deepest level reaching its value for a constant."""
-    plan = _slice_plan(k, n, tuple(p - 1 for p in _essential_positions(k, n, table)))
     found: dict = {}
-    for o, tabs, reached, mask in _slice_levels(k, n, table):
+    for o, level, tabs, reached, mask in _slice_levels(k, n, table):
         if o == 0:
             continue
-        free = plan[o].free
         for r in np.flatnonzero(reached).tolist():
             row = tuple(tabs[r].tolist())
-            rem = free[r // k**o]
+            rem = level.free[r // k**o]
             if mask[r]:
                 found.setdefault(("table", n - o, row), [o, rem])
             elif found.get(("const", row[0]), (0,))[0] < o:
