@@ -7,11 +7,9 @@ remove essential variables, the maximum over all iterated minors is
 attained after a single step; the single-step computation is used here and
 the equivalence with the closure-wide maximum is exercised by tests.
 
-Every iterated minor of f is f composed with an idempotent map sigma of its
-essential positions (x_p reads x_sigma(p)), so the minor closure of one
-table is a numpy kernel over a plan fixed per (k, n, essential positions):
-one gather gives every f o sigma table, and reachability runs over the
-fixed DAG of those maps.
+The minor closure of one table is a numpy kernel that walks the reached
+minors a round at a time: one gather through a per-(k, n) index gives
+every minor of a whole round.
 
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 """
@@ -19,11 +17,11 @@ Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,111 +111,144 @@ def _values(k: int, table) -> np.ndarray:
     return np.array(table, dtype=np.uint8 if k <= 256 else np.int64)
 
 
+_CHUNK = 1 << 20  # table entries a closure kernel gathers at once
+
+
+def _chunks(count: int, width: int):
+    """Slices of range(count) whose rows of ``width`` entries fit in a chunk."""
+    step = max(1, _CHUNK // width)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _index_dtype(size: int):
+    """The narrowest of int32 and int64 that indexes ``size`` entries."""
+    return np.int32 if size <= 1 << 31 else np.int64
+
+
 @functools.lru_cache(maxsize=64)
-def _points(k: int, n: int) -> np.ndarray:
-    """Every point of K^n in table order, one row each."""
-    return np.indices((k,) * n).reshape(n, k**n).T
+def _axis_pairs(k: int, n: int) -> tuple[np.ndarray, int]:
+    """For each position p in turn, every point with x_p != 0, then the
+    same points with x_p := 0, as indices into a table of arity n >= 1
+    (and where the second half starts): p is essential exactly when the
+    table differs somewhere between the two."""
+    a, b = [], []
+    for p in range(n):
+        v = np.arange(k**n, dtype=_index_dtype(k**n)).reshape(k**p, k, -1)
+        a.append(v[:, 1:].ravel())
+        b.append(np.repeat(v[:, :1], k - 1, axis=1).ravel())
+    return np.concatenate(a + b), n * (k - 1) * k ** (n - 1)
 
 
-class _MinorPlan(NamedTuple):
-    gather: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    starts: np.ndarray
-    map_starts: np.ndarray
-    layers: list
-    depth: np.ndarray
+def _essential_mask(k: int, n: int, tabs: np.ndarray) -> np.ndarray:
+    """(m, n): whether each position is essential in each row of the
+    (m, k^n) tables ``tabs``."""
+    if n == 0:
+        return np.zeros((len(tabs), 0), dtype=bool)
+    index, half = _axis_pairs(k, n)
+
+    def mask(rows):
+        t = rows[:, index]
+        return (t[:, :half] != t[:, half:]).reshape(len(rows), n, -1).any(axis=2)
+
+    parts = _chunks(len(tabs), len(index))
+    return mask(tabs) if len(parts) == 1 else np.concatenate([mask(tabs[p]) for p in parts])
 
 
-@functools.lru_cache(maxsize=16)
-def _minor_plan(k: int, n: int, ess: tuple[int, ...]) -> _MinorPlan:
-    """The identification-minor plan at (k, n) for tables whose essential
-    positions are ``ess`` (0-based, at least two).
+@functools.lru_cache(maxsize=256)
+def _hash_weights(width: int) -> np.ndarray:
+    """Fixed pseudo-random odd 64-bit weights, one per entry of a row of
+    ``width`` entries (splitmix64 of the entry's place)."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64)
 
-    A fictive position stays fictive in every minor, so the maps are the
-    idempotent maps sigma of ``ess`` (every other position maps to itself),
-    from the identity on, breadth first: identifying x_i := x_j (i, j in
-    the image sigma(ess)) turns sigma into r o sigma with r(i) = j, which
-    has one image point fewer, so the maps come in layers of image size
-    |ess|, |ess| - 1, ..., 1. Returns
 
-    * ``gather`` (S, k^n): row s indexes f's table into f o sigma_s;
-    * ``pair_a``, ``pair_b``, ``starts``: one slot per map and position p
-      of its image, holding every point of the image variables with
-      x_p != 0 (``pair_a``) and the same point with x_p := 0 (``pair_b``)
-      as indices into f's table; p is essential in f o sigma exactly when
-      the slot's entries differ somewhere. ``map_starts``: each map's first
-      slot;
-    * ``layers``: per layer of sources, the (src, slot of i, slot of j, dst)
-      arrays of its edges;
-    * ``depth`` (S,): |ess| minus the image size, the length of every path
-      from the identity to that map.
+def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
+           span: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """An order of the rows of the tables ``tabs`` (m >= 1, w entries below
+    k) that puts equal tables next to each other, those of one table by
+    the integers ``tie`` (m,) below ``span`` when given; and, per place in
+    that order, whether the table there differs from the one before (True
+    at the first).
+
+    When k^w * span fits in 63 bits, a table's base-k number (times span,
+    plus its tie) is an exact key. Wider tables are sorted by a 64-bit
+    hash of their entries; should two different tables share a hash, by
+    their bytes instead, so the grouping is exact either way.
     """
-    maps = [tuple(range(n))]
-    images = [list(ess)]
-    index = {maps[0]: 0}
-    edges = []  # (image size, src, i and j as indices into the image, dst)
-    for src, sigma in enumerate(maps):
-        image = images[src]
-        for li, i in enumerate(image):
-            rest = [p for p in image if p != i]
-            for lj, j in enumerate(image):
-                if i != j:
-                    child = tuple([j if q == i else q for q in sigma])
-                    if child not in index:
-                        index[child] = len(maps)
-                        maps.append(child)
-                        images.append(rest)
-                    edges.append((len(image), src, li, lj, index[child]))
-    sizes = np.array([len(image) for image in images])
-    # f o sigma at x reads f at the index sum_q x[sigma(q)] k^(n-1-q): the
-    # weight of x_p is the sum of k^(n-1-q) over the positions q sigma sends to p
-    weights = [[0] * n for _ in maps]
-    for row, sigma in zip(weights, maps):
-        for q, p in enumerate(sigma):
-            row[p] += k ** (n - 1 - q)
-    weights = np.array(weights)
-    pair_a, pair_b, offsets = [], [], []
-    first = {}  # image size -> (the layer's first map, its first slot)
-    slots = offset = 0
-    for m in range(len(ess), 0, -1):
-        members = np.flatnonzero(sizes == m)
-        first[m] = (members[0], slots)
-        sub = _points(k, m)
-        # (maps, k^m): f o sigma as a table of its image variables, the
-        # others at 0, into f's
-        full = weights[members[:, None], np.array([images[s] for s in members])] @ sub.T
-        a = [np.flatnonzero(sub[:, j]) for j in range(m)]
-        b = [a[j] - sub[a[j], j] * k ** (m - 1 - j) for j in range(m)]
-        pair_a.append(full[:, np.concatenate(a)].ravel())
-        pair_b.append(full[:, np.concatenate(b)].ravel())
-        count, length = len(members) * m, len(a[0])
-        offsets.append(offset + length * np.arange(count))
-        slots += count
-        offset += length * count
-    edges = np.array(edges)
-    layers = []
-    for m in range(len(ess), 1, -1):
-        _, src, li, lj, dst = edges[edges[:, 0] == m].T
-        lo, base = first[m]
-        slot = base + (src - lo) * m
-        layers.append((src, slot + li, slot + lj, dst))
-    gather = weights @ _points(k, n).T
-    map_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return _MinorPlan(gather, np.concatenate(pair_a), np.concatenate(pair_b),
-                      np.concatenate(offsets), map_starts, layers, len(ess) - sizes)
+    w = tabs.shape[1]
+    if w * (k - 1).bit_length() + (span - 1).bit_length() <= 63:
+        key = tabs @ (k ** np.arange(w - 1, -1, -1, dtype=np.int64))
+        if tie is not None:
+            key = key * span + tie
+        order = np.argsort(key, kind="stable")
+        s = key[order] // span
+        return order, np.concatenate(([True], s[1:] != s[:-1]))
+    h = tabs @ _hash_weights(w)
+    order = np.argsort(h, kind="stable") if tie is None else np.lexsort((tie, h))
+    s = tabs[order]
+    new = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
+    hs = h[order]
+    if np.any(new[1:] & (hs[1:] == hs[:-1])):
+        keys = np.ascontiguousarray(tabs).view(np.dtype((np.void, tabs.itemsize * w)))
+        order = np.arange(len(tabs)) if tie is None else np.argsort(tie, kind="stable")
+        order = order[np.argsort(keys.ravel()[order], kind="stable")]
+        s = tabs[order]
+        new = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
+    return order, new
 
 
-def _plan_of(f: FiniteFunction) -> _MinorPlan:
-    """The minor plan for f, which has at least two essential variables."""
-    ess = _essential_positions(f.k, f.n, f.table)
-    return _minor_plan(f.k, f.n, tuple(p - 1 for p in ess))
+def _distinct(k: int, tabs: np.ndarray) -> np.ndarray:
+    """The distinct rows of the tables ``tabs`` (m >= 1, entries below k)."""
+    order, new = _group(k, tabs)
+    return tabs[order[new]]
 
 
-def _slot_essentials(plan: _MinorPlan, k: int, table: tuple) -> np.ndarray:
-    """Whether each slot's position is essential in its map's table."""
-    t = _values(k, table)
-    return np.logical_or.reduceat(t[plan.pair_a] != t[plan.pair_b], plan.starts)
+def _collect(parts, make, merge) -> tuple[np.ndarray, ...]:
+    """The rows that ``make`` gives for the parts, each a tuple of arrays
+    of distinct rows, made distinct together by ``merge``. Held rows are
+    merged once they outgrow twice what the last merge kept, so they stay
+    within about twice the distinct rows plus a part."""
+    held, bound = [], 0
+    for part in parts:
+        held.append(make(part))
+        if len(held) > 1 and sum(len(h[0]) for h in held) > bound:
+            held = [merge(*map(np.concatenate, zip(*held)))]
+            bound = 2 * len(held[0][0])
+    return held[0] if len(held) == 1 else merge(*map(np.concatenate, zip(*held)))
+
+
+@functools.lru_cache(maxsize=8)
+def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n, k^n): entry [i, j] indexes a table into its minor x_i := x_j
+    (0-based positions), n^2 k^n entries of 4 bytes where k^n <= 2^31;
+    and (n, n), whether i != j."""
+    m = np.arange(k**n, dtype=_index_dtype(k**n))
+    steps = k ** np.arange(n - 1, -1, -1, dtype=m.dtype)
+    digits = m // steps[:, None] % k
+    # entry m of the minor is entry m + (c_j - c_i) * k^(n-1-i) of the table
+    return m + (digits[None] - digits[:, None]) * steps[:, None, None], ~np.eye(n, dtype=bool)
+
+
+@functools.lru_cache(maxsize=4)
+def _one_step(f: FiniteFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step identification minors of f, which has at least two
+    essential variables (x_i := x_j for every ordered pair of them), and
+    their essential masks; shared by the gap and the closure."""
+    k, n = f.k, f.n
+    ess = [p - 1 for p in _essential_positions(k, n, f.table)]
+    plan, pairs = _identify_plan(k, n)
+    i, j = np.nonzero(pairs[np.ix_(ess, ess)])
+    tabs = _values(k, f.table)[plan[np.take(ess, i), np.take(ess, j)]]
+    mask = _essential_mask(k, n, tabs)
+    tabs.flags.writeable = mask.flags.writeable = False
+    return tabs, mask
+
+
+# A round of at most this many tables is walked as it is: removing its
+# repeats costs more than walking them.
+_SMALL_ROUND = 32
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,35 +261,38 @@ def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     functions keeps none of them. Callers share the mapping, so it is
     read-only.
 
-    A map sigma is reached when a reached map leads to it by identifying
-    two positions essential in its own table. Every table path of the
-    closure lifts to such a path of maps and every map path projects to a
-    table path, so a minor's depth is the largest depth among the reached
-    maps that give its table.
+    Round d holds the tables that a chain of exactly d identifications
+    reaches, each once (a round of at most ``_SMALL_ROUND`` tables as
+    often as it was reached); one gather gives round d + 1 from it, and a
+    table's depth is the last round that holds it. Every identification
+    makes one more variable fictive, so there are fewer rounds than
+    essential variables, and only reached tables are ever gathered: the
+    cost follows the size of the closure.
     """
     if essential_count(f) < 2:
         return MappingProxyType({})
-    plan = _plan_of(f)
-    ess = _slot_essentials(plan, f.k, f.table)
-    reached = np.zeros(len(plan.gather), dtype=bool)
-    reached[0] = True
-    for src, si, sj, dst in plan.layers:
-        reached[dst[reached[src] & ess[si] & ess[sj]]] = True
-    reached[0] = False
-    rows = np.flatnonzero(reached)
-    tables = _values(f.k, f.table)[plan.gather[rows]].tolist()
-    # maps come in order of depth, so the last write of a table is its deepest
-    return MappingProxyType(dict(zip(map(tuple, tables), plan.depth[rows].tolist())))
-
-
-def _one_step_best(f: FiniteFunction) -> int:
-    """The largest essential count among the one-step identification minors
-    of f, which has at least two essential variables."""
-    plan = _plan_of(f)
-    ess = _slot_essentials(plan, f.k, f.table)
-    src, si, sj, dst = plan.layers[0]
-    counts = np.add.reduceat(ess, plan.map_starts, dtype=np.intp)
-    return int(counts[dst[ess[si] & ess[sj]]].max())
+    k, n = f.k, f.n
+    plan, pairs = _identify_plan(k, n)
+    tabs, mask = _one_step(f)
+    if len(tabs) > _SMALL_ROUND:
+        order, new = _group(k, tabs)
+        tabs, mask = tabs[order[new]], mask[order[new]]
+    found: dict[tuple, int] = {}
+    for depth in itertools.count(1):
+        for p in _chunks(len(tabs), k**n):
+            found.update(dict.fromkeys(map(tuple, tabs[p].tolist()), depth))
+        rows, i, j = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
+        if not len(rows):
+            return MappingProxyType(found)
+        parts = _chunks(len(rows), k**n)
+        if len(parts) == 1:
+            tabs = tabs[rows[:, None], plan[i, j]]
+            if len(tabs) > _SMALL_ROUND:
+                tabs = _distinct(k, tabs)
+        else:
+            (tabs,) = _collect(parts, lambda p: (_distinct(k, tabs[rows[p, None], plan[i[p], j[p]]]),),
+                               lambda t: (_distinct(k, t),))
+        mask = _essential_mask(k, n, tabs)
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:
@@ -278,7 +312,7 @@ def gap(f: FiniteFunction) -> int:
         raise PreconditionError(
             f"arity gap undefined: only {len(ess)} essential variable(s)"
         )
-    return len(ess) - _one_step_best(f)
+    return len(ess) - int(_one_step(f)[1].sum(axis=1).max())
 
 
 def gap_index(f: FiniteFunction) -> int:
@@ -308,7 +342,7 @@ def gap_profile(f: FiniteFunction) -> GapProfile:
     ess = essential_count(f)
     if ess < 2:
         return GapProfile(ess, None, None, None)
-    g = gap(f)
+    g = gap(f)  # the one-step minors, which the closure starts from
     ind = max(_minor_closure(f).values())
     label = (ess, g, f.k) if g >= 2 else None
     return GapProfile(ess, g, ind, label)

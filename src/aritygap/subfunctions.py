@@ -14,14 +14,13 @@ set of some chain state, mapped back to original positions; the empty set
 is always included, and the essential set of f itself (the zero-step
 state) counts as separable.
 
-Every chain state is the image of a slice: a set S of fixed positions,
-all essential in f, with their constants. The closure of one table is a
-numpy kernel over these slices, one gather per level |S|; a slice is
-reached when fixing one of its positions essential in a reached parent
-slice leads to it. The breadth-first
-walks ``_closure_generic`` and ``_closure_symmetric`` (for
-multiset-determined tables, one state per multiset of constants) are kept
-as the oracles the kernel is tested against.
+A chain state is a pair (remaining positions, table); every state of
+order o has arity n - o. The closure of one table is a numpy kernel that
+takes the states a level (an order) at a time, with one gather per level
+for all of the next level's states. The breadth-first walks
+``_closure_generic`` and ``_closure_symmetric`` (for multiset-determined
+tables, one state per multiset of constants) are kept as the oracles the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -31,12 +30,21 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import DomainError, FiniteFunction, PreconditionError
-from .minors import _essential_positions, _points, _values, essential_count, identify
+from .minors import (
+    _chunks,
+    _collect,
+    _essential_mask,
+    _essential_positions,
+    _group,
+    _index_dtype,
+    _values,
+    essential_count,
+    identify,
+)
 from .symmetric import is_symmetric
 
 
@@ -198,152 +206,107 @@ def _closure_symmetric(f: FiniteFunction) -> _Closure:
                     len(found))
 
 
-class _SliceLevel(NamedTuple):
-    gather: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    bits: np.ndarray
-    parent: np.ndarray
-    free: list
+@functools.lru_cache(maxsize=64)
+def _restrict_plan(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """At arity a >= 1: (a, k, k^(a-1)), entry [j, c] indexes a table into
+    its restriction x_j := c (0-based j), and (a, a - 1), row j the
+    positions other than j."""
+    m = np.arange(k**a, dtype=_index_dtype(k**a))
+    index = np.stack([m.reshape(k**j, k, -1).transpose(1, 0, 2).reshape(k, -1) for j in range(a)])
+    keep = np.array([[q for q in range(a) if q != j] for j in range(a)], dtype=np.intp)
+    return index, keep.reshape(a, a - 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _slice_plan(k: int, n: int, ess: tuple[int, ...]) -> list[_SliceLevel]:
-    """The slices at (k, n) of tables whose essential positions are ``ess``
-    (0-based), one level per number o of fixed positions.
+def _states(k: int, n: int, tabs: np.ndarray, bits: np.ndarray):
+    """The distinct (table, remaining positions) rows among ``tabs`` (m, k^a)
+    and ``bits`` (m, a), grouped by table, and for each whether it is the
+    first of its table."""
+    tie = bits.sum(axis=1)
+    order, new = _group(k, tabs, tie, 1 << n)
+    t = tie[order]
+    keep = new.copy()
+    keep[1:] |= t[1:] != t[:-1]
+    pick = order[keep]
+    return tabs[pick], bits[pick], new[keep]
 
-    A fictive position stays fictive in every subfunction, so only essential
-    positions are ever fixed. Row s * k^o + c of level o fixes the o-subset
-    number s of ``ess`` (in combinations order) to the constants with index
-    c (in table order); its table lists the free positions, fictive ones
-    included, in table order. Per level:
 
-    * ``gather`` (rows, k^(n-o)): the slice tables as indices into f's;
-    * ``pair_a``, ``pair_b`` (rows, |ess| - o, L): for each free position of
-      ``ess``, every point of the slice with it != 0 and the same point with
-      it := 0, so it is essential in the slice exactly when they differ;
-    * ``bits`` (rows, |ess| - o): 1 << the original position of each;
-    * ``parent`` (rows, o): for each fixed position p, the parent slice
-      with p free, as a flat index into the parent level's essential array
-      at p;
-    * ``free``: per subset, the 1-based free positions.
+def _closure_levels(k: int, n: int, table: tuple):
+    """The states of the closure of one table, a level at a time: per
+    number o of fixed positions, (o, the remaining positions as bits
+    1 << p, 0-based, (m, n - o), the tables (m, k^(n-o)), their essential
+    masks (m, n - o), whether each is the first state of its table).
+
+    The states of a level are the distinct (remaining positions, table)
+    pairs that the breadth-first walk reaches; one gather gives all of the
+    next level's. Only reached states are ever gathered, so the cost
+    follows the size of the closure.
     """
-    weights = k ** np.arange(n - 1, -1, -1)
-    plan = []
-    prev = {}
-    for o in range(len(ess) + 1):
-        a, e = n - o, len(ess) - o
-        subsets = list(itertools.combinations(ess, o))
-        free = [tuple(p for p in range(n) if p not in fixed) for fixed in subsets]
-        checked = [tuple(j for j, p in enumerate(rest) if p in ess) for rest in free]
-        consts, points = _points(k, o), _points(k, a)
-        fixed_part = consts @ weights[np.array(subsets, dtype=np.intp)].T  # (k^o, C)
-        free_part = points @ weights[np.array(free, dtype=np.intp)].T  # (k^a, C)
-        pairs = {}  # local indices of the checked positions -> their point pairs
-        for local in checked:
-            if local not in pairs:
-                pa = [np.flatnonzero(points[:, j]) for j in local]
-                pb = [pa_j - points[pa_j, j] * k ** (a - 1 - j) for pa_j, j in zip(pa, local)]
-                pairs[local] = (np.concatenate(pa or [[]]), np.concatenate(pb or [[]]))
-        shape = (len(subsets) * k**o, e, k ** (a - 1) * (k - 1) if e else 0)
-        rows = np.arange(len(subsets))[:, None]
-        pair_a, pair_b = (
-            (fixed_part.T[:, :, None] + free_part.T[rows, np.array(side, dtype=np.intp)][:, None, :])
-            .reshape(shape)
-            for side in zip(*(pairs[local] for local in checked))
-        )
-        gather = fixed_part.T[:, :, None] + free_part.T[:, None, :]  # (C, k^o, k^a)
-        bits = np.array([[1 << rest[j] for j in local] for rest, local in zip(free, checked)],
-                        dtype=np.int64).reshape(len(subsets), e)
-        # the parent without fixed position j: its subset, its constants
-        # (digit j dropped), and p's place among its free positions of ess
-        up = np.array([[prev[fixed[:j] + fixed[j + 1 :]] for j in range(o)] for fixed in subsets],
-                      dtype=np.intp).reshape(len(subsets), o)
-        place = np.array([[ess.index(p) - j for j, p in enumerate(fixed)] for fixed in subsets],
-                         dtype=np.intp).reshape(len(subsets), o)
-        c = np.arange(k**o)[:, None]
-        j = np.arange(o)
-        c_up = c // k ** (o - j) * k ** (o - 1 - j) + c % k ** (o - 1 - j)  # (k^o, o)
-        parent = ((up[:, None, :] * k ** (o - 1) + c_up) * (e + 1) + place[:, None, :])
-        prev = {fixed: s for s, fixed in enumerate(subsets)}
-        plan.append(_SliceLevel(gather.reshape(-1, k**a), pair_a, pair_b,
-                                np.repeat(bits, k**o, axis=0),
-                                parent.reshape(len(subsets) * k**o, o),
-                                [tuple(p + 1 for p in rest) for rest in free]))
-    return plan
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))[None]
+    tabs = _values(k, table)[None]
+    first = np.ones(1, dtype=bool)
+    for o in range(n + 1):
+        a = n - o
+        mask = _essential_mask(k, a, tabs)
+        yield o, bits, tabs, mask, first
+        rows, j = np.nonzero(mask)
+        if not len(rows):
+            return
+        if a == 1:
+            # fixing the last position leaves a value and no position
+            values = np.flatnonzero(np.bincount(tabs[rows].ravel(), minlength=k))
+            tabs = values.astype(tabs.dtype)[:, None]
+            bits = np.zeros((len(values), 0), dtype=np.int64)
+            first = np.ones(len(values), dtype=bool)
+            continue
+        index, keep = _restrict_plan(k, a)
+        tabs, bits, first = _collect(
+            _chunks(len(rows), k**a),
+            lambda p: _states(k, n, tabs[rows[p, None, None], index[j[p]]].reshape(-1, k ** (a - 1)),
+                              np.repeat(bits[rows[p, None], keep[j[p]]], k, axis=0)),
+            lambda t, b, _: _states(k, n, t, b))
 
 
-def _slice_levels(k: int, n: int, table: tuple):
-    """Per level o with a reached slice: (o, its plan, the slice tables, which
-    slices are reached, each slice's essential positions as a bit mask)."""
-    t = _values(k, table)
-    ess = tuple(p - 1 for p in _essential_positions(k, n, table))
-    for o, level in enumerate(_slice_plan(k, n, ess)):
-        if o == 0:
-            reached = np.ones(1, dtype=bool)
-        else:
-            reached = alive.ravel()[level.parent].any(axis=1)
-            if not reached.any():
-                return
-        ess_free = (t[level.pair_a] != t[level.pair_b]).any(axis=2)
-        alive = ess_free & reached[:, None]
-        yield o, level, t[level.gather], reached, (ess_free * level.bits).sum(axis=1)
-
-
-def _distinct_rows(rows: np.ndarray) -> int:
-    """How many distinct rows, by sorting each row's bytes (``np.unique`` on
-    such a view imports ``numpy.ma``, 10-15 ms on first use)."""
-    keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-    return int(len(keys) > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
-@functools.lru_cache(maxsize=16)
-def _mask_sets(n: int) -> tuple[frozenset[int], ...]:
-    """The 1-based position set of each bit mask over n positions."""
-    return tuple(frozenset(p + 1 for p in range(n) if m >> p & 1) for m in range(1 << n))
-
-
-def _slice_closure(k: int, n: int, table: tuple) -> _Closure:
-    """The closure of one table from its reached slices: a state per distinct
-    (free positions, table) image. A non-constant table has arity n - o, so
-    tables of different levels never meet; constants count by value."""
+def _level_closure(k: int, n: int, table: tuple) -> _Closure:
+    """The closure of one table from the states of its levels. A
+    non-constant table of level o has arity n - o, so tables of different
+    levels never meet; constants count by value."""
     separable = np.zeros(1 << n, dtype=bool)
     separable[0] = True  # the empty set always counts
     constants = np.zeros(k, dtype=bool)
     count = 0
-    for o, _, tabs, reached, mask in _slice_levels(k, n, table):
-        separable[mask[reached]] = True
+    for o, bits, tabs, mask, first in _closure_levels(k, n, table):
+        ess = (mask * bits).sum(axis=1)
+        separable[ess] = True
         if o:
-            constants[tabs[reached & (mask == 0), 0]] = True
-            count += _distinct_rows(tabs[reached & (mask != 0)])
-    sets = _mask_sets(n)
-    return _Closure(functools.partial(_slice_records, k, n, table),
-                    frozenset(sets[m] for m in np.flatnonzero(separable).tolist()),
+            const = ess == 0
+            constants[tabs[const, 0]] = True
+            count += int(np.count_nonzero(first[~const]))
+    sets = [frozenset(p + 1 for p in range(n) if m >> p & 1)
+            for m in np.flatnonzero(separable).tolist()]
+    return _Closure(functools.partial(_level_records, k, n, table), frozenset(sets),
                     count + int(constants.sum()))
 
 
-def _slice_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...]:
-    """The records of a closure. A record's ``remaining_vars`` are the free
-    positions of the first reached slice (in level order, then row order)
-    that gives its table: at level n - arity for a non-constant table, at
-    the deepest level reaching its value for a constant."""
+def _level_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...]:
+    """The records of a closure. A record's ``remaining_vars`` are those of
+    a state that gives its table: at level n - arity for a non-constant
+    table, at the deepest level reaching its value for a constant."""
     found: dict = {}
-    for o, level, tabs, reached, mask in _slice_levels(k, n, table):
+    for o, bits, tabs, mask, _ in _closure_levels(k, n, table):
         if o == 0:
             continue
-        for r in np.flatnonzero(reached).tolist():
-            row = tuple(tabs[r].tolist())
-            rem = level.free[r // k**o]
-            if mask[r]:
-                found.setdefault(("table", n - o, row), [o, rem])
-            elif found.get(("const", row[0]), (0,))[0] < o:
+        rems = [tuple(b.bit_length() for b in row) for row in bits.tolist()]
+        for row, rem, live in zip(tabs.tolist(), rems, mask.any(axis=1).tolist()):
+            if live:
+                found.setdefault(("table", n - o, tuple(row)), [o, rem])
+            else:
                 found[("const", row[0])] = [o, rem]
     return _build_records(k, found)
 
 
 @functools.lru_cache(maxsize=1 << 10)
 def _closure_cached(k: int, n: int, table: tuple) -> _Closure:
-    return _slice_closure(k, n, table)
+    return _level_closure(k, n, table)
 
 
 def subfunction_closure(f: FiniteFunction) -> _Closure:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from table_strategies import kernel_cases
 
 from aritygap import (
     FiniteFunction,
@@ -274,28 +274,6 @@ def test_minor_closure_memo_keeps_no_earlier_instance():
     assert _minor_closure.cache_info().misses == misses + 1
 
 
-@st.composite
-def kernel_cases(draw):
-    """A (k, n) with k^n <= 256 and a table there: uniform, over two values,
-    totally symmetric, symmetric in x_1 and x_2, with forced fictive
-    positions, or constant."""
-    k = draw(st.integers(2, 4))
-    n = draw(st.integers(0, 5 if k < 4 else 4))
-    kind = draw(st.sampled_from(("raw", "binary", "symmetric", "pair", "fictive", "constant")))
-    points = list(iter_points(k, n))
-    top = 1 if kind == "binary" else k - 1
-    values = draw(st.lists(st.integers(0, top), min_size=len(points), max_size=len(points)))
-    fictive = draw(st.sets(st.integers(0, n - 1))) if n else set()
-    canon = {
-        "symmetric": lambda p: tuple(sorted(p)),
-        "pair": lambda p: tuple(sorted(p[:2])) + p[2:],
-        "fictive": lambda p: tuple(0 if i in fictive else c for i, c in enumerate(p)),
-        "constant": lambda p: points[0],
-    }.get(kind, lambda p: p)
-    index = {p: m for m, p in enumerate(points)}
-    return FiniteFunction(k, n, [values[index[canon(p)]] for p in points])
-
-
 @given(kernel_cases())
 @settings(max_examples=60, deadline=None)
 def test_minor_kernel_equals_oracle(f):
@@ -309,8 +287,8 @@ def test_minor_kernel_equals_oracle(f):
 
 
 def test_minor_kernel_on_a_wide_table_with_two_essential_variables():
-    # the plan maps only the essential positions, so 12 arguments cost
-    # no more than 2
+    # only reached minors are gathered, so 12 arguments with 2 essential
+    # cost one round
     f = FiniteFunction.from_callable(2, 12, lambda *x: x[3] ^ x[9])
     assert {r.function: r.depth for r in all_minors(f)} == oracle_minor_closure(f)
     assert (gap(f), gap_index(f)) == (2, 1)
@@ -325,3 +303,73 @@ def test_minor_kernel_equals_oracle_on_every_binary_ternary_table():
         f = FiniteFunction(2, 3, [(idx >> i) & 1 for i in range(8)])
         got = {FiniteFunction(2, 3, t): d for t, d in _minor_closure(f).items()}
         assert got == oracle_minor_closure(f), f
+
+
+def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
+    # gathers split into many parts, every round made distinct, and
+    # minors merged across parts
+    from aritygap import minors
+
+    monkeypatch.setattr(minors, "_CHUNK", 16)
+    monkeypatch.setattr(minors, "_SMALL_ROUND", 0)
+    rng = random.Random(11)
+    cases = [FiniteFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
+             for k, n in ((2, 4), (3, 3), (2, 5), (4, 3), (3, 4)) for _ in range(5)]
+    cases += [DOUBLE4, ORBIT3, FiniteFunction.from_callable(2, 5, lambda *x: sum(x) % 2)]
+    for f in cases:
+        got = {FiniteFunction(f.k, f.n, t): d for t, d in minors._minor_closure.__wrapped__(f).items()}
+        assert got == oracle_minor_closure(f), f
+
+
+def test_minor_kernel_on_wide_parity_stays_small():
+    # every variable of x_1 + ... + x_10 mod 2 is essential, but
+    # identifying two of them drops both: the closure is the 511 parities
+    # of 10 - 2d variables, at depth d, where an enumeration of the
+    # idempotent maps of 10 positions would take 2 237 921 of them
+    import tracemalloc
+
+    import numpy as np
+
+    from aritygap.minors import _minor_closure
+
+    f = FiniteFunction.from_callable(2, 10, lambda *x: sum(x) % 2)
+    tracemalloc.start()
+    try:
+        assert gap(f) == 2
+        depths = _minor_closure.__wrapped__(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    points = np.array(list(iter_points(2, 10)))
+    expected = {}
+    for bits in range(2**10 - 1):
+        kept = [(bits >> p) & 1 for p in range(10)]
+        if (10 - sum(kept)) % 2 == 0:
+            expected[tuple((points @ kept % 2).tolist())] = (10 - sum(kept)) // 2
+    assert dict(depths) == expected
+    assert max(depths.values()) == 5
+
+
+def test_grouping_is_exact_when_hashes_collide(monkeypatch):
+    # rows too wide for an exact key are grouped by a hash; with every
+    # hash equal, by their bytes
+    import numpy as np
+
+    from aritygap import minors
+
+    rng = np.random.default_rng(4)
+    tabs = rng.integers(0, 2, (300, 70)).astype(np.uint8)
+    tabs[150:] = tabs[rng.integers(0, 150, 150)]
+    tie = rng.integers(0, 3, 300)
+    want = {(tuple(r), t) for r, t in zip(tabs.tolist(), tie.tolist())}
+    for weights in (minors._hash_weights, lambda w: np.zeros(w, dtype=np.int64)):
+        monkeypatch.setattr(minors, "_hash_weights", weights)
+        order, new = minors._group(2, tabs, tie, 3)
+        rows = [(tuple(tabs[m].tolist()), int(tie[m])) for m in order]
+        assert sorted(set(rows)) == sorted(want)
+        # new marks each change of table, and each table is one run, its
+        # rows ordered by their ties
+        assert new[0] and all(n == (a[0] != b[0]) for a, b, n in zip(rows, rows[1:], new[1:]))
+        assert sum(new) == len({r[0] for r in rows})
+        assert all(a[1] <= b[1] for a, b, n in zip(rows, rows[1:], new[1:]) if not n)

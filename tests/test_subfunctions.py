@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from table_strategies import kernel_cases
 
 from aritygap import (
     DomainError,
@@ -250,28 +251,6 @@ def test_reduced_convention_can_push_sub_below_sep():
     assert report.sub_count < report.sep_count
 
 
-@st.composite
-def kernel_cases(draw):
-    """A (k, n) with k^n <= 256 and a table there: uniform, over two values,
-    totally symmetric, symmetric in x_1 and x_2, with forced fictive
-    positions, or constant."""
-    k = draw(st.integers(2, 4))
-    n = draw(st.integers(0, 5 if k < 4 else 4))
-    kind = draw(st.sampled_from(("raw", "binary", "symmetric", "pair", "fictive", "constant")))
-    points = list(iter_points(k, n))
-    top = 1 if kind == "binary" else k - 1
-    values = draw(st.lists(st.integers(0, top), min_size=len(points), max_size=len(points)))
-    fictive = draw(st.sets(st.integers(0, n - 1))) if n else set()
-    canon = {
-        "symmetric": lambda p: tuple(sorted(p)),
-        "pair": lambda p: tuple(sorted(p[:2])) + p[2:],
-        "fictive": lambda p: tuple(0 if i in fictive else c for i, c in enumerate(p)),
-        "constant": lambda p: points[0],
-    }.get(kind, lambda p: p)
-    index = {p: m for m, p in enumerate(points)}
-    return FiniteFunction(k, n, [values[index[canon(p)]] for p in points])
-
-
 def record_keys(closure):
     return sorted((r.function.n, r.function.table, r.max_order) for r in closure.records)
 
@@ -299,7 +278,7 @@ def closure_states(f):
     return {(rem, g.table[:1] if g.is_constant() else g.table) for rem, g in states}
 
 
-def assert_slice_kernel_equals_the_closures(f):
+def assert_closure_kernel_equals_the_oracles(f):
     kernel = _closure_cached.__wrapped__(f.k, f.n, f.table)
     oracles = [_closure_generic(f)]
     if is_totally_symmetric(f):
@@ -308,8 +287,8 @@ def assert_slice_kernel_equals_the_closures(f):
         assert kernel.sub_count == oracle.sub_count == len(oracle.records)
         assert (kernel.separable, kernel.sep_count) == (oracle.separable, oracle.sep_count)
         assert record_keys(kernel) == record_keys(oracle)
-    # remaining_vars names the reached slice a record was read from: a state
-    # of the breadth-first closure with n - max_order positions free, whose
+    # remaining_vars names the state a record was read from: a state of
+    # the breadth-first closure with n - max_order positions free, whose
     # table some fixing of the other positions gives
     states = closure_states(f)
     for r in kernel.records:
@@ -322,22 +301,55 @@ def assert_slice_kernel_equals_the_closures(f):
 
 @given(kernel_cases())
 @settings(max_examples=80, deadline=None)
-def test_slice_kernel_equals_the_closures(f):
-    assert_slice_kernel_equals_the_closures(f)
+def test_closure_kernel_equals_the_oracles(f):
+    assert_closure_kernel_equals_the_oracles(f)
 
 
-def test_slice_kernel_on_a_wide_table_with_two_essential_variables():
+def test_closure_kernel_on_a_wide_table_with_two_essential_variables():
     # only essential positions are ever fixed, so 8 arguments cost no more
     # than 2
-    assert_slice_kernel_equals_the_closures(
+    assert_closure_kernel_equals_the_oracles(
         FiniteFunction.from_callable(3, 8, lambda *x: (x[1] + 2 * x[6]) % 3 == 0)
     )
 
 
-def test_slice_kernel_equals_generic_on_every_binary_ternary_table():
+def test_closure_kernel_equals_generic_on_every_binary_ternary_table():
     # every table, among them those where fixing one variable makes another
     # fictive
     for idx in range(2**8):
-        assert_slice_kernel_equals_the_closures(
+        assert_closure_kernel_equals_the_oracles(
             FiniteFunction(2, 3, [(idx >> i) & 1 for i in range(8)])
         )
+
+
+def test_closure_kernel_in_small_chunks_equals_the_oracles(monkeypatch):
+    # gathers split into many parts, whose states are merged across parts
+    from aritygap import minors
+
+    monkeypatch.setattr(minors, "_CHUNK", 30)
+    rng = random.Random(12)
+    cases = [FiniteFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
+             for k, n in ((2, 4), (3, 3), (2, 5), (4, 3), (3, 4))]
+    cases.append(FiniteFunction.from_callable(3, 4, lambda *x: max(x) if min(x) else 0))
+    for f in cases:
+        assert_closure_kernel_equals_the_oracles(f)
+
+
+def test_closure_kernel_on_wide_parity_follows_the_closure():
+    # the states of x_1 + ... + x_12 mod 2 are one parity and its
+    # complement per set of free positions: 2 * 2^12 of them, where the
+    # slices (fixed positions and constants) number 3^12
+    import tracemalloc
+
+    f = FiniteFunction.from_callable(2, 12, lambda *x: sum(x) % 2)
+    tracemalloc.start()
+    try:
+        kernel = _closure_cached.__wrapped__(f.k, f.n, f.table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    oracle = _closure_symmetric(f)
+    assert (kernel.sub_count, kernel.separable) == (oracle.sub_count, oracle.separable) == (
+        24, frozenset(frozenset(s) for m in range(13) for s in itertools.combinations(range(1, 13), m)))
+    assert record_keys(kernel) == record_keys(oracle)
