@@ -150,8 +150,9 @@ def _essential_mask(k: int, n: int, tabs: np.ndarray) -> np.ndarray:
         t = rows[:, index]
         return (t[:, :half] != t[:, half:]).reshape(len(rows), n, -1).any(axis=2)
 
-    parts = _chunks(len(tabs), len(index))
-    return mask(tabs) if len(parts) == 1 else np.concatenate([mask(tabs[p]) for p in parts])
+    if len(tabs) * len(index) <= _CHUNK:
+        return mask(tabs)
+    return np.concatenate([mask(tabs[p]) for p in _chunks(len(tabs), len(index))])
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,6 +163,12 @@ def _hash_weights(width: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return ((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64)
+
+
+@functools.lru_cache(maxsize=256)
+def _powers(k: int, w: int) -> np.ndarray:
+    """k^(w-1), ..., k, 1: a table's base-k number as a dot product."""
+    return k ** np.arange(w - 1, -1, -1, dtype=np.int64)
 
 
 def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
@@ -179,7 +186,7 @@ def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
     """
     w = tabs.shape[1]
     if w * (k - 1).bit_length() + (span - 1).bit_length() <= 63:
-        key = tabs @ (k ** np.arange(w - 1, -1, -1, dtype=np.int64))
+        key = tabs @ _powers(k, w)
         if tie is not None:
             key = key * span + tie
         order = np.argsort(key, kind="stable")
@@ -231,16 +238,23 @@ def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return m + (digits[None] - digits[:, None]) * steps[:, None, None], ~np.eye(n, dtype=bool)
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_rows(k: int, n: int, ess: tuple[int, ...]) -> np.ndarray:
+    """The rows of the identification plan for x_i := x_j, i != j both in
+    the 1-based positions ``ess``."""
+    plan, _ = _identify_plan(k, n)
+    pos = np.array(ess, dtype=np.intp) - 1
+    i, j = np.nonzero(~np.eye(len(ess), dtype=bool))
+    return plan[pos[i], pos[j]]
+
+
 @functools.lru_cache(maxsize=4)
 def _one_step(f: FiniteFunction) -> tuple[np.ndarray, np.ndarray]:
     """The one-step identification minors of f, which has at least two
     essential variables (x_i := x_j for every ordered pair of them), and
     their essential masks; shared by the gap and the closure."""
     k, n = f.k, f.n
-    ess = [p - 1 for p in _essential_positions(k, n, f.table)]
-    plan, pairs = _identify_plan(k, n)
-    i, j = np.nonzero(pairs[np.ix_(ess, ess)])
-    tabs = _values(k, f.table)[plan[np.take(ess, i), np.take(ess, j)]]
+    tabs = _values(k, f.table)[_pair_rows(k, n, _essential_positions(k, n, f.table))]
     mask = _essential_mask(k, n, tabs)
     tabs.flags.writeable = mask.flags.writeable = False
     return tabs, mask
@@ -249,6 +263,20 @@ def _one_step(f: FiniteFunction) -> tuple[np.ndarray, np.ndarray]:
 # A round of at most this many tables is walked as it is: removing its
 # repeats costs more than walking them.
 _SMALL_ROUND = 32
+
+
+def _next_round(k: int, n: int, tabs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The minors x_i := x_j of the tables ``tabs`` for every pair i != j
+    of positions essential in them (``mask``): each once, or as often as
+    they come when there are at most ``_SMALL_ROUND``."""
+    plan, pairs = _identify_plan(k, n)
+    rows, i, j = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
+    parts = _chunks(len(rows), k**n)
+    if len(parts) <= 1:
+        kids = tabs[rows[:, None], plan[i, j]]
+        return _distinct(k, kids) if len(kids) > _SMALL_ROUND else kids
+    return _collect(parts, lambda p: (_distinct(k, tabs[rows[p, None], plan[i[p], j[p]]]),),
+                    lambda t: (_distinct(k, t),))[0]
 
 
 @functools.lru_cache(maxsize=4)
@@ -272,27 +300,23 @@ def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
     if essential_count(f) < 2:
         return MappingProxyType({})
     k, n = f.k, f.n
-    plan, pairs = _identify_plan(k, n)
     tabs, mask = _one_step(f)
     if len(tabs) > _SMALL_ROUND:
         order, new = _group(k, tabs)
         tabs, mask = tabs[order[new]], mask[order[new]]
     found: dict[tuple, int] = {}
+    most = int(mask.sum(axis=1).max())  # essential variables of the round at most
     for depth in itertools.count(1):
         for p in _chunks(len(tabs), k**n):
             found.update(dict.fromkeys(map(tuple, tabs[p].tolist()), depth))
-        rows, i, j = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
-        if not len(rows):
+        if most < 2:
             return MappingProxyType(found)
-        parts = _chunks(len(rows), k**n)
-        if len(parts) == 1:
-            tabs = tabs[rows[:, None], plan[i, j]]
-            if len(tabs) > _SMALL_ROUND:
-                tabs = _distinct(k, tabs)
-        else:
-            (tabs,) = _collect(parts, lambda p: (_distinct(k, tabs[rows[p, None], plan[i[p], j[p]]]),),
-                               lambda t: (_distinct(k, t),))
-        mask = _essential_mask(k, n, tabs)
+        tabs = _next_round(k, n, tabs, mask)
+        # a minor has fewer essential variables than its table
+        most -= 1
+        if most >= 2:
+            mask = _essential_mask(k, n, tabs)
+            most = int(mask.sum(axis=1).max())
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:

@@ -230,6 +230,27 @@ def _states(k: int, n: int, tabs: np.ndarray, bits: np.ndarray):
     return tabs[pick], bits[pick], new[keep]
 
 
+def _next_level(k: int, n: int, tabs: np.ndarray, bits: np.ndarray, mask: np.ndarray):
+    """The states that fixing one more essential position gives, from the
+    states (``tabs``, ``bits``) of one level with their essential masks:
+    (tables, remaining positions as bits, first of its table), each state
+    once."""
+    a = bits.shape[1]
+    rows, j = np.nonzero(mask)
+    if a == 1:
+        # fixing the last position leaves a value and no position
+        values = np.flatnonzero(np.bincount(tabs[rows].ravel(), minlength=k))
+        return (values.astype(tabs.dtype)[:, None], np.zeros((len(values), 0), dtype=np.int64),
+                np.ones(len(values), dtype=bool))
+    index, keep = _restrict_plan(k, a)
+
+    def make(p):
+        kids = tabs[rows[p, None, None], index[j[p]]].reshape(-1, k ** (a - 1))
+        return _states(k, n, kids, np.repeat(bits[rows[p, None], keep[j[p]]], k, axis=0))
+
+    return _collect(_chunks(len(rows), k**a), make, lambda t, b, _: _states(k, n, t, b))
+
+
 def _closure_levels(k: int, n: int, table: tuple):
     """The states of the closure of one table, a level at a time: per
     number o of fixed positions, (o, the remaining positions as bits
@@ -245,25 +266,11 @@ def _closure_levels(k: int, n: int, table: tuple):
     tabs = _values(k, table)[None]
     first = np.ones(1, dtype=bool)
     for o in range(n + 1):
-        a = n - o
-        mask = _essential_mask(k, a, tabs)
+        mask = _essential_mask(k, n - o, tabs)
         yield o, bits, tabs, mask, first
-        rows, j = np.nonzero(mask)
-        if not len(rows):
+        if not mask.any():
             return
-        if a == 1:
-            # fixing the last position leaves a value and no position
-            values = np.flatnonzero(np.bincount(tabs[rows].ravel(), minlength=k))
-            tabs = values.astype(tabs.dtype)[:, None]
-            bits = np.zeros((len(values), 0), dtype=np.int64)
-            first = np.ones(len(values), dtype=bool)
-            continue
-        index, keep = _restrict_plan(k, a)
-        tabs, bits, first = _collect(
-            _chunks(len(rows), k**a),
-            lambda p: _states(k, n, tabs[rows[p, None, None], index[j[p]]].reshape(-1, k ** (a - 1)),
-                              np.repeat(bits[rows[p, None], keep[j[p]]], k, axis=0)),
-            lambda t, b, _: _states(k, n, t, b))
+        tabs, bits, first = _next_level(k, n, tabs, bits, mask)
 
 
 def _level_closure(k: int, n: int, table: tuple) -> _Closure:
