@@ -273,25 +273,33 @@ def _closure_levels(k: int, n: int, table: tuple):
         tabs, bits, first = _next_level(k, n, tabs, bits, mask)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _position_set(mask: int) -> frozenset[int]:
+    """The 1-based positions of the bits of ``mask``."""
+    return frozenset(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
+
+
 def _level_closure(k: int, n: int, table: tuple) -> _Closure:
     """The closure of one table from the states of its levels. A
     non-constant table of level o has arity n - o, so tables of different
     levels never meet; constants count by value."""
     separable = np.zeros(1 << n, dtype=bool)
     separable[0] = True  # the empty set always counts
-    constants = np.zeros(k, dtype=bool)
-    count = 0
-    for o, bits, tabs, mask, first in _closure_levels(k, n, table):
-        ess = (mask * bits).sum(axis=1)
-        separable[ess] = True
+    # per state below f: its essential positions, first entry, and whether
+    # it is the first state of its table
+    ess, values, first = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=bool)]
+    for o, bits, tabs, mask, head in _closure_levels(k, n, table):
+        e = (mask * bits).sum(axis=1)
+        separable[e] = True
         if o:
-            const = ess == 0
-            constants[tabs[const, 0]] = True
-            count += int(np.count_nonzero(first[~const]))
-    sets = [frozenset(p + 1 for p in range(n) if m >> p & 1)
-            for m in np.flatnonzero(separable).tolist()]
-    return _Closure(functools.partial(_level_records, k, n, table), frozenset(sets),
-                    count + int(constants.sum()))
+            ess.append(e)
+            values.append(tabs[:, 0])
+            first.append(head)
+    const = np.concatenate(ess) == 0
+    count = np.count_nonzero(np.concatenate(first)[~const]) + np.count_nonzero(
+        np.bincount(np.concatenate(values)[const], minlength=k))
+    sets = frozenset(map(_position_set, np.flatnonzero(separable).tolist()))
+    return _Closure(functools.partial(_level_records, k, n, table), sets, int(count))
 
 
 def _level_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...]:
