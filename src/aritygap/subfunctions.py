@@ -287,7 +287,9 @@ def _level_closure(k: int, n: int, table: tuple) -> _Closure:
     separable[0] = True  # the empty set always counts
     # per state below f: its essential positions, first entry, and whether
     # it is the first state of its table
-    ess, values, first = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=bool)]
+    ess = [np.zeros(0, dtype=np.int64)]
+    values = [np.zeros(0, dtype=np.intp)]
+    first = [np.zeros(0, dtype=bool)]
     for o, bits, tabs, mask, head in _closure_levels(k, n, table):
         e = (mask * bits).sum(axis=1)
         separable[e] = True

@@ -317,7 +317,8 @@ def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
              for k, n in ((2, 4), (3, 3), (2, 5), (4, 3), (3, 4)) for _ in range(5)]
     cases += [DOUBLE4, ORBIT3, FiniteFunction.from_callable(2, 5, lambda *x: sum(x) % 2)]
     for f in cases:
-        got = {FiniteFunction(f.k, f.n, t): d for t, d in minors._minor_closure.__wrapped__(f).items()}
+        depths = minors._minor_closure.__wrapped__(f)
+        got = {FiniteFunction(f.k, f.n, t): d for t, d in depths.items()}
         assert got == oracle_minor_closure(f), f
 
 
