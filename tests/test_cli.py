@@ -235,6 +235,37 @@ def test_verify_workers_cap_follows_cpu_count(capsys, monkeypatch):
     assert run_cli(capsys, *argv, "1")[0] == 0
 
 
+PER_INSTANCE_REPORTS = [
+    (('verify', 'lemma2_2', '-k', '3', '-n', '3'), 0,
+     "a21f41057be9e0db9b1ea6a71e4541acb201f4e4115cd112a843ce03f0473d05"),
+    (('verify', 'lemma2_2', '-k', '4', '-n', '3'), 0,
+     "374b8d37dc68fa5af5727f21c67eaddfedc3f511f65d1891f8249a12c5976fea"),
+    (('verify', 'lemma2_2', '-k', '3', '-n', '4'), 0,
+     "f4b232fd81f234daacb66e0555aeb75743a4fd2f5b5ca3bd35554a1458058e04"),
+    (('verify', 'lemma2_2', '-k', '4', '-n', '4', '--mode', 'sample', '--seed', '1',
+      '--sample', '300'), 0,
+     "e30e19804ae550d1bdaa6080456d2df68f1c356e23949b5362b556c0f958e160"),
+    (('verify', 'remark2_1', '-k', '3', '-n', '3'), 0,
+     "06b99edcc1033039565e036e20bc07145b4d743592038be1327e96d714e490d2"),
+    (('verify', 'remark2_1', '-k', '4', '-n', '3'), 0,
+     "ebe6314fe867adb75e0fc9457185efba75d56bf9eedcadead088ca48e5059088"),
+    (('verify', 'remark2_1', '-k', '3', '-n', '4'), 0,
+     "f717b2f19a4c336870390519d96db0892f40efb09b745b53e8d101234cccdc45"),
+    (('verify', 'remark2_1', '-k', '4', '-n', '4', '--mode', 'sample', '--seed', '1',
+      '--sample', '300'), 0,
+     "fe394f9726286422fb6a2390bd3caf774a49804db89e5e2949007010b8a0a658"),
+    (('verify', 'lemma2_3', '-k', '2', '-n', '4'), 0,
+     "0ed5c44b0a7d2093eb9f9413e3e117e77aa76adda123178a6df57028d272b98e"),
+    (('verify', 'lemma2_3', '-k', '3', '-n', '4', '--seed', '1'), 0,
+     "228846a5d01adf170476d6affe6bd07a13aefd200598336a04a7a48955321a78"),
+    (('verify', 'willard', '-k', '2', '-n', '3', '--seed', '2026', '--sample', '10000'), 0,
+     "446506fa13a861f270b95183abd4d57914f7502ce251d8933c3a0beddcd37c59"),
+    (('verify', 'willard', '-k', '3', '-n', '2', '--seed', '1', '--sample', '4001'), 0,
+     "fd198c29261797864988ab740911a93c3dfe353149128cab6be76c3375cfa3f4"),
+    (('verify', 'willard', '-k', '3', '-n', '3', '--seed', '1'), 0,
+     "f0328776294f52c28d41c86db89849d5d15cd6e66fdd174a61ad4d559d879b87"),
+]
+
 # sha256 of the JSON reports, recorded before the census counted in closed
 # form; every report must stay byte-identical
 GOLDEN_REPORTS = [
@@ -329,6 +360,9 @@ GOLDEN_REPORTS = [
      "8c577711b1bb4b1821bb9ba89003e47aa2b03b38d777f30873533f8773598487"),
     (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'json'), 0,
      "3f160fc1965154c4794c97a92e6eb06e1ca404fd24724267b3e1a776ab650a54"),
+    # recorded while these four suites still checked every instance, with
+    # one worker and with two
+    *PER_INSTANCE_REPORTS,
 ]
 
 
@@ -373,6 +407,14 @@ def test_golden_reports(tmp_path, capsys, argv, exit_code, digest):
     if "--format" not in argv:
         argv += ["--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", PER_INSTANCE_REPORTS)
+def test_golden_reports_with_two_workers(capsys, monkeypatch, argv, exit_code, digest):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    code, out, _ = run_cli(capsys, *argv, "--workers", "2", "--format", "json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
