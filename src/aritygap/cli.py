@@ -9,6 +9,7 @@ validation error. Identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -274,7 +275,9 @@ def _worker_count(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="aritygap",
         description=(
@@ -326,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sample", type=_int_at_least(1), default=None)
-    p.add_argument("--workers", type=_worker_count, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="accepted; every suite runs in one process")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument(
         "--stats", action="store_true",
@@ -339,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     return args.fn(args)

@@ -1,4 +1,4 @@
-"""Batched facts about chunks of symmetric functions, for the suite screens.
+"""Batched facts about chunks of functions, for the suite screens.
 
 A chunk is an (N, C(k+n-1, n)) uint8 array of multiset specs, one row per
 function, in the canonical multiset order. :class:`SpecFacts` computes, for
@@ -20,14 +20,18 @@ every row at once, the facts that the symmetric claims are about:
   F_lambda(y) = s(y_1^l1 ... y_r^lr) up to a relabeling of its variables,
   lambda a partition of n, and identifying two essential variables merges
   two essential parts. Every path of the table closure lifts to a path of
-  shapes and back, so the longest merge chain is the gap index, and a
-  shape's gap is its essential count minus the best among its children.
+  shapes and back, so the longest merge chain is the gap index, a shape's
+  gap is its essential count minus the best among its children, and every
+  minor is symmetric exactly when every reached F_lambda is symmetric in its
+  essential parts.
 
-:func:`slice_flags` screens raw value tables for the restriction claim of
-Lemma 2.1 by testing every fixing of (positions, constants).
+:class:`TableFacts` computes (ess, gap) for a chunk of raw value tables
+from their essential masks and one-step minors. :func:`slice_flags`
+screens raw value tables for the restriction claim of Lemma 2.1 by testing
+every fixing of (positions, constants).
 
-``SCREENS`` turns the facts into each symmetric suite's claim: per row, the
-instance flag, the violation count and the subcase counts.
+``SCREENS`` turns the facts into each population suite's claim: per row,
+the instance flag, the violation count and the subcase counts.
 
 Gathers are built on first use and cached per (k, n, o) or per shape;
 nothing is built at import.
@@ -43,6 +47,8 @@ import numpy as np
 
 from .core import iter_points
 from .enumeration import _fictive_reps, symmetry_index
+from .minors import _chunks, _essential_mask, _identify_plan, _values
+from .subfunctions import sub_bound
 from .symmetric import multisets
 
 
@@ -215,31 +221,32 @@ class SpecFacts:
         return sub, sep
 
     @functools.cached_property
+    def _shape_tables(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+        """Per partition of n into r parts, the table of F_shape, (N, k^r),
+        and which of its parts are essential, (N, r)."""
+        out = {}
+        for shape, _ in _shape_dag(self.n):
+            table = self.specs[:, _shape_gather(self.k, self.n, shape)]
+            out[shape] = table, _essential_mask(self.k, len(shape), table)
+        return out
+
+    @functools.cached_property
     def shapes(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
         """(shape, depth, ess, gap) for every shape but the root, each an
         (N,) array: the longest merge chain reaching the shape (-1 when it
         is not reached), its essential parts and its gap (-1 below 2
         essential parts). Empty for n < 2."""
-        k, n, specs = self.k, self.n, self.specs
+        n = self.n
         if n < 2:
             return []
-        rows = len(specs)
-        parts = {}
-        for shape, _ in _shape_dag(n):
-            r = len(shape)
-            table = specs[:, _shape_gather(k, n, shape)].reshape((rows,) + (k,) * r)
-            parts[shape] = np.stack(
-                [np.any((table != np.take(table, [0], axis=1 + a)).reshape(rows, k**r), axis=1)
-                 for a in range(r)],
-                axis=1,
-            )
-        count = {shape: e.sum(axis=1) for shape, e in parts.items()}
+        rows = len(self.specs)
+        count = {shape: e.sum(axis=1) for shape, (_, e) in self._shape_tables.items()}
         root = (1,) * n
-        depth = {shape: np.full(rows, -1, dtype=np.int64) for shape in parts}
+        depth = {shape: np.full(rows, -1, dtype=np.int64) for shape in count}
         depth[root][:] = 0
         out = []
         for shape, merges in _shape_dag(n):
-            d, e = depth[shape], parts[shape]
+            d, e = depth[shape], self._shape_tables[shape][1]
             best = np.full(rows, -1, dtype=np.int64)
             for i, j, child in merges:
                 active = (d >= 0) & e[:, i] & e[:, j]
@@ -249,6 +256,19 @@ class SpecFacts:
                 gap = np.where(count[shape] >= 2, count[shape] - best, -1)
                 out.append((shape, d, count[shape], gap))
         return out
+
+    @functools.cached_property
+    def asymmetric_minor(self) -> np.ndarray:
+        """Whether some iterated identification minor is not symmetric: a
+        reached F_shape that changes under a swap of two essential parts,
+        which only parts of unequal size can do."""
+        flagged = np.zeros(len(self.specs), dtype=bool)
+        for shape, depth, _, _ in self.shapes:
+            table, ess = self._shape_tables[shape]
+            unequal = [(a, b) for a, b in itertools.combinations(range(len(shape)), 2)
+                       if shape[a] != shape[b]]
+            flagged |= (depth >= 0) & _asymmetric(self.k, table, ess, unequal)
+        return flagged
 
     @functools.cached_property
     def gap_index(self) -> np.ndarray:
@@ -271,6 +291,45 @@ class SpecFacts:
         return slice_flags(self.k, self.n, tables)
 
 
+class TableFacts:
+    """Facts about a chunk of value tables at (k, n), an (N, k^n) array."""
+
+    def __init__(self, k: int, n: int, tables):
+        self.k = k
+        self.n = n
+        self.tables = _values(k, tables).reshape(-1, k**n)
+
+    @functools.cached_property
+    def ess_gap(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ess, gap) per row, gap -1 where it is undefined: ess minus the
+        most essential variables of a one-step minor x_i := x_j, i != j
+        both essential."""
+        k, n, tables = self.k, self.n, self.tables
+        mask = _essential_mask(k, n, tables)
+        ess = mask.sum(axis=1)
+        best = np.zeros(len(tables), dtype=np.int64)
+        if n >= 2:
+            plan, pairs = _identify_plan(k, n)
+            i, j = np.nonzero(pairs)
+            for p in _chunks(len(tables), len(i) * k**n):
+                minors = _essential_mask(k, n, tables[p][:, plan[i, j]].reshape(-1, k**n))
+                counts = minors.sum(axis=1).reshape(-1, len(i))
+                best[p] = np.where(mask[p][:, i] & mask[p][:, j], counts, -1).max(axis=1)
+        return ess.astype(np.int8), np.where(ess >= 2, ess - best, -1).astype(np.int8)
+
+
+def _asymmetric(k: int, tables: np.ndarray, ess: np.ndarray, pairs) -> np.ndarray:
+    """Whether each table of an (m, k^r) array changes under the swap of
+    some pair (a, b) of ``pairs`` of positions essential in it (``ess``,
+    (m, r))."""
+    t = tables.reshape((len(tables),) + (k,) * ess.shape[1])
+    out = np.zeros(len(t), dtype=bool)
+    for a, b in pairs:
+        changes = np.any((t != np.swapaxes(t, 1 + a, 1 + b)).reshape(len(t), -1), axis=1)
+        out |= ess[:, a] & ess[:, b] & changes
+    return out
+
+
 def slice_flags(k: int, n: int, tables) -> np.ndarray:
     """Rows of an (N, k^n) array of value tables with a restriction, fixing
     o of the n positions to constants (1 <= o < n), that is not invariant
@@ -283,21 +342,15 @@ def slice_flags(k: int, n: int, tables) -> np.ndarray:
     flagged = np.zeros(rows, dtype=bool)
     for o in range(1, n):
         arity = n - o
-        axes = tuple(range(2, 2 + arity))
         for fixed in itertools.combinations(range(n), o):
             free = [p for p in range(n) if p not in fixed]
             s = t.transpose([0] + [1 + p for p in fixed] + [1 + p for p in free])
-            s = s.reshape((rows, k**o) + (k,) * arity)
-            ess = np.stack(
-                [np.any(s != np.take(s, [0], axis=2 + a), axis=axes) for a in range(arity)],
-                axis=-1,
-            )
-            count = ess.sum(axis=-1)
+            s = s.reshape(rows * k**o, k**arity)
+            ess = _essential_mask(k, arity, s)
+            count = ess.sum(axis=1)
             bad = (count > 0) & (count != arity)
-            for a, b in itertools.combinations(range(arity), 2):
-                swapped = np.swapaxes(s, 2 + a, 2 + b)
-                bad |= ess[..., a] & ess[..., b] & np.any(s != swapped, axis=axes)
-            flagged |= bad.any(axis=1)
+            bad |= _asymmetric(k, s, ess, itertools.combinations(range(arity), 2))
+            flagged |= bad.reshape(rows, -1).any(axis=1)
     return flagged
 
 
@@ -308,7 +361,9 @@ def slice_flags(k: int, n: int, tables) -> np.ndarray:
 # instance flag; the verdict gives each row its violation count and its
 # subcase counts, exactly as the suite's per-instance checker counts them.
 # Where a screen only bounds the violations (``BOUND_SCREENS``), a row it
-# passes has none, and a row it flags may have none.
+# passes has none, and a row it flags may have none. The screens of
+# ``TABLE_SCREENS`` read :class:`TableFacts` of raw tables, the others
+# :class:`SpecFacts`.
 
 
 def _all_essential(f: SpecFacts):
@@ -325,9 +380,9 @@ def _gap_2(f: SpecFacts):
     return (ess == f.n) & (gap == 2)
 
 
-def _full_gap(f: SpecFacts):
+def _gap_n(f: SpecFacts):
     ess, gap = f.ess_gap
-    return (ess == f.n) & (gap == f.n) & (f.n > 2)
+    return (ess == f.n) & (gap == f.n)
 
 
 def _verdict_thm3_1(f):
@@ -362,6 +417,11 @@ def _verdict_thm3_2(f):
 def _verdict_cor3_1(f):
     _, gap = f.restriction_ess_gap(1)
     return np.sum(~f.dominants & (gap < 2), axis=1), {}
+
+
+def _verdict_lemma3_1(f):
+    range_size = sum(np.any(f.specs == v, axis=1) for v in range(f.k))
+    return f.closure_counts[0] > sub_bound(f.n, f.k) + range_size, {}
 
 
 def _verdict_sep(f):
@@ -405,12 +465,19 @@ def _verdict_remark2_2(f):
     return flagged, {}
 
 
-def _verdict_lemma2_1(f):
-    return f.slice_flags, {}
+def _verdict_lemma2_2(f):
+    gap = f.ess_gap[1]
+    return (2 <= gap) & (gap <= min(f.n, f.k)) & (gap != 2) & (gap != f.n), {}
+
+
+def _verdict_willard(f):
+    k, n, gap = f.k, f.n, f.ess_gap[1]
+    return (gap > min(n, k)).astype(np.int64) + ((k < n) & (gap > 2)), {}
 
 
 SCREENS = {
-    "thm3_1": (_full_gap, _verdict_thm3_1),
+    "thm3_1": (lambda f: _gap_n(f) & (f.n > 2), _verdict_thm3_1),
+    "lemma3_1": (lambda f: _gap_n(f) & (f.n <= f.k), _verdict_lemma3_1),
     "thm3_2": (lambda f: _gap_2(f) & (min(f.n, f.k) >= 3), _verdict_thm3_2),
     "cor3_1": (_nontrivial_gap, _verdict_cor3_1),
     "thm4_1": (_nontrivial_gap, _verdict_sep),
@@ -420,6 +487,13 @@ SCREENS = {
     "lemma2_5": (_gap_2, _verdict_lemma2_5),
     "remark2_2": (_gap_2, _verdict_remark2_2),
     "thm2_4": (_nontrivial_gap, _verdict_thm2_4),
-    "lemma2_1": (_all_essential, _verdict_lemma2_1),
+    "lemma2_1": (_all_essential, lambda f: (f.slice_flags, {})),
+    "lemma2_2": (lambda f: _all_essential(f) & (f.ess_gap[1] >= 0), _verdict_lemma2_2),
+    "remark2_1": (_nontrivial_gap, lambda f: (f.asymmetric_minor, {})),
+    # the pair is searched per instance: every instance goes to the checker
+    "lemma2_3": (lambda f: _gap_2(f) & (f.n > 3),
+                 lambda f: (np.ones(len(f.tables), dtype=bool), {})),
+    "willard": (lambda f: _all_essential(f) & (f.n >= 2), _verdict_willard),
 }
-BOUND_SCREENS = frozenset({"lemma2_1", "lemma2_5", "remark2_2"})
+BOUND_SCREENS = frozenset({"lemma2_1", "lemma2_5", "remark2_2", "remark2_1", "lemma2_3"})
+TABLE_SCREENS = frozenset({"lemma2_3", "willard"})

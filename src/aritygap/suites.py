@@ -11,25 +11,22 @@ unrestricted ones. Where a full symmetric space is out of reach, the
 exhaustively enumerable non-trivial-gap subclass (see
 ``nontrivial_gap_specs``) is used and the report says so in its notes.
 
-Most symmetric suites are decided chunk by chunk by the batched screens of
-``facts`` (imported on first use: every CLI process imports this module,
-and only these suites need it); their per-instance checkers then run only
-on rows with violations, to write the records, and stay the oracles the
-screens are tested against.
+Every population suite is decided chunk by chunk, in one process, by the
+batched screens of ``facts`` (imported on first use: every CLI process
+imports this module, and only these suites need it); its per-instance
+checker then runs only on the rows the screen flags, to write the records,
+and stays the oracle the screen is tested against.
 
 Reports are deterministic: byte-identical for identical parameters and
-seed, whatever the worker count.
+seed. A worker count is accepted and has no effect.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
-import os
 import random
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from time import perf_counter
@@ -146,6 +143,14 @@ def _doc(f: FiniteFunction) -> dict:
 
 def _violation(f: FiniteFunction, assertion: str, **info) -> dict:
     return {"function": _doc(f), "assertion": assertion, "info": info}
+
+
+def _keep(violations: list, record: dict) -> int:
+    """Keep a violation record while fewer than ``VIOLATION_CAP`` are kept;
+    returns 1, the record's share of the violation total."""
+    if len(violations) < VIOLATION_CAP:
+        violations.append(record)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,7 @@ def _population_nontrivial(k, n, mode, seed, sample, budget, full_gap):
 
 
 # ---------------------------------------------------------------------------
-# per-instance checkers (top level so worker processes can import them)
+# per-instance checkers
 
 
 def _fast_profile_of(f: FiniteFunction) -> tuple[int, int | None]:
@@ -338,12 +343,7 @@ def _check_lemma2_3(k, n, table):
     identification drops to n-2 essential variables, loses x_v, and behaves
     the same against every third variable."""
     f = FiniteFunction(k, n, table)
-    if n <= 3 or essential_count(f) != n:
-        return None
-    try:
-        if gap(f) != 2:
-            return None
-    except Exception:
+    if n <= 3 or essential_count(f) != n or gap(f) != 2:
         return None
     for u in range(1, n + 1):
         for v in range(1, n + 1):
@@ -662,14 +662,15 @@ _FULL_GAP_CHECKERS = frozenset({"thm3_1", "lemma3_1"})
 
 
 def _screened_chunk(name, k, n, chunk, cap):
-    """A chunk of a screened suite: the screen decides every row, and the
-    checker runs only on rows with violations, to write their records
-    (until ``cap`` are kept) or, under a bound, to count them."""
-    from .facts import BOUND_SCREENS, SCREENS, SpecFacts
+    """Check one chunk: the screen decides every row, and the checker runs
+    only on rows with violations, to write their records (until ``cap`` are
+    kept) or, under a bound, to count them. Returns (instances, subcounts,
+    violations, the kept records, rows sent to the checker)."""
+    from .facts import BOUND_SCREENS, SCREENS, TABLE_SCREENS, SpecFacts, TableFacts
 
     checker = _CHECKERS[name]
     hypothesis, verdict = SCREENS[name]
-    facts = SpecFacts(k, n, chunk)
+    facts = (TableFacts if name in TABLE_SCREENS else SpecFacts)(k, n, chunk)
     instance = hypothesis(facts)
     if not instance.any():
         return 0, Counter(), 0, [], 0
@@ -686,93 +687,18 @@ def _screened_chunk(name, k, n, chunk, cap):
     for i in np.flatnonzero(counts):
         if exact and len(kept) >= cap:
             break
-        spec = tuple(facts.specs[i].tolist())
-        sc, violations = checker(k, n, spec)
+        item = tuple(np.asarray(chunk[i]).tolist())
+        sc, violations = checker(k, n, item)
         checked += 1
         if exact and (
             len(violations) != counts[i]
             or sc != Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
         ):
-            raise RuntimeError(f"{name}: the fact screen and the checker disagree on {spec}")
+            raise RuntimeError(f"{name}: the fact screen and the checker disagree on {item}")
         if not exact:
             total += len(violations)
         kept.extend(violations[: cap - len(kept)])
     return int(instance.sum()), subcounts, total, kept, checked
-
-
-def _chunk_worker(args):
-    """Check one chunk: (instances, subcounts, violations, the first ``cap``
-    violation records, rows sent to the per-instance checker)."""
-    from .facts import SCREENS
-
-    name, k, n, chunk, cap = args
-    if name in SCREENS:
-        return _screened_chunk(name, k, n, chunk, cap)
-    checker = _CHECKERS[name]
-    instances = 0
-    subcounts: Counter = Counter()
-    total_violations = 0
-    kept = []
-    for item in chunk:
-        out = checker(k, n, item)
-        if out is None:
-            continue
-        instances += 1
-        sc, violations = out
-        subcounts.update(sc)
-        total_violations += len(violations)
-        kept.extend(violations[: cap - len(kept)])
-    return instances, subcounts, total_violations, kept, len(chunk)
-
-
-def _map_population(name, k, n, items, workers):
-    """Check ``items`` in chunks of 2000, merged in chunk order; a pool runs
-    when more than one worker is useful, with no more workers than chunks
-    or CPUs, and never for a screened suite. Returns the merged counts and
-    the run's stats."""
-    chunks = [items[i : i + 2000] for i in range(0, len(items), 2000)]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        from .facts import SCREENS
-
-        if name in SCREENS:
-            # a screen checks a row in microseconds: a pool's start-up costs
-            # more, and each pooled chunk would send its own first records to
-            # the checker instead of the ones still wanted
-            workers = 1
-    instances = 0
-    subcounts: Counter = Counter()
-    total_violations = 0
-    kept: list = []
-    checked = 0
-    merge_s = 0.0
-    start = perf_counter()
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(
-                _chunk_worker, [(name, k, n, c, VIOLATION_CAP) for c in chunks]
-            )
-        else:
-            # lazily, so each chunk keeps only the records still wanted
-            results = (
-                _chunk_worker((name, k, n, c, VIOLATION_CAP - len(kept))) for c in chunks
-            )
-        for inst, sc, tv, kv, rows in results:
-            t0 = perf_counter()
-            instances += inst
-            subcounts.update(sc)
-            total_violations += tv
-            checked += rows
-            kept.extend(kv[: VIOLATION_CAP - len(kept)])
-            merge_s += perf_counter() - t0
-    stats = {
-        "checker_rows": checked,
-        "check_s": perf_counter() - start - merge_s,
-        "merge_s": merge_s,
-        "workers": max(workers, 1),
-    }
-    return instances, subcounts, total_violations, kept, stats
 
 
 # ---------------------------------------------------------------------------
@@ -801,35 +727,53 @@ def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, note
     )
 
 
-def _check_population(name, k, n, items, mode_desc, build_s, workers, params, notes):
-    inst, sc, tv, kept, stats = _map_population(name, k, n, items, workers)
-    stats["build_s"] = build_s
-    return _mk_report(name, k, n, mode_desc, params, inst, sc, tv, kept, notes, stats)
+def _check_population(name, k, n, items, mode_desc, build_s, params, notes):
+    """Check ``items`` in chunks of 2000, in order, each chunk keeping only
+    the records still wanted, and report them with the run's stats."""
+    instances = total = checked = 0
+    subcounts: Counter = Counter()
+    kept: list = []
+    merge_s = 0.0
+    start = perf_counter()
+    for lo in range(0, len(items), 2000):
+        inst, sc, tv, kv, rows = _screened_chunk(
+            name, k, n, items[lo : lo + 2000], VIOLATION_CAP - len(kept))
+        t0 = perf_counter()
+        instances += inst
+        subcounts.update(sc)
+        total += tv
+        checked += rows
+        kept.extend(kv)
+        merge_s += perf_counter() - t0
+    stats = {"checker_rows": checked, "build_s": build_s,
+             "check_s": perf_counter() - start - merge_s, "merge_s": merge_s}
+    return _mk_report(name, k, n, mode_desc, params, instances, subcounts, total, kept,
+                      notes, stats)
 
 
-def _run_on_symmetric(name, k, n, mode, seed, sample, workers, budget):
+def _run_on_symmetric(name, k, n, mode, seed, sample, budget):
     notes: list[str] = []
     t0 = perf_counter()
     items, mode_desc = _population_symmetric(k, n, mode, seed, sample, budget, notes)
     return _check_population(
-        name, k, n, items, mode_desc, perf_counter() - t0, workers,
+        name, k, n, items, mode_desc, perf_counter() - t0,
         {"seed": seed, "sample": sample}, notes,
     )
 
 
-def _run_on_nontrivial(name, k, n, mode, seed, sample, workers, budget):
+def _run_on_nontrivial(name, k, n, mode, seed, sample, budget):
     t0 = perf_counter()
     items, mode_desc = _population_nontrivial(
         k, n, mode, seed, sample, budget, name in _FULL_GAP_CHECKERS
     )
     return _check_population(
-        name, k, n, items, mode_desc, perf_counter() - t0, workers,
+        name, k, n, items, mode_desc, perf_counter() - t0,
         {"seed": seed, "sample": sample}, [],
     )
 
 
-def _run_thm3_2(name, k, n, mode, seed, sample, workers, budget):
-    report = _run_on_nontrivial(name, k, n, mode, seed, sample, workers, budget)
+def _run_thm3_2(name, k, n, mode, seed, sample, budget):
+    report = _run_on_nontrivial(name, k, n, mode, seed, sample, budget)
     for key in ("i", "ii", "iii", "iv"):
         report.subcases.setdefault(key, {"instances": 0, "vacuous": True})
     if report.subcases["i"]["vacuous"]:
@@ -840,15 +784,13 @@ def _run_thm3_2(name, k, n, mode, seed, sample, workers, budget):
     return report
 
 
-def _run_on_raw(name, k, n, mode, seed, sample, workers, budget):
+def _run_on_raw(name, k, n, mode, seed, sample, budget):
     t0 = perf_counter()
     total = k ** (k**n)
     if mode == "exhaustive" and total <= FULL_SCAN_LIMIT:
-        size = k**n
-        items = [
-            tuple(idx // k**j % k for j in range(size - 1, -1, -1))
-            for idx in range(total)
-        ]
+        # every table in order, as the base-k digits of 0 .. total - 1
+        places = k ** np.arange(k**n - 1, -1, -1)
+        items = (np.arange(total)[:, None] // places % k).astype(np.uint8)
         mode_desc = "exhaustive(raw tables)"
     else:
         if seed is None:
@@ -856,12 +798,12 @@ def _run_on_raw(name, k, n, mode, seed, sample, workers, budget):
         items = _sample_raw_tables(k, n, sample or 1000, seed)
         mode_desc = f"sample(raw tables, {len(items)})"
     return _check_population(
-        name, k, n, items, mode_desc, perf_counter() - t0, workers,
+        name, k, n, items, mode_desc, perf_counter() - t0,
         {"seed": seed, "sample": sample}, [],
     )
 
 
-def _run_willard(name, k, n, mode, seed, sample, workers, budget):
+def _run_willard(name, k, n, mode, seed, sample, budget):
     if seed is None:
         raise DomainError("willard samples raw tables; provide an explicit seed")
     t0 = perf_counter()
@@ -869,11 +811,11 @@ def _run_willard(name, k, n, mode, seed, sample, workers, budget):
     items = _sample_raw_tables(k, n, count, seed)
     return _check_population(
         name, k, n, items, f"sample(raw tables, {count})", perf_counter() - t0,
-        workers, {"seed": seed, "sample": count}, [],
+        {"seed": seed, "sample": count}, [],
     )
 
 
-def _run_thm2_2(name, k, n, mode, seed, sample, workers, budget):
+def _run_thm2_2(name, k, n, mode, seed, sample, budget):
     """Full-gap symmetric classification: the census bucket equals the image
     of the full-gap constructor, and coefficients read back off each member."""
     bucket = {
@@ -900,16 +842,14 @@ def _run_thm2_2(name, k, n, mode, seed, sample, workers, budget):
         }
         rebuilt = construct_gap_n(k, n, GapNSpec(a0, b))
         if rebuilt.table != tab:
-            total += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(_violation(f, "thm2_2.read-off"))
+            total += _keep(violations, _violation(f, "thm2_2.read-off"))
     return _mk_report(
         name, k, n, "exhaustive(constructive)",
         {}, len(bucket), Counter(), total, violations[:VIOLATION_CAP], [],
     )
 
 
-def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
+def _run_thm2_3(name, k, n, mode, seed, sample, budget):
     """Ternary gap-2 classification: census bucket equals the deduplicated
     union of the two family constructors, and each member fits one family
     with coefficients read off its table."""
@@ -939,16 +879,14 @@ def _run_thm2_3(name, k, n, mode, seed, sample, workers, budget):
             _gap2_ternary_table(k, family, a, b) == tab for family in ("minority", "majority")
         )
         if not fits:
-            total += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(_violation(FiniteFunction(k, 3, tab), "thm2_3.read-off"))
+            total += _keep(violations, _violation(FiniteFunction(k, 3, tab), "thm2_3.read-off"))
     return _mk_report(
         name, k, 3, "exhaustive(constructive)",
         {}, len(bucket), Counter(), total, violations[:VIOLATION_CAP], [],
     )
 
 
-def _run_thm2_1(name, k, n, mode, seed, sample, workers, budget):
+def _run_thm2_1(name, k, n, mode, seed, sample, budget):
     """Full-gap form on raw tables: every repeated-point-constant table with a
     deviating all-distinct value has full gap, and (sampled) a full-gap
     all-essential table is constant on repeated points."""
@@ -976,9 +914,7 @@ def _run_thm2_1(name, k, n, mode, seed, sample, workers, budget):
             instances += 1
             p = gap_profile(f)
             if not (p.ess == n and p.gap == n):
-                total += 1
-                if len(violations) < VIOLATION_CAP:
-                    violations.append(_violation(f, "thm2_1.form-has-full-gap"))
+                total += _keep(violations, _violation(f, "thm2_1.form-has-full-gap"))
     if seed is None:
         raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
     rng_tables = _sample_raw_tables(k, n, sample or 2000, seed)
@@ -989,9 +925,7 @@ def _run_thm2_1(name, k, n, mode, seed, sample, workers, budget):
         instances += 1
         eq_const = len({f.table[m] for m in eq_index}) == 1
         if (gap(f) == n) != eq_const:
-            total += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(_violation(f, "thm2_1.converse-eq-constant"))
+            total += _keep(violations, _violation(f, "thm2_1.converse-eq-constant"))
     return _mk_report(
         name, k, n, "exhaustive(form) + sample(converse)",
         {"seed": seed, "sample": sample or 2000},
@@ -1040,7 +974,7 @@ def _sample_decomposable_pairs(k, n, count, seed):
     return pairs
 
 
-def _run_thm2_5(name, k, n, mode, seed, sample, workers, budget):
+def _run_thm2_5(name, k, n, mode, seed, sample, budget):
     """Decomposition round trip: recompose a constructed (g, h) pair, then
     extract a pair from the result and recompose it bit-exactly."""
     if min(n, k) <= 3:
@@ -1058,21 +992,13 @@ def _run_thm2_5(name, k, n, mode, seed, sample, workers, budget):
         try:
             pair = extract_decomposition(f)
         except Exception as exc:
-            total += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(
-                    _violation(f, "thm2_5.extract-failed", error=str(exc))
-                )
+            total += _keep(violations, _violation(f, "thm2_5.extract-failed", error=str(exc)))
             continue
         if recompose(pair.g, pair.h).table != f.table:
-            total += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(_violation(f, "thm2_5.round-trip"))
+            total += _keep(violations, _violation(f, "thm2_5.round-trip"))
             continue
         if not is_symmetric(pair.g) or not is_symmetric(pair.h):
-            total += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append(_violation(f, "thm2_5.pair-symmetric"))
+            total += _keep(violations, _violation(f, "thm2_5.pair-symmetric"))
         gp = gap_profile(pair.g)
         want = 2 if gap_index(f) > 2 else n - 2
         in_class = gp.ess == n - 2 and (gp.ess < 2 or gp.gap == want)
@@ -1083,7 +1009,7 @@ def _run_thm2_5(name, k, n, mode, seed, sample, workers, budget):
     )
 
 
-def _run_thm2_6(name, k, n, mode, seed, sample, workers, budget):
+def _run_thm2_6(name, k, n, mode, seed, sample, budget):
     """Linear functions have non-trivial gap exactly at even radix, with the
     all-coefficients-k/2 maps as the only all-essential witnesses."""
     violations = []
@@ -1101,22 +1027,15 @@ def _run_thm2_6(name, k, n, mode, seed, sample, workers, budget):
             if k % 2 == 1:
                 subcounts["odd"] += 1
                 if g >= 2:
-                    total += 1
-                    if len(violations) < VIOLATION_CAP:
-                        violations.append(
-                            _violation(f, "thm2_6.odd-radix-gap", coeffs=list(coeffs))
-                        )
+                    total += _keep(violations, _violation(f, "thm2_6.odd-radix-gap",
+                                                          coeffs=list(coeffs)))
             else:
                 subcounts["even"] += 1
                 if g >= 2:
                     witnesses += 1
                     if not (g == 2 and all(c == k // 2 for c in coeffs)):
-                        total += 1
-                        if len(violations) < VIOLATION_CAP:
-                            violations.append(
-                                _violation(f, "thm2_6.even-witness-form",
-                                           coeffs=list(coeffs), gap=g)
-                            )
+                        total += _keep(violations, _violation(f, "thm2_6.even-witness-form",
+                                                              coeffs=list(coeffs), gap=g))
     if k % 2 == 0 and witnesses == 0:
         total += 1
         violations.append(
@@ -1131,8 +1050,8 @@ def _run_thm2_6(name, k, n, mode, seed, sample, workers, budget):
     )
 
 
-def _run_lemma3_1(name, k, n, mode, seed, sample, workers, budget):
-    report = _run_on_nontrivial(name, k, n, mode, seed, sample, workers, budget)
+def _run_lemma3_1(name, k, n, mode, seed, sample, budget):
+    report = _run_on_nontrivial(name, k, n, mode, seed, sample, budget)
     if n > k:
         report.notes.append("bound hypothesis needs n <= k; vacuous here")
         return report
@@ -1152,12 +1071,8 @@ def _run_lemma3_1(name, k, n, mode, seed, sample, workers, budget):
         closure = subfunction_closure(f)
         expected = sub_bound(n, k) + range_size(f)
         if closure.sub_count != expected:
-            report.violations_total += 1
-            if len(report.violations) < VIOLATION_CAP:
-                report.violations.append(
-                    _violation(f, "lemma3_1.equality-witness",
-                               sub=closure.sub_count, expected=expected)
-                )
+            report.violations_total += _keep(report.violations, _violation(
+                f, "lemma3_1.equality-witness", sub=closure.sub_count, expected=expected))
     report.subcases["equality-witness"] = {
         "instances": eq_checked,
         "vacuous": eq_checked == 0,
@@ -1165,7 +1080,7 @@ def _run_lemma3_1(name, k, n, mode, seed, sample, workers, budget):
     return report
 
 
-def _run_cor2_1(name, k, n, mode, seed, sample, workers, budget):
+def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     """Count of full-gap symmetric functions, decided constructively."""
     printed = k * comb(k, n) + 1 - k
     proof_logic = k ** (comb(k, n) + 1) - k
@@ -1249,7 +1164,8 @@ def run_suite(
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> SuiteReport:
-    """Run one registered suite and return its report."""
+    """Run one registered suite and return its report. Every suite runs in
+    this process: ``workers`` is accepted and has no effect."""
     check_domain(k, n)
     if mode not in ("exhaustive", "sample"):
         raise UnknownSuiteError(f"unknown mode {mode!r}; use exhaustive or sample")
@@ -1259,11 +1175,11 @@ def run_suite(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
     t0 = perf_counter()
-    report = runner(name, k, n, mode, seed, sample, workers, budget)
+    report = runner(name, k, n, mode, seed, sample, budget)
     if not report.stats:
         # a runner that checks each instance itself, in this process
         report.stats = {"checker_rows": report.instances_checked, "build_s": 0.0,
-                        "check_s": perf_counter() - t0, "merge_s": 0.0, "workers": 1}
+                        "check_s": perf_counter() - t0, "merge_s": 0.0}
     report.stats = {"source": report.mode, "instances": report.instances_checked,
-                    **report.stats}
+                    **report.stats, "workers": 1}
     return report

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from aritygap import FiniteFunction, orbit_sum, recompose
+from aritygap import FiniteFunction, cli, orbit_sum, recompose
 from aritygap.cli import main
 from aritygap.suites import _sample_decomposable_pairs
 
@@ -235,6 +235,26 @@ def test_verify_workers_cap_follows_cpu_count(capsys, monkeypatch):
     assert run_cli(capsys, *argv, "1")[0] == 0
 
 
+def test_successive_calls_share_one_parser(capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    calls = [
+        ("verify", "cor4_1", "-k", "3", "-n", "3", "--format", "json"),  # a pass
+        ("verify", "cor4_1", "-k", "3", "--format", "json"),  # -n is missing
+        ("verify", "cor4_1", "-k", "3", "-n", "3", "--workers", "3"),  # over the CPUs
+        ("verify", "cor4_1", "-k", "3", "-n", "3", "--format", "json"),
+    ]
+    cli.build_parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0]
+    assert "at most 2" in shared[2][2]
+
+
 PER_INSTANCE_REPORTS = [
     (('verify', 'lemma2_2', '-k', '3', '-n', '3'), 0,
      "a21f41057be9e0db9b1ea6a71e4541acb201f4e4115cd112a843ce03f0473d05"),
@@ -264,6 +284,14 @@ PER_INSTANCE_REPORTS = [
      "fd198c29261797864988ab740911a93c3dfe353149128cab6be76c3375cfa3f4"),
     (('verify', 'willard', '-k', '3', '-n', '3', '--seed', '1'), 0,
      "f0328776294f52c28d41c86db89849d5d15cd6e66fdd174a61ad4d559d879b87"),
+    (('verify', 'lemma3_1', '-k', '3', '-n', '3'), 0,
+     "8c353e1f46870c4df6d3cb648ebefd5bbcca06d4900bff52dc8a49efd98b6f4a"),
+    (('verify', 'lemma3_1', '-k', '3', '-n', '2'), 0,
+     "37e781221e61516173ada7fff0773e5c795c17b0aa85ec28143e919bdbf7c8a4"),
+    (('verify', 'lemma3_1', '-k', '4', '-n', '2'), 0,
+     "776e363cda576372ccdba8fe31595e6fd6009751c4d473457973d1ca29be38be"),
+    (('verify', 'lemma3_1', '-k', '4', '-n', '4'), 0,
+     "3cdbcddae425829cc7bba4b77beb7f48bd5b9a2688de86e20793aa1b3a3695c7"),
 ]
 
 # sha256 of the JSON reports, recorded before the census counted in closed

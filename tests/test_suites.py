@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from aritygap import DomainError, FiniteFunction, UnknownSuiteError, run_suite
-from aritygap import suites
 from aritygap.suites import SUITE_NAMES
 
 
@@ -191,43 +190,36 @@ def test_thm3_2_passes_above_ternary():
 
 
 def test_worker_determinism():
+    # every suite runs in one process: the worker count changes nothing
     a = run_suite("lemma2_2", 3, 3, workers=1)
     b = run_suite("lemma2_2", 3, 3, workers=2)
     assert a.to_doc() == b.to_doc()
 
 
 def test_worker_determinism_through_the_pool():
-    # 4001 tables make three chunks of 2000, so two workers run the pool
+    # 4001 tables make three chunks of 2000, each with its own screen
     docs = [run_suite("willard", 3, 2, seed=1, sample=4001, workers=w).to_doc()
             for w in (1, 2)]
     assert docs[0]["instances_checked"] > 2000
     assert docs[0] == docs[1]
 
 
-def test_pool_starts_no_more_workers_than_chunks_or_cpus(monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    three_chunks = run_suite("willard", 3, 2, seed=1, sample=4001, workers=8)
-    monkeypatch.setattr("os.cpu_count", lambda: 16)
-    run_suite("willard", 3, 2, seed=1, sample=4001, workers=8)
-    one_chunk = run_suite("willard", 3, 2, seed=1, sample=2000, workers=8)
-    assert started == [2, 3]
-    assert three_chunks.to_doc() == run_suite("willard", 3, 2, seed=1, sample=4001).to_doc()
-    assert one_chunk.instances_checked > 0
+def test_verify_loads_no_pool_modules():
+    script = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "import aritygap.cli\n"
+        "code = aritygap.cli.main(['verify', 'remark2_1', '-k', '3', '-n', '3',\n"
+        "                          '--workers', '2', '-o', os.devnull])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0 []\n"
 
 
 def test_memo_warm_report_equals_cold_process():
