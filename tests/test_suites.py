@@ -218,7 +218,7 @@ def test_verify_loads_no_pool_modules():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, timeout=300).stdout
     assert out == "0 []\n"
 
 
