@@ -255,6 +255,8 @@ def test_successive_calls_share_one_parser(capsys, monkeypatch):
     assert "at most 2" in shared[2][2]
 
 
+# recorded while these suites still checked every instance, with one worker
+# and with two (the same digests)
 PER_INSTANCE_REPORTS = [
     (('verify', 'lemma2_2', '-k', '3', '-n', '3'), 0,
      "a21f41057be9e0db9b1ea6a71e4541acb201f4e4115cd112a843ce03f0473d05"),
@@ -388,8 +390,6 @@ GOLDEN_REPORTS = [
      "8c577711b1bb4b1821bb9ba89003e47aa2b03b38d777f30873533f8773598487"),
     (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'json'), 0,
      "3f160fc1965154c4794c97a92e6eb06e1ca404fd24724267b3e1a776ab650a54"),
-    # recorded while these four suites still checked every instance, with
-    # one worker and with two
     *PER_INSTANCE_REPORTS,
 ]
 
