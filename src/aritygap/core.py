@@ -33,21 +33,31 @@ class DecompositionError(PreconditionError):
     """No pairwise-conjunction decomposition exists for the input."""
 
 
+def _count(value: int) -> str:
+    """A count in decimal or, past the digits Python turns into text, as a
+    power of ten it reaches (0.30102 is below log10(2))."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"at least 10^{(value.bit_length() - 1) * 30102 // 100000}"
+
+
 class BudgetError(RuntimeError):
     """An exhaustive enumeration would exceed the configured budget."""
 
     def __init__(self, required: int, budget: int, unit="candidates", limit="budget"):
         if limit == "budget":
             message = (
-                f"exhaustive enumeration requires {required} {unit}, over the "
-                f"budget of {budget}; use sampling (with an explicit seed) or an "
+                f"exhaustive enumeration requires {_count(required)} {unit}, over the "
+                f"budget of {_count(budget)}; use sampling (with an explicit seed) or an "
                 f"explicit budget override"
             )
         else:
             # a fixed limit: no override lifts it, and sampling lists the
             # same class, so there is nothing to suggest
             message = (
-                f"listing requires {required} {unit}, over the {limit} of {budget}"
+                f"listing requires {_count(required)} {unit}, over the {limit} of "
+                f"{_count(budget)}"
             )
         super().__init__(message)
         self.required = required

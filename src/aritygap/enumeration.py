@@ -49,7 +49,7 @@ from .core import (
     iter_points,
     tuple_getter,
 )
-from .minors import GapProfile, gap_index
+from .minors import GapProfile, _values, gap_index
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
@@ -147,15 +147,22 @@ def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
     return FiniteFunction(k, n, symmetry_index(k, n).orbit_getter(spec))
 
 
+def _seeded_rows(k: int, width: int, count: int, seed: int, shift: int) -> np.ndarray:
+    """``count`` uniformly random rows of ``width`` values below k, as an
+    array of the dtype of ``minors._values``; row i comes from its own
+    generator, seeded with (seed << shift) ^ i, one ``randrange(k)`` per
+    entry."""
+    rows = []
+    for i in range(count):
+        draw = random.Random((seed << shift) ^ i).randrange
+        rows.append([draw(k) for _ in range(width)])
+    return _values(k, rows).reshape(count, width)
+
+
 def sample_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     """``count`` uniformly random specs; draw i comes from its own
     generator, seeded with (seed << 24) ^ i."""
-    m = comb(k + n - 1, n)
-    out = []
-    for i in range(count):
-        rng = random.Random((seed << 24) ^ i)
-        out.append(tuple(rng.randrange(k) for _ in range(m)))
-    return out
+    return _tuples(_seeded_rows(k, comb(k + n - 1, n), count, seed, 24))
 
 
 def enumerate_symmetric(
@@ -301,22 +308,18 @@ def census(
     t0 = perf_counter()
     counts = _bucket_counts(k, n)
     t1 = perf_counter()
-    specs = _nontrivial_gap_specs_impl(k, n, total)
+    specs = nontrivial_gap_specs(k, n, budget=total)
     ind_dist = Counter(gap_index(spec_to_function(k, n, spec)) for spec in specs)
     stats = {"specs_indexed": len(specs), "count_s": t1 - t0,
              "index_s": perf_counter() - t1}
     return Census(k, n, total, counts, dict(ind_dist), stats)
 
 
-@functools.lru_cache(maxsize=8)
-def _nontrivial_gap_specs_cached(k: int, n: int, budget: int):
-    return tuple(_nontrivial_gap_specs_impl(k, n, budget))
-
-
 def nontrivial_gap_specs(
     k: int, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    return list(_nontrivial_gap_specs_cached(k, n, budget))
+    """The rows of ``_nontrivial_gap_array`` as tuples."""
+    return _tuples(_nontrivial_gap_array(k, n, budget))
 
 
 def _solutions(k: int, rep: tuple[int, ...]) -> np.ndarray:
@@ -326,7 +329,7 @@ def _solutions(k: int, rep: tuple[int, ...]) -> np.ndarray:
     values."""
     firsts, labels = np.unique(rep, return_inverse=True)
     c = len(firsts)
-    values = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    values = _values(k, range(k))
     digits = [np.tile(np.repeat(values, k ** (c - 1 - d)), k**d) for d in range(c)]
     return np.stack(digits, axis=1)[:, labels]
 
@@ -357,18 +360,19 @@ def _tuples(specs: np.ndarray) -> list[tuple[int, ...]]:
 def full_gap_specs(
     k: int, n: int, *, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
-    """The members of ``nontrivial_gap_specs(k, n)`` with gap n, in the same
-    order, listed directly: they are the non-constant specs with y and z
-    both fictive (y alone for n = 2), which ascend in every listing of the
-    class. Refused exactly when the whole class would be."""
+    """The rows of ``_full_gap_array`` as tuples."""
+    return _tuples(_full_gap_array(k, n, budget))
+
+
+def _full_gap_array(k: int, n: int, budget: int) -> np.ndarray:
+    """The members of ``_nontrivial_gap_array(k, n, budget)`` with gap n, in
+    the same order, listed directly: they are the non-constant specs with y
+    and z both fictive (y alone for n = 2), which ascend in every listing of
+    the class. Refused exactly when the whole class would be."""
     if not _listable_class_size(k, n, budget):
-        return []
+        return np.zeros((0, comb(k + n - 1, n)), dtype=np.uint8)
     specs = _solutions(k, _fictive_reps(k, n)[2])
-    return _tuples(specs[~np.all(specs == specs[:, :1], axis=1)])
-
-
-def _nontrivial_gap_specs_impl(k: int, n: int, budget: int) -> list[tuple[int, ...]]:
-    return _tuples(_nontrivial_gap_array(k, n, budget))
+    return specs[~np.all(specs == specs[:, :1], axis=1)]
 
 
 def _nontrivial_gap_array(k: int, n: int, budget: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Batched facts about chunks of functions, for the suite screens.
 
-A chunk is an (N, C(k+n-1, n)) uint8 array of multiset specs, one row per
-function, in the canonical multiset order. :class:`SpecFacts` computes, for
+A chunk is an (N, C(k+n-1, n)) array of multiset specs, one row per
+function, in the canonical multiset order, held in the dtype of
+``minors._values``. :class:`SpecFacts` computes, for
 every row at once, the facts that the symmetric claims are about:
 
 * (ess, gap) from the "y fictive" / "z fictive" components;
@@ -154,7 +155,7 @@ class SpecFacts:
     def __init__(self, k: int, n: int, specs):
         self.k = k
         self.n = n
-        self.specs = np.asarray(specs, dtype=np.uint8).reshape(-1, comb(k + n - 1, n))
+        self.specs = _values(k, specs).reshape(-1, comb(k + n - 1, n))
         self._restrictions: dict[int, np.ndarray] = {}
 
     @functools.cached_property
@@ -336,7 +337,7 @@ def slice_flags(k: int, n: int, tables) -> np.ndarray:
     under a swap of two of its essential positions or has 0 < ess < n - o.
     Every state of Lemma 2.1's per-instance closure is such a restriction,
     so a row that is not flagged has no violation."""
-    t = np.asarray(tables, dtype=np.uint8)
+    t = _values(k, tables)
     rows = len(t)
     t = t.reshape((rows,) + (k,) * n)
     flagged = np.zeros(rows, dtype=bool)

@@ -6,16 +6,19 @@ a machine-checkable report: instances checked, violating witnesses (first
 100 in full), per-subcase tallies, and an explicit vacuity flag when the
 hypothesis filter is empty at the given parameters.
 
-Populations are multiset specs for symmetric claims and raw tables for the
-unrestricted ones. Where a full symmetric space is out of reach, the
-exhaustively enumerable non-trivial-gap subclass (see
-``nontrivial_gap_specs``) is used and the report says so in its notes.
+Every suite with a per-instance checker is a population suite. Its
+population is one array, one row per instance in report order, built by
+``_population``: multiset specs for the symmetric claims, raw value tables
+for the unrestricted ones (``lemma2_3``, ``willard``). Where a full
+symmetric space is out of reach, the exhaustively enumerable
+non-trivial-gap subclass (see ``nontrivial_gap_specs``) is used and the
+report says so in its notes.
 
-Every population suite is decided chunk by chunk, in one process, by the
-batched screens of ``facts`` (imported on first use: every CLI process
-imports this module, and only these suites need it); its per-instance
-checker then runs only on the rows the screen flags, to write the records,
-and stays the oracle the screen is tested against.
+``_run_population`` decides every population chunk by chunk, in one
+process, by the batched screens of ``facts`` (imported on first use: every
+CLI process imports this module, and only these suites need it); the
+per-instance checker then runs only on the rows the screen flags, to write
+the records, and stays the oracle the screen is tested against.
 
 Reports are deterministic: byte-identical for identical parameters and
 seed. A worker count is accepted and has no effect.
@@ -45,6 +48,7 @@ from .core import (
 )
 from .minors import (
     _essential_positions,
+    _values,
     all_minors,
     essential_count,
     essential_variables,
@@ -79,12 +83,12 @@ from .symmetric import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    _full_gap_array,
     _nontrivial_gap_array,
-    full_gap_specs,
+    _seeded_rows,
+    _solutions,
     gap2_ternary_images,
     gap_n_images,
-    nontrivial_gap_specs,
-    sample_specs,
     spec_ess_gap,
     spec_to_function,
     symmetric_spec_count,
@@ -157,15 +161,6 @@ def _keep(violations: list, record: dict) -> int:
 # populations
 
 
-def _sample_raw_tables(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    size = k**n
-    out = []
-    for i in range(count):
-        rng = random.Random((seed << 20) ^ i)
-        out.append(tuple(rng.randrange(k) for _ in range(size)))
-    return out
-
-
 def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     """``count`` seeded gap-2 symmetric specs. At n = 4, draws via the
     fictive-doubled-slot structure (values on repeated multisets come from
@@ -230,43 +225,58 @@ def _gap2_draw_plan(k: int, n: int) -> tuple[int, ...]:
     return tuple(plan)
 
 
-def _population_symmetric(k, n, mode, seed, sample, budget, notes):
-    """Full symmetric spec space, or a seeded sample, or (with a note) the
-    exhaustively enumerable non-trivial-gap subclass when the full space is
-    out of reach."""
-    total = symmetric_spec_count(k, n)
+# Checkers whose hypothesis is gap = n: an exhaustive run lists them only
+# that cell of the gap >= 2 class, every other member being skipped anyway.
+_FULL_GAP_CHECKERS = frozenset({"thm3_1", "lemma3_1"})
+
+
+def _population(name, k, n, mode, seed, sample, budget):
+    """The population that suite ``name`` checks, as one array with one row
+    per instance in report order: raw value tables for ``lemma2_3`` and
+    ``willard``, multiset specs for the others. Returns it with the mode
+    string, the notes and the parameters of the report.
+
+    ``willard`` always samples raw tables, ``lemma2_3`` lists every table
+    while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond.
+    ``lemma2_1`` takes the full spec space, or a seeded sample, or (with a
+    note) the listed gap >= 2 class when the full space is out of reach.
+    The others take the listed gap >= 2 class, only its gap-n cell for
+    checkers that accept no other member, or a seeded gap-2 sample."""
+    params = {"seed": seed, "sample": sample}
+    if name in ("lemma2_3", "willard"):
+        width = k**n
+        if name == "lemma2_3" and mode == "exhaustive" and k**width <= FULL_SCAN_LIMIT:
+            return _solutions(k, range(width)), "exhaustive(raw tables)", [], params
+        if seed is None:
+            raise DomainError(f"{name} samples raw tables; provide an explicit seed")
+        count = sample or (10000 if name == "willard" else 1000)
+        if name == "willard":
+            params["sample"] = count
+        return (_seeded_rows(k, width, count, seed, 20), f"sample(raw tables, {count})",
+                [], params)
+    width = comb(k + n - 1, n)
     if mode == "sample":
         if seed is None:
             raise DomainError("sampling mode requires an explicit seed")
-        items = sample_specs(k, n, sample or 1000, seed)
-        return items, f"sample({len(items)})"
-    if total <= FULL_SCAN_LIMIT:
-        m = comb(k + n - 1, n)
-        return list(itertools.product(range(k), repeat=m)), "exhaustive"
-    items = nontrivial_gap_specs(k, n, budget=budget)
-    notes.append(
-        f"full symmetric domain has {total} candidates, over the per-suite scan "
-        f"limit of {FULL_SCAN_LIMIT}; checked the exhaustively enumerable "
-        f"non-trivial-gap subclass ({len(items)} members)"
-    )
-    return items, "exhaustive(non-trivial-gap subclass)"
-
-
-def _population_nontrivial(k, n, mode, seed, sample, budget, full_gap):
-    """The gap-2 sample, or the listed gap >= 2 class; ``full_gap`` lists
-    only its gap-n members, for checkers that accept no others."""
-    if mode == "sample":
-        if seed is None:
-            raise DomainError("sampling mode requires an explicit seed")
-        return (
-            _sample_gap2_specs(k, n, sample or 300, seed),
-            f"sample(gap-2, {sample or 300})",
-        )
-    if full_gap:
-        items = full_gap_specs(k, n, budget=budget)
-    else:
-        items = nontrivial_gap_specs(k, n, budget=budget)
-    return items, "exhaustive(non-trivial gap)"
+        if name == "lemma2_1":
+            count = sample or 1000
+            return _seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params
+        specs = _sample_gap2_specs(k, n, sample or 300, seed)
+        return (_values(k, specs).reshape(-1, width), f"sample(gap-2, {sample or 300})",
+                [], params)
+    if name == "lemma2_1":
+        total = symmetric_spec_count(k, n)
+        if total <= FULL_SCAN_LIMIT:
+            return _solutions(k, range(width)), "exhaustive", [], params
+        specs = _nontrivial_gap_array(k, n, budget)
+        notes = [
+            f"full symmetric domain has {total} candidates, over the per-suite scan "
+            f"limit of {FULL_SCAN_LIMIT}; checked the exhaustively enumerable "
+            f"non-trivial-gap subclass ({len(specs)} members)"
+        ]
+        return specs, "exhaustive(non-trivial-gap subclass)", notes, params
+    cell = _full_gap_array if name in _FULL_GAP_CHECKERS else _nontrivial_gap_array
+    return cell(k, n, budget), "exhaustive(non-trivial gap)", [], params
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +666,6 @@ _CHECKERS = {
     "willard": _check_willard,
 }
 
-# Checkers whose hypothesis is gap = n: an exhaustive run lists them only
-# that cell of the gap >= 2 class, every other member being skipped anyway.
-_FULL_GAP_CHECKERS = frozenset({"thm3_1", "lemma3_1"})
-
 
 def _screened_chunk(name, k, n, chunk, cap):
     """Check one chunk: the screen decides every row, and the checker runs
@@ -687,7 +693,7 @@ def _screened_chunk(name, k, n, chunk, cap):
     for i in np.flatnonzero(counts):
         if exact and len(kept) >= cap:
             break
-        item = tuple(np.asarray(chunk[i]).tolist())
+        item = tuple(chunk[i].tolist())
         sc, violations = checker(k, n, item)
         checked += 1
         if exact and (
@@ -727,53 +733,42 @@ def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, note
     )
 
 
-def _check_population(name, k, n, items, mode_desc, build_s, params, notes):
-    """Check ``items`` in chunks of 2000, in order, each chunk keeping only
-    the records still wanted, and report them with the run's stats."""
+def _run_population(name, k, n, mode, seed, sample, budget):
+    """Check the suite's population in chunks of 2000, in order, each chunk
+    keeping only the records still wanted, and report them with the run's
+    stats; ``thm3_2`` and ``lemma3_1`` then add to the report."""
+    t0 = perf_counter()
+    rows, mode_desc, notes, params = _population(name, k, n, mode, seed, sample, budget)
+    build_s = perf_counter() - t0
     instances = total = checked = 0
     subcounts: Counter = Counter()
     kept: list = []
     merge_s = 0.0
     start = perf_counter()
-    for lo in range(0, len(items), 2000):
-        inst, sc, tv, kv, rows = _screened_chunk(
-            name, k, n, items[lo : lo + 2000], VIOLATION_CAP - len(kept))
+    for lo in range(0, len(rows), 2000):
+        inst, sc, tv, kv, flagged = _screened_chunk(
+            name, k, n, rows[lo : lo + 2000], VIOLATION_CAP - len(kept))
         t0 = perf_counter()
         instances += inst
         subcounts.update(sc)
         total += tv
-        checked += rows
+        checked += flagged
         kept.extend(kv)
         merge_s += perf_counter() - t0
     stats = {"checker_rows": checked, "build_s": build_s,
              "check_s": perf_counter() - start - merge_s, "merge_s": merge_s}
-    return _mk_report(name, k, n, mode_desc, params, instances, subcounts, total, kept,
-                      notes, stats)
+    report = _mk_report(name, k, n, mode_desc, params, instances, subcounts, total, kept,
+                        notes, stats)
+    if name == "thm3_2":
+        _thm3_2_subcases(report)
+    elif name == "lemma3_1":
+        _lemma3_1_equality_witnesses(report)
+    return report
 
 
-def _run_on_symmetric(name, k, n, mode, seed, sample, budget):
-    notes: list[str] = []
-    t0 = perf_counter()
-    items, mode_desc = _population_symmetric(k, n, mode, seed, sample, budget, notes)
-    return _check_population(
-        name, k, n, items, mode_desc, perf_counter() - t0,
-        {"seed": seed, "sample": sample}, notes,
-    )
-
-
-def _run_on_nontrivial(name, k, n, mode, seed, sample, budget):
-    t0 = perf_counter()
-    items, mode_desc = _population_nontrivial(
-        k, n, mode, seed, sample, budget, name in _FULL_GAP_CHECKERS
-    )
-    return _check_population(
-        name, k, n, items, mode_desc, perf_counter() - t0,
-        {"seed": seed, "sample": sample}, [],
-    )
-
-
-def _run_thm3_2(name, k, n, mode, seed, sample, budget):
-    report = _run_on_nontrivial(name, k, n, mode, seed, sample, budget)
+def _thm3_2_subcases(report):
+    """Every subcase of Thm 3.2 in the report, with a note when (i) is
+    vacuous."""
     for key in ("i", "ii", "iii", "iv"):
         report.subcases.setdefault(key, {"instances": 0, "vacuous": True})
     if report.subcases["i"]["vacuous"]:
@@ -781,46 +776,43 @@ def _run_thm3_2(name, k, n, mode, seed, sample, budget):
             "subcase (i) needs a gap index above 2, hence at least 6 variables; "
             "vacuous at these parameters"
         )
-    return report
 
 
-def _run_on_raw(name, k, n, mode, seed, sample, budget):
-    t0 = perf_counter()
-    total = k ** (k**n)
-    if mode == "exhaustive" and total <= FULL_SCAN_LIMIT:
-        # every table in order, as the base-k digits of 0 .. total - 1
-        places = k ** np.arange(k**n - 1, -1, -1)
-        items = (np.arange(total)[:, None] // places % k).astype(np.uint8)
-        mode_desc = "exhaustive(raw tables)"
-    else:
-        if seed is None:
-            raise DomainError("sampling raw tables requires an explicit seed")
-        items = _sample_raw_tables(k, n, sample or 1000, seed)
-        mode_desc = f"sample(raw tables, {len(items)})"
-    return _check_population(
-        name, k, n, items, mode_desc, perf_counter() - t0,
-        {"seed": seed, "sample": sample}, [],
-    )
-
-
-def _run_willard(name, k, n, mode, seed, sample, budget):
-    if seed is None:
-        raise DomainError("willard samples raw tables; provide an explicit seed")
-    t0 = perf_counter()
-    count = sample or 10000
-    items = _sample_raw_tables(k, n, count, seed)
-    return _check_population(
-        name, k, n, items, f"sample(raw tables, {count})", perf_counter() - t0,
-        {"seed": seed, "sample": count}, [],
-    )
+def _lemma3_1_equality_witnesses(report):
+    """Add Lemma 3.1's equality witnesses to the report: the full-gap
+    constructions with a zero repeated-point coefficient and every
+    distinct-point coefficient nonzero, whose sub must equal the bound."""
+    k, n = report.k, report.n
+    if n > k:
+        report.notes.append("bound hypothesis needs n <= k; vacuous here")
+        return
+    if (k - 1) ** comb(k, n) > 100_000:
+        report.notes.append(
+            "equality-witness family too large to sweep; skipped"
+        )
+        report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
+        return
+    eq_checked = 0
+    subsets = list(itertools.combinations(range(k), n))
+    for combo in itertools.product(range(1, k), repeat=comb(k, n)):
+        f = construct_gap_n(k, n, GapNSpec(0, dict(zip(subsets, combo))))
+        eq_checked += 1
+        closure = subfunction_closure(f)
+        expected = sub_bound(n, k) + range_size(f)
+        if closure.sub_count != expected:
+            report.violations_total += _keep(report.violations, _violation(
+                f, "lemma3_1.equality-witness", sub=closure.sub_count, expected=expected))
+    report.subcases["equality-witness"] = {
+        "instances": eq_checked,
+        "vacuous": eq_checked == 0,
+    }
 
 
 def _run_thm2_2(name, k, n, mode, seed, sample, budget):
     """Full-gap symmetric classification: the census bucket equals the image
     of the full-gap constructor, and coefficients read back off each member."""
-    bucket = {
-        spec_to_function(k, n, s).table for s in full_gap_specs(k, n, budget=budget)
-    }
+    orbit = np.array(symmetry_index(k, n).orbit_of_point)
+    bucket = set(map(tuple, _full_gap_array(k, n, budget)[:, orbit].tolist()))
     images = gap_n_images(k, n)
     violations = []
     total = 0
@@ -917,8 +909,7 @@ def _run_thm2_1(name, k, n, mode, seed, sample, budget):
                 total += _keep(violations, _violation(f, "thm2_1.form-has-full-gap"))
     if seed is None:
         raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
-    rng_tables = _sample_raw_tables(k, n, sample or 2000, seed)
-    for tab in rng_tables:
+    for tab in _seeded_rows(k, k**n, sample or 2000, seed, 20).tolist():
         f = FiniteFunction(k, n, tab)
         if essential_count(f) != n:
             continue
@@ -1050,36 +1041,6 @@ def _run_thm2_6(name, k, n, mode, seed, sample, budget):
     )
 
 
-def _run_lemma3_1(name, k, n, mode, seed, sample, budget):
-    report = _run_on_nontrivial(name, k, n, mode, seed, sample, budget)
-    if n > k:
-        report.notes.append("bound hypothesis needs n <= k; vacuous here")
-        return report
-    # equality witnesses: zero repeated-point coefficient, all distinct-point
-    # coefficients nonzero
-    if (k - 1) ** comb(k, n) > 100_000:
-        report.notes.append(
-            "equality-witness family too large to sweep; skipped"
-        )
-        report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
-        return report
-    eq_checked = 0
-    subsets = list(itertools.combinations(range(k), n))
-    for combo in itertools.product(range(1, k), repeat=comb(k, n)):
-        f = construct_gap_n(k, n, GapNSpec(0, dict(zip(subsets, combo))))
-        eq_checked += 1
-        closure = subfunction_closure(f)
-        expected = sub_bound(n, k) + range_size(f)
-        if closure.sub_count != expected:
-            report.violations_total += _keep(report.violations, _violation(
-                f, "lemma3_1.equality-witness", sub=closure.sub_count, expected=expected))
-    report.subcases["equality-witness"] = {
-        "instances": eq_checked,
-        "vacuous": eq_checked == 0,
-    }
-    return report
-
-
 def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     """Count of full-gap symmetric functions, decided constructively."""
     printed = k * comb(k, n) + 1 - k
@@ -1090,7 +1051,7 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     total = 0
     bucket = None
     if symmetric_spec_count(k, n) <= FULL_SCAN_LIMIT:
-        bucket = len(full_gap_specs(k, n, budget=budget))
+        bucket = len(_full_gap_array(k, n, budget))
     if constructive != proof_logic:
         total += 1
         violations.append(
@@ -1123,35 +1084,19 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     )
 
 
-_SIMPLE_RUNNERS = {
-    "lemma2_1": _run_on_symmetric,
-    "lemma2_2": _run_on_nontrivial,
-    "lemma2_4": _run_on_nontrivial,
-    "lemma2_5": _run_on_nontrivial,
-    "remark2_1": _run_on_nontrivial,
-    "remark2_2": _run_on_nontrivial,
-    "thm2_4": _run_on_nontrivial,
-    "thm3_1": _run_on_nontrivial,
-    "cor3_1": _run_on_nontrivial,
-    "thm4_1": _run_on_nontrivial,
-    "cor4_1": _run_on_nontrivial,
-    "cor4_2": _run_on_nontrivial,
-}
-
-_CUSTOM_RUNNERS = {
-    "lemma2_3": _run_on_raw,
-    "willard": _run_willard,
+# Every suite with a per-instance checker is screened (``facts.SCREENS``) and
+# runs through ``_run_population``; the others check their claims themselves.
+_SUITES = {
+    **dict.fromkeys(_CHECKERS, _run_population),
     "thm2_1": _run_thm2_1,
     "thm2_2": _run_thm2_2,
     "thm2_3": _run_thm2_3,
     "thm2_5": _run_thm2_5,
     "thm2_6": _run_thm2_6,
-    "thm3_2": _run_thm3_2,
-    "lemma3_1": _run_lemma3_1,
     "cor2_1": _run_cor2_1,
 }
 
-SUITE_NAMES = tuple(sorted(set(_SIMPLE_RUNNERS) | set(_CUSTOM_RUNNERS)))
+SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def run_suite(
@@ -1169,7 +1114,9 @@ def run_suite(
     check_domain(k, n)
     if mode not in ("exhaustive", "sample"):
         raise UnknownSuiteError(f"unknown mode {mode!r}; use exhaustive or sample")
-    runner = _SIMPLE_RUNNERS.get(name) or _CUSTOM_RUNNERS.get(name)
+    if sample is not None and sample < 1:
+        raise DomainError(f"sample size must be at least 1, got {sample}")
+    runner = _SUITES.get(name)
     if runner is None:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"

@@ -165,6 +165,35 @@ def test_census_budget_refusal(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("census", "-k", "257", "-n", "2"),
+        ("verify", "lemma2_2", "-k", "257", "-n", "2"),
+        ("verify", "thm4_1", "-k", "257", "-n", "2", "--mode", "sample", "--seed", "1",
+         "--sample", "3"),
+    ],
+)
+def test_budget_refusal_of_counts_past_the_digit_limit(capsys, argv):
+    # the counts have some 80 000 digits, more than Python turns into text
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exhaustive enumeration requires at least 10^")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k,n,count", [(300, 1, 20), (257, 2, 5)])
+def test_verify_samples_radix_over_256(capsys, k, n, count):
+    code, out, err = run_cli(capsys, "verify", "lemma2_1", "-k", str(k), "-n", str(n),
+                             "--mode", "sample", "--seed", "1", "--sample", str(count),
+                             "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["mode"] == f"sample({count})"
+    assert report["instances_checked"] == count
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("census", "-k", "1", "-n", "3"),
         ("census", "-k", "3", "-n", "-1"),
         ("verify", "lemma2_2", "-k", "0", "-n", "3"),
@@ -391,6 +420,22 @@ GOLDEN_REPORTS = [
     (('census', '-k', '4', '-n', '3', '--budget-override', '--format', 'json'), 0,
      "3f160fc1965154c4794c97a92e6eb06e1ca404fd24724267b3e1a776ab650a54"),
     *PER_INSTANCE_REPORTS,
+    # recorded before every population became one array built by one
+    # builder: the gap-2 sampler at n != 4, the uniform spec sampler at
+    # n != 4, the raw sampler that thm2_1 shares and the exhaustive raw tables
+    (('verify', 'thm4_1', '-k', '3', '-n', '5', '--mode', 'sample', '--seed', '1',
+      '--sample', '50'), 0,
+     "3f67b8b87026a7d0d6ebc5a92ee995bfd04260c776599ead4c6139a076dd7b8e"),
+    (('verify', 'thm4_1', '-k', '4', '-n', '3', '--mode', 'sample', '--seed', '1',
+      '--sample', '50'), 0,
+     "4a269d3a79186cf6688046f5cc86e2675ebb5d47e866680f631b42a5ccf128a9"),
+    (('verify', 'lemma2_1', '-k', '3', '-n', '3', '--mode', 'sample', '--seed', '1',
+      '--sample', '500'), 0,
+     "9f560bf9eed6bdf050641b2f9743a06a529ef828277839ab497f80042f808b55"),
+    (('verify', 'thm2_1', '-k', '3', '-n', '3', '--seed', '1'), 0,
+     "d469daa45e25f771117516d68c84c6944bce9525ecbdaf1a1a6c96e7b2b72a7d"),
+    (('verify', 'lemma2_3', '-k', '2', '-n', '3'), 0,
+     "5824c6ee8616c0e3b5df5340bd6efb245e2993ac7516a9a9d6dd9f590d4767fe"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aritygap import (
+    BudgetError,
     DomainError,
     FiniteFunction,
     IndicatorTerm,
@@ -176,3 +177,22 @@ def test_range_examples():
     assert range_of(FiniteFunction(7, 2, [5] * 49)) == {5}
     proj = FiniteFunction(3, 1, [0, 1, 2])
     assert range_of(proj) == {0, 1, 2}
+
+
+def test_budget_error_text():
+    assert str(BudgetError(150, 149, "class members")) == (
+        "exhaustive enumeration requires 150 class members, over the budget of 149; "
+        "use sampling (with an explicit seed) or an explicit budget override"
+    )
+    assert str(BudgetError(2 * 10**8, 10**8, "table entries", "listing limit")) == (
+        "listing requires 200000000 table entries, over the listing limit of 100000000"
+    )
+    # 5 001 digits, more than Python turns into text: a power of ten it reaches
+    huge = BudgetError(10**5000, 10**8)
+    assert str(huge).startswith(
+        "exhaustive enumeration requires at least 10^4999 candidates, over the budget "
+        "of 100000000;")
+    assert huge.required == 10**5000
+    assert str(BudgetError(10**5000 - 1, 10**8, "table entries", "listing limit")) == (
+        "listing requires at least 10^4999 table entries, over the listing limit of 100000000"
+    )

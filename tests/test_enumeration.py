@@ -23,7 +23,6 @@ from aritygap.enumeration import (
     LIST_LIMIT,
     _bucket_counts,
     _nontrivial,
-    _nontrivial_gap_specs_impl,
     gap_n_images,
     sample_specs,
     spec_ess_gap,
@@ -234,10 +233,10 @@ def test_structural_equals_scan_where_both_available():
     # (3, 3) over a budget that admits the class but not the domain: the
     # ascending listing holds exactly the oracle's members
     _, nontrivial = scan_range(3, 3, 0, symmetric_spec_count(3, 3))
-    structural = _nontrivial_gap_specs_impl(3, 3, budget=150)
+    structural = nontrivial_gap_specs(3, 3, budget=150)
     assert structural == sorted(spec_of_index(3, 3, i) for i in nontrivial)
     with pytest.raises(BudgetError) as err:
-        _nontrivial_gap_specs_impl(3, 3, budget=149)
+        nontrivial_gap_specs(3, 3, budget=149)
     assert err.value.required == 150
 
 

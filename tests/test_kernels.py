@@ -5,7 +5,9 @@ restriction, the symmetric (ess, gap) test, a swap test, the total-symmetry
 test, compression and spec expansion must give the same tables and the
 same answers, on every position pair and constant, for k in 2..4 and n in
 0..4. The direct full-gap listing and the planned gap-2 sampler are checked
-against the filter and the draw loop they replaced.
+against the filter and the draw loop they replaced, the seeded row sampler
+against the uniform spec and raw-table draw loops, and the listed full
+space against ``itertools.product``.
 """
 
 import itertools
@@ -21,13 +23,16 @@ from aritygap import FiniteFunction, DomainError, PreconditionError
 from aritygap.core import BudgetError, index_of, iter_points
 from aritygap.enumeration import (
     _fictive_reps,
+    _seeded_rows,
+    _solutions,
     full_gap_specs,
     nontrivial_gap_specs,
+    sample_specs,
     spec_ess_gap,
     spec_to_function,
     symmetric_spec_count,
 )
-from aritygap.minors import _identify_table
+from aritygap.minors import _identify_table, _values
 from aritygap.subfunctions import _restrict_table
 from aritygap.suites import _sample_gap2_specs
 from aritygap.symmetric import (
@@ -306,3 +311,41 @@ def test_gap2_sampler_refusal_message_unchanged():
     assert str(err.value) == (
         "listing requires 1220703000 table entries, over the listing limit of 100000000"
     )
+
+
+def loop_sample_specs(k, n, count, seed):
+    """The uniform spec draw loop, one generator per draw."""
+    m = math.comb(k + n - 1, n)
+    out = []
+    for i in range(count):
+        rng = random.Random((seed << 24) ^ i)
+        out.append(tuple(rng.randrange(k) for _ in range(m)))
+    return out
+
+
+def loop_sample_raw_tables(k, n, count, seed):
+    """The raw-table draw loop, one generator per draw."""
+    size = k**n
+    out = []
+    for i in range(count):
+        rng = random.Random((seed << 20) ^ i)
+        out.append(tuple(rng.randrange(k) for _ in range(size)))
+    return out
+
+
+@pytest.mark.parametrize("k,n", [(2, 0), (2, 3), (3, 3), (4, 2), (3, 4), (300, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_seeded_rows_equal_the_draw_loops(k, n, seed):
+    specs = _seeded_rows(k, math.comb(k + n - 1, n), 30, seed, 24)
+    tables = _seeded_rows(k, k**n, 30, seed, 20)
+    assert specs.dtype == tables.dtype == _values(k, [0]).dtype
+    assert list(map(tuple, specs.tolist())) == loop_sample_specs(k, n, 30, seed)
+    assert sample_specs(k, n, 30, seed) == loop_sample_specs(k, n, 30, seed)
+    assert list(map(tuple, tables.tolist())) == loop_sample_raw_tables(k, n, 30, seed)
+    assert _seeded_rows(k, k**n, 0, seed, 20).shape == (0, k**n)
+
+
+@pytest.mark.parametrize("k,width", [(2, 1), (5, 1), (2, 4), (3, 4), (4, 3), (2, 16)])
+def test_full_space_equals_product(k, width):
+    got = _solutions(k, range(width))
+    assert list(map(tuple, got.tolist())) == list(itertools.product(range(k), repeat=width))

@@ -301,6 +301,11 @@ def test_asymmetric_minor_flag_on_known_specs():
     assert list(facts.asymmetric_minor) == [True, False]
 
 
+def test_spec_facts_keep_values_over_255():
+    # 256 is 0 in uint8, which would make this row constant
+    assert list(SpecFacts(300, 1, [(256,) + (0,) * 299]).ess_gap[0]) == [1]
+
+
 def screened_rows(name, k, n, rows):
     """Each row's instance flag, violation count (or flag) and subcounts;
     ``rows`` are raw tables for a screen of ``TABLE_SCREENS``, else specs."""

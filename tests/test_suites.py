@@ -1,11 +1,15 @@
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from aritygap import DomainError, FiniteFunction, UnknownSuiteError, run_suite
+from aritygap import suites
+from aritygap.enumeration import DEFAULT_BUDGET
+from aritygap.facts import SCREENS, TABLE_SCREENS
 from aritygap.suites import SUITE_NAMES
 
 
@@ -34,6 +38,34 @@ def test_suite_names_registered():
         "thm4_1", "cor4_1", "cor4_2", "willard", "cor2_1",
     ):
         assert name in SUITE_NAMES
+
+
+def test_registry_sends_the_screened_suites_to_one_runner():
+    # a suite added to the screens but not the registry (or the other way
+    # round) fails here rather than in a run
+    routed = {name for name, run in suites._SUITES.items() if run is suites._run_population}
+    assert routed == set(SCREENS)
+    k, n = 2, 3
+    raw = set()
+    for name in routed:
+        widths = {suites._population(name, k, n, mode, 1, 5, DEFAULT_BUDGET)[0].shape[1]
+                  for mode in ("exhaustive", "sample")}
+        assert widths in ({k**n}, {comb(k + n - 1, n)}), name
+        if widths == {k**n}:
+            raw.add(name)
+    assert raw == set(TABLE_SCREENS)
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("lemma2_1", "sample"), ("lemma2_2", "sample"), ("lemma2_3", "sample"),
+    ("willard", "exhaustive"), ("thm2_1", "exhaustive"), ("thm2_5", "sample"),
+])
+@pytest.mark.parametrize("sample", [0, -5])
+def test_run_suite_rejects_sample_below_one(name, mode, sample):
+    # lemma2_1 used to check 0 instances and pass, lemma2_3 to check 1 000
+    # and report a sample of 0
+    with pytest.raises(DomainError, match="sample size must be at least 1"):
+        run_suite(name, 4, 4, mode=mode, seed=1, sample=sample)
 
 
 def test_lemma2_2_dichotomy_small():
