@@ -188,7 +188,8 @@ def _cmd_census(args) -> int:
         st = result.stats
         print(
             f"stats: population={result.population} specs_indexed={st['specs_indexed']} "
-            f"count_s={st['count_s']:.3f} index_s={st['index_s']:.3f}",
+            f"count_s={st['count_s']:.3f} list_s={st['list_s']:.3f} "
+            f"index_s={st['index_s']:.3f}",
             file=sys.stderr,
         )
     doc = result.to_doc()

@@ -22,9 +22,10 @@ the number of union-find components of its groups. The census counts every
 bucket in closed form from the components of Y, Z and Y u Z, in a single
 process and without visiting a candidate. The gap >= 2 class is listed for
 any n >= 2 within the budget and ``LIST_LIMIT`` by assigning values to
-components, and the gap index of each member is computed honestly by the
-generic minor closure. Tests check the counts and the class against a scan
-of every candidate.
+components, and the census reads the gap index of every member off the
+identification-shape DAG of ``facts.SpecFacts``, a chunk of the listed
+array at a time. Tests check the counts and the class against a scan of
+every candidate, and the indices against the generic minor closure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .core import (
     iter_points,
     tuple_getter,
 )
-from .minors import GapProfile, _values, gap_index
+from .minors import GapProfile, _chunks, _values, gap_index
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
@@ -59,9 +60,11 @@ from .symmetric import (
 )
 
 DEFAULT_BUDGET = 10**8
-# Most table entries (class size x k^n) a listing of the gap >= 2 class may
-# span, whatever the budget: every consumer expands each member to its full
-# table, and the class jumps from 130 044 members at (4, 3) to 48 828 120 at (5, 2).
+# Most table entries (members x k^n) a listing of the gap >= 2 class, or a
+# sample of raw tables, may span, whatever the budget: the census and the
+# suite screens gather tables of up to k^n entries for every member, chunk
+# by chunk, and the class jumps from 130 044 members at (4, 3) to 48 828 120
+# at (5, 2).
 LIST_LIMIT = 10**8
 
 
@@ -234,8 +237,8 @@ class Census:
     population: int
     counts: dict
     ind_distribution: dict
-    # specs gap-indexed and the seconds spent counting and indexing; never
-    # part of the report
+    # specs gap-indexed and the seconds spent counting, listing the class and
+    # indexing it; never part of the report
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -299,7 +302,9 @@ def census(
     """Classify every symmetric function of arity n over K by (ess, gap).
 
     The counts take no scan, so the census runs in one process whatever
-    ``workers`` says; the budget still bounds the candidate count.
+    ``workers`` says; the budget still bounds the candidate count. The gap
+    index distribution covers the listed gap >= 2 class, refused like every
+    listing of it (``_listable_class_size``).
     """
     check_domain(k, n)
     total = symmetric_spec_count(k, n)
@@ -308,10 +313,17 @@ def census(
     t0 = perf_counter()
     counts = _bucket_counts(k, n)
     t1 = perf_counter()
-    specs = nontrivial_gap_specs(k, n, budget=total)
-    ind_dist = Counter(gap_index(spec_to_function(k, n, spec)) for spec in specs)
-    stats = {"specs_indexed": len(specs), "count_s": t1 - t0,
-             "index_s": perf_counter() - t1}
+    specs = _nontrivial_gap_array(k, n, total)
+    t2 = perf_counter()
+    ind_dist = Counter()
+    if len(specs):
+        # imported here, as the suites do, so that analyze never loads it
+        from .facts import SpecFacts
+
+        for p in _chunks(len(specs), k**n):  # the root shape has k^n entries
+            ind_dist.update(SpecFacts(k, n, specs[p]).gap_index.tolist())
+    stats = {"specs_indexed": len(specs), "count_s": t1 - t0, "list_s": t2 - t1,
+             "index_s": perf_counter() - t2}
     return Census(k, n, total, counts, dict(ind_dist), stats)
 
 
@@ -338,13 +350,14 @@ def _fictive(specs: np.ndarray, rep: tuple[int, ...]) -> np.ndarray:
     return np.all(specs == specs[:, rep], axis=1)
 
 
-def _listable_class_size(k: int, n: int, budget: int) -> int:
+def _listable_class_size(k: int, n: int, budget: int, limit: str = "budget") -> int:
     """Size of the gap >= 2 class, refused from the counts, before anything
     is built, when it is over the budget or its table entries are over
-    ``LIST_LIMIT``."""
+    ``LIST_LIMIT``. ``limit`` names the budget in the refusal: "budget" for
+    one an option sets, any other name for a fixed one."""
     size = _nontrivial(_bucket_counts(k, n))
     if size > budget:
-        raise BudgetError(size, budget, "class members")
+        raise BudgetError(size, budget, "class members", limit)
     if size * k**n > LIST_LIMIT:
         raise BudgetError(size * k**n, LIST_LIMIT, "table entries", "listing limit")
     return size
@@ -375,7 +388,7 @@ def _full_gap_array(k: int, n: int, budget: int) -> np.ndarray:
     return specs[~np.all(specs == specs[:, :1], axis=1)]
 
 
-def _nontrivial_gap_array(k: int, n: int, budget: int) -> np.ndarray:
+def _nontrivial_gap_array(k: int, n: int, budget: int, limit: str = "budget") -> np.ndarray:
     """Multiset specs of every symmetric function with gap at least 2, one
     row each.
 
@@ -383,7 +396,8 @@ def _nontrivial_gap_array(k: int, n: int, budget: int) -> np.ndarray:
     n = 2 exactly when y is fictive; the class is the union of those
     solution sets minus the constants, listed by assigning values to
     components. The budget bounds the class size and ``LIST_LIMIT`` its
-    table entries, both checked from the counts before anything is built.
+    table entries, both checked from the counts before anything is built
+    (``limit`` names the budget, as in ``_listable_class_size``).
     Suite witness lists follow the order of this list, so the order is part
     of every report: when the whole domain fits the budget, the list is
     grouped by cell,
@@ -393,7 +407,7 @@ def _nontrivial_gap_array(k: int, n: int, budget: int) -> np.ndarray:
     (3, 3) and beyond 10^12 candidates). Beyond the budget the list is
     ascending.
     """
-    if not _listable_class_size(k, n, budget):
+    if not _listable_class_size(k, n, budget, limit):
         return np.zeros((0, comb(k + n - 1, n)), dtype=np.uint8)
     y_rep, z_rep, _ = _fictive_reps(k, n)
     specs = _solutions(k, y_rep)

@@ -94,19 +94,6 @@ def _partitions(n: int, most: int | None = None):
             yield (first,) + rest
 
 
-@functools.lru_cache(maxsize=64)
-def _shape_gather(k: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Entry y (a point of K^r in table order) is the index of the multiset
-    y_1^l1 ... y_r^lr: the table of F_shape, gathered from a spec."""
-    index = symmetry_index(k, n).index
-    return np.array(
-        [index[tuple(sorted(itertools.chain.from_iterable(
-            (v,) * part for v, part in zip(y, shape))))]
-         for y in iter_points(k, len(shape))],
-        dtype=np.intp,
-    )
-
-
 def _merge(shape: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     rest = [p for q, p in enumerate(shape) if q not in (i, j)]
     return tuple(sorted(rest + [shape[i] + shape[j]], reverse=True))
@@ -122,6 +109,25 @@ def _shape_dag(n: int):
                       for i, j in itertools.combinations(range(len(shape)), 2)))
         for shape in shapes
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_gathers(k: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Per partition of n into r parts, the gather whose entry y (a point of
+    K^r in table order) is the index of the multiset y_1^l1 ... y_r^lr: the
+    table of F_shape, gathered from a spec. Cached per (k, n) as a whole, so
+    that chunk after chunk finds every shape's gather however many there are
+    (77 at n = 12)."""
+    index = symmetry_index(k, n).index
+    return {
+        shape: np.array(
+            [index[tuple(sorted(itertools.chain.from_iterable(
+                (v,) * part for v, part in zip(y, shape))))]
+             for y in iter_points(k, len(shape))],
+            dtype=np.intp,
+        )
+        for shape, _ in _shape_dag(n)
+    }
 
 
 def _distinct_codes(rows: np.ndarray, k: int) -> np.ndarray:
@@ -226,8 +232,8 @@ class SpecFacts:
         """Per partition of n into r parts, the table of F_shape, (N, k^r),
         and which of its parts are essential, (N, r)."""
         out = {}
-        for shape, _ in _shape_dag(self.n):
-            table = self.specs[:, _shape_gather(self.k, self.n, shape)]
+        for shape, gather in _shape_gathers(self.k, self.n).items():
+            table = self.specs[:, gather]
             out[shape] = table, _essential_mask(self.k, len(shape), table)
         return out
 

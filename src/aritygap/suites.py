@@ -83,6 +83,7 @@ from .symmetric import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    LIST_LIMIT,
     _full_gap_array,
     _nontrivial_gap_array,
     _seeded_rows,
@@ -167,9 +168,10 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int,
     one function of the residual pair, with a shared diagonal value), every
     draw verified. At any other n, uniform draws with replacement from the
     listed gap-2 members, draw i from its own generator seeded with
-    (seed << 28) ^ i."""
+    (seed << 28) ^ i. The listing is bounded by ``DEFAULT_BUDGET``, a fixed
+    limit here, since no budget option reaches a sample."""
     if n != 4:
-        members = _gap2_members(k, n, DEFAULT_BUDGET)
+        members = _gap2_members(k, n, DEFAULT_BUDGET, limit="sampling limit")
         if not len(members):
             return []
         return [
@@ -192,11 +194,11 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int,
     return out
 
 
-def _gap2_members(k: int, n: int, budget: int) -> np.ndarray:
+def _gap2_members(k: int, n: int, budget: int, limit: str = "budget") -> np.ndarray:
     """The gap-2 members of the listed gap >= 2 class, in its order."""
     from .facts import SpecFacts
 
-    specs = _nontrivial_gap_array(k, n, budget)
+    specs = _nontrivial_gap_array(k, n, budget, limit)
     ess, gap = SpecFacts(k, n, specs).ess_gap
     return specs[(ess == n) & (gap == 2)]
 
@@ -237,7 +239,9 @@ def _population(name, k, n, mode, seed, sample, budget):
     string, the notes and the parameters of the report.
 
     ``willard`` always samples raw tables, ``lemma2_3`` lists every table
-    while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond.
+    while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond; a
+    sample of more than ``LIST_LIMIT`` table entries is refused before
+    anything is drawn.
     ``lemma2_1`` takes the full spec space, or a seeded sample, or (with a
     note) the listed gap >= 2 class when the full space is out of reach.
     The others take the listed gap >= 2 class, only its gap-n cell for
@@ -250,6 +254,8 @@ def _population(name, k, n, mode, seed, sample, budget):
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
         count = sample or (10000 if name == "willard" else 1000)
+        if count * width > LIST_LIMIT:
+            raise BudgetError(count * width, LIST_LIMIT, "table entries", "listing limit")
         if name == "willard":
             params["sample"] = count
         return (_seeded_rows(k, width, count, seed, 20), f"sample(raw tables, {count})",

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,12 +176,71 @@ def test_census_budget_refusal(capsys):
     ],
 )
 def test_budget_refusal_of_counts_past_the_digit_limit(capsys, argv):
-    # the counts have some 80 000 digits, more than Python turns into text
+    # the counts have some 80 000 digits, more than Python turns into text;
+    # the gap-2 sampler's bound is a fixed limit, which no option lifts, so
+    # its refusal does not suggest sampling
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: exhaustive enumeration requires at least 10^")
+    if "sample" in argv:
+        assert err.startswith("error: listing requires at least 10^")
+        assert "class members, over the sampling limit of 100000000" in err
+        assert "use sampling" not in err
+    else:
+        assert err.startswith("error: exhaustive enumeration requires at least 10^")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "suite,entries",
+    [("willard", 10000 * 2**20), ("lemma2_3", 1000 * 2**20)],
+)
+def test_raw_table_sample_over_listing_limit_draws_nothing(capsys, monkeypatch, suite,
+                                                           entries):
+    def draw(*args):
+        raise AssertionError("a refused sample was drawn")
+
+    monkeypatch.setattr("aritygap.suites._seeded_rows", draw)
+    code, out, err = run_cli(capsys, "verify", suite, "-k", "2", "-n", "20", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert f"listing requires {entries} table entries" in err
+    assert "listing limit" in err and "use sampling" not in err
+
+
+def test_census_stats_split_listing_from_indexing(capsys):
+    assert main(["census", "-k", "3", "-n", "4", "--stats", "-o", os.devnull]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    fields = dict(f.split("=") for f in line.removeprefix("stats: ").split())
+    assert list(fields) == ["population", "specs_indexed", "count_s", "list_s", "index_s"]
+    assert all(float(fields[key]) >= 0 for key in ("count_s", "list_s", "index_s"))
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (("census", "-k", "3", "-n", "3"), True),
+        (("census", "-k", "3", "-n", "1"), False),  # no member has a gap
+        (("analyze", "@sym43-1"), False),
+    ],
+)
+def test_facts_loaded_only_by_a_census_that_indexes(tmp_path, argv, loaded):
+    argv = list(argv)
+    if argv[1].startswith("@"):
+        k, n, table = GOLDEN_DOCS[argv[1][1:]]
+        argv[1] = write_doc(tmp_path, "doc.json", {"k": k, "n": n, "table": table})
+    script = (
+        "import os, sys\n"
+        "import aritygap.cli\n"
+        f"code = aritygap.cli.main({argv!r} + ['-o', os.devnull])\n"
+        "print(code, 'aritygap.facts' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    assert out == f"0 {loaded}\n"
 
 
 @pytest.mark.parametrize("k,n,count", [(300, 1, 20), (257, 2, 5)])
@@ -436,6 +499,12 @@ GOLDEN_REPORTS = [
      "d469daa45e25f771117516d68c84c6944bce9525ecbdaf1a1a6c96e7b2b72a7d"),
     (('verify', 'lemma2_3', '-k', '2', '-n', '3'), 0,
      "5824c6ee8616c0e3b5df5340bd6efb245e2993ac7516a9a9d6dd9f590d4767fe"),
+    # recorded while the census still ran the minor closure of every member
+    # (the (4, 4) row took 34 s then)
+    (('census', '-k', '4', '-n', '4', '--budget-override'), 0,
+     "dc2f1bddad96d9bee5980f029933fc3b574daca3e5a31288dadde6043fb7eee2"),
+    (('census', '-k', '3', '-n', '6', '--budget-override'), 0,
+     "8f4c33cd58bd1b11d6649dd430af32856d2b83da6bd86563da1a405855876519"),
 ]
 
 

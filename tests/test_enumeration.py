@@ -28,6 +28,7 @@ from aritygap.enumeration import (
     spec_ess_gap,
     symmetry_index,
 )
+from aritygap.minors import gap_index
 
 _BATCH = 1 << 18
 
@@ -180,6 +181,27 @@ def test_census_worker_determinism():
     assert a.counts == b.counts
     assert a.ind_distribution == b.ind_distribution
     assert a.to_doc() == b.to_doc()
+
+
+@pytest.mark.parametrize(
+    "k,n", [(2, n) for n in range(2, 9)] + [(3, 3), (3, 4), (3, 5), (3, 6)]
+)
+def test_census_index_equals_the_minor_closure(k, n):
+    # the per-function minor closure is the oracle of the batched shape DAG;
+    # (3, 6) has index 3, a chain deeper than 2
+    oracle = Counter(
+        gap_index(spec_to_function(k, n, s)) for s in nontrivial_gap_specs(k, n)
+    )
+    assert census(k, n, override=True).ind_distribution == oracle
+
+
+def test_census_index_summed_over_small_chunks(monkeypatch):
+    # 27 entries per root table: chunks of 2 members, summed into one Counter
+    whole = census(3, 3)
+    monkeypatch.setattr("aritygap.minors._CHUNK", 64)
+    chunked = census(3, 3)
+    assert chunked.ind_distribution == whole.ind_distribution == {1: 150}
+    assert chunked.stats["specs_indexed"] == 150
 
 
 @given(st.data())
