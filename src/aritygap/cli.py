@@ -229,9 +229,9 @@ def _cmd_verify(args) -> int:
         st = report.stats
         print(
             f"stats: population={st['source']} instances={st['instances']} "
-            f"checker_rows={st['checker_rows']} build_s={st['build_s']:.3f} "
-            f"check_s={st['check_s']:.3f} merge_s={st['merge_s']:.3f} "
-            f"workers={st['workers']}",
+            f"draws={st['draws']} checker_rows={st['checker_rows']} "
+            f"build_s={st['build_s']:.3f} check_s={st['check_s']:.3f} "
+            f"merge_s={st['merge_s']:.3f} workers={st['workers']}",
             file=sys.stderr,
         )
     doc = report.to_doc()

@@ -36,7 +36,7 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
+from math import ceil, comb, sqrt
 from time import perf_counter
 
 import numpy as np
@@ -150,16 +150,74 @@ def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
     return FiniteFunction(k, n, symmetry_index(k, n).orbit_getter(spec))
 
 
+# The most generator outputs ``_draw_rows`` decodes at once, 64 KiB of them.
+_DRAW_WORDS = 1 << 14
+
+
+def _draw_rows(k: int, width: int, seeds) -> np.ndarray:
+    """Row i holds the first ``width`` values of
+    ``random.Random(seeds[i]).randrange(k)``, as an array of the dtype of
+    ``minors._values``.
+
+    CPython draws ``randrange(k)`` as ``getrandbits(b)``, b = k.bit_length(),
+    until a value is below k, and ``getrandbits(b)`` for b <= 32 is the top
+    b bits of one 32-bit output. So one generator is seeded with each seed
+    in turn and read as one ``getrandbits(32 * w)`` block, which holds its
+    first w outputs, the first one lowest; the top b bits of the outputs,
+    kept where they are below k, are the seed's draws in order. w is the
+    expected number of outputs a row needs plus three standard deviations,
+    at most ``_DRAW_WORDS``; a row whose block keeps fewer than ``width``
+    values is seeded again, read past its block and decoded on, a block at
+    a time.
+    """
+    bits = k.bit_length()
+    if bits > 32:
+        raise DomainError(f"seeded draws need a radix below 2**32, got {k}")
+    out = np.empty((len(seeds), width), dtype=_values(k, [0]).dtype)
+    if not width:
+        return out
+    kept = k / (1 << bits)  # the share of outputs a draw keeps
+    words = min(_DRAW_WORDS, ceil((width + 3 * sqrt(width * (1 - kept))) / kept) + 1)
+
+    rng = random.Random()
+    # For an int, Random.seed only checks the type and calls this seeding.
+    seed = super(random.Random, rng).seed
+
+    def read() -> bytes:  # the next ``words`` outputs of rng, the first lowest
+        return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+
+    def first(s: int) -> bytes:  # the first ``words`` outputs of seed s
+        seed(s)
+        return read()
+
+    def top(raw: bytes) -> np.ndarray:  # the top ``bits`` bits of each output
+        return np.frombuffer(raw, "<u4") >> (32 - bits)
+
+    flat = out.reshape(-1)
+    step = max(1, _DRAW_WORDS // words)
+    for lo in range(0, len(seeds), step):
+        block = seeds[lo : lo + step]
+        draws = top(b"".join([first(s) for s in block])).reshape(-1, words)
+        keep = draws < k
+        rank = np.cumsum(keep, axis=1)  # the draws kept up to each output
+        at = np.flatnonzero(keep & (rank <= width))
+        flat[(lo + at // words) * width + rank.reshape(-1)[at] - 1] = draws.reshape(-1)[at]
+        for i in np.flatnonzero(rank[:, -1] < width):
+            first(block[i])
+            have = int(rank[i, -1])
+            while have < width:
+                more = top(read())
+                more = more[more < k][: width - have]
+                out[lo + i, have : have + len(more)] = more
+                have += len(more)
+    return out
+
+
 def _seeded_rows(k: int, width: int, count: int, seed: int, shift: int) -> np.ndarray:
-    """``count`` uniformly random rows of ``width`` values below k, as an
-    array of the dtype of ``minors._values``; row i comes from its own
-    generator, seeded with (seed << shift) ^ i, one ``randrange(k)`` per
-    entry."""
-    rows = []
-    for i in range(count):
-        draw = random.Random((seed << shift) ^ i).randrange
-        rows.append([draw(k) for _ in range(width)])
-    return _values(k, rows).reshape(count, width)
+    """``count`` uniformly random rows of ``width`` values below k
+    (``_draw_rows``); row i comes from its own generator, seeded with
+    (seed << shift) ^ i, one ``randrange(k)`` per entry."""
+    return _draw_rows(k, width, [(seed << shift) ^ i for i in range(count)])
 
 
 def sample_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:

@@ -48,7 +48,6 @@ from .core import (
 )
 from .minors import (
     _essential_positions,
-    _values,
     all_minors,
     essential_count,
     essential_variables,
@@ -84,6 +83,7 @@ from .symmetric import (
 from .enumeration import (
     DEFAULT_BUDGET,
     LIST_LIMIT,
+    _draw_rows,
     _full_gap_array,
     _nontrivial_gap_array,
     _seeded_rows,
@@ -117,8 +117,9 @@ class SuiteReport:
     vacuous: bool
     subcases: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    # how the run went (population source, rows sent to the per-instance
-    # checker, build/check/merge seconds, workers); never part of the report
+    # how the run went (population source, generators seeded to draw it,
+    # rows sent to the per-instance checker, build/check/merge seconds,
+    # workers); never part of the report
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -162,36 +163,44 @@ def _keep(violations: list, record: dict) -> int:
 # populations
 
 
-def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """``count`` seeded gap-2 symmetric specs. At n = 4, draws via the
-    fictive-doubled-slot structure (values on repeated multisets come from
-    one function of the residual pair, with a shared diagonal value), every
-    draw verified. At any other n, uniform draws with replacement from the
-    listed gap-2 members, draw i from its own generator seeded with
-    (seed << 28) ^ i. The listing is bounded by ``DEFAULT_BUDGET``, a fixed
-    limit here, since no budget option reaches a sample."""
+def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarray, int]:
+    """``count`` seeded gap-2 symmetric specs, one row each, and the number
+    of generators seeded for them. Attempt i draws from its own generator,
+    seeded with (seed << 28) ^ i. At n = 4 an attempt is one structured
+    draw (values on repeated multisets come from one function of the
+    residual pair, with a shared diagonal value), kept if its (ess, gap) is
+    (4, 2); the first ``count`` kept in attempt order are the sample, within
+    60 * count attempts. At any other n an attempt is one uniform draw, with
+    replacement, from the listed gap-2 members. The listing is bounded by
+    ``DEFAULT_BUDGET``, a fixed limit here, since no budget option reaches a
+    sample."""
+    from .facts import SpecFacts
+
     if n != 4:
         members = _gap2_members(k, n, DEFAULT_BUDGET, limit="sampling limit")
         if not len(members):
-            return []
-        return [
-            tuple(members[random.Random((seed << 28) ^ i).randrange(len(members))].tolist())
-            for i in range(count)
-        ]
-    plan = _gap2_draw_plan(k, n)
-    draws = 1 + comb(k, 2)
-    out: list[tuple[int, ...]] = []
-    attempt = 0
-    while len(out) < count and attempt < 60 * count:
-        rng = random.Random((seed << 28) ^ attempt)
-        attempt += 1
-        # the shared diagonal value, then one value per pair a < b
-        pair_val = [rng.randrange(k) for _ in range(draws)]
-        t = tuple(rng.randrange(k) if src < 0 else pair_val[src] for src in plan)
-        ess, g = spec_ess_gap(k, n, t)
-        if ess == n and g == 2:
-            out.append(t)
-    return out
+            return members, 0
+        picks = _draw_rows(len(members), 1, [(seed << 28) ^ i for i in range(count)])
+        return members[picks[:, 0]], count
+    # the column of each multiset's value among an attempt's draws: the
+    # shared diagonal value, one value per pair a < b, then one per free
+    # multiset in order
+    plan = np.array(_gap2_draw_plan(k, n))
+    free = plan < 0
+    pairs = 1 + comb(k, 2)
+    plan[free] = pairs + np.arange(free.sum())
+    width = pairs + int(free.sum())
+    blocks = []
+    kept = attempt = 0
+    while kept < count and attempt < 60 * count:
+        # no more attempts than specs still wanted, so none is drawn in vain
+        stop = min(attempt + count - kept, 60 * count)
+        specs = _draw_rows(k, width, [(seed << 28) ^ i for i in range(attempt, stop)])[:, plan]
+        attempt = stop
+        ess, gap = SpecFacts(k, n, specs).ess_gap
+        blocks.append(specs[(ess == n) & (gap == 2)])
+        kept += len(blocks[-1])
+    return np.concatenate(blocks), attempt
 
 
 def _gap2_members(k: int, n: int, budget: int, limit: str = "budget") -> np.ndarray:
@@ -236,7 +245,8 @@ def _population(name, k, n, mode, seed, sample, budget):
     """The population that suite ``name`` checks, as one array with one row
     per instance in report order: raw value tables for ``lemma2_3`` and
     ``willard``, multiset specs for the others. Returns it with the mode
-    string, the notes and the parameters of the report.
+    string, the notes and the parameters of the report, and the number of
+    generators seeded to draw it (0 for a listed population).
 
     ``willard`` always samples raw tables, ``lemma2_3`` lists every table
     while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond; a
@@ -250,7 +260,7 @@ def _population(name, k, n, mode, seed, sample, budget):
     if name in ("lemma2_3", "willard"):
         width = k**n
         if name == "lemma2_3" and mode == "exhaustive" and k**width <= FULL_SCAN_LIMIT:
-            return _solutions(k, range(width)), "exhaustive(raw tables)", [], params
+            return _solutions(k, range(width)), "exhaustive(raw tables)", [], params, 0
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
         count = sample or (10000 if name == "willard" else 1000)
@@ -259,30 +269,30 @@ def _population(name, k, n, mode, seed, sample, budget):
         if name == "willard":
             params["sample"] = count
         return (_seeded_rows(k, width, count, seed, 20), f"sample(raw tables, {count})",
-                [], params)
+                [], params, count)
     width = comb(k + n - 1, n)
     if mode == "sample":
         if seed is None:
             raise DomainError("sampling mode requires an explicit seed")
         if name == "lemma2_1":
             count = sample or 1000
-            return _seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params
-        specs = _sample_gap2_specs(k, n, sample or 300, seed)
-        return (_values(k, specs).reshape(-1, width), f"sample(gap-2, {sample or 300})",
-                [], params)
+            return (_seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params,
+                    count)
+        specs, draws = _sample_gap2_specs(k, n, sample or 300, seed)
+        return specs, f"sample(gap-2, {sample or 300})", [], params, draws
     if name == "lemma2_1":
         total = symmetric_spec_count(k, n)
         if total <= FULL_SCAN_LIMIT:
-            return _solutions(k, range(width)), "exhaustive", [], params
+            return _solutions(k, range(width)), "exhaustive", [], params, 0
         specs = _nontrivial_gap_array(k, n, budget)
         notes = [
             f"full symmetric domain has {total} candidates, over the per-suite scan "
             f"limit of {FULL_SCAN_LIMIT}; checked the exhaustively enumerable "
             f"non-trivial-gap subclass ({len(specs)} members)"
         ]
-        return specs, "exhaustive(non-trivial-gap subclass)", notes, params
+        return specs, "exhaustive(non-trivial-gap subclass)", notes, params, 0
     cell = _full_gap_array if name in _FULL_GAP_CHECKERS else _nontrivial_gap_array
-    return cell(k, n, budget), "exhaustive(non-trivial gap)", [], params
+    return cell(k, n, budget), "exhaustive(non-trivial gap)", [], params, 0
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +754,8 @@ def _run_population(name, k, n, mode, seed, sample, budget):
     keeping only the records still wanted, and report them with the run's
     stats; ``thm3_2`` and ``lemma3_1`` then add to the report."""
     t0 = perf_counter()
-    rows, mode_desc, notes, params = _population(name, k, n, mode, seed, sample, budget)
+    rows, mode_desc, notes, params, draws = _population(name, k, n, mode, seed, sample,
+                                                        budget)
     build_s = perf_counter() - t0
     instances = total = checked = 0
     subcounts: Counter = Counter()
@@ -761,7 +772,7 @@ def _run_population(name, k, n, mode, seed, sample, budget):
         checked += flagged
         kept.extend(kv)
         merge_s += perf_counter() - t0
-    stats = {"checker_rows": checked, "build_s": build_s,
+    stats = {"draws": draws, "checker_rows": checked, "build_s": build_s,
              "check_s": perf_counter() - start - merge_s, "merge_s": merge_s}
     report = _mk_report(name, k, n, mode_desc, params, instances, subcounts, total, kept,
                         notes, stats)
@@ -1131,8 +1142,8 @@ def run_suite(
     report = runner(name, k, n, mode, seed, sample, budget)
     if not report.stats:
         # a runner that checks each instance itself, in this process
-        report.stats = {"checker_rows": report.instances_checked, "build_s": 0.0,
-                        "check_s": perf_counter() - t0, "merge_s": 0.0}
+        report.stats = {"draws": 0, "checker_rows": report.instances_checked,
+                        "build_s": 0.0, "check_s": perf_counter() - t0, "merge_s": 0.0}
     report.stats = {"source": report.mode, "instances": report.instances_checked,
                     **report.stats, "workers": 1}
     return report

@@ -293,9 +293,9 @@ def test_verify_samples_gap2_class_beyond_n4(capsys, k, n, members):
     report = json.loads(out)
     assert report["mode"] == "sample(gap-2, 5)"
     assert report["instances_checked"] == 5
-    drawn = _sample_gap2_specs(k, n, 5, 1)
+    drawn = list(map(tuple, _sample_gap2_specs(k, n, 5, 1)[0].tolist()))
     assert all(s in set(gap2) for s in drawn)
-    assert _sample_gap2_specs(k, n, 5, 2) != drawn
+    assert list(map(tuple, _sample_gap2_specs(k, n, 5, 2)[0].tolist())) != drawn
     assert run_cli(capsys, *argv)[1] == out
 
 

@@ -6,8 +6,9 @@ test, compression and spec expansion must give the same tables and the
 same answers, on every position pair and constant, for k in 2..4 and n in
 0..4. The direct full-gap listing and the planned gap-2 sampler are checked
 against the filter and the draw loop they replaced, the seeded row sampler
-against the uniform spec and raw-table draw loops, and the listed full
-space against ``itertools.product``.
+against the uniform spec and raw-table draw loops (also with output blocks
+so short that rows are drawn on past them), and the listed full space
+against ``itertools.product``.
 """
 
 import itertools
@@ -297,12 +298,23 @@ def loop_sample_gap2_n4(k, n, count, seed):
     return out
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("k", [3, 4])
+# 17, -3 and 2**40 make multi-word and negative seeding keys
+SEEDS = [0, 1, 2, 3, 4, 5, 17, -3, 2**40]
+
+
+def _rows(specs):
+    return list(map(tuple, specs.tolist()))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_gap2_sampler_draws_equal_loop(k, seed):
-    got = _sample_gap2_specs(k, 4, 100, seed)
-    assert got == loop_sample_gap2_n4(k, 4, 100, seed)
-    assert len(got) == 100
+    got, draws = _sample_gap2_specs(k, 4, 100, seed)
+    want = loop_sample_gap2_n4(k, 4, 100, seed)
+    assert _rows(got) == want
+    assert got.shape == (len(want), math.comb(k + 3, 4))
+    assert got.dtype == _values(k, [0]).dtype
+    assert len(got) == 100 <= draws < 6000
 
 
 def test_gap2_sampler_refusal_message_unchanged():
@@ -333,8 +345,9 @@ def loop_sample_raw_tables(k, n, count, seed):
     return out
 
 
-@pytest.mark.parametrize("k,n", [(2, 0), (2, 3), (3, 3), (4, 2), (3, 4), (300, 1)])
-@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "k,n", [(2, 0), (2, 3), (3, 3), (4, 2), (3, 4), (5, 2), (257, 1), (300, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 17, -3, 2**40])
 def test_seeded_rows_equal_the_draw_loops(k, n, seed):
     specs = _seeded_rows(k, math.comb(k + n - 1, n), 30, seed, 24)
     tables = _seeded_rows(k, k**n, 30, seed, 20)
@@ -343,6 +356,29 @@ def test_seeded_rows_equal_the_draw_loops(k, n, seed):
     assert sample_specs(k, n, 30, seed) == loop_sample_specs(k, n, 30, seed)
     assert list(map(tuple, tables.tolist())) == loop_sample_raw_tables(k, n, 30, seed)
     assert _seeded_rows(k, k**n, 0, seed, 20).shape == (0, k**n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 257])
+def test_short_draw_blocks_carry_on_from_the_same_generator(monkeypatch, k):
+    # a block of three outputs keeps at most three values, so nearly every
+    # row is drawn on, block after block, past its first one
+    monkeypatch.setattr("aritygap.enumeration._DRAW_WORDS", 3)
+    n = 2 if k < 257 else 1
+    for seed in (0, 17, -3, 2**40):
+        specs = _seeded_rows(k, math.comb(k + n - 1, n), 12, seed, 24)
+        tables = _seeded_rows(k, k**n, 12, seed, 20)
+        assert _rows(specs) == loop_sample_specs(k, n, 12, seed)
+        assert _rows(tables) == loop_sample_raw_tables(k, n, 12, seed)
+        if k < 257:
+            assert _rows(_sample_gap2_specs(k, 4, 20, seed)[0]) == loop_sample_gap2_n4(
+                k, 4, 20, seed)
+
+
+def test_seeded_draws_refuse_a_radix_of_33_bits():
+    with pytest.raises(DomainError, match="below 2\\*\\*32"):
+        _seeded_rows(2**32, 1, 3, 1, 20)
+    assert _seeded_rows(2**32 - 1, 1, 3, 1, 20).tolist() == [
+        [random.Random((1 << 20) ^ i).randrange(2**32 - 1)] for i in range(3)]
 
 
 @pytest.mark.parametrize("k,width", [(2, 1), (5, 1), (2, 4), (3, 4), (4, 3), (2, 16)])

@@ -145,9 +145,27 @@ def test_stats_go_to_stderr_only(capsys):
     assert with_stats.out == plain.out
     assert plain.err == ""
     (line,) = with_stats.err.splitlines()
-    assert line.startswith("stats: population=exhaustive(non-trivial gap) instances=150 ")
+    assert line.startswith("stats: population=exhaustive(non-trivial gap) instances=150 "
+                           "draws=0 ")
     for key in ("checker_rows=", "build_s=", "check_s=", "merge_s=", "workers=1"):
         assert key in line
+
+
+@pytest.mark.parametrize("args,draws", [
+    ("cor4_2 -k 4 -n 4 --mode sample --seed 1 --sample 300", 300),
+    ("cor4_2 -k 3 -n 4 --mode sample --seed 1 --sample 300", 309),
+    ("cor4_2 -k 2 -n 4 --mode sample --seed 1 --sample 300", 598),
+    ("lemma2_1 -k 4 -n 4 --mode sample --seed 1 --sample 300", 300),
+    ("willard -k 3 -n 3 --seed 1", 10000),
+    ("thm4_1 -k 3 -n 5 --mode sample --seed 1 --sample 5", 5),
+    ("thm2_1 -k 3 -n 3 --seed 1 --sample 20", 0),
+])
+def test_stats_count_the_generators_seeded(capsys, args, draws):
+    # a gap-2 sample seeds one generator per attempt, kept or not: the
+    # acceptance rate is the kept count over the draws
+    main(["verify", *args.split(), "--format", "json", "--stats"])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f" draws={draws} checker_rows=" in line
 
 
 @pytest.mark.parametrize("suite,violations", [("cor4_2", 168), ("thm3_2", 258048)])
@@ -442,6 +460,10 @@ def loop_sample_gap2(k, n, count, seed):
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 3), (4, 3), (3, 5)])
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, -3, 2**40])
 def test_gap2_sampler_beyond_n4_equals_filter(k, n, seed):
-    assert _sample_gap2_specs(k, n, 40, seed) == loop_sample_gap2(k, n, 40, seed)
+    got, draws = _sample_gap2_specs(k, n, 40, seed)
+    want = loop_sample_gap2(k, n, 40, seed)
+    assert list(map(tuple, got.tolist())) == want
+    assert got.shape == (len(want), comb(k + n - 1, n))
+    assert draws == (40 if want else 0)
