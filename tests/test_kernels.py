@@ -352,9 +352,9 @@ def test_seeded_rows_equal_the_draw_loops(k, n, seed):
     specs = _seeded_rows(k, math.comb(k + n - 1, n), 30, seed, 24)
     tables = _seeded_rows(k, k**n, 30, seed, 20)
     assert specs.dtype == tables.dtype == _values(k, [0]).dtype
-    assert list(map(tuple, specs.tolist())) == loop_sample_specs(k, n, 30, seed)
+    assert _rows(specs) == loop_sample_specs(k, n, 30, seed)
     assert sample_specs(k, n, 30, seed) == loop_sample_specs(k, n, 30, seed)
-    assert list(map(tuple, tables.tolist())) == loop_sample_raw_tables(k, n, 30, seed)
+    assert _rows(tables) == loop_sample_raw_tables(k, n, 30, seed)
     assert _seeded_rows(k, k**n, 0, seed, 20).shape == (0, k**n)
 
 
