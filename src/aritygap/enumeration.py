@@ -47,7 +47,6 @@ from .core import (
     FiniteFunction,
     PreconditionError,
     check_domain,
-    iter_points,
     tuple_getter,
 )
 from .minors import GapProfile, _chunks, _values, gap_index
@@ -68,6 +67,20 @@ DEFAULT_BUDGET = 10**8
 LIST_LIMIT = 10**8
 
 
+def _points(k: int, n: int) -> np.ndarray:
+    """The k^n points of K^n in table order, one row each."""
+    return np.indices((k,) * n, dtype=_values(k, 0).dtype).reshape(n, k**n).T
+
+
+def _sorted_codes(k: int, values: np.ndarray) -> np.ndarray:
+    """The base-k code of each row of values below k once sorted, its first
+    (smallest) value the most significant digit."""
+    code = np.zeros(len(values), dtype=np.int64)
+    for column in np.sort(values, axis=1).T:
+        code = code * k + column
+    return code
+
+
 @dataclass(frozen=True)
 class SymmetryIndex:
     """Precomputed multiset bookkeeping for one (k, n)."""
@@ -80,9 +93,21 @@ class SymmetryIndex:
     z_groups: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """The sorted code of each multiset, ascending: the multisets are
+        listed in lexicographic order."""
+        msets = np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
+        return _sorted_codes(self.k, msets)
+
+    def ranks(self, values: np.ndarray) -> np.ndarray:
+        """The index of the multiset of each row of ``values`` (n values
+        below k per row), found by a search among the multisets' codes."""
+        return np.searchsorted(self._codes, _sorted_codes(self.k, values))
+
+    @functools.cached_property
     def orbit_of_point(self) -> tuple[int, ...]:
         """Multiset index of each of the k^n table points, built on first use."""
-        return tuple(self.index[tuple(sorted(p))] for p in iter_points(self.k, self.n))
+        return tuple(self.ranks(_points(self.k, self.n)).tolist())
 
     @functools.cached_property
     def orbit_getter(self):
@@ -426,13 +451,6 @@ def _tuples(specs: np.ndarray) -> list[tuple[int, ...]]:
     for lo in range(0, len(specs), 4096):  # blocks bound the transient lists
         members.extend(zip(*specs[lo : lo + 4096].T.tolist()))
     return members
-
-
-def full_gap_specs(
-    k: int, n: int, *, budget: int = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """The rows of ``_full_gap_array`` as tuples."""
-    return _tuples(_full_gap_array(k, n, budget))
 
 
 def _full_gap_array(k: int, n: int, budget: int) -> np.ndarray:

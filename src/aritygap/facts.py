@@ -15,8 +15,8 @@ every row at once, the facts that the symmetric claims are about:
   function has one state per multiset of substituted constants; every state
   it never reaches is constant with a value it already counts, so sub is the
   range size plus the distinct non-constant restrictions of each order, and
-  the separable sets are whole levels, C(n, n - o) sets for each order o
-  with a non-constant restriction, plus the empty set;
+  the separable sets are whole levels: every set of n - o variables for each
+  order o with a non-constant restriction, and the empty set;
 * the identification-shape DAG: an iterated identification minor of s is
   F_lambda(y) = s(y_1^l1 ... y_r^lr) up to a relabeling of its variables,
   lambda a partition of n, and identifying two essential variables merges
@@ -31,8 +31,8 @@ from their essential masks and one-step minors. :func:`slice_flags`
 screens raw value tables for the restriction claim of Lemma 2.1 by testing
 every fixing of (positions, constants).
 
-``SCREENS`` turns the facts into each population suite's claim: per row,
-the instance flag, the violation count and the subcase counts.
+``screens.SCREENS`` turns these facts into each population suite's claim;
+a census imports only this module.
 
 Gathers are built on first use and cached per (k, n, o) or per shape;
 nothing is built at import.
@@ -46,10 +46,8 @@ from math import comb
 
 import numpy as np
 
-from .core import iter_points
-from .enumeration import _fictive_reps, symmetry_index
+from .enumeration import _fictive_reps, _points, symmetry_index
 from .minors import _chunks, _essential_mask, _identify_plan, _values
-from .subfunctions import sub_bound
 from .symmetric import multisets
 
 
@@ -118,16 +116,9 @@ def _shape_gathers(k: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
     table of F_shape, gathered from a spec. Cached per (k, n) as a whole, so
     that chunk after chunk finds every shape's gather however many there are
     (77 at n = 12)."""
-    index = symmetry_index(k, n).index
-    return {
-        shape: np.array(
-            [index[tuple(sorted(itertools.chain.from_iterable(
-                (v,) * part for v, part in zip(y, shape))))]
-             for y in iter_points(k, len(shape))],
-            dtype=np.intp,
-        )
-        for shape, _ in _shape_dag(n)
-    }
+    sym = symmetry_index(k, n)
+    return {shape: sym.ranks(np.repeat(_points(k, len(shape)), shape, axis=1))
+            for shape, _ in _shape_dag(n)}
 
 
 def _distinct_codes(rows: np.ndarray, k: int) -> np.ndarray:
@@ -214,18 +205,26 @@ class SpecFacts:
     def closure_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(sub, sep) per row, as the subfunction closure counts them."""
         k, n, specs = self.k, self.n, self.specs
-        const = _constant(specs)
         sub = sum(np.any(specs == v, axis=1) for v in range(k)).astype(np.int64)
-        sep = 1 + (~const).astype(np.int64)
         for o in range(1, n):
             r = self.restriction(o)
-            varying = ~_constant(r)
             codes = _distinct_codes(r.reshape(-1, r.shape[-1]), k).reshape(r.shape[:2])
-            sub += _distinct_per_row(np.where(varying, codes, -1))
-            sep += comb(n, n - o) * np.any(varying, axis=1)
-        sub[const] = 0
-        sep[const] = 1
-        return sub, sep
+            sub += _distinct_per_row(np.where(_constant(r), -1, codes))
+        sub[_constant(specs)] = 0
+        return sub, self.separable_levels @ np.array([comb(n, m) for m in range(n + 1)])
+
+    @functools.cached_property
+    def separable_levels(self) -> np.ndarray:
+        """(N, n + 1): whether the sets of m variables are separable, per m:
+        the empty set always, the n-set when the row is not constant, the
+        (n - o)-sets when some order-o restriction is not constant."""
+        n = self.n
+        levels = np.zeros((len(self.specs), n + 1), dtype=bool)
+        levels[:, n] = ~_constant(self.specs)
+        for o in range(1, n):
+            levels[:, n - o] = np.any(~_constant(self.restriction(o)), axis=1)
+        levels[:, 0] = True
+        return levels
 
     @functools.cached_property
     def _shape_tables(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
@@ -286,16 +285,20 @@ class SpecFacts:
         return index
 
     @functools.cached_property
-    def diagonal_equal(self) -> np.ndarray:
-        """Whether s(c^n) is the same for every constant c."""
+    def diagonal(self) -> np.ndarray:
+        """(N, k): s(c^n) for every constant c."""
         index = symmetry_index(self.k, self.n).index
-        return _constant(self.specs[:, [index[(c,) * self.n] for c in range(self.k)]])
+        return self.specs[:, [index[(c,) * self.n] for c in range(self.k)]]
 
     @functools.cached_property
     def slice_flags(self) -> np.ndarray:
         """:func:`slice_flags` of the expanded value tables."""
         tables = self.specs[:, symmetry_index(self.k, self.n).orbit_of_point]
         return slice_flags(self.k, self.n, tables)
+
+    def table(self, row: int) -> list[int]:
+        """The value table of one row."""
+        return self.specs[row, symmetry_index(self.k, self.n).orbit_of_point].tolist()
 
 
 class TableFacts:
@@ -323,6 +326,10 @@ class TableFacts:
                 counts = minors.sum(axis=1).reshape(-1, len(i))
                 best[p] = np.where(mask[p][:, i] & mask[p][:, j], counts, -1).max(axis=1)
         return ess.astype(np.int8), np.where(ess >= 2, ess - best, -1).astype(np.int8)
+
+    def table(self, row: int) -> list[int]:
+        """The value table of one row."""
+        return self.tables[row].tolist()
 
 
 def _asymmetric(k: int, tables: np.ndarray, ess: np.ndarray, pairs) -> np.ndarray:
@@ -359,148 +366,3 @@ def slice_flags(k: int, n: int, tables) -> np.ndarray:
             bad |= _asymmetric(k, s, ess, itertools.combinations(range(arity), 2))
             flagged |= bad.reshape(rows, -1).any(axis=1)
     return flagged
-
-
-# ---------------------------------------------------------------------------
-# screens: each suite's claim as predicates over the facts of a chunk
-#
-# A screen is (hypothesis, verdict). The hypothesis gives each row its
-# instance flag; the verdict gives each row its violation count and its
-# subcase counts, exactly as the suite's per-instance checker counts them.
-# Where a screen only bounds the violations (``BOUND_SCREENS``), a row it
-# passes has none, and a row it flags may have none. The screens of
-# ``TABLE_SCREENS`` read :class:`TableFacts` of raw tables, the others
-# :class:`SpecFacts`.
-
-
-def _all_essential(f: SpecFacts):
-    return f.ess_gap[0] == f.n
-
-
-def _nontrivial_gap(f: SpecFacts):
-    ess, gap = f.ess_gap
-    return (ess == f.n) & (gap >= 2)
-
-
-def _gap_2(f: SpecFacts):
-    ess, gap = f.ess_gap
-    return (ess == f.n) & (gap == 2)
-
-
-def _gap_n(f: SpecFacts):
-    ess, gap = f.ess_gap
-    return (ess == f.n) & (gap == f.n)
-
-
-def _verdict_thm3_1(f):
-    n = f.n
-    ess, gap = f.restriction_ess_gap(1)
-    wrong = ~f.dominants & ~((ess == n - 1) & (gap == n - 1))
-    return n * wrong.sum(axis=1), {}
-
-
-def _verdict_thm3_2(f):
-    k, n = f.k, f.n
-    ind = f.gap_index if n >= 4 else np.ones(len(f.specs), dtype=np.int64)
-    doubled = [symmetry_index(k, 2).index[(c, c)] for c in range(k)]
-    ess2, gap2 = (a[:, doubled] for a in f.restriction_ess_gap(2))
-    ess1, gap1 = f.restriction_ess_gap(1)
-    wdom = f.weak_dominants
-    wrong_i = ~((ess2 == n - 2) & (gap2 == 2))
-    wrong_ii = ~((ess2 == n - 2) & ((ess2 < 2) | (gap2 == ess2)))
-    wrong_iii_iv = np.where(wdom, gap1 != n - 1, gap1 != 2) | (ess1 != n - 1)
-    counts = (
-        np.where(ind > 2, wrong_i.sum(axis=1), 0)
-        + np.where(ind == 2, wrong_ii.sum(axis=1), 0)
-        + wrong_iii_iv.sum(axis=1)
-    )
-    subcounts = {
-        "i": k * (ind > 2), "ii": k * (ind == 2),
-        "iii": wdom.sum(axis=1), "iv": (~wdom).sum(axis=1),
-    }
-    return counts, subcounts
-
-
-def _verdict_cor3_1(f):
-    _, gap = f.restriction_ess_gap(1)
-    return np.sum(~f.dominants & (gap < 2), axis=1), {}
-
-
-def _verdict_lemma3_1(f):
-    range_size = sum(np.any(f.specs == v, axis=1) for v in range(f.k))
-    return f.closure_counts[0] > sub_bound(f.n, f.k) + range_size, {}
-
-
-def _verdict_sep(f):
-    # the separable sets of a symmetric function are whole levels, so they
-    # are every subset exactly when there are 2^n of them
-    return f.closure_counts[1] != 2**f.n, {}
-
-
-def _verdict_cor4_2(f):
-    return f.closure_counts[0] < 2**f.n, {}
-
-
-def _verdict_lemma2_4(f):
-    return f.n * (f.n - 1) * f.yz_essential[0], {}
-
-
-def _verdict_thm2_4(f):
-    k, n = f.k, f.n
-    gap, ind, equal = f.ess_gap[1], f.gap_index, f.diagonal_equal
-    equal_case = (gap == n) | ((gap == 2) & (n % 2 == 0)) | ((gap == 2) & (2 * ind < n - 1))
-    differs_case = (n % 2 == 1 and 3 <= n <= k) & (gap == 2) & (2 * ind == n - 1)
-    counts = (equal_case & ~equal).astype(np.int64) + (differs_case & equal)
-    return counts, {"diagonal-equal": equal_case, "diagonal-differs": differs_case}
-
-
-def _verdict_lemma2_5(f):
-    n, ind = f.n, f.gap_index
-    flagged = ~((1 <= ind) & (2 * ind <= n))
-    for _, depth, ess, _ in f.shapes:
-        flagged |= (depth >= 0) & (ess != n - 2 * depth)
-    return flagged, {}
-
-
-def _verdict_remark2_2(f):
-    n, ind = f.n, f.gap_index
-    flagged = np.zeros(len(f.specs), dtype=bool)
-    for _, depth, ess, gap in f.shapes:
-        below = (depth < ind) & ~((ess >= 2) & (gap == 2))
-        at = (depth >= ind) & ~((ess < 2) | (gap == ess))
-        flagged |= (depth >= 0) & ((ess != n - 2 * depth) | below | at)
-    return flagged, {}
-
-
-def _verdict_lemma2_2(f):
-    gap = f.ess_gap[1]
-    return (2 <= gap) & (gap <= min(f.n, f.k)) & (gap != 2) & (gap != f.n), {}
-
-
-def _verdict_willard(f):
-    k, n, gap = f.k, f.n, f.ess_gap[1]
-    return (gap > min(n, k)).astype(np.int64) + ((k < n) & (gap > 2)), {}
-
-
-SCREENS = {
-    "thm3_1": (lambda f: _gap_n(f) & (f.n > 2), _verdict_thm3_1),
-    "lemma3_1": (lambda f: _gap_n(f) & (f.n <= f.k), _verdict_lemma3_1),
-    "thm3_2": (lambda f: _gap_2(f) & (min(f.n, f.k) >= 3), _verdict_thm3_2),
-    "cor3_1": (_nontrivial_gap, _verdict_cor3_1),
-    "thm4_1": (_nontrivial_gap, _verdict_sep),
-    "cor4_1": (_nontrivial_gap, _verdict_sep),
-    "cor4_2": (_nontrivial_gap, _verdict_cor4_2),
-    "lemma2_4": (lambda f: _gap_2(f) & (f.n > 3), _verdict_lemma2_4),
-    "lemma2_5": (_gap_2, _verdict_lemma2_5),
-    "remark2_2": (_gap_2, _verdict_remark2_2),
-    "thm2_4": (_nontrivial_gap, _verdict_thm2_4),
-    "lemma2_1": (_all_essential, lambda f: (f.slice_flags, {})),
-    "lemma2_2": (lambda f: _all_essential(f) & (f.ess_gap[1] >= 0), _verdict_lemma2_2),
-    "remark2_1": (_nontrivial_gap, lambda f: (f.asymmetric_minor, {})),
-    # the pair is searched per instance: every instance goes to the checker
-    "lemma2_3": (lambda f: _gap_2(f) & (f.n > 3),
-                 lambda f: (np.ones(len(f.tables), dtype=bool), {})),
-    "willard": (lambda f: _all_essential(f) & (f.n >= 2), _verdict_willard),
-}
-BOUND_SCREENS = frozenset({"lemma2_1", "lemma2_5", "remark2_2", "remark2_1", "lemma2_3"})
-TABLE_SCREENS = frozenset({"lemma2_3", "willard"})

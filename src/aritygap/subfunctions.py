@@ -17,18 +17,14 @@ state) counts as separable.
 A chain state is a pair (remaining positions, table); every state of
 order o has arity n - o. The closure of one table is a numpy kernel that
 takes the states a level (an order) at a time, with one gather per level
-for all of the next level's states. The breadth-first walks
-``_closure_generic`` and ``_closure_symmetric`` (for multiset-determined
-tables, one state per multiset of constants) are kept as the oracles the
-kernel is tested against.
+for all of the next level's states. The tests hold the breadth-first walks
+it is checked against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +86,6 @@ class SeparabilityReport:
     sub_count: int
 
 
-def _canonical_key(k: int, arity: int, table: tuple):
-    first = table[0]
-    if all(v == first for v in table):
-        return ("const", first)
-    return ("table", arity, table)
-
-
 def _build_records(k: int, found: dict) -> tuple[SubfunctionRecord, ...]:
     records = []
     for key, (order, rem) in found.items():
@@ -128,82 +117,6 @@ class _Closure:
             self._records = self._build()
             self._build = None
         return self._records
-
-
-def _closure_generic(f: FiniteFunction) -> _Closure:
-    k, n = f.k, f.n
-    root = (tuple(range(1, n + 1)), f.table)
-    seen = {root}
-    queue = deque([root])
-    separable = {frozenset()}
-    found: dict = {}  # canonical key -> [max_order, representative remaining]
-    while queue:
-        remaining, table = queue.popleft()
-        arity = len(remaining)
-        order = n - arity
-        ess_local = _essential_positions(k, arity, table)
-        separable.add(frozenset(remaining[p - 1] for p in ess_local))
-        if order > 0:
-            key = _canonical_key(k, arity, table)
-            entry = found.get(key)
-            if entry is None:
-                found[key] = [order, remaining]
-            elif order > entry[0]:
-                entry[0] = order
-                entry[1] = remaining
-        for p in ess_local:
-            rest = remaining[: p - 1] + remaining[p:]
-            for c in range(k):
-                child = (rest, _restrict_table(k, arity, table, p, c))
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-    return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
-                    len(found))
-
-
-def _closure_symmetric(f: FiniteFunction) -> _Closure:
-    """Closure over multisets of substituted constants.
-
-    Valid only for multiset-determined tables, where restrictions do not
-    depend on the position fixed and every non-constant state has all of
-    its remaining variables essential.
-    """
-    k, n = f.k, f.n
-    states: dict[tuple, tuple] = {(): f.table}
-    queue = deque([()])
-    separable = {frozenset()}
-    found: dict = {}
-    all_positions = tuple(range(1, n + 1))
-    while queue:
-        mu = queue.popleft()
-        table = states[mu]
-        arity = n - len(mu)
-        order = len(mu)
-        first = table[0]
-        constant = all(v == first for v in table)
-        if not constant:
-            m = n - order
-            for combo in itertools.combinations(all_positions, m):
-                separable.add(frozenset(combo))
-        if order > 0:
-            key = _canonical_key(k, arity, table)
-            rep = tuple(range(order + 1, n + 1))
-            entry = found.get(key)
-            if entry is None:
-                found[key] = [order, rep]
-            elif order > entry[0]:
-                entry[0] = order
-                entry[1] = rep
-        if constant or arity == 0:
-            continue
-        for c in range(k):
-            child = tuple(sorted(mu + (c,)))
-            if child not in states:
-                states[child] = _restrict_table(k, arity, table, 1, c)
-                queue.append(child)
-    return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
-                    len(found))
 
 
 @functools.lru_cache(maxsize=64)

@@ -6,19 +6,21 @@ a machine-checkable report: instances checked, violating witnesses (first
 100 in full), per-subcase tallies, and an explicit vacuity flag when the
 hypothesis filter is empty at the given parameters.
 
-Every suite with a per-instance checker is a population suite. Its
-population is one array, one row per instance in report order, built by
-``_population``: multiset specs for the symmetric claims, raw value tables
-for the unrestricted ones (``lemma2_3``, ``willard``). Where a full
-symmetric space is out of reach, the exhaustively enumerable
-non-trivial-gap subclass (see ``nontrivial_gap_specs``) is used and the
-report says so in its notes.
+Every screened suite is a population suite. Its population is one array,
+one row per instance in report order, built by ``_population``: multiset
+specs for the symmetric claims, raw value tables for the unrestricted ones
+(``lemma2_3``, ``willard``). Where a full symmetric space is out of reach,
+the exhaustively enumerable non-trivial-gap subclass (see
+``nontrivial_gap_specs``) is used and the report says so in its notes.
 
 ``_run_population`` decides every population chunk by chunk, in one
-process, by the batched screens of ``facts`` (imported on first use: every
-CLI process imports this module, and only these suites need it); the
-per-instance checker then runs only on the rows the screen flags, to write
-the records, and stays the oracle the screen is tested against.
+process, by the batched screens of ``screens`` over ``facts`` (imported on
+first use: every CLI process imports this module, and only these suites
+need them). An exact screen is the only statement of its claim: its
+violation count and its records are read off the same arrays. The five
+screens that only bound their violations send the rows they flag to a
+per-instance checker (``_BOUND_CHECKERS``), which counts and writes the
+violations of each.
 
 Reports are deterministic: byte-identical for identical parameters and
 seed. A worker count is accepted and has no effect.
@@ -56,23 +58,13 @@ from .minors import (
     gap_profile,
     identify,
 )
-from .subfunctions import (
-    _restrict_table,
-    dominants,
-    restrict,
-    separable_sets,
-    sub_bound,
-    subfunction_closure,
-    weak_dominants,
-)
+from .subfunctions import _restrict_table, sub_bound, subfunction_closure
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
     construct_gap_n,
     construct_linear,
     LinearSpec,
-    compress,
-    diagonal_values,
     expand,
     extract_decomposition,
     is_symmetric,
@@ -236,9 +228,10 @@ def _gap2_draw_plan(k: int, n: int) -> tuple[int, ...]:
     return tuple(plan)
 
 
-# Checkers whose hypothesis is gap = n: an exhaustive run lists them only
-# that cell of the gap >= 2 class, every other member being skipped anyway.
-_FULL_GAP_CHECKERS = frozenset({"thm3_1", "lemma3_1"})
+# Suites whose hypothesis is gap = n: an exhaustive run lists them only that
+# cell of the gap >= 2 class, every other member being skipped anyway, and a
+# gap-2 sample has no member of it beyond n = 2.
+_FULL_GAP_SUITES = frozenset({"thm3_1", "lemma3_1"})
 
 
 def _population(name, k, n, mode, seed, sample, budget):
@@ -255,7 +248,8 @@ def _population(name, k, n, mode, seed, sample, budget):
     ``lemma2_1`` takes the full spec space, or a seeded sample, or (with a
     note) the listed gap >= 2 class when the full space is out of reach.
     The others take the listed gap >= 2 class, only its gap-n cell for
-    checkers that accept no other member, or a seeded gap-2 sample."""
+    suites that accept no other member, or a seeded gap-2 sample, which is
+    refused for those suites at n >= 3."""
     params = {"seed": seed, "sample": sample}
     if name in ("lemma2_3", "willard"):
         width = k**n
@@ -278,6 +272,9 @@ def _population(name, k, n, mode, seed, sample, budget):
             count = sample or 1000
             return (_seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params,
                     count)
+        if name in _FULL_GAP_SUITES and n >= 3:
+            raise DomainError(f"{name} checks functions with gap n, which a gap-2 sample "
+                              f"never holds at n = {n}; use exhaustive mode")
         specs, draws = _sample_gap2_specs(k, n, sample or 300, seed)
         return specs, f"sample(gap-2, {sample or 300})", [], params, draws
     if name == "lemma2_1":
@@ -291,16 +288,12 @@ def _population(name, k, n, mode, seed, sample, budget):
             f"non-trivial-gap subclass ({len(specs)} members)"
         ]
         return specs, "exhaustive(non-trivial-gap subclass)", notes, params, 0
-    cell = _full_gap_array if name in _FULL_GAP_CHECKERS else _nontrivial_gap_array
+    cell = _full_gap_array if name in _FULL_GAP_SUITES else _nontrivial_gap_array
     return cell(k, n, budget), "exhaustive(non-trivial gap)", [], params, 0
 
 
 # ---------------------------------------------------------------------------
-# per-instance checkers
-
-
-def _fast_profile_of(f: FiniteFunction) -> tuple[int, int | None]:
-    return spec_ess_gap(f.k, f.n, compress(f).as_tuple())
+# per-instance checkers of the bound screens
 
 
 def _check_lemma2_1(k, n, spec):
@@ -353,17 +346,6 @@ def _check_lemma2_1(k, n, spec):
     return Counter(), violations
 
 
-def _check_lemma2_2(k, n, spec):
-    """A symmetric function with gap p, 2 <= p <= min(n, k), has p in {2, n}."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None:
-        return None
-    if 2 <= g <= min(n, k) and g not in (2, n):
-        f = spec_to_function(k, n, spec)
-        return Counter(), [_violation(f, "lemma2_2.dichotomy", gap=g)]
-    return Counter(), []
-
-
 def _check_lemma2_3(k, n, table):
     """An all-essential function with gap 2 and n > 3 has a pair (u, v) whose
     identification drops to n-2 essential variables, loses x_v, and behaves
@@ -392,27 +374,6 @@ def _check_lemma2_3(k, n, table):
             if ok:
                 return Counter(), []
     return Counter(), [_violation(f, "lemma2_3.pair-exists")]
-
-
-def _check_lemma2_4(k, n, spec):
-    """For symmetric gap-2 functions with n > 3, every identification minor
-    loses the substituted variable as well."""
-    if n <= 3:
-        return None
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g != 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    violations = []
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            if u == v:
-                continue
-            if v in essential_variables(identify(f, u, v)):
-                violations.append(
-                    _violation(f, "lemma2_4.substituted-var-fictive", u=u, v=v)
-                )
-    return Counter(), violations
 
 
 def _check_lemma2_5(k, n, spec):
@@ -479,248 +440,58 @@ def _check_remark2_2(k, n, spec):
     return Counter(), violations
 
 
-def _check_thm2_4(k, n, spec):
-    """Diagonal rules for symmetric functions with non-trivial gap."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None or g < 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    diag = diagonal_values(f)
-    all_equal = len(set(diag)) == 1
-    subcounts = Counter()
-    violations = []
-    ind = gap_index(f)
-    if g == n or (g == 2 and n % 2 == 0) or (g == 2 and 2 * ind < n - 1):
-        subcounts["diagonal-equal"] += 1
-        if not all_equal:
-            violations.append(_violation(f, "thm2_4.i.diagonal-equal", diag=list(diag)))
-    if n % 2 == 1 and 3 <= n <= k and g == 2 and 2 * ind == n - 1:
-        subcounts["diagonal-differs"] += 1
-        if all_equal:
-            violations.append(_violation(f, "thm2_4.ii.diagonal-differs", diag=list(diag)))
-    return subcounts, violations
-
-
-def _check_thm3_1(k, n, spec):
-    """Full-gap symmetric, non-dominant constant: the restriction is
-    symmetric with full arity and full gap at n - 1."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g != n or n <= 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    dom = dominants(f)
-    violations = []
-    for i in range(1, n + 1):
-        for c in range(k):
-            if c in dom:
-                continue
-            t = restrict(f, i, c)
-            p = gap_profile(t)
-            if not (
-                is_symmetric(t) and p.ess == n - 1 and p.gap == n - 1
-            ):
-                violations.append(
-                    _violation(f, "thm3_1.restriction-class", i=i, c=c,
-                               ess=p.ess, gap=p.gap)
-                )
-    return Counter(), violations
-
-
-def _check_lemma3_1(k, n, spec):
-    """Full-gap symmetric with n <= k: sub(f) <= sub_k^n + range(f)."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g != n or n > k:
-        return None
-    f = spec_to_function(k, n, spec)
-    closure = subfunction_closure(f)
-    bound = sub_bound(n, k) + range_size(f)
-    if closure.sub_count > bound:
-        return Counter(), [
-            _violation(f, "lemma3_1.bound", sub=closure.sub_count, bound=bound)
-        ]
-    return Counter(), []
-
-
-def _check_thm3_2(k, n, spec):
-    """Restriction classes for symmetric gap-2 with 3 <= min(n, k)."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g != 2 or min(n, k) < 3:
-        return None
-    f = spec_to_function(k, n, spec)
-    subcounts = Counter()
-    violations = []
-    ind = gap_index(f) if n >= 4 else 1
-    props = {}
-
-    def prof(t):
-        key = t.table
-        if key not in props:
-            props[key] = _fast_profile_of(t)
-        return props[key]
-
-    if ind > 2:
-        for c in range(k):
-            t = restrict(restrict(f, 1, c), 1, c)
-            subcounts["i"] += 1
-            e, tg = prof(t)
-            if not (e == n - 2 and tg == 2):
-                violations.append(_violation(f, "thm3_2.i", c=c, ess=e, gap=tg))
-    if ind == 2:
-        for c in range(k):
-            t = restrict(restrict(f, 1, c), 1, c)
-            subcounts["ii"] += 1
-            e, tg = prof(t)
-            ok = e == n - 2 and (e < 2 or tg == e)
-            if not ok:
-                violations.append(_violation(f, "thm3_2.ii", c=c, ess=e, gap=tg))
-    wdom = weak_dominants(f)
-    for c in range(k):
-        t = restrict(f, 1, c)
-        e, tg = prof(t)
-        if c in wdom:
-            subcounts["iii"] += 1
-            if not (e == n - 1 and tg == n - 1):
-                violations.append(_violation(f, "thm3_2.iii", c=c, ess=e, gap=tg))
-        else:
-            subcounts["iv"] += 1
-            if not (e == n - 1 and tg == 2):
-                violations.append(_violation(f, "thm3_2.iv", c=c, ess=e, gap=tg))
-    return subcounts, violations
-
-
-def _check_cor3_1(k, n, spec):
-    """Symmetric with non-trivial gap: restricting the last variable to a
-    non-dominant constant keeps the gap non-trivial."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None or g < 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    dom = dominants(f)
-    violations = []
-    for c in range(k):
-        if c in dom:
-            continue
-        t = restrict(f, n, c)
-        e, tg = _fast_profile_of(t)
-        if tg is None or tg < 2:
-            violations.append(
-                _violation(f, "cor3_1.restriction-gap", c=c, ess=e, gap=tg)
-            )
-    return Counter(), violations
-
-
-def _check_thm4_1(k, n, spec):
-    """Symmetric with non-trivial gap: every variable subset is separable."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None or g < 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    report = separable_sets(f)
-    expected = {
-        frozenset(s)
-        for r in range(n + 1)
-        for s in itertools.combinations(range(1, n + 1), r)
-    }
-    if report.separable_sets != frozenset(expected):
-        missing = sorted(tuple(sorted(s)) for s in expected - report.separable_sets)
-        return Counter(), [_violation(f, "thm4_1.all-subsets", missing=missing)]
-    return Counter(), []
-
-
-def _check_cor4_1(k, n, spec):
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None or g < 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    report = separable_sets(f)
-    if report.sep_count != 2**n:
-        return Counter(), [_violation(f, "cor4_1.sep-count", sep=report.sep_count)]
-    return Counter(), []
-
-
-def _check_cor4_2(k, n, spec):
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None or g < 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    closure = subfunction_closure(f)
-    if closure.sub_count < 2**n:
-        return Counter(), [_violation(f, "cor4_2.sub-count", sub=closure.sub_count)]
-    return Counter(), []
-
-
-def _check_willard(k, n, table):
-    """Sanity bounds: gap <= min(n, k), and gap <= 2 when n exceeds k."""
-    f = FiniteFunction(k, n, table)
-    if essential_count(f) != n or n < 2:
-        return None
-    g = gap(f)
-    violations = []
-    if g > min(n, k):
-        violations.append(_violation(f, "willard.min-bound", gap=g))
-    if k < n and g > 2:
-        violations.append(_violation(f, "willard.two-bound", gap=g))
-    return Counter(), violations
-
-
-_CHECKERS = {
+# The checkers of the suites whose screens only bound their violations
+# (``screens.SCREENS``): a checker counts and writes the violations of each
+# row its screen flags. Every other screen states its claim exactly.
+_BOUND_CHECKERS = {
     "lemma2_1": _check_lemma2_1,
-    "lemma2_2": _check_lemma2_2,
     "lemma2_3": _check_lemma2_3,
-    "lemma2_4": _check_lemma2_4,
     "lemma2_5": _check_lemma2_5,
     "remark2_1": _check_remark2_1,
     "remark2_2": _check_remark2_2,
-    "thm2_4": _check_thm2_4,
-    "thm3_1": _check_thm3_1,
-    "lemma3_1": _check_lemma3_1,
-    "thm3_2": _check_thm3_2,
-    "cor3_1": _check_cor3_1,
-    "thm4_1": _check_thm4_1,
-    "cor4_1": _check_cor4_1,
-    "cor4_2": _check_cor4_2,
-    "willard": _check_willard,
 }
 
 
 def _screened_chunk(name, k, n, chunk, cap):
-    """Check one chunk: the screen decides every row, and the checker runs
-    only on rows with violations, to write their records (until ``cap`` are
-    kept) or, under a bound, to count them. Returns (instances, subcounts,
-    violations, the kept records, rows sent to the checker)."""
-    from .facts import BOUND_SCREENS, SCREENS, TABLE_SCREENS, SpecFacts, TableFacts
+    """Check one chunk: the screen decides every row. An exact screen's
+    violations are read off its arrays into records, row by row, until
+    ``cap`` are kept; under a bound, the checker counts and writes the
+    violations of every flagged row. Returns (instances, subcounts,
+    violations, the kept records, flagged rows read)."""
+    from .facts import SpecFacts, TableFacts
+    from .screens import SCREENS, TABLE_SCREENS
 
-    checker = _CHECKERS[name]
     hypothesis, verdict = SCREENS[name]
     facts = (TableFacts if name in TABLE_SCREENS else SpecFacts)(k, n, chunk)
     instance = hypothesis(facts)
     if not instance.any():
         return 0, Counter(), 0, [], 0
-    counts, per_row = verdict(facts)
-    counts = np.where(instance, counts, 0)
+    found, per_row = verdict(facts)
     subcounts = Counter()
     for key, values in per_row.items():
         if values[instance].sum():
             subcounts[key] = int(values[instance].sum())
-    exact = name not in BOUND_SCREENS
-    total = int(counts.sum()) if exact else 0
+    checker = _BOUND_CHECKERS.get(name)
+    if checker is None:
+        mask = found.mask & instance[:, None]
+        total, flagged = int(mask.sum()), np.flatnonzero(mask.any(axis=1))
+    else:
+        total, flagged = 0, np.flatnonzero(found & instance)
     kept: list = []
-    checked = 0
-    for i in np.flatnonzero(counts):
-        if exact and len(kept) >= cap:
-            break
-        item = tuple(chunk[i].tolist())
-        sc, violations = checker(k, n, item)
-        checked += 1
-        if exact and (
-            len(violations) != counts[i]
-            or sc != Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
-        ):
-            raise RuntimeError(f"{name}: the fact screen and the checker disagree on {item}")
-        if not exact:
+    read = 0
+    for r in flagged.tolist():
+        if checker is not None:
+            violations = checker(k, n, tuple(chunk[r].tolist()))[1]
             total += len(violations)
+        elif len(kept) < cap:
+            f = FiniteFunction(k, n, facts.table(r))
+            violations = [_violation(f, found.assertions[s], **found.info(r, s))
+                          for s in np.flatnonzero(mask[r])[: cap - len(kept)].tolist()]
+        else:
+            break
+        read += 1
         kept.extend(violations[: cap - len(kept)])
-    return int(instance.sum()), subcounts, total, kept, checked
+    return int(instance.sum()), subcounts, total, kept, read
 
 
 # ---------------------------------------------------------------------------
@@ -1101,10 +872,12 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     )
 
 
-# Every suite with a per-instance checker is screened (``facts.SCREENS``) and
-# runs through ``_run_population``; the others check their claims themselves.
+# Every screened suite (``screens.SCREENS``) runs through ``_run_population``;
+# the others check their claims themselves.
 _SUITES = {
-    **dict.fromkeys(_CHECKERS, _run_population),
+    **dict.fromkeys(("lemma2_1", "lemma2_2", "lemma2_3", "lemma2_4", "lemma2_5", "remark2_1",
+                     "remark2_2", "thm2_4", "thm3_1", "lemma3_1", "thm3_2", "cor3_1", "thm4_1",
+                     "cor4_1", "cor4_2", "willard"), _run_population),
     "thm2_1": _run_thm2_1,
     "thm2_2": _run_thm2_2,
     "thm2_3": _run_thm2_3,

@@ -1,0 +1,379 @@
+"""Per-function oracles for the batched code paths.
+
+The per-instance checkers of the exact screened claims, one function per
+claim, that the screens' records are compared with: each takes one row (a
+multiset spec, or a raw table for ``willard``) and returns None when the
+row is outside the claim's hypothesis, else (subcase counts, violation
+records). With
+``hypothesis=False`` a checker evaluates its conclusion on any row where
+that conclusion is defined. ``ORACLES`` maps every screened suite to its
+checker: these eleven and the five checkers that the bound screens still
+run (``suites._BOUND_CHECKERS``).
+
+Also here: the two breadth-first subfunction closures the closure kernel is
+tested against, and the tuple listing of the gap-n cell.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from collections import Counter, deque
+
+from aritygap import FiniteFunction
+from aritygap.core import range_size
+from aritygap.enumeration import _full_gap_array, _tuples, spec_ess_gap, spec_to_function
+from aritygap.minors import (
+    _essential_positions,
+    essential_count,
+    essential_variables,
+    gap,
+    gap_index,
+    gap_profile,
+    identify,
+)
+from aritygap.subfunctions import (
+    _build_records,
+    _Closure,
+    _restrict_table,
+    dominants,
+    restrict,
+    separable_sets,
+    sub_bound,
+    subfunction_closure,
+    weak_dominants,
+)
+from aritygap.suites import _BOUND_CHECKERS, _violation
+from aritygap.symmetric import compress, diagonal_values, is_symmetric
+
+
+# ---------------------------------------------------------------------------
+# listings and closures
+
+
+def full_gap_specs(k: int, n: int, *, budget: int = 10**8) -> list[tuple[int, ...]]:
+    """The rows of ``enumeration._full_gap_array`` as tuples."""
+    return _tuples(_full_gap_array(k, n, budget))
+
+
+def canonical_key(k: int, arity: int, table: tuple):
+    first = table[0]
+    if all(v == first for v in table):
+        return ("const", first)
+    return ("table", arity, table)
+
+
+def closure_generic(f: FiniteFunction) -> _Closure:
+    """The subfunction closure of f, one state per (remaining positions,
+    table), breadth first."""
+    k, n = f.k, f.n
+    root = (tuple(range(1, n + 1)), f.table)
+    seen = {root}
+    queue = deque([root])
+    separable = {frozenset()}
+    found: dict = {}  # canonical key -> [max_order, representative remaining]
+    while queue:
+        remaining, table = queue.popleft()
+        arity = len(remaining)
+        order = n - arity
+        ess_local = _essential_positions(k, arity, table)
+        separable.add(frozenset(remaining[p - 1] for p in ess_local))
+        if order > 0:
+            key = canonical_key(k, arity, table)
+            entry = found.get(key)
+            if entry is None:
+                found[key] = [order, remaining]
+            elif order > entry[0]:
+                entry[0] = order
+                entry[1] = remaining
+        for p in ess_local:
+            rest = remaining[: p - 1] + remaining[p:]
+            for c in range(k):
+                child = (rest, _restrict_table(k, arity, table, p, c))
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+    return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
+                    len(found))
+
+
+def closure_symmetric(f: FiniteFunction) -> _Closure:
+    """Closure over multisets of substituted constants.
+
+    Valid only for multiset-determined tables, where restrictions do not
+    depend on the position fixed and every non-constant state has all of
+    its remaining variables essential.
+    """
+    k, n = f.k, f.n
+    states: dict[tuple, tuple] = {(): f.table}
+    queue = deque([()])
+    separable = {frozenset()}
+    found: dict = {}
+    all_positions = tuple(range(1, n + 1))
+    while queue:
+        mu = queue.popleft()
+        table = states[mu]
+        arity = n - len(mu)
+        order = len(mu)
+        first = table[0]
+        constant = all(v == first for v in table)
+        if not constant:
+            m = n - order
+            for combo in itertools.combinations(all_positions, m):
+                separable.add(frozenset(combo))
+        if order > 0:
+            key = canonical_key(k, arity, table)
+            rep = tuple(range(order + 1, n + 1))
+            entry = found.get(key)
+            if entry is None:
+                found[key] = [order, rep]
+            elif order > entry[0]:
+                entry[0] = order
+                entry[1] = rep
+        if constant or arity == 0:
+            continue
+        for c in range(k):
+            child = tuple(sorted(mu + (c,)))
+            if child not in states:
+                states[child] = _restrict_table(k, arity, table, 1, c)
+                queue.append(child)
+    return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
+                    len(found))
+
+
+# ---------------------------------------------------------------------------
+# the exact claims, one instance at a time
+
+
+def fast_profile_of(f: FiniteFunction) -> tuple[int, int | None]:
+    return spec_ess_gap(f.k, f.n, compress(f).as_tuple())
+
+
+def check_lemma2_2(k, n, spec, hypothesis=True):
+    """A symmetric function with gap p, 2 <= p <= min(n, k), has p in {2, n}."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None):
+        return None
+    if g is not None and 2 <= g <= min(n, k) and g not in (2, n):
+        f = spec_to_function(k, n, spec)
+        return Counter(), [_violation(f, "lemma2_2.dichotomy", gap=g)]
+    return Counter(), []
+
+
+def check_lemma2_4(k, n, spec, hypothesis=True):
+    """For symmetric gap-2 functions with n > 3, every identification minor
+    loses the substituted variable as well."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (n <= 3 or ess != n or g != 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    violations = []
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u == v:
+                continue
+            if v in essential_variables(identify(f, u, v)):
+                violations.append(
+                    _violation(f, "lemma2_4.substituted-var-fictive", u=u, v=v)
+                )
+    return Counter(), violations
+
+
+def check_thm2_4(k, n, spec, hypothesis=True):
+    """Diagonal rules for symmetric functions with non-trivial gap."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None or g < 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    diag = diagonal_values(f)
+    all_equal = len(set(diag)) == 1
+    subcounts = Counter()
+    violations = []
+    ind = gap_index(f)
+    if g == n or (g == 2 and n % 2 == 0) or (g == 2 and 2 * ind < n - 1):
+        subcounts["diagonal-equal"] += 1
+        if not all_equal:
+            violations.append(_violation(f, "thm2_4.i.diagonal-equal", diag=list(diag)))
+    if n % 2 == 1 and 3 <= n <= k and g == 2 and 2 * ind == n - 1:
+        subcounts["diagonal-differs"] += 1
+        if all_equal:
+            violations.append(_violation(f, "thm2_4.ii.diagonal-differs", diag=list(diag)))
+    return subcounts, violations
+
+
+def check_thm3_1(k, n, spec, hypothesis=True):
+    """Full-gap symmetric, non-dominant constant: the restriction is
+    symmetric with full arity and full gap at n - 1."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g != n or n <= 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    dom = dominants(f)
+    violations = []
+    for i in range(1, n + 1):
+        for c in range(k):
+            if c in dom:
+                continue
+            t = restrict(f, i, c)
+            p = gap_profile(t)
+            if not (
+                is_symmetric(t) and p.ess == n - 1 and p.gap == n - 1
+            ):
+                violations.append(
+                    _violation(f, "thm3_1.restriction-class", i=i, c=c,
+                               ess=p.ess, gap=p.gap)
+                )
+    return Counter(), violations
+
+
+def check_lemma3_1(k, n, spec, hypothesis=True):
+    """Full-gap symmetric with n <= k: sub(f) <= sub_k^n + range(f)."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g != n or n > k):
+        return None
+    f = spec_to_function(k, n, spec)
+    closure = subfunction_closure(f)
+    bound = sub_bound(n, k) + range_size(f)
+    if closure.sub_count > bound:
+        return Counter(), [
+            _violation(f, "lemma3_1.bound", sub=closure.sub_count, bound=bound)
+        ]
+    return Counter(), []
+
+
+def check_thm3_2(k, n, spec, hypothesis=True):
+    """Restriction classes for symmetric gap-2 with 3 <= min(n, k)."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g != 2 or min(n, k) < 3):
+        return None
+    f = spec_to_function(k, n, spec)
+    subcounts = Counter()
+    violations = []
+    ind = gap_index(f) if n >= 4 else 1
+    props = {}
+
+    def prof(t):
+        key = t.table
+        if key not in props:
+            props[key] = fast_profile_of(t)
+        return props[key]
+
+    if ind > 2:
+        for c in range(k):
+            t = restrict(restrict(f, 1, c), 1, c)
+            subcounts["i"] += 1
+            e, tg = prof(t)
+            if not (e == n - 2 and tg == 2):
+                violations.append(_violation(f, "thm3_2.i", c=c, ess=e, gap=tg))
+    if ind == 2:
+        for c in range(k):
+            t = restrict(restrict(f, 1, c), 1, c)
+            subcounts["ii"] += 1
+            e, tg = prof(t)
+            ok = e == n - 2 and (e < 2 or tg == e)
+            if not ok:
+                violations.append(_violation(f, "thm3_2.ii", c=c, ess=e, gap=tg))
+    wdom = weak_dominants(f)
+    for c in range(k):
+        t = restrict(f, 1, c)
+        e, tg = prof(t)
+        if c in wdom:
+            subcounts["iii"] += 1
+            if not (e == n - 1 and tg == n - 1):
+                violations.append(_violation(f, "thm3_2.iii", c=c, ess=e, gap=tg))
+        else:
+            subcounts["iv"] += 1
+            if not (e == n - 1 and tg == 2):
+                violations.append(_violation(f, "thm3_2.iv", c=c, ess=e, gap=tg))
+    return subcounts, violations
+
+
+def check_cor3_1(k, n, spec, hypothesis=True):
+    """Symmetric with non-trivial gap: restricting the last variable to a
+    non-dominant constant keeps the gap non-trivial."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None or g < 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    dom = dominants(f)
+    violations = []
+    for c in range(k):
+        if c in dom:
+            continue
+        t = restrict(f, n, c)
+        e, tg = fast_profile_of(t)
+        if tg is None or tg < 2:
+            violations.append(
+                _violation(f, "cor3_1.restriction-gap", c=c, ess=e, gap=tg)
+            )
+    return Counter(), violations
+
+
+def check_thm4_1(k, n, spec, hypothesis=True):
+    """Symmetric with non-trivial gap: every variable subset is separable."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None or g < 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    report = separable_sets(f)
+    expected = {
+        frozenset(s)
+        for r in range(n + 1)
+        for s in itertools.combinations(range(1, n + 1), r)
+    }
+    if report.separable_sets != frozenset(expected):
+        missing = sorted(tuple(sorted(s)) for s in expected - report.separable_sets)
+        return Counter(), [_violation(f, "thm4_1.all-subsets", missing=missing)]
+    return Counter(), []
+
+
+def check_cor4_1(k, n, spec, hypothesis=True):
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None or g < 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    report = separable_sets(f)
+    if report.sep_count != 2**n:
+        return Counter(), [_violation(f, "cor4_1.sep-count", sep=report.sep_count)]
+    return Counter(), []
+
+
+def check_cor4_2(k, n, spec, hypothesis=True):
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None or g < 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    closure = subfunction_closure(f)
+    if closure.sub_count < 2**n:
+        return Counter(), [_violation(f, "cor4_2.sub-count", sub=closure.sub_count)]
+    return Counter(), []
+
+
+def check_willard(k, n, table, hypothesis=True):
+    """Sanity bounds: gap <= min(n, k), and gap <= 2 when n exceeds k."""
+    f = FiniteFunction(k, n, table)
+    if hypothesis and (essential_count(f) != n or n < 2):
+        return None
+    g = gap(f)
+    violations = []
+    if g > min(n, k):
+        violations.append(_violation(f, "willard.min-bound", gap=g))
+    if k < n and g > 2:
+        violations.append(_violation(f, "willard.two-bound", gap=g))
+    return Counter(), violations
+
+
+EXACT_ORACLES = {
+    "lemma2_2": check_lemma2_2,
+    "lemma2_4": check_lemma2_4,
+    "thm2_4": check_thm2_4,
+    "thm3_1": check_thm3_1,
+    "lemma3_1": check_lemma3_1,
+    "thm3_2": check_thm3_2,
+    "cor3_1": check_cor3_1,
+    "thm4_1": check_thm4_1,
+    "cor4_1": check_cor4_1,
+    "cor4_2": check_cor4_2,
+    "willard": check_willard,
+}
+ORACLES = {**EXACT_ORACLES, **_BOUND_CHECKERS}

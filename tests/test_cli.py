@@ -233,14 +233,14 @@ def test_facts_loaded_only_by_a_census_that_indexes(tmp_path, argv, loaded):
         "import os, sys\n"
         "import aritygap.cli\n"
         f"code = aritygap.cli.main({argv!r} + ['-o', os.devnull])\n"
-        "print(code, 'aritygap.facts' in sys.modules)\n"
+        "print(code, 'aritygap.facts' in sys.modules, 'aritygap.screens' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=300).stdout
-    assert out == f"0 {loaded}\n"
+    assert out == f"0 {loaded} False\n"  # only a verify loads the screens
 
 
 @pytest.mark.parametrize("k,n,count", [(300, 1, 20), (257, 2, 5)])

@@ -7,8 +7,10 @@ same answers, on every position pair and constant, for k in 2..4 and n in
 0..4. The direct full-gap listing and the planned gap-2 sampler are checked
 against the filter and the draw loop they replaced, the seeded row sampler
 against the uniform spec and raw-table draw loops (also with output blocks
-so short that rows are drawn on past them), and the listed full space
-against ``itertools.product``.
+so short that rows are drawn on past them), the listed full space
+against ``itertools.product``, and the identification-shape gathers of
+``facts`` and the multiset index of every table point against the
+point-by-point lookup they replaced.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,16 +29,18 @@ from aritygap.enumeration import (
     _fictive_reps,
     _seeded_rows,
     _solutions,
-    full_gap_specs,
     nontrivial_gap_specs,
     sample_specs,
     spec_ess_gap,
     spec_to_function,
     symmetric_spec_count,
+    symmetry_index,
 )
 from aritygap.minors import _identify_table, _values
 from aritygap.subfunctions import _restrict_table
+from aritygap.facts import _shape_dag, _shape_gathers
 from aritygap.suites import _sample_gap2_specs
+from oracles import full_gap_specs
 from aritygap.symmetric import (
     _swap_invariant,
     compress,
@@ -264,6 +269,30 @@ def test_full_gap_listing_refused_like_the_class(k, n, budget):
         full_gap_specs(k, n, budget=budget)
     assert str(got.value) == str(want.value)
     assert (got.value.required, got.value.budget) == (want.value.required, want.value.budget)
+
+
+def loop_shape_gathers(k, n):
+    """Per partition of n, the multiset index of each point's y_1^l1 ...
+    y_r^lr, one point at a time."""
+    index = symmetry_index(k, n).index
+    return {
+        shape: [index[tuple(sorted(itertools.chain.from_iterable(
+            (v,) * part for v, part in zip(y, shape))))] for y in iter_points(k, len(shape))]
+        for shape, _ in _shape_dag(n)
+    }
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 7), (3, 3), (3, 5), (4, 3), (4, 4), (5, 2),
+                                 (2, 0), (3, 1), (300, 2)])
+def test_shape_gathers_equal_loop(k, n):
+    got = _shape_gathers.__wrapped__(k, n)
+    want = loop_shape_gathers(k, n)
+    assert list(got) == list(want)
+    for shape, gather in got.items():
+        assert gather.dtype == np.intp
+        assert gather.tolist() == want[shape], shape
+    # the root shape's gather is the multiset index of every point
+    assert list(symmetry_index(k, n).orbit_of_point) == want[(1,) * n]
 
 
 def loop_sample_gap2_n4(k, n, count, seed):

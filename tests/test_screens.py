@@ -1,15 +1,16 @@
 """The batched fact screens of the population suites against their oracles.
 
 ``aritygap.facts`` computes, for a whole chunk of multiset specs or raw
-tables at once, the facts the claims are about, and ``facts.SCREENS`` turns
-them into each row's instance flag, subcase counts and violation count; the
-per-instance ``_check_*`` functions only write the records. Here every
-batched fact is checked against the per-function code it stands for (the
-two subfunction closures, the minor closure, ``gap_profile``,
-``essential_count`` and ``gap``, the dominant functions and each checker),
-and the reports are checked against sha256 digests recorded from the
-program as it was before the screens: every instance then went through its
-checker.
+tables at once, the facts the claims are about, and ``screens.SCREENS`` turns
+them into each row's instance flag, subcase counts and violations. An exact
+screen writes its own records; a bound screen sends the rows it flags to
+its checker in ``suites``. Here every batched fact is checked against the
+per-function code it stands for (the two subfunction closures, the minor
+closure, ``gap_profile``, ``essential_count`` and ``gap``, the dominant
+functions), every screen's records against the per-instance checker of its
+claim (``oracles.ORACLES``), and the reports against sha256 digests
+recorded from the program as it was before the screens: every instance then
+went through its checker.
 """
 
 import hashlib
@@ -32,25 +33,20 @@ from aritygap.enumeration import (
     spec_to_function,
 )
 from aritygap import minors
-from aritygap.facts import (
-    BOUND_SCREENS,
-    SCREENS,
-    TABLE_SCREENS,
-    SpecFacts,
-    TableFacts,
-    slice_flags,
-)
+from aritygap.facts import SpecFacts, TableFacts, slice_flags
+from aritygap.screens import SCREENS, TABLE_SCREENS
 from aritygap.minors import all_minors, essential_count, gap, gap_index, gap_profile
-from aritygap.subfunctions import (
-    _closure_generic,
-    _closure_symmetric,
-    dominants,
-    restrict,
-    weak_dominants,
+from aritygap.subfunctions import dominants, restrict, weak_dominants
+from aritygap.suites import (
+    _BOUND_CHECKERS,
+    VIOLATION_CAP,
+    _sample_gap2_specs,
+    _screened_chunk,
+    run_suite,
 )
-from aritygap import suites
-from aritygap.suites import VIOLATION_CAP, _sample_gap2_specs, run_suite
-from aritygap.symmetric import construct_gap2_ternary, is_symmetric
+from aritygap.symmetric import construct_gap2_ternary, diagonal_values, is_symmetric
+import oracles
+from oracles import EXACT_ORACLES, ORACLES, closure_generic, closure_symmetric
 from table_strategies import table_chunks
 
 # (verify arguments, exit code, sha256 of the JSON report)
@@ -229,10 +225,10 @@ def test_closure_counts_equal_the_closures(chunk):
     sub, sep = SpecFacts(k, n, specs).closure_counts
     for i, spec in enumerate(specs):
         f = spec_to_function(k, n, spec)
-        oracles = [_closure_symmetric(f)]
+        closures = [closure_symmetric(f)]
         if k**n <= TABLE_LIMIT:
-            oracles.append(_closure_generic(f))
-        for closure in oracles:
+            closures.append(closure_generic(f))
+        for closure in closures:
             assert (sub[i], sep[i]) == (closure.sub_count, closure.sep_count), spec
 
 
@@ -325,14 +321,43 @@ def test_spec_facts_keep_values_over_255():
 
 
 def screened_rows(name, k, n, rows):
-    """Each row's instance flag, violation count (or flag) and subcounts;
-    ``rows`` are raw tables for a screen of ``TABLE_SCREENS``, else specs."""
+    """Each row's instance flag, violation count (or flag, under a bound)
+    and subcounts; ``rows`` are raw tables for a screen of
+    ``TABLE_SCREENS``, else specs."""
     facts = (TableFacts if name in TABLE_SCREENS else SpecFacts)(k, n, rows)
     hypothesis, verdict = SCREENS[name]
     instance = hypothesis(facts)
     if not instance.any():
         return instance, np.zeros(len(rows), dtype=int), {}
-    return (instance,) + verdict(facts)
+    found, per_row = verdict(facts)
+    counts = found if name in _BOUND_CHECKERS else found.mask.sum(axis=1)
+    return instance, counts, per_row
+
+
+def oracle_chunk(name, k, n, rows, **kwargs):
+    """What ``_screened_chunk`` returns for ``rows``, all records kept, from
+    the per-instance oracle of the claim."""
+    instances, total, subcounts, records, flagged = 0, 0, Counter(), [], 0
+    for row in rows:
+        out = ORACLES[name](k, n, tuple(row), **kwargs)
+        if out is None:
+            continue
+        instances += 1
+        subcounts.update(out[0])
+        total += len(out[1])
+        records.extend(out[1])
+        flagged += bool(out[1])
+    return instances, subcounts, total, records, flagged
+
+
+def assert_chunk_equals_the_oracle(name, k, n, rows, **kwargs):
+    got = _screened_chunk(name, k, n, np.array(rows).reshape(len(rows), -1), 1 << 40)
+    want = oracle_chunk(name, k, n, rows, **kwargs)
+    assert got[:4] == want[:4], name
+    if name not in _BOUND_CHECKERS:
+        # every flagged row was read for its records
+        assert got[4] == want[4]
+    return got
 
 
 @pytest.mark.parametrize("name", sorted(SCREENS))
@@ -342,9 +367,9 @@ def test_violation_counts_equal_the_checkers(name, data):
     domains = [(k, n) for k, n in DOMAINS if k**n <= TABLE_LIMIT]
     k, n, rows = data.draw(table_chunks() if name in TABLE_SCREENS else chunks(domains))
     instance, counts, per_row = screened_rows(name, k, n, rows)
-    exact = name not in BOUND_SCREENS
+    exact = name not in _BOUND_CHECKERS
     for i, row in enumerate(rows):
-        out = suites._CHECKERS[name](k, n, row)
+        out = ORACLES[name](k, n, row)
         assert (out is not None) == instance[i], row
         if out is None:
             continue
@@ -354,6 +379,8 @@ def test_violation_counts_equal_the_checkers(name, data):
             assert sc == Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
         elif violations:
             assert counts[i], row  # a row the screen passes has no violation
+    if instance.any():
+        assert_chunk_equals_the_oracle(name, k, n, rows)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 3), (3, 4)])
@@ -365,12 +392,111 @@ def test_every_listed_member_screened_like_its_checker(k, n):
         rows = tables if name in TABLE_SCREENS else specs
         instance, counts, _ = screened_rows(name, k, n, rows)
         for i, row in enumerate(rows):
-            out = suites._CHECKERS[name](k, n, row)
+            out = ORACLES[name](k, n, row)
             assert (out is not None) == instance[i], (name, row)
-            if out is not None and name not in BOUND_SCREENS:
+            if out is not None and name not in _BOUND_CHECKERS:
                 assert len(out[1]) == counts[i], (name, row)
             elif out is not None and out[1]:
                 assert counts[i], (name, row)
+
+
+# every record of the class at (3, 3), (3, 4) and (3, 5), and of every 65th
+# member at (4, 3)
+RECORD_CLASSES = [(3, 3, 1), (3, 4, 1), (3, 5, 1), (4, 3, 65)]
+
+
+@pytest.mark.parametrize("k,n,stride", RECORD_CLASSES)
+@pytest.mark.parametrize("name", sorted(EXACT_ORACLES))
+def test_every_record_equals_the_oracle(name, k, n, stride):
+    specs = nontrivial_gap_specs(k, n)[::stride]
+    rows = [spec_to_function(k, n, s).table for s in specs] if name in TABLE_SCREENS else specs
+    assert_chunk_equals_the_oracle(name, k, n, rows)
+
+
+def spread_rows(k, n):
+    """Every spec at (k, n) while there are at most 5 000, else a seeded
+    sample of 600, followed by the listed gap >= 2 class (every m-th member,
+    so that at most about 2 000 are taken)."""
+    width = comb(k + n - 1, n)
+    if k**width <= 5000:
+        rows = list(itertools.product(range(k), repeat=width))
+    else:
+        rng = random.Random(100 * k + n)
+        rows = [tuple(rng.randrange(k) for _ in range(width)) for _ in range(600)]
+    listed = nontrivial_gap_specs(k, n)
+    return list(dict.fromkeys(rows + listed[:: 1 + len(listed) // 2000]))
+
+
+# Claims that no listed instance violates. The first five are evaluated
+# without their hypothesis, on rows where their conclusion is defined, and
+# some of those rows violate them. The conclusions of the other three read
+# only facts that their hypothesis pins (the gap, the diagonal), so one fact
+# is shifted alike for the screen and the oracle: the gap by one where it is
+# at least 2, the diagonal value at c by c (mod k).
+WITHOUT_HYPOTHESIS = {
+    "thm3_1": [(2, 3), (3, 3), (2, 4)],
+    "thm4_1": [(2, 3), (3, 2)],
+    "cor4_1": [(2, 3), (3, 2)],
+    "lemma2_4": [(2, 4), (2, 5), (3, 4)],
+    "lemma3_1": [(3, 2), (3, 3), (4, 2)],
+}
+SHIFTED = {"lemma2_2": [(3, 4), (4, 4)], "willard": [(2, 3), (3, 3), (2, 4)],
+           "thm2_4": [(3, 3), (4, 3), (3, 4)]}
+
+
+def shift_gap(g):
+    return g + 1 if g is not None and g >= 2 else g
+
+
+def shift_gaps(ess, gap):
+    return ess, np.where(gap >= 2, gap + 1, gap)
+
+
+def shifted_spec_ess_gap(k, n, spec):
+    ess, g = spec_ess_gap(k, n, spec)
+    return ess, shift_gap(g)
+
+
+def shift_diagonal(diag, k):
+    return (np.asarray(diag) + np.arange(k)) % k
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_HYPOTHESIS))
+def test_every_writer_against_the_oracle_without_the_hypothesis(monkeypatch, name):
+    monkeypatch.setitem(SCREENS, name, (lambda f: np.ones(len(f.specs), dtype=bool),
+                                        SCREENS[name][1]))
+    total = 0
+    for k, n in WITHOUT_HYPOTHESIS[name]:
+        rows = spread_rows(k, n)
+        if name == "lemma2_4":  # it identifies essential variables
+            rows = [r for r in rows if spec_ess_gap(k, n, r)[0] == n]
+        total += assert_chunk_equals_the_oracle(name, k, n, rows, hypothesis=False)[2]
+    assert total > 0
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED))
+def test_every_writer_against_the_oracle_on_a_shifted_fact(monkeypatch, name):
+    if name == "thm2_4":
+        real = SpecFacts.__dict__["diagonal"].func
+        monkeypatch.setattr(SpecFacts, "diagonal",
+                            property(lambda f: shift_diagonal(real(f), f.k)))
+        monkeypatch.setattr(oracles, "diagonal_values", lambda f: tuple(
+            shift_diagonal(diagonal_values(f), f.k).tolist()))
+    else:
+        cls = TableFacts if name == "willard" else SpecFacts
+        real = cls.__dict__["ess_gap"].func
+        monkeypatch.setattr(cls, "ess_gap", property(lambda f: shift_gaps(*real(f))))
+        monkeypatch.setattr(oracles, "gap", lambda f: shift_gap(gap(f)))
+        monkeypatch.setattr(oracles, "spec_ess_gap", shifted_spec_ess_gap)
+    total = 0
+    for k, n in SHIFTED[name]:
+        rows = spread_rows(k, n)
+        if name == "willard":
+            rows = [spec_to_function(k, n, r).table for r in rows]
+            rng = random.Random(k + n)
+            rows += [tuple(rng.randrange(k) for _ in range(k**n)) for _ in range(200)]
+        total += assert_chunk_equals_the_oracle(name, k, n, rows)[2]
+    assert total > 0
 
 
 def loop_slice_flag(k, n, table):

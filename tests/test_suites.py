@@ -9,7 +9,7 @@ import pytest
 from aritygap import DomainError, FiniteFunction, UnknownSuiteError, run_suite
 from aritygap import suites
 from aritygap.enumeration import DEFAULT_BUDGET
-from aritygap.facts import SCREENS, TABLE_SCREENS
+from aritygap.screens import SCREENS, TABLE_SCREENS
 from aritygap.suites import SUITE_NAMES
 
 
@@ -48,8 +48,10 @@ def test_registry_sends_the_screened_suites_to_one_runner():
     k, n = 2, 3
     raw = set()
     for name in routed:
+        # a gap-2 sample of a gap-n suite is refused at n = 3
+        modes = ("exhaustive",) if name in suites._FULL_GAP_SUITES else ("exhaustive", "sample")
         widths = {suites._population(name, k, n, mode, 1, 5, DEFAULT_BUDGET)[0].shape[1]
-                  for mode in ("exhaustive", "sample")}
+                  for mode in modes}
         assert widths in ({k**n}, {comb(k + n - 1, n)}), name
         if widths == {k**n}:
             raw.add(name)
@@ -269,3 +271,24 @@ def test_memo_warm_report_equals_cold_process():
     run_suite("thm3_2", 4, 4, mode="sample", seed=1, sample=20)  # warm the memos
     warm = to_json(run_suite("thm3_2", 4, 4, mode="sample", seed=1, sample=20).to_doc())
     assert warm == cold.stdout
+
+
+@pytest.mark.parametrize("name,k,n", [
+    ("thm3_1", 4, 4), ("thm3_1", 3, 3), ("lemma3_1", 4, 3), ("lemma3_1", 5, 5),
+])
+def test_sampled_gap_n_suite_refused(capsys, name, k, n):
+    # a gap-2 sample has no member with gap n at n >= 3: thm3_1 at (4, 4)
+    # used to check 0 instances and pass
+    with pytest.raises(DomainError, match="use exhaustive mode"):
+        run_suite(name, k, n, mode="sample", seed=1, sample=20)
+    from aritygap.cli import main
+
+    argv = ["verify", name, "-k", str(k), "-n", str(n), "--mode", "sample", "--seed", "1"]
+    assert main(argv) == 2
+    assert "exhaustive mode" in capsys.readouterr().err
+
+
+def test_sampled_lemma3_1_at_two_variables():
+    # at n = 2 gap 2 is gap n: the sample is the suite's population
+    report = run_suite("lemma3_1", 3, 2, mode="sample", seed=1, sample=20)
+    assert report.instances_checked == 20 and not report.vacuous
