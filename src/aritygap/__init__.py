@@ -13,8 +13,6 @@ from .core import (
     FiniteFunction,
     IndicatorTerm,
     PreconditionError,
-    TupleClass,
-    classify_tuple,
     embeds,
     from_indicator_terms,
     index_of,
@@ -76,7 +74,6 @@ from .enumeration import (
     enumerate_symmetric,
     nontrivial_gap_specs,
     spec_to_function,
-    symmetric_gap_profile,
     symmetric_spec_count,
 )
 from .suites import SUITE_NAMES, SuiteReport, UnknownSuiteError, run_suite

@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="classify all symmetric functions at (k, n)")
     p.add_argument("-k", type=_int_at_least(2), required=True)
     p.add_argument("-n", type=_int_at_least(0), required=True)
-    p.add_argument("--workers", type=int, default=1, help="accepted; the census runs in one process")
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="accepted; the census runs in one process")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--budget-override", action="store_true")
     p.add_argument(

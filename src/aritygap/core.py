@@ -17,7 +17,6 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -166,19 +165,6 @@ class FiniteFunction:
 
     def __repr__(self):
         return f"FiniteFunction(k={self.k}, n={self.n}, table={self.table})"
-
-
-class TupleClass(Enum):
-    """Partition of K^n: points with a repeated coordinate vs all-distinct."""
-
-    REPEATING = "repeating"
-    ALL_DISTINCT = "all-distinct"
-
-
-def classify_tuple(point: Sequence[int]) -> TupleClass:
-    if len(set(point)) < len(point):
-        return TupleClass.REPEATING
-    return TupleClass.ALL_DISTINCT
 
 
 def is_all_distinct(point: Sequence[int]) -> bool:

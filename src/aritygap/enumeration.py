@@ -49,11 +49,10 @@ from .core import (
     check_domain,
     tuple_getter,
 )
-from .minors import GapProfile, _chunks, _values, gap_index
+from .minors import _chunks, _values
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
-    compress,
     construct_gap_n,
     multisets,
 )
@@ -298,17 +297,6 @@ def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None
     y_ess = y_get(spec) != spec
     z_ess = z_get(spec) != spec
     return n, n - y_ess - (n - 2) * z_ess
-
-
-def symmetric_gap_profile(f: FiniteFunction) -> GapProfile:
-    """Fast profile for multiset-determined tables (index computed honestly)."""
-    spec = compress(f).as_tuple()
-    ess, g = spec_ess_gap(f.k, f.n, spec)
-    if ess < 2:
-        return GapProfile(ess, None, None, None)
-    ind = gap_index(f)
-    label = (ess, g, f.k) if g >= 2 else None
-    return GapProfile(ess, g, ind, label)
 
 
 @dataclass

@@ -27,9 +27,8 @@ every row at once, the facts that the symmetric claims are about:
   essential parts.
 
 :class:`TableFacts` computes (ess, gap) for a chunk of raw value tables
-from their essential masks and one-step minors. :func:`slice_flags`
-screens raw value tables for the restriction claim of Lemma 2.1 by testing
-every fixing of (positions, constants).
+from their essential masks and the essential masks of their one-step
+minors.
 
 ``screens.SCREENS`` turns these facts into each population suite's claim;
 a census imports only this module.
@@ -264,19 +263,6 @@ class SpecFacts:
         return out
 
     @functools.cached_property
-    def asymmetric_minor(self) -> np.ndarray:
-        """Whether some iterated identification minor is not symmetric: a
-        reached F_shape that changes under a swap of two essential parts,
-        which only parts of unequal size can do."""
-        flagged = np.zeros(len(self.specs), dtype=bool)
-        for shape, depth, _, _ in self.shapes:
-            table, ess = self._shape_tables[shape]
-            unequal = [(a, b) for a, b in itertools.combinations(range(len(shape)), 2)
-                       if shape[a] != shape[b]]
-            flagged |= (depth >= 0) & _asymmetric(self.k, table, ess, unequal)
-        return flagged
-
-    @functools.cached_property
     def gap_index(self) -> np.ndarray:
         """The longest merge chain per row (0 below 2 essential variables)."""
         index = np.zeros(len(self.specs), dtype=np.int64)
@@ -289,12 +275,6 @@ class SpecFacts:
         """(N, k): s(c^n) for every constant c."""
         index = symmetry_index(self.k, self.n).index
         return self.specs[:, [index[(c,) * self.n] for c in range(self.k)]]
-
-    @functools.cached_property
-    def slice_flags(self) -> np.ndarray:
-        """:func:`slice_flags` of the expanded value tables."""
-        tables = self.specs[:, symmetry_index(self.k, self.n).orbit_of_point]
-        return slice_flags(self.k, self.n, tables)
 
     def table(self, row: int) -> list[int]:
         """The value table of one row."""
@@ -310,6 +290,18 @@ class TableFacts:
         self.tables = _values(k, tables).reshape(-1, k**n)
 
     @functools.cached_property
+    def minor_masks(self) -> np.ndarray:
+        """(N, n(n-1), n), n >= 2: the essential mask of each one-step minor
+        x_i := x_j, for the ordered pairs i != j (0-based) in row-major
+        order."""
+        k, n, tables = self.k, self.n, self.tables
+        plan, pairs = _identify_plan(k, n)
+        i, j = np.nonzero(pairs)
+        return np.concatenate([
+            _essential_mask(k, n, tables[p][:, plan[i, j]].reshape(-1, k**n)).reshape(-1, len(i), n)
+            for p in _chunks(len(tables), len(i) * k**n)])
+
+    @functools.cached_property
     def ess_gap(self) -> tuple[np.ndarray, np.ndarray]:
         """(ess, gap) per row, gap -1 where it is undefined: ess minus the
         most essential variables of a one-step minor x_i := x_j, i != j
@@ -319,50 +311,12 @@ class TableFacts:
         ess = mask.sum(axis=1)
         best = np.zeros(len(tables), dtype=np.int64)
         if n >= 2:
-            plan, pairs = _identify_plan(k, n)
-            i, j = np.nonzero(pairs)
-            for p in _chunks(len(tables), len(i) * k**n):
-                minors = _essential_mask(k, n, tables[p][:, plan[i, j]].reshape(-1, k**n))
-                counts = minors.sum(axis=1).reshape(-1, len(i))
-                best[p] = np.where(mask[p][:, i] & mask[p][:, j], counts, -1).max(axis=1)
+            i, j = np.nonzero(_identify_plan(k, n)[1])
+            counts = self.minor_masks.sum(axis=2)
+            best = np.where(mask[:, i] & mask[:, j], counts, -1).max(axis=1)
         return ess.astype(np.int8), np.where(ess >= 2, ess - best, -1).astype(np.int8)
 
     def table(self, row: int) -> list[int]:
         """The value table of one row."""
         return self.tables[row].tolist()
 
-
-def _asymmetric(k: int, tables: np.ndarray, ess: np.ndarray, pairs) -> np.ndarray:
-    """Whether each table of an (m, k^r) array changes under the swap of
-    some pair (a, b) of ``pairs`` of positions essential in it (``ess``,
-    (m, r))."""
-    t = tables.reshape((len(tables),) + (k,) * ess.shape[1])
-    out = np.zeros(len(t), dtype=bool)
-    for a, b in pairs:
-        changes = np.any((t != np.swapaxes(t, 1 + a, 1 + b)).reshape(len(t), -1), axis=1)
-        out |= ess[:, a] & ess[:, b] & changes
-    return out
-
-
-def slice_flags(k: int, n: int, tables) -> np.ndarray:
-    """Rows of an (N, k^n) array of value tables with a restriction, fixing
-    o of the n positions to constants (1 <= o < n), that is not invariant
-    under a swap of two of its essential positions or has 0 < ess < n - o.
-    Every state of Lemma 2.1's per-instance closure is such a restriction,
-    so a row that is not flagged has no violation."""
-    t = _values(k, tables)
-    rows = len(t)
-    t = t.reshape((rows,) + (k,) * n)
-    flagged = np.zeros(rows, dtype=bool)
-    for o in range(1, n):
-        arity = n - o
-        for fixed in itertools.combinations(range(n), o):
-            free = [p for p in range(n) if p not in fixed]
-            s = t.transpose([0] + [1 + p for p in fixed] + [1 + p for p in free])
-            s = s.reshape(rows * k**o, k**arity)
-            ess = _essential_mask(k, arity, s)
-            count = ess.sum(axis=1)
-            bad = (count > 0) & (count != arity)
-            bad |= _asymmetric(k, s, ess, itertools.combinations(range(arity), 2))
-            flagged |= bad.reshape(rows, -1).any(axis=1)
-    return flagged

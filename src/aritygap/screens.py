@@ -3,15 +3,21 @@
 A screen is (hypothesis, verdict) over :class:`facts.SpecFacts`, or over
 :class:`facts.TableFacts` of raw tables for the suites of
 ``TABLE_SCREENS``. The hypothesis gives each row its instance flag; the
-verdict gives the subcase counts of each row and its violations.
+verdict gives each row's violations, as :class:`Violations`, and its
+subcase counts.
 
-An exact verdict gives its violations as :class:`Violations`, one slot per
-record the claim can write: a row's violation count is its number of
-violated slots, and its records are read off the same arrays, so each claim
-is stated once. The verdicts of the five suites with a checker in
-``suites._BOUND_CHECKERS`` only bound the violations, one flag per row: a
-row they pass has none, and a row they flag may have none.
-"""
+A verdict has one slot per record the claim can write: a row's violation
+count is its number of violated slots, and its records are read off the
+same arrays, so each claim is stated once. The claims about every state of
+a closure are each one predicate over that state's facts: Lemma 2.1 over a
+subfunction's arity, symmetry and essential count (``_lemma2_1``), Lemma
+2.5 and Remark 2.2 over a minor's depth, essential count and gap
+(``_lemma2_5``, ``_remark2_2``), Remark 2.1 over a minor's symmetry
+(``_asymmetric``). Their verdicts apply the predicate to every fixing of
+positions and constants, or to every reached identification shape, to find
+the rows that can violate it; ``records`` applies it to each state of those
+rows' closures and writes their slots. It is imported by the first such
+row, so a chunk with none never loads it."""
 
 from __future__ import annotations
 
@@ -22,18 +28,24 @@ import numpy as np
 
 from .enumeration import symmetry_index
 from .facts import SpecFacts, _constant
+from .minors import _essential_mask, _values
 from .subfunctions import sub_bound
 
 
 class Violations(NamedTuple):
-    """An exact claim's violations in a chunk: per row and slot whether the
-    slot is violated, (N, S), the slots of a row in the order of its
-    records; the assertion of each slot; and ``info(row, slot)``, the
-    details of a record."""
+    """A claim's violations in a chunk: per row and slot whether the slot
+    is violated, (N, S), the slots of a row in the order of its records;
+    the assertion of each slot; and ``info(row, slot)``, the details of a
+    record."""
 
     assertions: tuple[str, ...]
     mask: np.ndarray
     info: Callable[[int, int], dict]
+
+
+def _no_slots(rows: int) -> Violations:
+    """No violations, with no slot, for a chunk of ``rows`` rows."""
+    return Violations((), np.zeros((rows, 0), dtype=bool), None)
 
 
 def _restricted(ess: np.ndarray, gap: np.ndarray, row: int, c: int) -> dict:
@@ -160,22 +172,127 @@ def _verdict_thm2_4(f):
             {"diagonal-equal": equal_case, "diagonal-differs": differs_case})
 
 
+def _asymmetric(k: int, tables: np.ndarray, ess: np.ndarray, pairs) -> np.ndarray:
+    """Whether each table of an (m, k^r) array changes under the swap of
+    some pair (a, b) of ``pairs`` of positions essential in it (``ess``,
+    (m, r)): with every pair of positions, whether it is not symmetric."""
+    t = tables.reshape((len(tables),) + (k,) * ess.shape[1])
+    out = np.zeros(len(t), dtype=bool)
+    for a, b in pairs:
+        changes = np.any((t != np.swapaxes(t, 1 + a, 1 + b)).reshape(len(t), -1), axis=1)
+        out |= ess[:, a] & ess[:, b] & changes
+    return out
+
+
+def _lemma2_1(arity, asymmetric, ess):
+    """Lemma 2.1 for subfunctions of the given arity below an all-essential
+    function, as (subfunction-symmetric, ess-equals-n-minus-order): each is
+    symmetric, and has no essential variable or ``arity`` of them."""
+    return np.stack([asymmetric, (ess > 0) & (ess != arity)], axis=-1)
+
+
+def slice_flags(k: int, n: int, tables) -> np.ndarray:
+    """Rows of an (N, k^n) array of value tables with a restriction, fixing
+    o of the n positions to constants (1 <= o < n), that violates
+    ``_lemma2_1``. Every state of a subfunction closure below its root is
+    such a restriction or a constant, so a row that is not flagged has no
+    violation."""
+    t = _values(k, tables)
+    rows = len(t)
+    t = t.reshape((rows,) + (k,) * n)
+    flagged = np.zeros(rows, dtype=bool)
+    for o in range(1, n):
+        arity = n - o
+        for fixed in itertools.combinations(range(n), o):
+            free = [p for p in range(n) if p not in fixed]
+            s = t.transpose([0] + [1 + p for p in fixed] + [1 + p for p in free])
+            s = s.reshape(rows * k**o, k**arity)
+            ess = _essential_mask(k, arity, s)
+            pairs = itertools.combinations(range(arity), 2)
+            wrong = _lemma2_1(arity, _asymmetric(k, s, ess, pairs), ess.sum(axis=1))
+            flagged |= wrong.reshape(rows, -1).any(axis=1)
+    return flagged
+
+
+def _verdict_lemma2_1(f):
+    tables = f.specs[:, symmetry_index(f.k, f.n).orbit_of_point]
+    flagged = slice_flags(f.k, f.n, tables)
+    if flagged.any():
+        from .records import lemma2_1_violations
+        return lemma2_1_violations(f.k, f.n, tables, flagged), {}
+    return _no_slots(len(tables)), {}
+
+
+def _lemma2_5(n, depth, ess):
+    """Lemma 2.5's chain-ess: a minor at depth l has n - 2l essential
+    variables."""
+    return ess != n - 2 * depth
+
+
 def _verdict_lemma2_5(f):
     n, ind = f.n, f.gap_index
-    flagged = ~((1 <= ind) & (2 * ind <= n))
+    bounds = ~((1 <= ind) & (2 * ind <= n))
+    head = Violations(("lemma2_5.index-bounds",), bounds[:, None],
+                      lambda r, _: {"ind": int(ind[r])})
+    flagged = np.zeros(len(f.specs), dtype=bool)
     for _, depth, ess, _ in f.shapes:
-        flagged |= (depth >= 0) & (ess != n - 2 * depth)
-    return flagged, {}
+        flagged |= (depth >= 0) & _lemma2_5(n, depth, ess)
+    if flagged.any():
+        from .records import lemma2_5_violations
+        return lemma2_5_violations(f, head, flagged), {}
+    return head, {}
+
+
+def _remark2_2(n, ind, depth, ess, gap):
+    """Remark 2.2 for a minor at depth l, as (minor-ess, below-index-class,
+    at-index-class): it has n - 2l essential variables, and then gap 2
+    below the gap index and, from it on, full gap or fewer than 2
+    essential variables."""
+    chain = ess != n - 2 * depth
+    below = (depth < ind) & ~((ess >= 2) & (gap == 2))
+    at = (depth >= ind) & ~((ess < 2) | (gap == ess))
+    return np.stack([chain, ~chain & below, ~chain & at], axis=-1)
 
 
 def _verdict_remark2_2(f):
     n, ind = f.n, f.gap_index
     flagged = np.zeros(len(f.specs), dtype=bool)
     for _, depth, ess, gap in f.shapes:
-        below = (depth < ind) & ~((ess >= 2) & (gap == 2))
-        at = (depth >= ind) & ~((ess < 2) | (gap == ess))
-        flagged |= (depth >= 0) & ((ess != n - 2 * depth) | below | at)
-    return flagged, {}
+        flagged |= (depth >= 0) & _remark2_2(n, ind, depth, ess, gap).any(axis=1)
+    if flagged.any():
+        from .records import remark2_2_violations
+        return remark2_2_violations(f, flagged), {}
+    return _no_slots(len(f.specs)), {}
+
+
+def _verdict_remark2_1(f):
+    flagged = np.zeros(len(f.specs), dtype=bool)
+    for shape, depth, _, _ in f.shapes:
+        table, ess = f._shape_tables[shape]
+        # swapping two parts of equal size leaves a shape's table as it is
+        unequal = [(a, b) for a, b in itertools.combinations(range(len(shape)), 2)
+                   if shape[a] != shape[b]]
+        flagged |= (depth >= 0) & _asymmetric(f.k, table, ess, unequal)
+    if flagged.any():
+        from .records import remark2_1_violations
+        return remark2_1_violations(f, flagged), {}
+    return _no_slots(len(f.specs)), {}
+
+
+def _verdict_lemma2_3(f):
+    n = f.n
+    # minor[r, u, v]: the essential mask of x_u := x_v, u != v
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    minor = np.zeros((len(f.tables), n, n, n), dtype=bool)
+    minor[:, i, j] = f.minor_masks
+    eye = np.eye(n, dtype=bool)
+    drops = minor.sum(axis=3) == n - 2
+    # x_u := x_m and x_v := x_m both drop to n - 2 for every m outside {u, v}
+    good = drops | eye
+    third = ((good[:, :, None] | eye) & (good[:, None] | eye[:, None])).all(axis=3)
+    pair = drops & ~minor[:, :, np.arange(n), np.arange(n)] & third & ~eye
+    return Violations(("lemma2_3.pair-exists",), ~pair.any(axis=(1, 2))[:, None],
+                      lambda r, _: {}), {}
 
 
 def _verdict_lemma2_2(f):
@@ -204,12 +321,10 @@ SCREENS = {
     "lemma2_5": (_gap_2, _verdict_lemma2_5),
     "remark2_2": (_gap_2, _verdict_remark2_2),
     "thm2_4": (_nontrivial_gap, _verdict_thm2_4),
-    "lemma2_1": (_all_essential, lambda f: (f.slice_flags, {})),
+    "lemma2_1": (_all_essential, _verdict_lemma2_1),
     "lemma2_2": (lambda f: _all_essential(f) & (f.ess_gap[1] >= 0), _verdict_lemma2_2),
-    "remark2_1": (_nontrivial_gap, lambda f: (f.asymmetric_minor, {})),
-    # the pair is searched per instance: every instance goes to its checker
-    "lemma2_3": (lambda f: _gap_2(f) & (f.n > 3),
-                 lambda f: (np.ones(len(f.tables), dtype=bool), {})),
+    "remark2_1": (_nontrivial_gap, _verdict_remark2_1),
+    "lemma2_3": (lambda f: _gap_2(f) & (f.n > 3), _verdict_lemma2_3),
     "willard": (lambda f: _all_essential(f) & (f.n >= 2), _verdict_willard),
 }
 TABLE_SCREENS = frozenset({"lemma2_3", "willard"})

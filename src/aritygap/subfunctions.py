@@ -132,22 +132,26 @@ def _restrict_plan(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _states(k: int, n: int, tabs: np.ndarray, bits: np.ndarray):
     """The distinct (table, remaining positions) rows among ``tabs`` (m, k^a)
-    and ``bits`` (m, a), grouped by table, and for each whether it is the
-    first of its table."""
+    and ``bits`` (m, a), each at its first occurrence and in the order of
+    those, and for each whether it counts its table: one state of each
+    distinct table does."""
     tie = bits.sum(axis=1)
     order, new = _group(k, tabs, tie, 1 << n)
     t = tie[order]
     keep = new.copy()
     keep[1:] |= t[1:] != t[:-1]
     pick = order[keep]
-    return tabs[pick], bits[pick], new[keep]
+    first = np.argsort(pick)
+    pick = pick[first]
+    return tabs[pick], bits[pick], new[keep][first]
 
 
 def _next_level(k: int, n: int, tabs: np.ndarray, bits: np.ndarray, mask: np.ndarray):
     """The states that fixing one more essential position gives, from the
     states (``tabs``, ``bits``) of one level with their essential masks:
-    (tables, remaining positions as bits, first of its table), each state
-    once."""
+    (tables, remaining positions as bits, whether it counts its table),
+    each state once, in the order the breadth-first walk reaches them (the
+    values left by fixing the last position in increasing order)."""
     a = bits.shape[1]
     rows, j = np.nonzero(mask)
     if a == 1:
@@ -168,12 +172,16 @@ def _closure_levels(k: int, n: int, table: tuple):
     """The states of the closure of one table, a level at a time: per
     number o of fixed positions, (o, the remaining positions as bits
     1 << p, 0-based, (m, n - o), the tables (m, k^(n-o)), their essential
-    masks (m, n - o), whether each is the first state of its table).
+    masks (m, n - o), whether each counts its table: one state of each
+    distinct table does).
 
     The states of a level are the distinct (remaining positions, table)
-    pairs that the breadth-first walk reaches; one gather gives all of the
-    next level's. Only reached states are ever gathered, so the cost
-    follows the size of the closure.
+    pairs that the breadth-first walk reaches, in the order it reaches
+    them: by parent, then fixed position, then constant, each state at its
+    first occurrence; at level n, where no position is left, the values in
+    increasing order. One gather gives all of the next level's. Only
+    reached states are ever gathered, so the cost follows the size of the
+    closure.
     """
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))[None]
     tabs = _values(k, table)[None]
@@ -199,7 +207,7 @@ def _level_closure(k: int, n: int, table: tuple) -> _Closure:
     separable = np.zeros(1 << n, dtype=bool)
     separable[0] = True  # the empty set always counts
     # per state below f: its essential positions, first entry, and whether
-    # it is the first state of its table
+    # it is the state that counts its table
     ess = [np.zeros(0, dtype=np.int64)]
     values = [np.zeros(0, dtype=np.intp)]
     first = [np.zeros(0, dtype=bool)]

@@ -16,11 +16,8 @@ the exhaustively enumerable non-trivial-gap subclass (see
 ``_run_population`` decides every population chunk by chunk, in one
 process, by the batched screens of ``screens`` over ``facts`` (imported on
 first use: every CLI process imports this module, and only these suites
-need them). An exact screen is the only statement of its claim: its
-violation count and its records are read off the same arrays. The five
-screens that only bound their violations send the rows they flag to a
-per-instance checker (``_BOUND_CHECKERS``), which counts and writes the
-violations of each.
+need them). A screen is the only statement of its claim: its violation
+count and its records are read off the same arrays.
 
 Reports are deterministic: byte-identical for identical parameters and
 seed. A worker count is accepted and has no effect.
@@ -31,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from time import perf_counter
@@ -48,17 +45,8 @@ from .core import (
     iter_points,
     range_size,
 )
-from .minors import (
-    _essential_positions,
-    all_minors,
-    essential_count,
-    essential_variables,
-    gap,
-    gap_index,
-    gap_profile,
-    identify,
-)
-from .subfunctions import _restrict_table, sub_bound, subfunction_closure
+from .minors import essential_count, gap, gap_index, gap_profile
+from .subfunctions import sub_bound, subfunction_closure
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
@@ -82,8 +70,6 @@ from .enumeration import (
     _solutions,
     gap2_ternary_images,
     gap_n_images,
-    spec_ess_gap,
-    spec_to_function,
     symmetric_spec_count,
     symmetry_index,
 )
@@ -110,8 +96,8 @@ class SuiteReport:
     subcases: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     # how the run went (population source, generators seeded to draw it,
-    # rows sent to the per-instance checker, build/check/merge seconds,
-    # workers); never part of the report
+    # rows read for violation records or checked one at a time,
+    # build/check/merge seconds, workers); never part of the report
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -292,206 +278,37 @@ def _population(name, k, n, mode, seed, sample, budget):
     return cell(k, n, budget), "exhaustive(non-trivial gap)", [], params, 0
 
 
-# ---------------------------------------------------------------------------
-# per-instance checkers of the bound screens
-
-
-def _check_lemma2_1(k, n, spec):
-    """Every subfunction of a symmetric all-essential function is symmetric,
-    and a subfunction with essential variables has as many as its arity."""
-    f = spec_to_function(k, n, spec)
-    if essential_count(f) != n:
-        return None
-    violations = []
-    # Per distinct table: (symmetric, essential positions, the k restrictions
-    # at each of them). Many BFS states share a table; each state still
-    # reports its own violations.
-    facts = {}
-    root = (tuple(range(1, n + 1)), f.table)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        remaining, table = queue.popleft()
-        arity = len(remaining)
-        order = n - arity
-        fact = facts.get(table)
-        if fact is None:
-            ess_local = _essential_positions(k, arity, table)
-            fact = facts[table] = (
-                order > 0 and is_symmetric(FiniteFunction(k, arity, table)),
-                ess_local,
-                [(p, [_restrict_table(k, arity, table, p, c) for c in range(k)])
-                 for p in ess_local],
-            )
-        symmetric, ess_local, children = fact
-        if order > 0:
-            if not symmetric:
-                violations.append(
-                    _violation(f, "lemma2_1.subfunction-symmetric", order=order)
-                )
-            e = len(ess_local)
-            if e > 0 and e != arity:
-                violations.append(
-                    _violation(
-                        f, "lemma2_1.ess-equals-n-minus-order", order=order, ess=e
-                    )
-                )
-        for p, tables in children:
-            rest = remaining[: p - 1] + remaining[p:]
-            for child_table in tables:
-                child = (rest, child_table)
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-    return Counter(), violations
-
-
-def _check_lemma2_3(k, n, table):
-    """An all-essential function with gap 2 and n > 3 has a pair (u, v) whose
-    identification drops to n-2 essential variables, loses x_v, and behaves
-    the same against every third variable."""
-    f = FiniteFunction(k, n, table)
-    if n <= 3 or essential_count(f) != n or gap(f) != 2:
-        return None
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            if u == v:
-                continue
-            minor = identify(f, u, v)
-            ess_m = essential_variables(minor)
-            if len(ess_m) != n - 2 or v in ess_m:
-                continue
-            ok = True
-            for m in range(1, n + 1):
-                if m in (u, v):
-                    continue
-                if (
-                    essential_count(identify(f, u, m)) != n - 2
-                    or essential_count(identify(f, v, m)) != n - 2
-                ):
-                    ok = False
-                    break
-            if ok:
-                return Counter(), []
-    return Counter(), [_violation(f, "lemma2_3.pair-exists")]
-
-
-def _check_lemma2_5(k, n, spec):
-    """Symmetric gap-2: 1 <= ind <= n/2 and every minor at depth l has
-    exactly n - 2l essential variables."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g != 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    ind = gap_index(f)
-    violations = []
-    if not (1 <= ind and 2 * ind <= n):
-        violations.append(_violation(f, "lemma2_5.index-bounds", ind=ind))
-    for rec in all_minors(f):
-        e = essential_count(rec.function)
-        if e != n - 2 * rec.depth:
-            violations.append(
-                _violation(f, "lemma2_5.chain-ess", depth=rec.depth, ess=e)
-            )
-    return Counter(), violations
-
-
-def _check_remark2_1(k, n, spec):
-    """Symmetric with non-trivial gap: all identification minors symmetric."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g is None or g < 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    violations = []
-    for rec in all_minors(f):
-        if not is_symmetric(rec.function):
-            violations.append(
-                _violation(f, "remark2_1.minor-symmetric", depth=rec.depth)
-            )
-    return Counter(), violations
-
-
-def _check_remark2_2(k, n, spec):
-    """Symmetric gap-2: a depth-l minor has gap 2 below the gap index and
-    full gap (or no essential variables) at the gap index."""
-    ess, g = spec_ess_gap(k, n, spec)
-    if ess != n or g != 2:
-        return None
-    f = spec_to_function(k, n, spec)
-    ind = gap_index(f)
-    violations = []
-    for rec in all_minors(f):
-        h = rec.function
-        l = rec.depth
-        e = essential_count(h)
-        if e != n - 2 * l:
-            violations.append(_violation(f, "remark2_2.minor-ess", depth=l, ess=e))
-            continue
-        if l < ind:
-            if e < 2 or gap(h) != 2:
-                violations.append(
-                    _violation(f, "remark2_2.below-index-class", depth=l)
-                )
-        else:
-            if e >= 2 and gap(h) != e:
-                violations.append(
-                    _violation(f, "remark2_2.at-index-class", depth=l)
-                )
-    return Counter(), violations
-
-
-# The checkers of the suites whose screens only bound their violations
-# (``screens.SCREENS``): a checker counts and writes the violations of each
-# row its screen flags. Every other screen states its claim exactly.
-_BOUND_CHECKERS = {
-    "lemma2_1": _check_lemma2_1,
-    "lemma2_3": _check_lemma2_3,
-    "lemma2_5": _check_lemma2_5,
-    "remark2_1": _check_remark2_1,
-    "remark2_2": _check_remark2_2,
-}
-
-
 def _screened_chunk(name, k, n, chunk, cap):
-    """Check one chunk: the screen decides every row. An exact screen's
-    violations are read off its arrays into records, row by row, until
-    ``cap`` are kept; under a bound, the checker counts and writes the
-    violations of every flagged row. Returns (instances, subcounts,
-    violations, the kept records, flagged rows read)."""
+    """Check one chunk: the screen decides every row, and its verdict sees
+    only the instances. The violations are read off its arrays into
+    records, row by row, until ``cap`` are kept. Returns (instances,
+    subcounts, violations, the kept records, flagged rows read)."""
     from .facts import SpecFacts, TableFacts
     from .screens import SCREENS, TABLE_SCREENS
 
     hypothesis, verdict = SCREENS[name]
-    facts = (TableFacts if name in TABLE_SCREENS else SpecFacts)(k, n, chunk)
+    facts_of = TableFacts if name in TABLE_SCREENS else SpecFacts
+    facts = facts_of(k, n, chunk)
     instance = hypothesis(facts)
     if not instance.any():
         return 0, Counter(), 0, [], 0
+    if not instance.all():
+        facts = facts_of(k, n, chunk[instance])
     found, per_row = verdict(facts)
     subcounts = Counter()
     for key, values in per_row.items():
-        if values[instance].sum():
-            subcounts[key] = int(values[instance].sum())
-    checker = _BOUND_CHECKERS.get(name)
-    if checker is None:
-        mask = found.mask & instance[:, None]
-        total, flagged = int(mask.sum()), np.flatnonzero(mask.any(axis=1))
-    else:
-        total, flagged = 0, np.flatnonzero(found & instance)
+        if values.any():
+            subcounts[key] = int(values.sum())
     kept: list = []
     read = 0
-    for r in flagged.tolist():
-        if checker is not None:
-            violations = checker(k, n, tuple(chunk[r].tolist()))[1]
-            total += len(violations)
-        elif len(kept) < cap:
-            f = FiniteFunction(k, n, facts.table(r))
-            violations = [_violation(f, found.assertions[s], **found.info(r, s))
-                          for s in np.flatnonzero(mask[r])[: cap - len(kept)].tolist()]
-        else:
+    for r in np.flatnonzero(found.mask.any(axis=1)).tolist():
+        if len(kept) == cap:
             break
+        f = FiniteFunction(k, n, facts.table(r))
+        kept.extend(_violation(f, found.assertions[s], **found.info(r, s))
+                    for s in np.flatnonzero(found.mask[r])[: cap - len(kept)].tolist())
         read += 1
-        kept.extend(violations[: cap - len(kept)])
-    return int(instance.sum()), subcounts, total, kept, read
+    return int(instance.sum()), subcounts, int(found.mask.sum()), kept, read
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +608,8 @@ def _run_thm2_5(name, k, n, mode, seed, sample, budget):
 def _run_thm2_6(name, k, n, mode, seed, sample, budget):
     """Linear functions have non-trivial gap exactly at even radix, with the
     all-coefficients-k/2 maps as the only all-essential witnesses."""
+    if n < 2:
+        raise UnknownSuiteError("thm2_6 needs n >= 2: a gap needs two essential variables")
     violations = []
     total = 0
     instances = 0
@@ -799,7 +618,7 @@ def _run_thm2_6(name, k, n, mode, seed, sample, budget):
     for coeffs in itertools.product(range(k), repeat=n):
         for const in range(k):
             f = construct_linear(k, LinearSpec(coeffs, const))
-            if essential_count(f) != n or n < 2:
+            if essential_count(f) != n:
                 continue
             instances += 1
             g = gap(f)
@@ -831,6 +650,8 @@ def _run_thm2_6(name, k, n, mode, seed, sample, budget):
 
 def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     """Count of full-gap symmetric functions, decided constructively."""
+    if not 2 <= n <= k:
+        raise UnknownSuiteError("cor2_1 needs 2 <= n <= k")
     printed = k * comb(k, n) + 1 - k
     proof_logic = k ** (comb(k, n) + 1) - k
     constructive = len(gap_n_images(k, n))

@@ -1,14 +1,14 @@
 """Per-function oracles for the batched code paths.
 
-The per-instance checkers of the exact screened claims, one function per
-claim, that the screens' records are compared with: each takes one row (a
-multiset spec, or a raw table for ``willard``) and returns None when the
-row is outside the claim's hypothesis, else (subcase counts, violation
-records). With
-``hypothesis=False`` a checker evaluates its conclusion on any row where
-that conclusion is defined. ``ORACLES`` maps every screened suite to its
-checker: these eleven and the five checkers that the bound screens still
-run (``suites._BOUND_CHECKERS``).
+The per-instance checkers of the screened claims, one function per claim,
+that the screens' records are compared with: each takes one row (a
+multiset spec, or a raw table for ``lemma2_3`` and ``willard``) and
+returns None when the row is outside the claim's hypothesis, else (subcase
+counts, violation records). With ``hypothesis=False`` a checker evaluates
+its conclusion on any row where that conclusion is defined. ``ORACLES``
+maps every screened suite to its checker. ``lemma2_1_records`` walks the
+subfunction closure of one table breadth first, the order in which the
+``lemma2_1`` screen writes its records.
 
 Also here: the two breadth-first subfunction closures the closure kernel is
 tested against, and the tuple listing of the gap-n cell.
@@ -25,6 +25,7 @@ from aritygap.core import range_size
 from aritygap.enumeration import _full_gap_array, _tuples, spec_ess_gap, spec_to_function
 from aritygap.minors import (
     _essential_positions,
+    all_minors,
     essential_count,
     essential_variables,
     gap,
@@ -43,7 +44,7 @@ from aritygap.subfunctions import (
     subfunction_closure,
     weak_dominants,
 )
-from aritygap.suites import _BOUND_CHECKERS, _violation
+from aritygap.suites import _violation
 from aritygap.symmetric import compress, diagonal_values, is_symmetric
 
 
@@ -363,8 +364,169 @@ def check_willard(k, n, table, hypothesis=True):
     return Counter(), violations
 
 
-EXACT_ORACLES = {
+def lemma2_1_records(f: FiniteFunction) -> list:
+    """Lemma 2.1's violation records of f: every state of its subfunction
+    closure below f, breadth first, is symmetric and has no essential
+    variable or as many as its arity."""
+    k, n = f.k, f.n
+    violations = []
+    # Per distinct table: (symmetric, essential positions, the k restrictions
+    # at each of them). Many BFS states share a table; each state still
+    # reports its own violations.
+    facts = {}
+    root = (tuple(range(1, n + 1)), f.table)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        remaining, table = queue.popleft()
+        arity = len(remaining)
+        order = n - arity
+        fact = facts.get(table)
+        if fact is None:
+            ess_local = _essential_positions(k, arity, table)
+            fact = facts[table] = (
+                order > 0 and is_symmetric(FiniteFunction(k, arity, table)),
+                ess_local,
+                [(p, [_restrict_table(k, arity, table, p, c) for c in range(k)])
+                 for p in ess_local],
+            )
+        symmetric, ess_local, children = fact
+        if order > 0:
+            if not symmetric:
+                violations.append(
+                    _violation(f, "lemma2_1.subfunction-symmetric", order=order)
+                )
+            e = len(ess_local)
+            if e > 0 and e != arity:
+                violations.append(
+                    _violation(
+                        f, "lemma2_1.ess-equals-n-minus-order", order=order, ess=e
+                    )
+                )
+        for p, tables in children:
+            rest = remaining[: p - 1] + remaining[p:]
+            for child_table in tables:
+                child = (rest, child_table)
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+    return violations
+
+
+def check_lemma2_1(k, n, spec, hypothesis=True):
+    """Every subfunction of a symmetric all-essential function is symmetric,
+    and a subfunction with essential variables has as many as its arity."""
+    f = spec_to_function(k, n, spec)
+    if hypothesis and essential_count(f) != n:
+        return None
+    return Counter(), lemma2_1_records(f)
+
+
+def check_lemma2_3(k, n, table, hypothesis=True):
+    """An all-essential function with gap 2 and n > 3 has a pair (u, v) whose
+    identification drops to n-2 essential variables, loses x_v, and behaves
+    the same against every third variable. Without the hypothesis, any
+    all-essential table with n >= 2."""
+    f = FiniteFunction(k, n, table)
+    if hypothesis and (n <= 3 or essential_count(f) != n or gap(f) != 2):
+        return None
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u == v:
+                continue
+            minor = identify(f, u, v)
+            ess_m = essential_variables(minor)
+            if len(ess_m) != n - 2 or v in ess_m:
+                continue
+            ok = True
+            for m in range(1, n + 1):
+                if m in (u, v):
+                    continue
+                if (
+                    essential_count(identify(f, u, m)) != n - 2
+                    or essential_count(identify(f, v, m)) != n - 2
+                ):
+                    ok = False
+                    break
+            if ok:
+                return Counter(), []
+    return Counter(), [_violation(f, "lemma2_3.pair-exists")]
+
+
+def check_lemma2_5(k, n, spec, hypothesis=True):
+    """Symmetric gap-2: 1 <= ind <= n/2 and every minor at depth l has
+    exactly n - 2l essential variables. Without the hypothesis, any
+    all-essential spec with n >= 2."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g != 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    ind = gap_index(f)
+    violations = []
+    if not (1 <= ind and 2 * ind <= n):
+        violations.append(_violation(f, "lemma2_5.index-bounds", ind=ind))
+    for rec in all_minors(f):
+        e = essential_count(rec.function)
+        if e != n - 2 * rec.depth:
+            violations.append(
+                _violation(f, "lemma2_5.chain-ess", depth=rec.depth, ess=e)
+            )
+    return Counter(), violations
+
+
+def check_remark2_1(k, n, spec, hypothesis=True):
+    """Symmetric with non-trivial gap: all identification minors symmetric.
+    Without the hypothesis, any spec."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g is None or g < 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    violations = []
+    for rec in all_minors(f):
+        if not is_symmetric(rec.function):
+            violations.append(
+                _violation(f, "remark2_1.minor-symmetric", depth=rec.depth)
+            )
+    return Counter(), violations
+
+
+def check_remark2_2(k, n, spec, hypothesis=True):
+    """Symmetric gap-2: a depth-l minor has gap 2 below the gap index and
+    full gap (or no essential variables) at the gap index. Without the
+    hypothesis, any all-essential spec with n >= 2."""
+    ess, g = spec_ess_gap(k, n, spec)
+    if hypothesis and (ess != n or g != 2):
+        return None
+    f = spec_to_function(k, n, spec)
+    ind = gap_index(f)
+    violations = []
+    for rec in all_minors(f):
+        h = rec.function
+        l = rec.depth
+        e = essential_count(h)
+        if e != n - 2 * l:
+            violations.append(_violation(f, "remark2_2.minor-ess", depth=l, ess=e))
+            continue
+        if l < ind:
+            if e < 2 or gap(h) != 2:
+                violations.append(
+                    _violation(f, "remark2_2.below-index-class", depth=l)
+                )
+        else:
+            if e >= 2 and gap(h) != e:
+                violations.append(
+                    _violation(f, "remark2_2.at-index-class", depth=l)
+                )
+    return Counter(), violations
+
+
+ORACLES = {
+    "lemma2_1": check_lemma2_1,
     "lemma2_2": check_lemma2_2,
+    "lemma2_3": check_lemma2_3,
+    "lemma2_5": check_lemma2_5,
+    "remark2_1": check_remark2_1,
+    "remark2_2": check_remark2_2,
     "lemma2_4": check_lemma2_4,
     "thm2_4": check_thm2_4,
     "thm3_1": check_thm3_1,
@@ -376,4 +538,3 @@ EXACT_ORACLES = {
     "cor4_2": check_cor4_2,
     "willard": check_willard,
 }
-ORACLES = {**EXACT_ORACLES, **_BOUND_CHECKERS}

@@ -319,6 +319,17 @@ def test_verify_count_arguments_rejected(capsys, monkeypatch, flag, value):
     assert flag in err and ("at least 1" in err or "at most 2" in err)
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "3"])
+def test_census_worker_count_rejected(capsys, monkeypatch, value):
+    # census used to accept any integer here and exit 0
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, "census", "-k", "2", "-n", "2", "--workers", value)
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err and ("at least 1" in err or "at most 2" in err)
+    assert run_cli(capsys, "census", "-k", "2", "-n", "2", "--workers", "2")[0] == 0
+
+
 def test_verify_workers_cap_follows_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 1)
     argv = ("verify", "cor4_1", "-k", "2", "-n", "3", "--workers")

@@ -11,12 +11,11 @@ from aritygap import (
     DomainError,
     FiniteFunction,
     IndicatorTerm,
-    TupleClass,
-    classify_tuple,
     embeds,
     from_indicator_terms,
     index_of,
     indicator_terms,
+    is_all_distinct,
     iter_points,
     orbit_sum,
     point_of,
@@ -72,25 +71,19 @@ def test_eval_examples():
         parity((1, 1, 0))
 
 
-def test_classify_tuple():
-    assert classify_tuple((0, 1, 2, 1, 4)) is TupleClass.REPEATING
-    assert classify_tuple((1, 2, 4)) is TupleClass.ALL_DISTINCT
+def test_is_all_distinct():
+    assert not is_all_distinct((0, 1, 2, 1, 4))
+    assert is_all_distinct((1, 2, 4))
     # point count of the all-distinct class at k=4, n=3, against the
     # falling-factorial count
-    count = sum(
-        1 for p in iter_points(4, 3) if classify_tuple(p) is TupleClass.ALL_DISTINCT
-    )
+    count = sum(1 for p in iter_points(4, 3) if is_all_distinct(p))
     assert count == 4 * 3 * 2 == 24
 
 
 def test_distinct_counts_all_small():
     for k in range(2, 6):
         for n in range(1, 6):
-            count = sum(
-                1
-                for p in iter_points(k, n)
-                if classify_tuple(p) is TupleClass.ALL_DISTINCT
-            )
+            count = sum(1 for p in iter_points(k, n) if is_all_distinct(p))
             expected = math.perm(k, n) if n <= k else 0
             assert count == expected
 

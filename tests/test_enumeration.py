@@ -305,16 +305,3 @@ def test_gap_n_images_counts():
     assert len(gap_n_images(4, 3)) == 1020
     assert gap_n_images(3, 4) == set()
 
-
-def test_symmetric_gap_profile_matches_generic():
-    import random
-
-    from aritygap import symmetric_gap_profile
-
-    rng = random.Random(4)
-    for k, n in [(3, 3), (2, 4), (4, 2)]:
-        m = math.comb(k + n - 1, n)
-        for _ in range(20):
-            spec = tuple(rng.randrange(k) for _ in range(m))
-            f = spec_to_function(k, n, spec)
-            assert symmetric_gap_profile(f) == gap_profile(f)

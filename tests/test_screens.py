@@ -2,15 +2,14 @@
 
 ``aritygap.facts`` computes, for a whole chunk of multiset specs or raw
 tables at once, the facts the claims are about, and ``screens.SCREENS`` turns
-them into each row's instance flag, subcase counts and violations. An exact
-screen writes its own records; a bound screen sends the rows it flags to
-its checker in ``suites``. Here every batched fact is checked against the
-per-function code it stands for (the two subfunction closures, the minor
-closure, ``gap_profile``, ``essential_count`` and ``gap``, the dominant
-functions), every screen's records against the per-instance checker of its
-claim (``oracles.ORACLES``), and the reports against sha256 digests
-recorded from the program as it was before the screens: every instance then
-went through its checker.
+them into each row's instance flag, subcase counts and violations; every
+screen writes its own records. Here every batched fact is checked against
+the per-function code it stands for (the two subfunction closures, the
+minor closure, ``gap_profile``, ``essential_count`` and ``gap``, the
+dominant functions), every screen's records against the per-instance
+checker of its claim (``oracles.ORACLES``), record by record and in order,
+and the reports against sha256 digests recorded from the program as it was
+before the screens: every instance then went through its checker.
 """
 
 import hashlib
@@ -32,21 +31,22 @@ from aritygap.enumeration import (
     spec_ess_gap,
     spec_to_function,
 )
-from aritygap import minors
-from aritygap.facts import SpecFacts, TableFacts, slice_flags
-from aritygap.screens import SCREENS, TABLE_SCREENS
+from aritygap import minors, screens
+from aritygap.facts import SpecFacts, TableFacts
+from aritygap.records import lemma2_1_violations
+from aritygap.screens import SCREENS, TABLE_SCREENS, slice_flags
 from aritygap.minors import all_minors, essential_count, gap, gap_index, gap_profile
 from aritygap.subfunctions import dominants, restrict, weak_dominants
 from aritygap.suites import (
-    _BOUND_CHECKERS,
     VIOLATION_CAP,
     _sample_gap2_specs,
     _screened_chunk,
+    _violation,
     run_suite,
 )
 from aritygap.symmetric import construct_gap2_ternary, diagonal_values, is_symmetric
 import oracles
-from oracles import EXACT_ORACLES, ORACLES, closure_generic, closure_symmetric
+from oracles import ORACLES, closure_generic, closure_symmetric, lemma2_1_records
 from table_strategies import table_chunks
 
 # (verify arguments, exit code, sha256 of the JSON report)
@@ -302,17 +302,17 @@ def test_table_facts_in_small_chunks_equal_the_oracle(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_asymmetric_minor_flag_equals_the_minor_closure(chunk):
     k, n, specs = chunk
-    flags = SpecFacts(k, n, specs).asymmetric_minor
+    found, _ = screens._verdict_remark2_1(SpecFacts(k, n, specs))
     for i, spec in enumerate(specs):
         minor_tables = all_minors(spec_to_function(k, n, spec))
-        assert flags[i] == any(not is_symmetric(r.function) for r in minor_tables), spec
+        assert found.mask[i].sum() == sum(not is_symmetric(r.function) for r in minor_tables)
 
 
 def test_asymmetric_minor_flag_on_known_specs():
     # s = [the multiset is {0, 0, 1}]: x_1 := x_2 gives s({x_2, x_2, x_3}),
     # which is 1 at (0, 1) and 0 at (1, 0); parity gives x_3 alone
-    facts = SpecFacts(2, 3, [(0, 1, 0, 0), (0, 1, 0, 1)])
-    assert list(facts.asymmetric_minor) == [True, False]
+    found, _ = screens._verdict_remark2_1(SpecFacts(2, 3, [(0, 1, 0, 0), (0, 1, 0, 1)]))
+    assert list(found.mask.any(axis=1)) == [True, False]
 
 
 def test_spec_facts_keep_values_over_255():
@@ -321,8 +321,8 @@ def test_spec_facts_keep_values_over_255():
 
 
 def screened_rows(name, k, n, rows):
-    """Each row's instance flag, violation count (or flag, under a bound)
-    and subcounts; ``rows`` are raw tables for a screen of
+    """Each row's instance flag, violation count and subcounts, the verdict
+    applied to every row; ``rows`` are raw tables for a screen of
     ``TABLE_SCREENS``, else specs."""
     facts = (TableFacts if name in TABLE_SCREENS else SpecFacts)(k, n, rows)
     hypothesis, verdict = SCREENS[name]
@@ -330,8 +330,7 @@ def screened_rows(name, k, n, rows):
     if not instance.any():
         return instance, np.zeros(len(rows), dtype=int), {}
     found, per_row = verdict(facts)
-    counts = found if name in _BOUND_CHECKERS else found.mask.sum(axis=1)
-    return instance, counts, per_row
+    return instance, found.mask.sum(axis=1), per_row
 
 
 def oracle_chunk(name, k, n, rows, **kwargs):
@@ -353,10 +352,8 @@ def oracle_chunk(name, k, n, rows, **kwargs):
 def assert_chunk_equals_the_oracle(name, k, n, rows, **kwargs):
     got = _screened_chunk(name, k, n, np.array(rows).reshape(len(rows), -1), 1 << 40)
     want = oracle_chunk(name, k, n, rows, **kwargs)
-    assert got[:4] == want[:4], name
-    if name not in _BOUND_CHECKERS:
-        # every flagged row was read for its records
-        assert got[4] == want[4]
+    # the same records in the same order, every flagged row read for them
+    assert got == want, name
     return got
 
 
@@ -367,18 +364,14 @@ def test_violation_counts_equal_the_checkers(name, data):
     domains = [(k, n) for k, n in DOMAINS if k**n <= TABLE_LIMIT]
     k, n, rows = data.draw(table_chunks() if name in TABLE_SCREENS else chunks(domains))
     instance, counts, per_row = screened_rows(name, k, n, rows)
-    exact = name not in _BOUND_CHECKERS
     for i, row in enumerate(rows):
         out = ORACLES[name](k, n, row)
         assert (out is not None) == instance[i], row
         if out is None:
             continue
         sc, violations = out
-        if exact:
-            assert len(violations) == counts[i], row
-            assert sc == Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
-        elif violations:
-            assert counts[i], row  # a row the screen passes has no violation
+        assert len(violations) == counts[i], row
+        assert sc == Counter({key: int(v[i]) for key, v in per_row.items() if v[i]})
     if instance.any():
         assert_chunk_equals_the_oracle(name, k, n, rows)
 
@@ -394,10 +387,8 @@ def test_every_listed_member_screened_like_its_checker(k, n):
         for i, row in enumerate(rows):
             out = ORACLES[name](k, n, row)
             assert (out is not None) == instance[i], (name, row)
-            if out is not None and name not in _BOUND_CHECKERS:
+            if out is not None:
                 assert len(out[1]) == counts[i], (name, row)
-            elif out is not None and out[1]:
-                assert counts[i], (name, row)
 
 
 # every record of the class at (3, 3), (3, 4) and (3, 5), and of every 65th
@@ -406,7 +397,7 @@ RECORD_CLASSES = [(3, 3, 1), (3, 4, 1), (3, 5, 1), (4, 3, 65)]
 
 
 @pytest.mark.parametrize("k,n,stride", RECORD_CLASSES)
-@pytest.mark.parametrize("name", sorted(EXACT_ORACLES))
+@pytest.mark.parametrize("name", sorted(ORACLES))
 def test_every_record_equals_the_oracle(name, k, n, stride):
     specs = nontrivial_gap_specs(k, n)[::stride]
     rows = [spec_to_function(k, n, s).table for s in specs] if name in TABLE_SCREENS else specs
@@ -427,19 +418,26 @@ def spread_rows(k, n):
     return list(dict.fromkeys(rows + listed[:: 1 + len(listed) // 2000]))
 
 
-# Claims that no listed instance violates. The first five are evaluated
-# without their hypothesis, on rows where their conclusion is defined, and
-# some of those rows violate them. The conclusions of the other three read
-# only facts that their hypothesis pins (the gap, the diagonal), so one fact
-# is shifted alike for the screen and the oracle: the gap by one where it is
-# at least 2, the diagonal value at c by c (mod k).
+# Claims that no listed instance violates, or few. The first nine are
+# evaluated without their hypothesis, on rows where their conclusion is
+# defined, and some of those rows violate them. The conclusions of the other
+# three read only facts that their hypothesis pins (the gap, the diagonal),
+# so one fact is shifted alike for the screen and the oracle: the gap by one
+# where it is at least 2, the diagonal value at c by c (mod k).
 WITHOUT_HYPOTHESIS = {
     "thm3_1": [(2, 3), (3, 3), (2, 4)],
     "thm4_1": [(2, 3), (3, 2)],
     "cor4_1": [(2, 3), (3, 2)],
     "lemma2_4": [(2, 4), (2, 5), (3, 4)],
     "lemma3_1": [(3, 2), (3, 3), (4, 2)],
+    "lemma2_5": [(2, 3), (3, 3), (2, 4), (3, 4)],
+    "remark2_2": [(2, 3), (3, 3), (2, 4), (3, 4)],
+    "remark2_1": [(2, 3), (3, 3), (2, 4), (3, 4)],
+    "lemma2_3": [(2, 4), (3, 4), (2, 5)],
 }
+# the claims that identify essential variables or read the gap index, which
+# are defined on all-essential rows only
+ALL_ESSENTIAL = {"lemma2_4", "lemma2_5", "remark2_2", "lemma2_3"}
 SHIFTED = {"lemma2_2": [(3, 4), (4, 4)], "willard": [(2, 3), (3, 3), (2, 4)],
            "thm2_4": [(3, 3), (4, 3), (3, 4)]}
 
@@ -463,13 +461,17 @@ def shift_diagonal(diag, k):
 
 @pytest.mark.parametrize("name", sorted(WITHOUT_HYPOTHESIS))
 def test_every_writer_against_the_oracle_without_the_hypothesis(monkeypatch, name):
-    monkeypatch.setitem(SCREENS, name, (lambda f: np.ones(len(f.specs), dtype=bool),
-                                        SCREENS[name][1]))
+    monkeypatch.setitem(SCREENS, name, (lambda f: f.ess_gap[0] >= 0, SCREENS[name][1]))
     total = 0
     for k, n in WITHOUT_HYPOTHESIS[name]:
         rows = spread_rows(k, n)
-        if name == "lemma2_4":  # it identifies essential variables
-            rows = [r for r in rows if spec_ess_gap(k, n, r)[0] == n]
+        if name in TABLE_SCREENS:
+            rng = random.Random(k + n)
+            rows = [spec_to_function(k, n, r).table for r in rows[::4]]
+            rows += [tuple(rng.randrange(k) for _ in range(k**n)) for _ in range(100)]
+        if name in ALL_ESSENTIAL:
+            as_function = FiniteFunction if name in TABLE_SCREENS else spec_to_function
+            rows = [r for r in rows if essential_count(as_function(k, n, r)) == n]
         total += assert_chunk_equals_the_oracle(name, k, n, rows, hypothesis=False)[2]
     assert total > 0
 
@@ -542,6 +544,37 @@ def test_slice_screen_flags_a_non_symmetric_table():
     assert list(slice_flags(2, 3, [table])) == [True]
     symmetric = list(spec_to_function(2, 3, (0, 1, 1, 0)).table)
     assert list(slice_flags(2, 3, [symmetric])) == [False]
+
+
+@given(table_chunks())
+@settings(max_examples=80, deadline=None)
+def test_lemma2_1_writer_on_raw_tables_equals_the_breadth_first_oracle(chunk):
+    # raw tables violate Lemma 2.1 in many states, in both assertions; the
+    # writer reads every state of each row's closure, the slice screen only
+    # decides which rows it reads
+    k, n, tables = chunk
+    rows = np.array(tables).reshape(len(tables), k**n)
+    found = lemma2_1_violations(k, n, rows, np.ones(len(tables), dtype=bool))
+    flagged = slice_flags(k, n, rows)
+    for r, table in enumerate(tables):
+        f = FiniteFunction(k, n, table)
+        records = [_violation(f, found.assertions[s], **found.info(r, s))
+                   for s in np.flatnonzero(found.mask[r]).tolist()]
+        assert records == lemma2_1_records(f), table
+        assert flagged[r] or not records, table
+
+
+def test_lemma2_1_writer_keeps_the_breadth_first_order():
+    # (x1 AND NOT x2) OR (x3 AND NOT x4): fixing x1 := 0 leaves x3 AND NOT x4,
+    # with x2 fictive, and fixing x1 := 1, x2 := 1 leaves it too
+    f = FiniteFunction.from_callable(2, 4, lambda a, b, c, d: int(a > b or c > d))
+    found = lemma2_1_violations(2, 4, np.array([f.table]), np.ones(1, dtype=bool))
+    records = [_violation(f, found.assertions[s], **found.info(0, s))
+               for s in np.flatnonzero(found.mask[0]).tolist()]
+    assert records == lemma2_1_records(f)
+    assert {r["info"]["order"] for r in records} == {1, 2}
+    assert {r["assertion"] for r in records} == {"lemma2_1.subfunction-symmetric",
+                                                 "lemma2_1.ess-equals-n-minus-order"}
 
 
 # ---------------------------------------------------------------------------

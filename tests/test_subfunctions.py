@@ -26,7 +26,7 @@ from aritygap import (
     sub_count,
     weak_dominants,
 )
-from aritygap.subfunctions import _closure_cached
+from aritygap.subfunctions import _closure_cached, _closure_levels
 from aritygap.symmetric import LinearSpec, construct_linear, is_totally_symmetric
 from aritygap.enumeration import spec_to_function
 from oracles import closure_generic, closure_symmetric
@@ -334,6 +334,52 @@ def test_closure_kernel_in_small_chunks_equals_the_oracles(monkeypatch):
     cases.append(FiniteFunction.from_callable(3, 4, lambda *x: max(x) if min(x) else 0))
     for f in cases:
         assert_closure_kernel_equals_the_oracles(f)
+
+
+def breadth_first_states(f):
+    """The (remaining positions, table) states of f's subfunction closure
+    in the order a breadth-first walk first reaches them, each position
+    fixed to each constant in turn, constants as their one-entry table."""
+    root = (tuple(range(1, f.n + 1)), f)
+    seen, order, queue = {root}, [root], [root]
+    for remaining, g in queue:
+        for p in sorted(essential_variables(g)):
+            for c in range(g.k):
+                child = (remaining[: p - 1] + remaining[p:], restrict(g, p, c))
+                if child not in seen:
+                    seen.add(child)
+                    order.append(child)
+                    queue.append(child)
+    return [(rem, g.table) for rem, g in order]
+
+
+def level_states(f):
+    return [(tuple(b.bit_length() for b in row), tuple(tab))
+            for _, bits, tabs, _, _ in _closure_levels(f.k, f.n, f.table)
+            for row, tab in zip(bits.tolist(), tabs.tolist())]
+
+
+def assert_breadth_first(f):
+    # the constants that fixing every position leaves come by value
+    want = breadth_first_states(f)
+    last = sorted(s for s in want if not s[0]) if f.n else want[:1]
+    assert level_states(f) == [s for s in want if s[0]] + last
+
+
+@given(kernel_cases())
+@settings(max_examples=80, deadline=None)
+def test_closure_levels_come_in_breadth_first_order(f):
+    assert_breadth_first(f)
+
+
+def test_closure_levels_in_small_chunks_come_in_breadth_first_order(monkeypatch):
+    # states merged across the parts of a gather keep their first occurrence
+    from aritygap import minors
+
+    monkeypatch.setattr(minors, "_CHUNK", 30)
+    rng = random.Random(13)
+    for k, n in ((2, 4), (3, 3), (2, 5), (4, 3), (3, 4)):
+        assert_breadth_first(FiniteFunction(k, n, [rng.randrange(k) for _ in range(k**n)]))
 
 
 def test_closure_kernel_on_wide_parity_follows_the_closure():

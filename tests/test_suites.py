@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from aritygap import DomainError, FiniteFunction, UnknownSuiteError, run_suite
-from aritygap import suites
+from aritygap import cli, suites
 from aritygap.enumeration import DEFAULT_BUDGET
 from aritygap.screens import SCREENS, TABLE_SCREENS
 from aritygap.suites import SUITE_NAMES
@@ -102,6 +102,21 @@ def test_thm2_6_linear():
         assert report.passed, k
         if k % 2 == 0:
             assert report.subcases["even"]["instances"] > 0
+
+
+@pytest.mark.parametrize("name,k,n", [
+    ("thm2_6", 2, 0), ("thm2_6", 2, 1), ("thm2_6", 3, 1),
+    ("cor2_1", 3, 0), ("cor2_1", 3, 1), ("cor2_1", 3, 4), ("cor2_1", 3, 5), ("cor2_1", 2, 3),
+])
+def test_constructive_suite_outside_its_domain_refused(capsys, name, k, n):
+    # thm2_6 at n < 2 used to fail for want of an even-radix witness over 0
+    # instances; cor2_1 at n = 1 to fail on a count of 0, and beyond n = k to
+    # pass with a note quoting a negative count
+    with pytest.raises(UnknownSuiteError, match=name):
+        run_suite(name, k, n)
+    assert cli.main(["verify", name, "-k", str(k), "-n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_thm2_1_form():
@@ -254,6 +269,28 @@ def test_verify_loads_no_pool_modules():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=300).stdout
     assert out == "0 []\n"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["lemma2_5", "-k", "4", "-n", "4", "--mode", "sample", "--seed", "1", "--sample", "20"],
+     "0 False"),
+    (["lemma2_1", "-k", "3", "-n", "3"], "0 False"),
+    (["remark2_2", "-k", "3", "-n", "5"], "1 True"),
+])
+def test_records_loaded_only_for_a_flagged_row(argv, loaded):
+    # a run whose screens flag no row never compiles the record writers
+    script = (
+        "import os, sys\n"
+        "import aritygap.cli\n"
+        f"code = aritygap.cli.main(['verify', *{argv!r}, '-o', os.devnull])\n"
+        "print(code, 'aritygap.records' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    assert out == f"{loaded}\n"
 
 
 def test_memo_warm_report_equals_cold_process():
