@@ -21,11 +21,13 @@ Both conditions say that F is constant on fixed groups of multisets
 the number of union-find components of its groups. The census counts every
 bucket in closed form from the components of Y, Z and Y u Z, in a single
 process and without visiting a candidate. The gap >= 2 class is listed for
-any n >= 2 within the budget and ``LIST_LIMIT`` by assigning values to
-components, and the census reads the gap index of every member off the
-identification-shape DAG of ``facts.SpecFacts``, a chunk of the listed
-array at a time. Tests check the counts and the class against a scan of
-every candidate, and the indices against the generic minor closure.
+any n >= 2 within the budget and ``LIST_LIMIT``, cell by cell, by assigning
+values to the components of each cell's condition; a caller that needs one
+gap lists only the cells of that gap. The census reads the gap index of
+every member off the identification-shape DAG of ``facts.SpecFacts``, a
+chunk of the listed array at a time. Tests check the counts and the class
+against a scan of every candidate, and the indices against the generic
+minor closure.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ DEFAULT_BUDGET = 10**8
 # sample of raw tables, may span, whatever the budget: the census and the
 # suite screens gather tables of up to k^n entries for every member, chunk
 # by chunk, and the class jumps from 130 044 members at (4, 3) to 48 828 120
-# at (5, 2).
+# at (5, 2). A sample of specs may span as many spec entries.
 LIST_LIMIT = 10**8
 
 
@@ -441,52 +443,45 @@ def _tuples(specs: np.ndarray) -> list[tuple[int, ...]]:
     return members
 
 
-def _full_gap_array(k: int, n: int, budget: int) -> np.ndarray:
-    """The members of ``_nontrivial_gap_array(k, n, budget)`` with gap n, in
-    the same order, listed directly: they are the non-constant specs with y
-    and z both fictive (y alone for n = 2), which ascend in every listing of
-    the class. Refused exactly when the whole class would be."""
-    if not _listable_class_size(k, n, budget):
-        return np.zeros((0, comb(k + n - 1, n)), dtype=np.uint8)
-    specs = _solutions(k, _fictive_reps(k, n)[2])
-    return specs[~np.all(specs == specs[:, :1], axis=1)]
+def _nontrivial_gap_array(
+    k: int, n: int, budget: int, limit: str = "budget", gaps: set[int] | None = None
+) -> np.ndarray:
+    """Multiset specs of every symmetric function with gap at least 2, or
+    of the cells of that class whose gap is in ``gaps``, one row each.
 
-
-def _nontrivial_gap_array(k: int, n: int, budget: int, limit: str = "budget") -> np.ndarray:
-    """Multiset specs of every symmetric function with gap at least 2, one
-    row each.
-
-    For n >= 3 the gap is at least 2 exactly when y or z is fictive, for
-    n = 2 exactly when y is fictive; the class is the union of those
-    solution sets minus the constants, listed by assigning values to
-    components. The budget bounds the class size and ``LIST_LIMIT`` its
-    table entries, both checked from the counts before anything is built
-    (``limit`` names the budget, as in ``_listable_class_size``).
+    For n >= 3 the class splits into three cells: z fictive alone (gap
+    n - 1), y fictive alone (gap 2) and both (gap n); for n = 2 it is the
+    y-fictive cell (gap 2). Each cell is listed from its own components,
+    less the specs that also meet the other condition, or the constants for
+    the both-fictive cell. The budget bounds the whole class's size and
+    ``LIST_LIMIT`` its table entries, both checked from the counts before
+    anything is built, whatever ``gaps`` selects (``limit`` names the
+    budget, as in ``_listable_class_size``).
     Suite witness lists follow the order of this list, so the order is part
-    of every report: when the whole domain fits the budget, the list is
-    grouped by cell,
-    (y essential, z fictive), then (y fictive, z essential), then (both
-    fictive), each ascending, as a scan of the domain in batches of 2^18
-    candidates finds it (a class spans several cells only at (2, 3),
-    (3, 3) and beyond 10^12 candidates). Beyond the budget the list is
-    ascending.
+    of every report: when the whole domain fits the budget, the cells come
+    in the order above, each ascending, as a scan of the domain in batches
+    of 2^18 candidates finds them (a class spans several cells only at
+    (2, 3), (3, 3) and beyond 10^12 candidates). Beyond the budget the list
+    is ascending.
     """
+    m = comb(k + n - 1, n)
     if not _listable_class_size(k, n, budget, limit):
-        return np.zeros((0, comb(k + n - 1, n)), dtype=np.uint8)
-    y_rep, z_rep, _ = _fictive_reps(k, n)
-    specs = _solutions(k, y_rep)
-    cell = 1 + _fictive(specs, z_rep)
+        return np.zeros((0, m), dtype=np.uint8)
+    y_rep, z_rep, yz_rep = _fictive_reps(k, n)
+    # each cell: its gap, its components, and the components of what its
+    # members must not satisfy (the other condition; constancy for both)
+    cells = [(n, yz_rep, [0] * m)]
     if n >= 3:
-        z_only = _solutions(k, z_rep)
-        z_only = z_only[~_fictive(z_only, y_rep)]
-        specs = np.concatenate([specs, z_only])
-        cell = np.concatenate([cell, np.zeros(len(z_only), dtype=cell.dtype)])
-    keep = ~np.all(specs == specs[:, :1], axis=1)
-    specs, cell = specs[keep], cell[keep]
-    keys = list(specs.T[::-1])
-    if symmetric_spec_count(k, n) <= budget:
-        keys.append(cell)  # lexsort's last key is its primary one
-    return specs[np.lexsort(keys)]
+        cells = [(n - 1, z_rep, y_rep), (2, y_rep, z_rep)] + cells
+    parts = []
+    for gap, rep, other in cells:
+        if gaps is None or gap in gaps:
+            specs = _solutions(k, rep)
+            parts.append(specs[~_fictive(specs, other)])
+    specs = np.concatenate(parts) if parts else np.zeros((0, m), dtype=np.uint8)
+    if len(parts) > 1 and symmetric_spec_count(k, n) > budget:
+        specs = specs[np.lexsort(specs.T[::-1])]  # each cell ascends alone
+    return specs
 
 
 def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:

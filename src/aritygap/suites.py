@@ -25,7 +25,6 @@ seed. A worker count is accepted and has no effect.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -64,7 +63,8 @@ from .enumeration import (
     DEFAULT_BUDGET,
     LIST_LIMIT,
     _draw_rows,
-    _full_gap_array,
+    _fictive,
+    _fictive_reps,
     _nontrivial_gap_array,
     _seeded_rows,
     _solutions,
@@ -144,80 +144,46 @@ def _keep(violations: list, record: dict) -> int:
 def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarray, int]:
     """``count`` seeded gap-2 symmetric specs, one row each, and the number
     of generators seeded for them. Attempt i draws from its own generator,
-    seeded with (seed << 28) ^ i. At n = 4 an attempt is one structured
-    draw (values on repeated multisets come from one function of the
-    residual pair, with a shared diagonal value), kept if its (ess, gap) is
-    (4, 2); the first ``count`` kept in attempt order are the sample, within
+    seeded with (seed << 28) ^ i. At n = 4 an attempt is one uniform
+    y-fictive spec, one value per component of "y fictive" in order of
+    first position, kept if z is essential in it, which makes its gap 2;
+    the first ``count`` kept in attempt order are the sample, within
     60 * count attempts. At any other n an attempt is one uniform draw, with
-    replacement, from the listed gap-2 members. The listing is bounded by
+    replacement, from the listed gap-2 cell. The listing is bounded by
     ``DEFAULT_BUDGET``, a fixed limit here, since no budget option reaches a
     sample."""
-    from .facts import SpecFacts
-
     if n != 4:
-        members = _gap2_members(k, n, DEFAULT_BUDGET, limit="sampling limit")
+        members = _nontrivial_gap_array(k, n, DEFAULT_BUDGET, "sampling limit", {2})
         if not len(members):
             return members, 0
         picks = _draw_rows(len(members), 1, [(seed << 28) ^ i for i in range(count)])
         return members[picks[:, 0]], count
-    # the column of each multiset's value among an attempt's draws: the
-    # shared diagonal value, one value per pair a < b, then one per free
-    # multiset in order
-    plan = np.array(_gap2_draw_plan(k, n))
-    free = plan < 0
-    pairs = 1 + comb(k, 2)
-    plan[free] = pairs + np.arange(free.sum())
-    width = pairs + int(free.sum())
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    firsts, labels = np.unique(y_rep, return_inverse=True)
     blocks = []
     kept = attempt = 0
     while kept < count and attempt < 60 * count:
         # no more attempts than specs still wanted, so none is drawn in vain
         stop = min(attempt + count - kept, 60 * count)
-        specs = _draw_rows(k, width, [(seed << 28) ^ i for i in range(attempt, stop)])[:, plan]
+        seeds = [(seed << 28) ^ i for i in range(attempt, stop)]
+        specs = _draw_rows(k, len(firsts), seeds)[:, labels]
         attempt = stop
-        ess, gap = SpecFacts(k, n, specs).ess_gap
-        blocks.append(specs[(ess == n) & (gap == 2)])
+        blocks.append(specs[~_fictive(specs, z_rep)])
         kept += len(blocks[-1])
     return np.concatenate(blocks), attempt
-
-
-def _gap2_members(k: int, n: int, budget: int, limit: str = "budget") -> np.ndarray:
-    """The gap-2 members of the listed gap >= 2 class, in its order."""
-    from .facts import SpecFacts
-
-    specs = _nontrivial_gap_array(k, n, budget, limit)
-    ess, gap = SpecFacts(k, n, specs).ess_gap
-    return specs[(ess == n) & (gap == 2)]
-
-
-@functools.lru_cache(maxsize=16)
-def _gap2_draw_plan(k: int, n: int) -> tuple[int, ...]:
-    """Where each multiset's value comes from in a structured gap-2 draw:
-    -1 for a free draw (no repeated value), otherwise the index of the
-    residual pair's value (0 for the shared diagonal value, 1 + the rank of
-    a < b among the pairs) after removing the smallest repeated value
-    twice."""
-    pair_src = {(a, a): 0 for a in range(k)}
-    for r, p in enumerate(itertools.combinations(range(k), 2)):
-        pair_src[p] = 1 + r
-    plan = []
-    for m in symmetry_index(k, n).msets:
-        counts = Counter(m)
-        doubled = next((v for v, c in counts.items() if c >= 2), None)
-        if doubled is None:
-            plan.append(-1)
-        else:
-            rest = list(m)
-            rest.remove(doubled)
-            rest.remove(doubled)
-            plan.append(pair_src[tuple(sorted(rest))])
-    return tuple(plan)
 
 
 # Suites whose hypothesis is gap = n: an exhaustive run lists them only that
 # cell of the gap >= 2 class, every other member being skipped anyway, and a
 # gap-2 sample has no member of it beyond n = 2.
 _FULL_GAP_SUITES = frozenset({"thm3_1", "lemma3_1"})
+
+
+def _check_sample_size(count: int, width: int, unit: str) -> None:
+    """Refuse a sample of ``count`` rows of ``width`` entries each when it
+    spans more than ``LIST_LIMIT`` entries, before anything is drawn."""
+    if count * width > LIST_LIMIT:
+        raise BudgetError(count * width, LIST_LIMIT, unit, "listing limit")
 
 
 def _population(name, k, n, mode, seed, sample, budget):
@@ -228,9 +194,9 @@ def _population(name, k, n, mode, seed, sample, budget):
     generators seeded to draw it (0 for a listed population).
 
     ``willard`` always samples raw tables, ``lemma2_3`` lists every table
-    while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond; a
-    sample of more than ``LIST_LIMIT`` table entries is refused before
-    anything is drawn.
+    while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond.
+    A sample of more than ``LIST_LIMIT`` table or spec entries is refused
+    before anything is drawn.
     ``lemma2_1`` takes the full spec space, or a seeded sample, or (with a
     note) the listed gap >= 2 class when the full space is out of reach.
     The others take the listed gap >= 2 class, only its gap-n cell for
@@ -244,8 +210,7 @@ def _population(name, k, n, mode, seed, sample, budget):
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
         count = sample or (10000 if name == "willard" else 1000)
-        if count * width > LIST_LIMIT:
-            raise BudgetError(count * width, LIST_LIMIT, "table entries", "listing limit")
+        _check_sample_size(count, width, "table entries")
         if name == "willard":
             params["sample"] = count
         return (_seeded_rows(k, width, count, seed, 20), f"sample(raw tables, {count})",
@@ -254,15 +219,16 @@ def _population(name, k, n, mode, seed, sample, budget):
     if mode == "sample":
         if seed is None:
             raise DomainError("sampling mode requires an explicit seed")
-        if name == "lemma2_1":
-            count = sample or 1000
-            return (_seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params,
-                    count)
         if name in _FULL_GAP_SUITES and n >= 3:
             raise DomainError(f"{name} checks functions with gap n, which a gap-2 sample "
                               f"never holds at n = {n}; use exhaustive mode")
-        specs, draws = _sample_gap2_specs(k, n, sample or 300, seed)
-        return specs, f"sample(gap-2, {sample or 300})", [], params, draws
+        count = sample or (1000 if name == "lemma2_1" else 300)
+        _check_sample_size(count, width, "spec entries")
+        if name == "lemma2_1":
+            return (_seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params,
+                    count)
+        specs, draws = _sample_gap2_specs(k, n, count, seed)
+        return specs, f"sample(gap-2, {count})", [], params, draws
     if name == "lemma2_1":
         total = symmetric_spec_count(k, n)
         if total <= FULL_SCAN_LIMIT:
@@ -274,8 +240,9 @@ def _population(name, k, n, mode, seed, sample, budget):
             f"non-trivial-gap subclass ({len(specs)} members)"
         ]
         return specs, "exhaustive(non-trivial-gap subclass)", notes, params, 0
-    cell = _full_gap_array if name in _FULL_GAP_SUITES else _nontrivial_gap_array
-    return cell(k, n, budget), "exhaustive(non-trivial gap)", [], params, 0
+    gaps = {n} if name in _FULL_GAP_SUITES else None
+    return (_nontrivial_gap_array(k, n, budget, gaps=gaps), "exhaustive(non-trivial gap)", [],
+            params, 0)
 
 
 def _screened_chunk(name, k, n, chunk, cap):
@@ -417,7 +384,7 @@ def _run_thm2_2(name, k, n, mode, seed, sample, budget):
     """Full-gap symmetric classification: the census bucket equals the image
     of the full-gap constructor, and coefficients read back off each member."""
     orbit = np.array(symmetry_index(k, n).orbit_of_point)
-    bucket = set(map(tuple, _full_gap_array(k, n, budget)[:, orbit].tolist()))
+    bucket = set(map(tuple, _nontrivial_gap_array(k, n, budget, gaps={n})[:, orbit].tolist()))
     images = gap_n_images(k, n)
     violations = []
     total = 0
@@ -455,7 +422,7 @@ def _run_thm2_3(name, k, n, mode, seed, sample, budget):
     if k > 4:
         raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET)
     orbit = np.array(symmetry_index(k, 3).orbit_of_point)
-    bucket = set(map(tuple, _gap2_members(k, 3, budget)[:, orbit].tolist()))
+    bucket = set(map(tuple, _nontrivial_gap_array(k, 3, budget, gaps={2})[:, orbit].tolist()))
     images = gap2_ternary_images(k)
     violations = []
     total = 0
@@ -660,7 +627,7 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     total = 0
     bucket = None
     if symmetric_spec_count(k, n) <= FULL_SCAN_LIMIT:
-        bucket = len(_full_gap_array(k, n, budget))
+        bucket = len(_nontrivial_gap_array(k, n, budget, gaps={n}))
     if constructive != proof_logic:
         total += 1
         violations.append(

@@ -11,7 +11,7 @@ subfunction closure of one table breadth first, the order in which the
 ``lemma2_1`` screen writes its records.
 
 Also here: the two breadth-first subfunction closures the closure kernel is
-tested against, and the tuple listing of the gap-n cell.
+tested against, and the tuple listing of the cells of the gap >= 2 class.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import Counter, deque
 
 from aritygap import FiniteFunction
 from aritygap.core import range_size
-from aritygap.enumeration import _full_gap_array, _tuples, spec_ess_gap, spec_to_function
+from aritygap.enumeration import _nontrivial_gap_array, _tuples, spec_ess_gap, spec_to_function
 from aritygap.minors import (
     _essential_positions,
     all_minors,
@@ -52,9 +52,10 @@ from aritygap.symmetric import compress, diagonal_values, is_symmetric
 # listings and closures
 
 
-def full_gap_specs(k: int, n: int, *, budget: int = 10**8) -> list[tuple[int, ...]]:
-    """The rows of ``enumeration._full_gap_array`` as tuples."""
-    return _tuples(_full_gap_array(k, n, budget))
+def cell_specs(k: int, n: int, gaps: set, *, budget: int = 10**8) -> list[tuple[int, ...]]:
+    """The rows of ``enumeration._nontrivial_gap_array`` that lists only the
+    cells with a gap in ``gaps``, as tuples."""
+    return _tuples(_nontrivial_gap_array(k, n, budget, gaps=gaps))
 
 
 def canonical_key(k: int, arity: int, table: tuple):

@@ -208,6 +208,26 @@ def test_raw_table_sample_over_listing_limit_draws_nothing(capsys, monkeypatch, 
     assert "listing limit" in err and "use sampling" not in err
 
 
+@pytest.mark.parametrize(
+    "suite,n,count,entries",
+    [("lemma2_1", 4, 3000000, 3000000 * 35), ("thm4_1", 4, 3000000, 3000000 * 35),
+     ("thm4_1", 5, 2000000, 2000000 * 56)],
+)
+def test_spec_sample_over_listing_limit_draws_nothing(capsys, monkeypatch, suite, n, count,
+                                                      entries):
+    def draw(*args):
+        raise AssertionError("a refused sample was drawn")
+
+    monkeypatch.setattr("aritygap.suites._seeded_rows", draw)
+    monkeypatch.setattr("aritygap.suites._sample_gap2_specs", draw)
+    code, out, err = run_cli(capsys, "verify", suite, "-k", "4", "-n", str(n), "--mode",
+                             "sample", "--seed", "1", "--sample", str(count))
+    assert code == 2
+    assert out == ""
+    assert f"listing requires {entries} spec entries" in err
+    assert "listing limit" in err and "use sampling" not in err
+
+
 def test_census_stats_split_listing_from_indexing(capsys):
     assert main(["census", "-k", "3", "-n", "4", "--stats", "-o", os.devnull]) == 0
     (line,) = capsys.readouterr().err.splitlines()
@@ -222,6 +242,8 @@ def test_census_stats_split_listing_from_indexing(capsys):
         (("census", "-k", "3", "-n", "3"), True),
         (("census", "-k", "3", "-n", "1"), False),  # no member has a gap
         (("analyze", "@sym43-1"), False),
+        (("verify", "thm2_3", "-k", "3", "-n", "3"), False),
+        (("verify", "thm2_2", "-k", "3", "-n", "3"), False),
     ],
 )
 def test_facts_loaded_only_by_a_census_that_indexes(tmp_path, argv, loaded):
@@ -240,7 +262,7 @@ def test_facts_loaded_only_by_a_census_that_indexes(tmp_path, argv, loaded):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=300).stdout
-    assert out == f"0 {loaded} False\n"  # only a verify loads the screens
+    assert out == f"0 {loaded} False\n"  # only a screened suite loads the screens
 
 
 @pytest.mark.parametrize("k,n,count", [(300, 1, 20), (257, 2, 5)])

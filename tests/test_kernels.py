@@ -4,8 +4,8 @@ The loop versions below are kept verbatim as oracles: an identification, a
 restriction, the symmetric (ess, gap) test, a swap test, the total-symmetry
 test, compression and spec expansion must give the same tables and the
 same answers, on every position pair and constant, for k in 2..4 and n in
-0..4. The direct full-gap listing and the planned gap-2 sampler are checked
-against the filter and the draw loop they replaced, the seeded row sampler
+0..4. The cell listings of the gap >= 2 class and the n = 4 gap-2 sampler
+are checked against the filter and the draw loop they replaced, the seeded row sampler
 against the uniform spec and raw-table draw loops (also with output blocks
 so short that rows are drawn on past them), the listed full space
 against ``itertools.product``, and the identification-shape gathers of
@@ -40,7 +40,7 @@ from aritygap.minors import _identify_table, _values
 from aritygap.subfunctions import _restrict_table
 from aritygap.facts import _shape_dag, _shape_gathers
 from aritygap.suites import _sample_gap2_specs
-from oracles import full_gap_specs
+from oracles import cell_specs
 from aritygap.symmetric import (
     _swap_invariant,
     compress,
@@ -248,27 +248,41 @@ FULL_GAP_DOMAINS = [
 ] + [(4, 3), (4, 4), (4, 5), (3, 5)]
 
 
+def cell_gaps(n):
+    """The gaps of the y-fictive cell (2), the z-fictive cell (n - 1) and the
+    cell of both (n): the first two meet at n = 3, and at n = 2 the class is
+    one cell, of gap 2."""
+    return [{2}, {n - 1}, {n}]
+
+
 @pytest.mark.parametrize("k,n", FULL_GAP_DOMAINS)
 def test_full_gap_listing_equals_filter(k, n):
-    want = [s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s)[1] == n]
-    assert full_gap_specs(k, n) == want
+    listed = nontrivial_gap_specs(k, n)
+    gap = [spec_ess_gap(k, n, s)[1] for s in listed]
+    for gaps in cell_gaps(n):
+        assert cell_specs(k, n, gaps) == [s for s, g in zip(listed, gap) if g in gaps]
 
 
 def test_full_gap_listing_follows_the_ascending_listing():
-    # a budget that admits the class but not the domain lists it ascending
-    want = [s for s in nontrivial_gap_specs(3, 3, budget=150) if spec_ess_gap(3, 3, s)[1] == 3]
-    assert full_gap_specs(3, 3, budget=150) == want
-    assert len(want) == 6
+    # a budget that admits the class but not the domain lists it ascending,
+    # so the two gap-2 cells at n = 3 interleave
+    listed = nontrivial_gap_specs(3, 3, budget=150)
+    for gaps, size in zip(cell_gaps(3), (144, 144, 6)):
+        want = [s for s in listed if spec_ess_gap(3, 3, s)[1] in gaps]
+        assert cell_specs(3, 3, gaps, budget=150) == want
+        assert len(want) == size
 
 
 @pytest.mark.parametrize("k,n,budget", [(3, 3, 149), (5, 2, 10**8), (3, 20, 10**8)])
 def test_full_gap_listing_refused_like_the_class(k, n, budget):
     with pytest.raises(BudgetError) as want:
         nontrivial_gap_specs(k, n, budget=budget)
-    with pytest.raises(BudgetError) as got:
-        full_gap_specs(k, n, budget=budget)
-    assert str(got.value) == str(want.value)
-    assert (got.value.required, got.value.budget) == (want.value.required, want.value.budget)
+    for gaps in cell_gaps(n):
+        with pytest.raises(BudgetError) as got:
+            cell_specs(k, n, gaps, budget=budget)
+        assert str(got.value) == str(want.value)
+        assert (got.value.required, got.value.budget) == (want.value.required,
+                                                          want.value.budget)
 
 
 def loop_shape_gathers(k, n):
