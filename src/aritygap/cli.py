@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_int_at_least(0), required=True)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="accepted; the census runs in one process")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET)
     p.add_argument("--budget-override", action="store_true")
     p.add_argument(
         "--stats", action="store_true",
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=_int_at_least(1), default=None)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="accepted; every suite runs in one process")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET)
     p.add_argument(
         "--stats", action="store_true",
         help="print one line of run statistics to stderr (not part of the report)",
@@ -349,7 +349,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, UnicodeDecodeError) as exc:  # a file named in argv
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

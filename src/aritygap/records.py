@@ -1,8 +1,8 @@
 """The violations of the claims about every state of a closure, row by row.
 
 A verdict of ``screens`` finds the rows that can violate Lemma 2.1, Lemma
-2.5, Remark 2.1 or Remark 2.2 by a pass over every fixing of positions and
-constants or over every reached identification shape. For those rows the
+2.5, Remark 2.1 or Remark 2.2 by a pass over every order-o restriction of a
+spec or over every reached identification shape. For those rows the
 functions here apply the same predicate to each state of the row's
 closure, and lay the verdicts out as :class:`screens.Violations` in the
 order of the per-instance records: the subfunctions of
@@ -49,14 +49,15 @@ def _per_state(head: Violations, assertions, row, wrong, info) -> Violations:
                       np.concatenate([head.mask, mask.reshape(rows, -1)], axis=1), details)
 
 
-def lemma2_1_violations(k: int, n: int, tables: np.ndarray, flagged: np.ndarray) -> Violations:
-    """Lemma 2.1's violations of an (N, k^n) array of value tables: two
+def lemma2_1_violations(f, flagged: np.ndarray) -> Violations:
+    """Lemma 2.1's violations of the rows of spec or table facts ``f``: two
     slots (``_lemma2_1``) per state of the subfunction closure of each
     ``flagged`` row, below the row itself and in breadth-first order."""
+    k, n = f.k, f.n
     row, order, ess = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     wrong = [np.zeros((0, 2), dtype=bool)]
     for r in np.flatnonzero(flagged).tolist():
-        for o, _, tabs, mask, _ in _closure_levels(k, n, tables[r]):
+        for o, _, tabs, mask, _ in _closure_levels(k, n, f.table(r)):
             if o:
                 e = mask.sum(axis=1)
                 pairs = itertools.combinations(range(n - o), 2)
@@ -69,7 +70,7 @@ def lemma2_1_violations(k: int, n: int, tables: np.ndarray, flagged: np.ndarray)
     def info(t, a):
         return {"order": int(order[t]), **({"ess": int(ess[t])} if a else {})}
 
-    return _per_state(_no_slots(len(tables)),
+    return _per_state(_no_slots(len(flagged)),
                       ("lemma2_1.subfunction-symmetric", "lemma2_1.ess-equals-n-minus-order"),
                       row, np.concatenate(wrong), info)
 

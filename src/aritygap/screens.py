@@ -13,11 +13,14 @@ a closure are each one predicate over that state's facts: Lemma 2.1 over a
 subfunction's arity, symmetry and essential count (``_lemma2_1``), Lemma
 2.5 and Remark 2.2 over a minor's depth, essential count and gap
 (``_lemma2_5``, ``_remark2_2``), Remark 2.1 over a minor's symmetry
-(``_asymmetric``). Their verdicts apply the predicate to every fixing of
-positions and constants, or to every reached identification shape, to find
-the rows that can violate it; ``records`` applies it to each state of those
-rows' closures and writes their slots. It is imported by the first such
-row, so a chunk with none never loads it."""
+(``_asymmetric``). Their verdicts find the rows that can violate it, Lemma
+2.1's by the essential count of every order-o restriction of a spec, the
+others over every reached identification shape; ``records`` applies it to
+each state of those rows' closures and writes their slots, imported by the
+first such row. On specs both of Lemma 2.1's assertions hold by the
+representation (a restriction of a multiset spec is a multiset spec), so no
+row is flagged; ``slice_flags`` in ``tests/oracles.py``, which slices the
+expanded tables, is what tests that representation."""
 
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ import numpy as np
 
 from .enumeration import symmetry_index
 from .facts import SpecFacts, _constant
-from .minors import _essential_mask, _values
 from .subfunctions import sub_bound
 
 
@@ -191,36 +193,16 @@ def _lemma2_1(arity, asymmetric, ess):
     return np.stack([asymmetric, (ess > 0) & (ess != arity)], axis=-1)
 
 
-def slice_flags(k: int, n: int, tables) -> np.ndarray:
-    """Rows of an (N, k^n) array of value tables with a restriction, fixing
-    o of the n positions to constants (1 <= o < n), that violates
-    ``_lemma2_1``. Every state of a subfunction closure below its root is
-    such a restriction or a constant, so a row that is not flagged has no
-    violation."""
-    t = _values(k, tables)
-    rows = len(t)
-    t = t.reshape((rows,) + (k,) * n)
-    flagged = np.zeros(rows, dtype=bool)
-    for o in range(1, n):
-        arity = n - o
-        for fixed in itertools.combinations(range(n), o):
-            free = [p for p in range(n) if p not in fixed]
-            s = t.transpose([0] + [1 + p for p in fixed] + [1 + p for p in free])
-            s = s.reshape(rows * k**o, k**arity)
-            ess = _essential_mask(k, arity, s)
-            pairs = itertools.combinations(range(arity), 2)
-            wrong = _lemma2_1(arity, _asymmetric(k, s, ess, pairs), ess.sum(axis=1))
-            flagged |= wrong.reshape(rows, -1).any(axis=1)
-    return flagged
-
-
 def _verdict_lemma2_1(f):
-    tables = f.specs[:, symmetry_index(f.k, f.n).orbit_of_point]
-    flagged = slice_flags(f.k, f.n, tables)
+    # a restriction of a multiset spec is a multiset spec: never asymmetric
+    flagged = np.zeros(len(f.specs), dtype=bool)
+    for o in range(1, f.n):
+        ess = f.restriction_ess_gap(o)[0]
+        flagged |= _lemma2_1(f.n - o, np.zeros(ess.shape, dtype=bool), ess).any(axis=(1, 2))
     if flagged.any():
         from .records import lemma2_1_violations
-        return lemma2_1_violations(f.k, f.n, tables, flagged), {}
-    return _no_slots(len(tables)), {}
+        return lemma2_1_violations(f, flagged), {}
+    return _no_slots(len(f.specs)), {}
 
 
 def _lemma2_5(n, depth, ess):

@@ -8,7 +8,9 @@ counts, violation records). With ``hypothesis=False`` a checker evaluates
 its conclusion on any row where that conclusion is defined. ``ORACLES``
 maps every screened suite to its checker. ``lemma2_1_records`` walks the
 subfunction closure of one table breadth first, the order in which the
-``lemma2_1`` screen writes its records.
+``lemma2_1`` screen writes its records; ``slice_flags``, which slices
+tables at every fixing of positions and constants, is the table-level
+oracle of that screen, which reads the restrictions of specs instead.
 
 Also here: the two breadth-first subfunction closures the closure kernel is
 tested against, and the tuple listing of the cells of the gap >= 2 class.
@@ -20,11 +22,15 @@ import functools
 import itertools
 from collections import Counter, deque
 
+import numpy as np
+
 from aritygap import FiniteFunction
 from aritygap.core import range_size
 from aritygap.enumeration import _nontrivial_gap_array, _tuples, spec_ess_gap, spec_to_function
 from aritygap.minors import (
+    _essential_mask,
     _essential_positions,
+    _values,
     all_minors,
     essential_count,
     essential_variables,
@@ -44,6 +50,7 @@ from aritygap.subfunctions import (
     subfunction_closure,
     weak_dominants,
 )
+from aritygap.screens import _asymmetric, _lemma2_1
 from aritygap.suites import _violation
 from aritygap.symmetric import compress, diagonal_values, is_symmetric
 
@@ -412,6 +419,29 @@ def lemma2_1_records(f: FiniteFunction) -> list:
                     seen.add(child)
                     queue.append(child)
     return violations
+
+
+def slice_flags(k: int, n: int, tables) -> np.ndarray:
+    """Rows of an (N, k^n) array of value tables with a restriction, fixing
+    o of the n positions to constants (1 <= o < n), that violates
+    ``screens._lemma2_1``. Every state of a subfunction closure below its
+    root is such a restriction or a constant, so a row that is not flagged
+    has no violation."""
+    t = _values(k, tables)
+    rows = len(t)
+    t = t.reshape((rows,) + (k,) * n)
+    flagged = np.zeros(rows, dtype=bool)
+    for o in range(1, n):
+        arity = n - o
+        for fixed in itertools.combinations(range(n), o):
+            free = [p for p in range(n) if p not in fixed]
+            s = t.transpose([0] + [1 + p for p in fixed] + [1 + p for p in free])
+            s = s.reshape(rows * k**o, k**arity)
+            ess = _essential_mask(k, arity, s)
+            pairs = itertools.combinations(range(arity), 2)
+            wrong = _lemma2_1(arity, _asymmetric(k, s, ess, pairs), ess.sum(axis=1))
+            flagged |= wrong.reshape(rows, -1).any(axis=1)
+    return flagged
 
 
 def check_lemma2_1(k, n, spec, hypothesis=True):

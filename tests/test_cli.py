@@ -59,6 +59,28 @@ def test_analyze_malformed(tmp_path, capsys):
     assert "table" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{missing}"),
+        ("analyze", "{dir}"),
+        ("analyze", "{latin1}"),
+        ("construct", "linear", "{missing}"),
+        ("decompose", "{latin1}"),
+        ("verify", "thm2_6", "-k", "2", "-n", "3", "-o", "{missing}/x.json"),
+        ("census", "-k", "3", "-n", "3", "-o", "{dir}"),
+    ],
+)
+def test_unreadable_or_unwritable_path(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"k": 2, "n": 1, "table": [0, 1], "note": "\xe9"}'.encode("latin-1"))
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "latin1": latin1}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_analyze_text_format(tmp_path, capsys):
     path = write_doc(tmp_path, "f.json", orbit_doc())
     code, out, _ = run_cli(capsys, "analyze", path)
@@ -282,6 +304,7 @@ def test_verify_samples_radix_over_256(capsys, k, n, count):
         ("census", "-k", "1", "-n", "3"),
         ("census", "-k", "3", "-n", "-1"),
         ("verify", "lemma2_2", "-k", "0", "-n", "3"),
+        ("census", "-k", "3", "-n", "3", "--budget", "-1"),
     ],
 )
 def test_domain_arguments_rejected(capsys, argv):
@@ -331,6 +354,7 @@ def test_sampling_class_over_listing_limit_names_the_limit(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--sample", "0"), ("--sample", "-3"),
+                                        ("--budget", "0"), ("--budget", "-5"),
                                         ("--workers", "0"), ("--workers", "3")])
 def test_verify_count_arguments_rejected(capsys, monkeypatch, flag, value):
     monkeypatch.setattr("os.cpu_count", lambda: 2)

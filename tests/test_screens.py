@@ -30,11 +30,12 @@ from aritygap.enumeration import (
     nontrivial_gap_specs,
     spec_ess_gap,
     spec_to_function,
+    symmetry_index,
 )
 from aritygap import minors, screens
 from aritygap.facts import SpecFacts, TableFacts
 from aritygap.records import lemma2_1_violations
-from aritygap.screens import SCREENS, TABLE_SCREENS, slice_flags
+from aritygap.screens import SCREENS, TABLE_SCREENS
 from aritygap.minors import all_minors, essential_count, gap, gap_index, gap_profile
 from aritygap.subfunctions import dominants, restrict, weak_dominants
 from aritygap.suites import (
@@ -44,9 +45,9 @@ from aritygap.suites import (
     _violation,
     run_suite,
 )
-from aritygap.symmetric import construct_gap2_ternary, diagonal_values, is_symmetric
+from aritygap.symmetric import construct_gap2_ternary, diagonal_values, is_symmetric, multisets
 import oracles
-from oracles import ORACLES, closure_generic, closure_symmetric, lemma2_1_records
+from oracles import ORACLES, closure_generic, closure_symmetric, lemma2_1_records, slice_flags
 from table_strategies import table_chunks
 
 # (verify arguments, exit code, sha256 of the JSON report)
@@ -546,6 +547,68 @@ def test_slice_screen_flags_a_non_symmetric_table():
     assert list(slice_flags(2, 3, [symmetric])) == [False]
 
 
+@pytest.mark.parametrize("k,n", [(3, 3), (4, 3)])
+def test_lemma2_1_screen_equals_the_slice_oracle(k, n):
+    # the full spec space at (3, 3), the gap >= 2 class at (4, 3): every
+    # expanded order-o restriction is the slice of the expanded table at
+    # each set of o fixed positions with that multiset of constants, and
+    # the screen flags what the oracle flags on the expanded tables
+    if (k, n) == (3, 3):
+        specs = list(itertools.product(range(k), repeat=comb(k + n - 1, n)))
+    else:
+        specs = nontrivial_gap_specs(k, n)
+    facts = SpecFacts(k, n, specs)
+    tables = facts.specs[:, symmetry_index(k, n).orbit_of_point]
+    cube = tables.reshape((len(specs),) + (k,) * n)
+    for o in range(1, n):
+        expanded = facts.restriction(o)[:, :, symmetry_index(k, n - o).orbit_of_point]
+        for j, mu in enumerate(multisets(k, o)):
+            for fixed in itertools.combinations(range(n), o):
+                for consts in set(itertools.permutations(mu)):
+                    at = [slice(None)] * (n + 1)
+                    for p, c in zip(fixed, consts):
+                        at[1 + p] = c
+                    got = cube[tuple(at)].reshape(len(specs), -1)
+                    assert np.array_equal(got, expanded[:, j]), (o, fixed, consts)
+    found, _ = screens._verdict_lemma2_1(facts)
+    assert list(found.mask.any(axis=1)) == list(slice_flags(k, n, tables))
+
+
+class RestrictionFacts:
+    """Spec facts whose order-o restrictions have the essential counts
+    ``ess[o]``, (N, C(k+o-1, o)), and whose rows have the value tables
+    ``tables``."""
+
+    def __init__(self, k, n, ess, tables):
+        self.k, self.n, self.specs = k, n, np.zeros((len(tables), 1), dtype=np.uint8)
+        self.ess, self.tables = ess, tables
+
+    def restriction_ess_gap(self, o):
+        return self.ess[o], None
+
+    def table(self, row):
+        return self.tables[row]
+
+
+@pytest.mark.parametrize("o,ess", [(1, 1), (1, 2), (2, 1), (3, 2)])
+def test_lemma2_1_screen_flags_a_restriction_with_a_wrong_essential_count(o, ess):
+    # no listed row violates Lemma 2.1, so the counts are built by hand: row 0
+    # has those of a symmetric row (0 or n - o), row 1 one count 0 < ess != n - o.
+    # Both rows carry a table with violating subfunctions, so only the row
+    # the screen flags gets records.
+    k, n = 2, 4
+    counts = {q: np.full((2, q + 1), n - q) for q in range(1, n)}
+    for q in counts:
+        counts[q][:, 0] = 0
+    counts[o][1, -1] = ess
+    f = FiniteFunction.from_callable(k, n, lambda a, b, c, d: int(a > b or c > d))
+    found, _ = screens._verdict_lemma2_1(RestrictionFacts(k, n, counts, [f.table] * 2))
+    assert list(found.mask.any(axis=1)) == [False, True]
+    records = [_violation(f, found.assertions[s], **found.info(1, s))
+               for s in np.flatnonzero(found.mask[1]).tolist()]
+    assert records == lemma2_1_records(f)
+
+
 @given(table_chunks())
 @settings(max_examples=80, deadline=None)
 def test_lemma2_1_writer_on_raw_tables_equals_the_breadth_first_oracle(chunk):
@@ -554,7 +617,7 @@ def test_lemma2_1_writer_on_raw_tables_equals_the_breadth_first_oracle(chunk):
     # decides which rows it reads
     k, n, tables = chunk
     rows = np.array(tables).reshape(len(tables), k**n)
-    found = lemma2_1_violations(k, n, rows, np.ones(len(tables), dtype=bool))
+    found = lemma2_1_violations(TableFacts(k, n, rows), np.ones(len(tables), dtype=bool))
     flagged = slice_flags(k, n, rows)
     for r, table in enumerate(tables):
         f = FiniteFunction(k, n, table)
@@ -568,7 +631,7 @@ def test_lemma2_1_writer_keeps_the_breadth_first_order():
     # (x1 AND NOT x2) OR (x3 AND NOT x4): fixing x1 := 0 leaves x3 AND NOT x4,
     # with x2 fictive, and fixing x1 := 1, x2 := 1 leaves it too
     f = FiniteFunction.from_callable(2, 4, lambda a, b, c, d: int(a > b or c > d))
-    found = lemma2_1_violations(2, 4, np.array([f.table]), np.ones(1, dtype=bool))
+    found = lemma2_1_violations(TableFacts(2, 4, [f.table]), np.ones(1, dtype=bool))
     records = [_violation(f, found.assertions[s], **found.info(0, s))
                for s in np.flatnonzero(found.mask[0]).tolist()]
     assert records == lemma2_1_records(f)
