@@ -8,8 +8,10 @@ attained after a single step; the single-step computation is used here and
 the equivalence with the closure-wide maximum is exercised by tests.
 
 The minor closure of one table is a numpy kernel that walks the reached
-minors a round at a time: one gather through a per-(k, n) index gives
-every minor of a whole round.
+minors a round at a time (``_rounds``): one gather through a per-(k, n)
+index gives every minor of a whole round. The gap index is the number of
+rounds, so ``gap_index`` and ``gap_profile`` count them and keep no
+minor; only ``all_minors`` maps every reached table to its depth.
 
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 """
@@ -17,7 +19,6 @@ Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -125,34 +126,21 @@ def _index_dtype(size: int):
     return np.int32 if size <= 1 << 31 else np.int64
 
 
-@functools.lru_cache(maxsize=64)
-def _axis_pairs(k: int, n: int) -> tuple[np.ndarray, int]:
-    """For each position p in turn, every point with x_p != 0, then the
-    same points with x_p := 0, as indices into a table of arity n >= 1
-    (and where the second half starts): p is essential exactly when the
-    table differs somewhere between the two."""
-    a, b = [], []
-    for p in range(n):
-        v = np.arange(k**n, dtype=_index_dtype(k**n)).reshape(k**p, k, -1)
-        a.append(v[:, 1:].ravel())
-        b.append(np.repeat(v[:, :1], k - 1, axis=1).ravel())
-    return np.concatenate(a + b), n * (k - 1) * k ** (n - 1)
-
-
 def _essential_mask(k: int, n: int, tabs: np.ndarray) -> np.ndarray:
     """(m, n): whether each position is essential in each row of the
-    (m, k^n) tables ``tabs``."""
-    if n == 0:
-        return np.zeros((len(tabs), 0), dtype=bool)
-    index, half = _axis_pairs(k, n)
-
-    def mask(rows):
-        t = rows[:, index]
-        return (t[:, :half] != t[:, half:]).reshape(len(rows), n, -1).any(axis=2)
-
-    if len(tabs) * len(index) <= _CHUNK:
-        return mask(tabs)
-    return np.concatenate([mask(tabs[p]) for p in _chunks(len(tabs), len(index))])
+    (m, k^n) tables ``tabs``. Viewed as (k^p, k * s), s = k^(n-1-p), a
+    table has the k slices x_p = 0, ..., k - 1 of each block side by
+    side, so p is essential where some slice differs from the one before
+    it, the table shifted by s; rows are compared in parts of about
+    ``_CHUNK`` entries."""
+    out = np.empty((len(tabs), n), dtype=bool)
+    for part in _chunks(len(tabs), k**n):
+        rows = tabs[part]
+        for p in range(n):
+            s = k ** (n - 1 - p)
+            v = rows.reshape(len(rows), k**p, k * s)
+            out[part, p] = (v[:, :, s:] != v[:, :, :-s]).any(axis=(1, 2))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -271,52 +259,62 @@ def _next_round(k: int, n: int, tabs: np.ndarray, mask: np.ndarray) -> np.ndarra
     they come when there are at most ``_SMALL_ROUND``."""
     plan, pairs = _identify_plan(k, n)
     rows, i, j = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
-    parts = _chunks(len(rows), k**n)
+    # one flat gather: row r's entry e is entry r * k^n + e of the rows
+    flat, w = tabs.reshape(-1), k**n
+    parts = _chunks(len(rows), w)
     if len(parts) <= 1:
-        kids = tabs[rows[:, None], plan[i, j]]
+        kids = flat[rows[:, None] * w + plan[i, j]]
         return _distinct(k, kids) if len(kids) > _SMALL_ROUND else kids
-    return _collect(parts, lambda p: (_distinct(k, tabs[rows[p, None], plan[i[p], j[p]]]),),
+    return _collect(parts, lambda p: (_distinct(k, flat[rows[p, None] * w + plan[i[p], j[p]]]),),
                     lambda t: (_distinct(k, t),))[0]
 
 
-@functools.lru_cache(maxsize=4)
-def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
-    """All iterated minor tables mapped to their maximal chain length.
-
-    Memoised on f, that is on (k, n, table), for the last 4 functions
-    only: a check that asks about one table twice (the gap index and then
-    the minors of f) builds the closure once, while a run over many
-    functions keeps none of them. Callers share the mapping, so it is
-    read-only.
+def _rounds(f: FiniteFunction):
+    """The rounds of the minor closure of f, which has at least two
+    essential variables, as (m, k^n) arrays of tables.
 
     Round d holds the tables that a chain of exactly d identifications
     reaches, each once (a round of at most ``_SMALL_ROUND`` tables as
-    often as it was reached); one gather gives round d + 1 from it, and a
-    table's depth is the last round that holds it. Every identification
-    makes one more variable fictive, so there are fewer rounds than
-    essential variables, and only reached tables are ever gathered: the
-    cost follows the size of the closure.
+    often as it was reached); one gather gives round d + 1 from it.
+    Every identification makes one more variable fictive, so there are
+    fewer rounds than essential variables, and only reached tables are
+    ever gathered: the cost follows the size of the closure. Only the
+    round in hand is held.
     """
-    if essential_count(f) < 2:
-        return MappingProxyType({})
     k, n = f.k, f.n
     tabs, mask = _one_step(f)
     if len(tabs) > _SMALL_ROUND:
         order, new = _group(k, tabs)
         tabs, mask = tabs[order[new]], mask[order[new]]
-    found: dict[tuple, int] = {}
     most = int(mask.sum(axis=1).max())  # essential variables of the round at most
-    for depth in itertools.count(1):
-        for p in _chunks(len(tabs), k**n):
-            found.update(dict.fromkeys(map(tuple, tabs[p].tolist()), depth))
+    while True:
+        yield tabs
         if most < 2:
-            return MappingProxyType(found)
+            return
         tabs = _next_round(k, n, tabs, mask)
         # a minor has fewer essential variables than its table
         most -= 1
         if most >= 2:
             mask = _essential_mask(k, n, tabs)
             most = int(mask.sum(axis=1).max())
+
+
+@functools.lru_cache(maxsize=4)
+def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
+    """All iterated minor tables mapped to their maximal chain length, for
+    ``all_minors``: a table's depth is the last round that holds it.
+
+    Memoised on f, that is on (k, n, table), for the last 4 functions
+    only, so a run over many functions keeps none of them. Callers share
+    the mapping, so it is read-only.
+    """
+    if essential_count(f) < 2:
+        return MappingProxyType({})
+    found: dict[tuple, int] = {}
+    for depth, tabs in enumerate(_rounds(f), 1):
+        for p in _chunks(len(tabs), f.k**f.n):
+            found.update(dict.fromkeys(map(tuple, tabs[p].tolist()), depth))
+    return MappingProxyType(found)
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:
@@ -340,10 +338,11 @@ def gap(f: FiniteFunction) -> int:
 
 
 def gap_index(f: FiniteFunction) -> int:
-    """Maximal identification-chain depth over all minors."""
+    """Maximal identification-chain depth over all minors: the number of
+    rounds of the minor closure."""
     if essential_count(f) < 2:
         raise PreconditionError("gap index undefined below 2 essential variables")
-    return max(_minor_closure(f).values())
+    return sum(1 for _ in _rounds(f))
 
 
 @dataclass(frozen=True)
@@ -366,7 +365,6 @@ def gap_profile(f: FiniteFunction) -> GapProfile:
     ess = essential_count(f)
     if ess < 2:
         return GapProfile(ess, None, None, None)
-    g = gap(f)  # the one-step minors, which the closure starts from
-    ind = max(_minor_closure(f).values())
+    g = gap(f)  # the one-step minors, which the rounds start from
     label = (ess, g, f.k) if g >= 2 else None
-    return GapProfile(ess, g, ind, label)
+    return GapProfile(ess, g, gap_index(f), label)

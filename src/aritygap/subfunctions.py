@@ -15,10 +15,23 @@ is always included, and the essential set of f itself (the zero-step
 state) counts as separable.
 
 A chain state is a pair (remaining positions, table); every state of
-order o has arity n - o. The closure of one table is a numpy kernel that
-takes the states a level (an order) at a time, with one gather per level
-for all of the next level's states. The tests hold the breadth-first walks
-it is checked against.
+order o has arity n - o. The closure of one table is read two ways, both
+numpy kernels that take the states a level (an order) at a time:
+
+* the counts (``sub_count``, the separable sets) come from one restriction
+  plan per (k, n), ``_count_plan``: every partial assignment of the n
+  positions, the essential positions of each of their slices of f in one
+  gather, and one boolean step per level for those that a chain of
+  essential fixings reaches. It is used while its largest index array,
+  n 2^(n-1) (k-1) k^(n-1) entries, fits in ``minors._CHUNK``;
+* the level walk, ``_closure_levels``, gathers only the reached states,
+  one gather per level for all of the next level's, in breadth-first
+  order. The records (``all_subfunctions``, ``records``) always come from
+  it, and so do the counts past the plan's bound, where a wide structured
+  table (the parity of 12 variables, say) reaches far fewer states than
+  the plan's (k + 1)^n.
+
+The tests hold both to the breadth-first walks they are checked against.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import minors
 from .core import DomainError, FiniteFunction, PreconditionError
 from .minors import (
     _chunks,
@@ -161,8 +175,10 @@ def _next_level(k: int, n: int, tabs: np.ndarray, bits: np.ndarray, mask: np.nda
                 np.ones(len(values), dtype=bool))
     index, keep = _restrict_plan(k, a)
 
+    flat, w = tabs.reshape(-1), k**a
+
     def make(p):
-        kids = tabs[rows[p, None, None], index[j[p]]].reshape(-1, k ** (a - 1))
+        kids = flat[rows[p, None, None] * w + index[j[p]]].reshape(-1, k ** (a - 1))
         return _states(k, n, kids, np.repeat(bits[rows[p, None], keep[j[p]]], k, axis=0))
 
     return _collect(_chunks(len(rows), k**a), make, lambda t, b, _: _states(k, n, t, b))
@@ -242,8 +258,115 @@ def _level_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...
     return _build_records(k, found)
 
 
+def _digits(base: int, width: int, count: int) -> np.ndarray:
+    """(count, width): the base-``base`` digits of 0, ..., count - 1, most
+    significant first."""
+    return np.arange(count)[:, None] // base ** np.arange(width - 1, -1, -1) % base
+
+
+@functools.lru_cache(maxsize=8)
+def _count_plan(k: int, n: int):
+    """The restriction plan of the closure counts at (k, n). Its states
+    are the partial assignments of the n positions, (k + 1)^n of them,
+    level o holding the S_o that fix o positions; a state's table is f's
+    slice there, of arity a = n - o.
+
+    Returns (pair index, pair bits, state starts, levels). Gathering f
+    through the pair index and comparing its two halves gives t[x] != t[x
+    with x_p := 0] for every state below level n, free position p and
+    point x with x_p != 0; times the pair bits, 1 << p (0-based, of f's
+    positions), ``bitwise_or.reduceat`` at the state starts gives the
+    essential positions of each such state as bits. Per level: where its
+    states start among those, each state's slice of f (S_o, k^a) and its
+    first entry, and for o >= 1 its parents (S_o, o), one per fixed
+    position q (the state with q free, by its place in level o - 1), and
+    the bits of those q. Built on first use and kept for the last 8
+    domains.
+    """
+    steps = k ** np.arange(n - 1, -1, -1)
+    codes = (k + 1) ** np.arange(n - 1, -1, -1)
+    states = _digits(k + 1, n, (k + 1) ** n)  # digit k: the position is free
+    level = (states != k).sum(axis=1)
+    states = states[np.argsort(level, kind="stable")]
+    sizes = np.bincount(level, minlength=n + 1).tolist()
+    place = np.empty(len(states), dtype=np.intp)  # a state's code -> its place in its level
+    place[states @ codes] = np.concatenate([np.arange(size) for size in sizes])
+    bit = np.min_scalar_type((1 << n) - 1).type  # the narrowest dtype of n bits
+    sides, bits, starts, levels = ([], []), [], [], []
+    lo = 0
+    for o, size in enumerate(sizes):
+        d, a = states[lo:lo + size], n - o
+        free = d == k
+        pos = np.nonzero(free)[1].reshape(size, a)
+        # intp, which numpy gathers through without a cast
+        slices = (np.where(free, 0, d) @ steps)[:, None] + steps[pos] @ _digits(k, a, k**a).T
+        fixed = np.nonzero(~free)[1].reshape(size, o)
+        parents = place[(d @ codes)[:, None] + (k - np.take_along_axis(d, fixed, 1)) * codes[fixed]]
+        levels.append((lo, slices, slices[:, 0], parents, np.left_shift(1, fixed).astype(bit)))
+        if a:
+            # per free position p in turn, the points with x_p != 0, and
+            # the same points with x_p := 0, as places in the slice
+            axes = [np.arange(k**a).reshape(k**p, k, -1) for p in range(a)]
+            pairs = (np.concatenate([v[:, 1:].ravel() for v in axes]),
+                     np.concatenate([np.repeat(v[:, :1], k - 1, axis=1).ravel() for v in axes]))
+            for side, pair in zip(sides, pairs):
+                side.append(slices[:, pair].ravel())
+            seg = (k - 1) * k ** (a - 1)
+            starts.append(sum(map(len, sides[0][:-1])) + a * seg * np.arange(size))
+            bits.append(np.repeat(np.left_shift(1, pos).astype(bit), seg, axis=1).ravel())
+        lo += size
+    index = np.concatenate(sides[0] + sides[1] + [np.zeros(0, np.intp)])
+    return (index, np.concatenate(bits + [np.zeros(0, bit)]),
+            np.concatenate(starts + [np.zeros(0, np.intp)]), levels)
+
+
+def _plan_fits(k: int, n: int) -> bool:
+    """Whether the counts at (k, n) come from the restriction plan: when
+    its largest index array, n 2^(n-1) (k-1) k^(n-1) entries, fits in a
+    chunk."""
+    return n * (k - 1) * (2 * k) ** max(n - 1, 0) <= minors._CHUNK
+
+
+def _plan_closure(k: int, n: int, table: tuple) -> _Closure:
+    """The closure counts of one table from the restriction plan: the
+    essential positions of every state in one gather, then a boolean step
+    per level for the states that a chain of essential fixings reaches.
+    These are the states of the walk, so a non-constant table counts once
+    per level it is reached at, and a constant once by value."""
+    index, pair_bits, starts, levels = _count_plan(k, n)
+    v = _values(k, table)
+    t = v[index]
+    half = len(t) // 2
+    ess = np.bitwise_or.reduceat((t[:half] != t[half:]) * pair_bits, starts)
+    separable = np.zeros(1 << n, dtype=bool)
+    separable[0] = True  # the empty set always counts
+    reached = np.ones(1, dtype=bool)
+    count, values = 0, [v[:0]]
+    for o, (lo, slices, first, parents, fixed) in enumerate(levels):
+        if o:
+            reached = (e[parents] & fixed).any(axis=1)
+        if o == n:  # fixing every position leaves constants
+            values.append(v[first[reached]] if o else v[:0])
+            break
+        e = ess[lo:lo + len(first)] * reached  # 0 where not reached
+        separable[e] = True
+        live = e != 0
+        if o:
+            values.append(v[first[reached & ~live]])
+            tabs = v[slices[live]]
+            count += int(_group(k, tabs)[1].sum()) if len(tabs) > 1 else len(tabs)
+        if not live.any():
+            break
+    # (np.unique would import numpy.ma on its first call, some 15 ms)
+    count += np.count_nonzero(np.bincount(np.concatenate(values)))
+    sets = frozenset(map(_position_set, np.flatnonzero(separable).tolist()))
+    return _Closure(functools.partial(_level_records, k, n, table), sets, int(count))
+
+
 @functools.lru_cache(maxsize=1 << 10)
 def _closure_cached(k: int, n: int, table: tuple) -> _Closure:
+    if _plan_fits(k, n):
+        return _plan_closure(k, n, table)
     return _level_closure(k, n, table)
 
 

@@ -179,6 +179,14 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarra
 _FULL_GAP_SUITES = frozenset({"thm3_1", "lemma3_1"})
 
 
+def _reads_shapes(name: str, n: int) -> bool:
+    """Whether the screen of ``name`` reads the identification shapes of
+    ``facts.SpecFacts``, whose root shape is each row's whole k^n table:
+    the gap index and the shapes' (ess, gap) or tables."""
+    return name in ("thm2_4", "lemma2_5", "remark2_1", "remark2_2") or (
+        name == "thm3_2" and n >= 4)
+
+
 def _check_sample_size(count: int, width: int, unit: str) -> None:
     """Refuse a sample of ``count`` rows of ``width`` entries each when it
     spans more than ``LIST_LIMIT`` entries, before anything is drawn."""
@@ -196,7 +204,8 @@ def _population(name, k, n, mode, seed, sample, budget):
     ``willard`` always samples raw tables, ``lemma2_3`` lists every table
     while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond.
     A sample of more than ``LIST_LIMIT`` table or spec entries is refused
-    before anything is drawn.
+    before anything is drawn; a spec sample counts the k^n table entries
+    of each row where its screen gathers them.
     ``lemma2_1`` takes the full spec space, or a seeded sample, or (with a
     note) the listed gap >= 2 class when the full space is out of reach.
     The others take the listed gap >= 2 class, only its gap-n cell for
@@ -223,6 +232,8 @@ def _population(name, k, n, mode, seed, sample, budget):
             raise DomainError(f"{name} checks functions with gap n, which a gap-2 sample "
                               f"never holds at n = {n}; use exhaustive mode")
         count = sample or (1000 if name == "lemma2_1" else 300)
+        if _reads_shapes(name, n):
+            _check_sample_size(count, k**n, "table entries")
         _check_sample_size(count, width, "spec entries")
         if name == "lemma2_1":
             return (_seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params,

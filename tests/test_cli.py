@@ -250,6 +250,24 @@ def test_spec_sample_over_listing_limit_draws_nothing(capsys, monkeypatch, suite
     assert "listing limit" in err and "use sampling" not in err
 
 
+@pytest.mark.parametrize("suite,n", [("lemma2_5", 4), ("remark2_1", 4), ("remark2_2", 4),
+                                     ("thm2_4", 4), ("thm3_2", 4), ("lemma2_5", 5)])
+def test_shape_sample_over_listing_limit_draws_nothing(capsys, monkeypatch, suite, n):
+    # these screens gather each row's whole k^n table (the root
+    # identification shape), so a sample is bounded by those entries
+    def draw(*args):
+        raise AssertionError("a refused sample was drawn")
+
+    count = 10**8 // 4**n + 1
+    monkeypatch.setattr("aritygap.suites._sample_gap2_specs", draw)
+    code, out, err = run_cli(capsys, "verify", suite, "-k", "4", "-n", str(n), "--mode",
+                             "sample", "--seed", "1", "--sample", str(count))
+    assert code == 2
+    assert out == ""
+    assert f"listing requires {count * 4**n} table entries" in err
+    assert "listing limit" in err and "use sampling" not in err
+
+
 def test_census_stats_split_listing_from_indexing(capsys):
     assert main(["census", "-k", "3", "-n", "4", "--stats", "-o", os.devnull]) == 0
     (line,) = capsys.readouterr().err.splitlines()
@@ -353,16 +371,28 @@ def test_sampling_class_over_listing_limit_names_the_limit(capsys):
     assert "use sampling" not in err
 
 
-@pytest.mark.parametrize("flag,value", [("--sample", "0"), ("--sample", "-3"),
-                                        ("--budget", "0"), ("--budget", "-5"),
-                                        ("--workers", "0"), ("--workers", "3")])
-def test_verify_count_arguments_rejected(capsys, monkeypatch, flag, value):
+@pytest.mark.parametrize(
+    "suite,domain,flag,value,message",
+    [("thm4_1", "3", "--sample", "0", "argument --sample: must be at least 1"),
+     ("thm4_1", "3", "--sample", "-3", "argument --sample: must be at least 1"),
+     ("thm4_1", "3", "--budget", "0", "argument --budget: must be at least 1"),
+     ("thm4_1", "3", "--budget", "-5", "argument --budget: must be at least 1"),
+     ("thm4_1", "3", "--workers", "0", "argument --workers: must be at least 1"),
+     ("thm4_1", "3", "--workers", "3", "argument --workers: must be at most 2"),
+     # 400 000 rows of 35 spec entries, whose screen gathers 256 table
+     # entries a row
+     ("lemma2_5", "4", "--sample", "400000",
+      "listing requires 102400000 table entries, over the listing limit")],
+    ids=["--sample-0", "--sample--3", "--budget-0", "--budget--5", "--workers-0",
+         "--workers-3", "lemma2_5---sample-400000"])
+def test_verify_count_arguments_rejected(capsys, monkeypatch, suite, domain, flag, value,
+                                         message):
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    code, out, err = run_cli(capsys, "verify", "thm4_1", "-k", "3", "-n", "3",
+    code, out, err = run_cli(capsys, "verify", suite, "-k", domain, "-n", domain,
                              "--mode", "sample", "--seed", "1", flag, value)
     assert code == 2
     assert out == ""
-    assert flag in err and ("at least 1" in err or "at most 2" in err)
+    assert message in err
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "3"])

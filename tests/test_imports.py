@@ -1,16 +1,22 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere.
 
 No linter ships with the project, so this walks the syntax tree of each
 module of ``src/aritygap`` (``__init__.py`` re-exports, so it is left out)
-and fails on an imported name that no expression of the module reads.
+and fails on an imported name that no expression of the module reads; and
+on a module-level ``_private`` function, class or constant of the package
+that no file of ``src/`` or ``tests/`` reads, by name, attribute or in a
+string (as ``monkeypatch.setattr`` takes it).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aritygap"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "aritygap"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,3 +44,55 @@ def test_module_uses_every_import(path):
 def test_unused_import_found():
     source = "import functools\nimport itertools\nfrom math import comb as c\nitertools.chain\n"
     assert unused_imports(source) == ["c (line 3)", "functools (line 1)"]
+
+
+def private_definitions(source: str) -> list[str]:
+    """The module-level ``_private`` (not dunder) names a module defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """The names a module reads: loaded names, attributes, imported names
+    and the identifiers in its strings."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def orphans(package: dict[str, str], readers: list[str]) -> list[str]:
+    """The private names defined by the modules of ``package`` (name ->
+    source) that no source of ``readers`` reads."""
+    read = set().union(*map(references, readers))
+    return [f"{module}: {name}" for module, source in sorted(package.items())
+            for name in private_definitions(source) if name not in read]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = list(sources.values()) + [
+        p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert orphans(sources, readers) == []
+
+
+def test_orphan_found():
+    module = ("import numpy as np\n_LIMIT = 3\n_seen: int = 0\n__all__ = []\n"
+              "def _kept():\n    return _LIMIT\ndef _left():\n    pass\nclass _Old:\n    pass\n"
+              "def public():\n    return _kept()\n")
+    reader = "from m import _seen\nmonkeypatch.setattr('m._Old', None)\n"
+    assert orphans({"m.py": module}, [module]) == ["m.py: _seen", "m.py: _left", "m.py: _Old"]
+    assert orphans({"m.py": module}, [module, reader]) == ["m.py: _left"]

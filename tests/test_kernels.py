@@ -10,7 +10,9 @@ against the uniform spec and raw-table draw loops (also with output blocks
 so short that rows are drawn on past them), the listed full space
 against ``itertools.product``, and the identification-shape gathers of
 ``facts`` and the multiset index of every table point against the
-point-by-point lookup they replaced.
+point-by-point lookup they replaced. The reshaped essential mask is held
+to the per-table scan ``_essential_positions``, also over more rows than
+one chunk holds.
 """
 
 import itertools
@@ -36,7 +38,7 @@ from aritygap.enumeration import (
     symmetric_spec_count,
     symmetry_index,
 )
-from aritygap.minors import _identify_table, _values
+from aritygap.minors import _essential_mask, _essential_positions, _identify_table, _values
 from aritygap.subfunctions import _restrict_table
 from aritygap.facts import _shape_dag, _shape_gathers
 from aritygap.suites import _sample_gap2_specs
@@ -428,3 +430,23 @@ def test_seeded_draws_refuse_a_radix_of_33_bits():
 def test_full_space_equals_product(k, width):
     got = _solutions(k, range(width))
     assert list(map(tuple, got.tolist())) == list(itertools.product(range(k), repeat=width))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(0, 6)])
+def test_essential_mask_equals_the_scan(k, n, monkeypatch):
+    # rows of every kind of table: random, two-valued, constant and with a
+    # single essential position; with a small chunk the rows outnumber
+    # _CHUNK // k^n, so they are compared in several parts
+    rng = np.random.default_rng(k * 10 + n)
+    w = k**n
+    rows = [rng.integers(0, k, (6, w)), rng.integers(0, 2, (6, w)),
+            np.full((2, w), k - 1)]
+    for p in range(n):
+        rows.append((np.arange(w) // k ** (n - 1 - p) % k)[None] % 2)
+    tabs = _values(k, np.concatenate(rows).tolist()).reshape(-1, w)
+    want = [[q + 1 in _essential_positions(k, n, tuple(t)) for q in range(n)]
+            for t in tabs.tolist()]
+    assert _essential_mask(k, n, tabs).tolist() == want
+    monkeypatch.setattr("aritygap.minors._CHUNK", 3 * w)
+    assert len(tabs) > 3
+    assert _essential_mask(k, n, tabs).tolist() == want

@@ -242,7 +242,6 @@ def test_minor_closure_memo_hits_return_equal_data():
 def test_minor_closure_memo_cannot_be_changed_by_callers():
     from aritygap.minors import _minor_closure
 
-    index = gap_index(DOUBLE4)
     records = list(all_minors(DOUBLE4))
     records.clear()
     depths = _minor_closure(DOUBLE4)
@@ -250,17 +249,19 @@ def test_minor_closure_memo_cannot_be_changed_by_callers():
         depths[DOUBLE4.table] = 99
     with pytest.raises(TypeError):
         del depths[next(iter(depths))]
-    assert gap_index(DOUBLE4) == index == 2
+    assert max(depths.values()) == max(oracle_minor_closure(DOUBLE4).values()) == 2
     assert len(all_minors(DOUBLE4)) == len(depths) > 0
 
 
 def test_minor_closure_memo_keeps_no_earlier_instance():
+    # all_minors alone reads the memo; the gap index counts rounds
     from aritygap.minors import _minor_closure
 
     _minor_closure.cache_clear()
-    gap_index(DOUBLE4)
     all_minors(DOUBLE4)
-    assert _minor_closure.cache_info().hits == 1
+    assert gap_index(DOUBLE4) == gap_profile(DOUBLE4).index == 2
+    all_minors(DOUBLE4)
+    assert _minor_closure.cache_info()[:2] == (1, 1)
     rng = random.Random(5)
     others = set()
     while len(others) < _minor_closure.cache_info().maxsize:
@@ -268,10 +269,15 @@ def test_minor_closure_memo_keeps_no_earlier_instance():
         if essential_count(f) >= 2:
             others.add(f)
     for f in others:
-        gap_index(f)
+        all_minors(f)
     misses = _minor_closure.cache_info().misses
-    gap_index(DOUBLE4)
+    all_minors(DOUBLE4)
     assert _minor_closure.cache_info().misses == misses + 1
+
+
+def assert_index_is_the_deepest_oracle_minor(f):
+    deepest = max(oracle_minor_closure(f).values())
+    assert gap_index(f) == gap_profile(f).index == deepest
 
 
 @given(kernel_cases())
@@ -283,7 +289,7 @@ def test_minor_kernel_equals_oracle(f):
     assert got == oracle_minor_closure(f)
     if essential_count(f) >= 2:
         assert gap(f) == gap_profile(f).gap == oracle_gap(f)
-        assert gap_profile(f).index == max(got.values())
+        assert_index_is_the_deepest_oracle_minor(f)
 
 
 def test_minor_kernel_on_a_wide_table_with_two_essential_variables():
@@ -303,6 +309,8 @@ def test_minor_kernel_equals_oracle_on_every_binary_ternary_table():
         f = FiniteFunction(2, 3, [(idx >> i) & 1 for i in range(8)])
         got = {FiniteFunction(2, 3, t): d for t, d in _minor_closure(f).items()}
         assert got == oracle_minor_closure(f), f
+        if essential_count(f) >= 2:
+            assert_index_is_the_deepest_oracle_minor(f)
 
 
 def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
@@ -320,6 +328,7 @@ def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
         depths = minors._minor_closure.__wrapped__(f)
         got = {FiniteFunction(f.k, f.n, t): d for t, d in depths.items()}
         assert got == oracle_minor_closure(f), f
+        assert_index_is_the_deepest_oracle_minor(f)
 
 
 def test_minor_kernel_on_wide_parity_stays_small():
@@ -350,6 +359,27 @@ def test_minor_kernel_on_wide_parity_stays_small():
             expected[tuple((points @ kept % 2).tolist())] = (10 - sum(kept)) // 2
     assert dict(depths) == expected
     assert max(depths.values()) == 5
+
+
+def test_gap_index_of_a_wide_parity_counts_its_rounds():
+    # x_1 + ... + x_10 mod 2 loses two variables per identification, so
+    # its deepest minor, a constant, is 5 identifications down
+    import tracemalloc
+
+    from aritygap.minors import _minor_closure
+
+    f = FiniteFunction.from_callable(2, 10, lambda *x: sum(x) % 2)
+    _minor_closure.cache_clear()
+    tracemalloc.start()
+    try:
+        assert gap_index(f) == gap_profile(f).index == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the largest round's gather (about 12 MB) sets the peak; no minor is
+    # kept as a tuple, nor the closure memoised
+    assert peak < 32 << 20
+    assert _minor_closure.cache_info()[:2] == (0, 0)
 
 
 def test_grouping_is_exact_when_hashes_collide(monkeypatch):

@@ -26,7 +26,14 @@ from aritygap import (
     sub_count,
     weak_dominants,
 )
-from aritygap.subfunctions import _closure_cached, _closure_levels
+from aritygap.subfunctions import (
+    _closure_cached,
+    _closure_levels,
+    _count_plan,
+    _level_closure,
+    _plan_closure,
+    _plan_fits,
+)
 from aritygap.symmetric import LinearSpec, construct_linear, is_totally_symmetric
 from aritygap.enumeration import spec_to_function
 from oracles import closure_generic, closure_symmetric
@@ -403,3 +410,87 @@ def test_closure_kernel_on_wide_parity_follows_the_closure():
     assert kernel.sub_count == oracle.sub_count == 24
     assert kernel.separable == oracle.separable == every_set
     assert record_keys(kernel) == record_keys(oracle)
+
+
+def assert_count_paths_agree(f):
+    # the restriction plan and the level walk count the closure the
+    # breadth-first oracle walks
+    oracle = closure_generic(f)
+    want = (oracle.sub_count, oracle.separable, oracle.sep_count)
+    for path in (_plan_closure, _level_closure):
+        got = path(f.k, f.n, f.table)
+        assert (got.sub_count, got.separable, got.sep_count) == want, (path.__name__, f)
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2)])
+def test_count_paths_agree_on_every_table(k, n):
+    for table in itertools.product(range(k), repeat=k**n):
+        assert_count_paths_agree(FiniteFunction(k, n, table))
+
+
+@pytest.mark.parametrize("kind,k,n", [("raw", 3, 3), ("raw", 4, 3), ("sym", 4, 3),
+                                      ("raw", 3, 4), ("raw", 4, 4)])
+def test_count_paths_agree_on_seeded_analyze_classes(kind, k, n):
+    # the classes of the analyze benchmark, raw and symmetric
+    rng = random.Random(f"count-paths/{kind}/{k}/{n}")
+    m = math.comb(k + n - 1, n)
+    for _ in range(12):
+        if kind == "raw":
+            f = FiniteFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
+        else:
+            f = spec_to_function(k, n, tuple(rng.randrange(k) for _ in range(m)))
+        assert_count_paths_agree(f)
+        # a table of two values has more constant and fictive states
+        assert_count_paths_agree(FiniteFunction(k, n, [v % 2 for v in f.table]))
+
+
+def test_count_paths_agree_on_constants_and_small_arities():
+    cases = [FiniteFunction(k, n, [c] * k**n) for k, n in ((2, 0), (3, 2), (4, 3))
+             for c in (0, k - 1)]
+    cases += [FiniteFunction(k, 1, t) for k in (2, 3, 5)
+              for t in itertools.product(range(k), repeat=k)]
+    for f in cases:
+        assert_count_paths_agree(f)
+    assert sub_count(FiniteFunction(2, 0, [1])) == 0
+    assert separable_sets(FiniteFunction(3, 0, [2])).separable_sets == {frozenset()}
+
+
+def test_count_paths_agree_on_a_wide_radix():
+    # k > 256 holds the values as int64, and groups the tables by hash
+    rng = random.Random(21)
+    for values in (300, 2):
+        f = FiniteFunction(300, 2, [rng.randrange(values) for _ in range(300**2)])
+        assert_count_paths_agree(f)
+
+
+def test_plan_bound_reads_k_and_n_only():
+    # the plan's largest index array holds n 2^(n-1) (k-1) k^(n-1)
+    # entries; the first domains past 2^20 of them count by the walk
+    assert _plan_fits(2, 9) and not _plan_fits(2, 10)
+    assert _plan_fits(3, 7) and not _plan_fits(3, 8)
+    assert _plan_fits(4, 6) and not _plan_fits(4, 7)
+    assert all(_plan_fits(k, 0) for k in (2, 3, 300))
+    index, _, _, _ = _count_plan(2, 9)
+    assert len(index) == 2 * 9 * 2**8 * 2**8
+
+
+@pytest.mark.parametrize("k,n,inside", [(2, 9, True), (2, 10, False), (3, 7, True),
+                                        (3, 8, False)])
+def test_count_paths_on_each_side_of_the_plan_bound(k, n, inside):
+    # few essential positions keep the oracle small; the plan covers every
+    # position all the same. Past the bound the plan is never built.
+    rng = random.Random(k * 100 + n)
+    ess = sorted(rng.sample(range(n), 4))
+    inner = [rng.randrange(k) for _ in range(k**4)]
+    f = FiniteFunction.from_callable(
+        k, n, lambda *x: inner[sum(x[p] * k ** (3 - i) for i, p in enumerate(ess))])
+    oracle = closure_generic(f)
+    _count_plan.cache_clear()
+    closure = _closure_cached.__wrapped__(k, n, f.table)
+    assert (closure.sub_count, closure.separable) == (oracle.sub_count, oracle.separable)
+    assert _count_plan.cache_info().currsize == int(inside)
+    if inside:
+        assert_count_paths_agree(f)
+    else:
+        walk = _level_closure(k, n, f.table)
+        assert (walk.sub_count, walk.separable) == (oracle.sub_count, oracle.separable)
