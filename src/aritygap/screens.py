@@ -310,3 +310,13 @@ SCREENS = {
     "willard": (lambda f: _all_essential(f) & (f.n >= 2), _verdict_willard),
 }
 TABLE_SCREENS = frozenset({"lemma2_3", "willard"})
+# The screens whose verdicts read the identification shapes of SpecFacts
+# (its ``gap_index``, ``shapes`` or ``_shape_tables``), whose root shape is
+# each row's whole k^n table, with the least n from which they read them.
+SHAPE_SCREENS = {"thm2_4": 0, "lemma2_5": 0, "remark2_1": 0, "remark2_2": 0, "thm3_2": 4}
+
+
+def reads_shapes(name: str, n: int) -> bool:
+    """Whether the verdict of ``name`` reads the identification shapes at
+    arity n."""
+    return n >= SHAPE_SCREENS.get(name, n + 1)

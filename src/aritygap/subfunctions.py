@@ -22,14 +22,14 @@ numpy kernels that take the states a level (an order) at a time:
   plan per (k, n), ``_count_plan``: every partial assignment of the n
   positions, the essential positions of each of their slices of f in one
   gather, and one boolean step per level for those that a chain of
-  essential fixings reaches. It is used while its largest index array,
-  n 2^(n-1) (k-1) k^(n-1) entries, fits in ``minors._CHUNK``;
+  essential fixings reaches. It is used while the entries it gathers per
+  table, 2 n 2^(n-1) (k-1) k^(n-1), number at most ``_PLAN_ENTRIES``;
 * the level walk, ``_closure_levels``, gathers only the reached states,
   one gather per level for all of the next level's, in breadth-first
   order. The records (``all_subfunctions``, ``records``) always come from
-  it, and so do the counts past the plan's bound, where a wide structured
-  table (the parity of 12 variables, say) reaches far fewer states than
-  the plan's (k + 1)^n.
+  it, and so do the counts past the plan's bound, where a structured
+  table (a parity, or two essential variables) reaches far fewer states
+  than the plan's (k + 1)^n and the walk is the faster.
 
 The tests hold both to the breadth-first walks they are checked against.
 """
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import minors
 from .core import DomainError, FiniteFunction, PreconditionError
 from .minors import (
     _chunks,
@@ -320,11 +319,20 @@ def _count_plan(k: int, n: int):
             np.concatenate(starts + [np.zeros(0, np.intp)]), levels)
 
 
+# The most entries the restriction plan gathers per table. Within 2^15 the
+# plan counted random, symmetric, parity, AND and two-variable tables at
+# least as fast as the walk (1.5-3x faster on the analyze classes, a tie at
+# n = 2 for k = 50..64), constant tables up to 30 us slower; past it the
+# walk overtakes it on structured tables, first on two-variable tables at
+# (2, 8), (3, 6) and (4, 5), and on every kind at n = 2 from k = 100.
+_PLAN_ENTRIES = 1 << 15
+
+
 def _plan_fits(k: int, n: int) -> bool:
     """Whether the counts at (k, n) come from the restriction plan: when
-    its largest index array, n 2^(n-1) (k-1) k^(n-1) entries, fits in a
-    chunk."""
-    return n * (k - 1) * (2 * k) ** max(n - 1, 0) <= minors._CHUNK
+    its index, 2 n 2^(n-1) (k-1) k^(n-1) entries, is at most
+    ``_PLAN_ENTRIES``."""
+    return 2 * n * (k - 1) * (2 * k) ** max(n - 1, 0) <= _PLAN_ENTRIES
 
 
 def _plan_closure(k: int, n: int, table: tuple) -> _Closure:

@@ -179,14 +179,6 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarra
 _FULL_GAP_SUITES = frozenset({"thm3_1", "lemma3_1"})
 
 
-def _reads_shapes(name: str, n: int) -> bool:
-    """Whether the screen of ``name`` reads the identification shapes of
-    ``facts.SpecFacts``, whose root shape is each row's whole k^n table:
-    the gap index and the shapes' (ess, gap) or tables."""
-    return name in ("thm2_4", "lemma2_5", "remark2_1", "remark2_2") or (
-        name == "thm3_2" and n >= 4)
-
-
 def _check_sample_size(count: int, width: int, unit: str) -> None:
     """Refuse a sample of ``count`` rows of ``width`` entries each when it
     spans more than ``LIST_LIMIT`` entries, before anything is drawn."""
@@ -211,6 +203,8 @@ def _population(name, k, n, mode, seed, sample, budget):
     The others take the listed gap >= 2 class, only its gap-n cell for
     suites that accept no other member, or a seeded gap-2 sample, which is
     refused for those suites at n >= 3."""
+    from .screens import reads_shapes
+
     params = {"seed": seed, "sample": sample}
     if name in ("lemma2_3", "willard"):
         width = k**n
@@ -232,7 +226,7 @@ def _population(name, k, n, mode, seed, sample, budget):
             raise DomainError(f"{name} checks functions with gap n, which a gap-2 sample "
                               f"never holds at n = {n}; use exhaustive mode")
         count = sample or (1000 if name == "lemma2_1" else 300)
-        if _reads_shapes(name, n):
+        if reads_shapes(name, n):
             _check_sample_size(count, k**n, "table entries")
         _check_sample_size(count, width, "spec entries")
         if name == "lemma2_1":

@@ -321,6 +321,23 @@ def test_spec_facts_keep_values_over_255():
     assert list(SpecFacts(300, 1, [(256,) + (0,) * 299]).ess_gap[0]) == [1]
 
 
+@pytest.mark.parametrize("name", sorted(set(SCREENS) - TABLE_SCREENS))
+def test_shape_screens_are_the_verdicts_that_read_the_shapes(name):
+    # a sample of a screen that reads the shapes is sized by the k^n table
+    # entries they gather per row, so SHAPE_SCREENS must name exactly the
+    # verdicts that do
+    ran = []
+    for k, n in ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5)):
+        facts = SpecFacts(k, n, nontrivial_gap_specs(k, n))
+        hypothesis, verdict = SCREENS[name]
+        instance = hypothesis(facts)
+        if instance.any():
+            verdict(facts)
+            assert ("_shape_tables" in facts.__dict__) == screens.reads_shapes(name, n), (k, n)
+            ran.append(n)
+    assert ran
+
+
 def screened_rows(name, k, n, rows):
     """Each row's instance flag, violation count and subcounts, the verdict
     applied to every row; ``rows`` are raw tables for a screen of

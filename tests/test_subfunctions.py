@@ -27,6 +27,7 @@ from aritygap import (
     weak_dominants,
 )
 from aritygap.subfunctions import (
+    _PLAN_ENTRIES,
     _closure_cached,
     _closure_levels,
     _count_plan,
@@ -341,6 +342,7 @@ def test_closure_kernel_in_small_chunks_equals_the_oracles(monkeypatch):
     cases.append(FiniteFunction.from_callable(3, 4, lambda *x: max(x) if min(x) else 0))
     for f in cases:
         assert_closure_kernel_equals_the_oracles(f)
+        assert_count_paths_agree(f)
 
 
 def breadth_first_states(f):
@@ -464,18 +466,22 @@ def test_count_paths_agree_on_a_wide_radix():
 
 
 def test_plan_bound_reads_k_and_n_only():
-    # the plan's largest index array holds n 2^(n-1) (k-1) k^(n-1)
-    # entries; the first domains past 2^20 of them count by the walk
-    assert _plan_fits(2, 9) and not _plan_fits(2, 10)
-    assert _plan_fits(3, 7) and not _plan_fits(3, 8)
-    assert _plan_fits(4, 6) and not _plan_fits(4, 7)
+    # the plan's index, the entries it gathers per table, holds
+    # 2 n 2^(n-1) (k-1) k^(n-1) of them; the first domains past
+    # _PLAN_ENTRIES count by the walk
+    assert _plan_fits(2, 6) and not _plan_fits(2, 7)
+    assert _plan_fits(3, 5) and not _plan_fits(3, 6)
+    assert _plan_fits(4, 4) and not _plan_fits(4, 5)
+    assert _plan_fits(64, 2) and not _plan_fits(65, 2)
     assert all(_plan_fits(k, 0) for k in (2, 3, 300))
-    index, _, _, _ = _count_plan(2, 9)
-    assert len(index) == 2 * 9 * 2**8 * 2**8
+    for k, n in ((2, 6), (3, 5), (4, 4), (64, 2), (300, 1), (2, 0)):
+        index, _, _, _ = _count_plan(k, n)
+        assert len(index) == 2 * n * 2 ** max(n - 1, 0) * (k - 1) * k ** max(n - 1, 0)
+        assert len(index) <= _PLAN_ENTRIES
 
 
-@pytest.mark.parametrize("k,n,inside", [(2, 9, True), (2, 10, False), (3, 7, True),
-                                        (3, 8, False)])
+@pytest.mark.parametrize("k,n,inside", [(2, 6, True), (2, 7, False), (3, 5, True),
+                                        (3, 6, False), (4, 4, True), (4, 5, False)])
 def test_count_paths_on_each_side_of_the_plan_bound(k, n, inside):
     # few essential positions keep the oracle small; the plan covers every
     # position all the same. Past the bound the plan is never built.
