@@ -10,8 +10,13 @@ the equivalence with the closure-wide maximum is exercised by tests.
 The minor closure of one table is a numpy kernel that walks the reached
 minors a round at a time (``_rounds``): one gather through a per-(k, n)
 index gives every minor of a whole round. The gap index is the number of
-rounds, so ``gap_index`` and ``gap_profile`` count them and keep no
-minor; only ``all_minors`` maps every reached table to its depth.
+rounds, which is at most m = ess - gap, the most essential variables of a
+one-step minor, since each identification makes at least one more
+variable fictive. ``gap_index`` and ``gap_profile`` first look for a chain
+that loses exactly one essential variable per identification down to 2,
+which shows that the index is m (``_tight_chain``, the minors of one table
+at a time); only without one do they count the rounds, keeping no minor.
+Only ``all_minors`` maps every reached table to its depth.
 
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 """
@@ -337,11 +342,50 @@ def gap(f: FiniteFunction) -> int:
     return len(ess) - int(_one_step(f)[1].sum(axis=1).max())
 
 
+def _tight_chain(k: int, n: int, tab: np.ndarray, row: np.ndarray, ess: int,
+                 seen: set) -> bool:
+    """Whether a chain of identifications from the table ``tab``, with the
+    ``ess`` essential positions ``row``, loses exactly one essential
+    variable per step down to a table with 2. A depth-first search: the
+    minors of the table in hand alone are gathered, and only those with
+    one essential variable fewer are followed. A table is expanded at most
+    once (``seen``): a table met again had no such chain below it."""
+    if ess == 2:
+        return True
+    key = tab.tobytes()
+    if key in seen:
+        return False
+    seen.add(key)
+    kids = _next_round(k, n, tab[None], row[None])
+    mask = _essential_mask(k, n, kids)
+    return any(_tight_chain(k, n, kids[r], mask[r], ess - 1, seen)
+               for r in np.flatnonzero(mask.sum(axis=1) == ess - 1))
+
+
 def gap_index(f: FiniteFunction) -> int:
     """Maximal identification-chain depth over all minors: the number of
-    rounds of the minor closure."""
+    rounds of the minor closure.
+
+    Let m = ess(f) - gap(f), the most essential variables of a one-step
+    minor. A minor has fewer essential variables than its table, so every
+    table of round d has at most m - d + 1, and a round follows round d
+    only when one of its tables has 2 or more: there are at most m rounds
+    (one when m < 2). A chain of identifications that loses exactly one
+    variable per step, from a one-step minor with m essential variables
+    down to one with 2, reaches round m - 1 with a table that has a
+    minor, so the index is then m. Such a chain is looked for first,
+    among the minors of the first one-step minor with m essential
+    variables (``_tight_chain``); only when none is found are the rounds
+    walked and counted.
+    """
     if essential_count(f) < 2:
         raise PreconditionError("gap index undefined below 2 essential variables")
+    tabs, mask = _one_step(f)
+    counts = mask.sum(axis=1)
+    r = int(counts.argmax())
+    m = int(counts[r])
+    if m >= 2 and _tight_chain(f.k, f.n, tabs[r], mask[r], m, set()):
+        return m
     return sum(1 for _ in _rounds(f))
 
 

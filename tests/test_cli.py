@@ -88,6 +88,22 @@ def test_analyze_text_format(tmp_path, capsys):
     assert "gap: 3" in out
 
 
+def test_analyze_wide_random_table_reads_the_index_off_one_chain(tmp_path, capsys,
+                                                                 monkeypatch):
+    # walking every minor round of a random 10-ary Boolean table would not
+    # finish; one chain losing a variable a step gives ess - gap
+    def refuse(f):
+        raise AssertionError("the minor rounds were walked")
+
+    monkeypatch.setattr("aritygap.minors._rounds", refuse)
+    table = _seeded_table(random.Random("wide-analyze"), 2, 10)
+    path = write_doc(tmp_path, "wide.json", {"k": 2, "n": 10, "table": table})
+    code, out, _ = run_cli(capsys, "analyze", path, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["gap_index"] == report["essential_count"] - report["gap"] == 9
+
+
 def test_construct_gap_n(tmp_path, capsys):
     spec = {"k": 3, "n": 3, "a0": 0, "b": {"0,1,2": 1}}
     path = write_doc(tmp_path, "spec.json", spec)

@@ -382,6 +382,95 @@ def test_gap_index_of_a_wide_parity_counts_its_rounds():
     assert _minor_closure.cache_info()[:2] == (0, 0)
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The functions whose minor rounds are walked while the test runs."""
+    from aritygap import minors
+
+    walked, rounds = [], minors._rounds
+
+    def counted(f):
+        walked.append(f)
+        return rounds(f)
+
+    monkeypatch.setattr(minors, "_rounds", counted)
+    return walked
+
+
+def assert_index_against_oracle(f, index):
+    assert gap_index(f) == gap_profile(f).index == max(oracle_minor_closure(f).values()) == index
+
+
+# Found by a seeded search of random tables. No chain from the first
+# one-step minor with ess - gap = 3 essential variables loses one variable
+# a step, but one from another one-step minor does, so the walk answers.
+FIRST_CHAIN_DIES = FiniteFunction(2, 4, [0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1])
+# The first minor with one essential variable fewer has no such chain
+# below it; the search backs up and finds one through another.
+CHAIN_BACKS_UP = FiniteFunction(2, 5, [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1,
+                                       1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1])
+
+
+def test_gap_index_when_the_first_chain_dies(walks):
+    f = FIRST_CHAIN_DIES
+    assert essential_count(f) - gap(f) == 3
+    assert_index_against_oracle(f, 3)
+    assert walks == [f, f]
+
+
+def test_gap_index_when_the_chain_backs_up(walks):
+    f = CHAIN_BACKS_UP
+    assert essential_count(f) - gap(f) == 4
+    assert_index_against_oracle(f, 4)
+    assert walks == []
+
+
+def test_gap_index_of_gap2_members_from_the_chain(walks):
+    # every gap-2 member of (3, 4) keeps 2 essential variables in its best
+    # one-step minor, so its index is 2 with no round walked
+    from aritygap.enumeration import nontrivial_gap_specs, spec_to_function
+
+    for spec in nontrivial_gap_specs(3, 4):
+        f = spec_to_function(3, 4, spec)
+        assert essential_count(f) - gap(f) == 2
+        assert_index_against_oracle(f, 2)
+    assert walks == []
+
+
+def test_gap_index_without_a_tight_chain_walks_the_rounds(walks):
+    # a gap-2 member of (3, 6) and the parity of 6 fall short of ess - gap = 4
+    from aritygap.enumeration import nontrivial_gap_specs, spec_to_function
+
+    member = spec_to_function(3, 6, next(iter(nontrivial_gap_specs(3, 6))))
+    parity = FiniteFunction.from_callable(2, 6, lambda *x: sum(x) % 2)
+    for f in (member, parity):
+        assert essential_count(f) - gap(f) == 4
+        assert_index_against_oracle(f, 3)
+    assert walks == [member, member, parity, parity]
+
+
+class Walked(Exception):
+    pass
+
+
+def test_gap_index_of_a_wide_random_table_walks_no_round(monkeypatch):
+    # walking the rounds of a random 9-ary Boolean table takes about 30 s
+    # and 1.2 GB; a chain that loses one variable a step shows index 8
+    from aritygap import minors
+
+    def refuse(f):
+        raise Walked
+
+    monkeypatch.setattr(minors, "_rounds", refuse)
+    rng = random.Random(1)
+    f = FiniteFunction(2, 9, [rng.randrange(2) for _ in range(2**9)])
+    assert (essential_count(f), gap(f)) == (9, 1)
+    assert gap_index(f) == gap_profile(f).index == 8
+    # each identification of a parity drops two variables: no such chain
+    with pytest.raises(Walked):
+        gap_index(FiniteFunction.from_callable(2, 8, lambda *x: sum(x) % 2))
+
+
 def test_grouping_is_exact_when_hashes_collide(monkeypatch):
     # rows too wide for an exact key are grouped by a hash; with every
     # hash equal, by their bytes
