@@ -24,10 +24,10 @@ process and without visiting a candidate. The gap >= 2 class is listed for
 any n >= 2 within the budget and ``LIST_LIMIT``, cell by cell, by assigning
 values to the components of each cell's condition; a caller that needs one
 gap lists only the cells of that gap. The census reads the gap index of
-every member off the identification-shape DAG of ``facts.SpecFacts``, a
-chunk of the listed array at a time. Tests check the counts and the class
-against a scan of every candidate, and the indices against the generic
-minor closure.
+every member off the identification-shape DAG (``_shape_walk``, which the
+suite screens read through ``facts.SpecFacts``), a chunk of the listed
+array at a time. Tests check the counts and the class against a scan of
+every candidate, and the indices against the generic minor closure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import ceil, comb, sqrt
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .core import (
     check_domain,
     tuple_getter,
 )
-from .minors import _chunks, _values
+from .minors import _chunks, _essential_mask, _values
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
@@ -61,10 +62,11 @@ from .symmetric import (
 
 DEFAULT_BUDGET = 10**8
 # Most table entries (members x k^n) a listing of the gap >= 2 class, or a
-# sample of raw tables, may span, whatever the budget: the census and the
-# suite screens gather tables of up to k^n entries for every member, chunk
-# by chunk, and the class jumps from 130 044 members at (4, 3) to 48 828 120
-# at (5, 2). A sample of specs may span as many spec entries.
+# sample of raw tables, may span, whatever the budget: the raw-table screens
+# gather k^n entries for every row, chunk by chunk (the census and the shape
+# screens at most k^(n-1)), and the class jumps from 130 044 members at
+# (4, 3) to 48 828 120 at (5, 2). A sample of specs may span as many spec
+# entries.
 LIST_LIMIT = 10**8
 
 
@@ -301,6 +303,124 @@ def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None
     return n, n - y_ess - (n - 2) * z_ess
 
 
+def _constant(a: np.ndarray) -> np.ndarray:
+    """Whether each vector along the last axis is constant."""
+    return np.all(a == a[..., :1], axis=-1)
+
+
+def _yz_essential(k: int, n: int, specs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether y and whether z is essential in the identification minor
+    m(y, z_3, ..., z_n) = s({y, y, z_3, ..., z_n}) of the specs along the
+    last axis (n >= 2)."""
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    return tuple(np.any(specs != specs[..., rep], axis=-1) for rep in (y_rep, z_rep))
+
+
+def _partitions(n: int, most: int | None = None):
+    """Partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _merge(shape: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    rest = [p for q, p in enumerate(shape) if q not in (i, j)]
+    return tuple(sorted(rest + [shape[i] + shape[j]], reverse=True))
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_dag(n: int):
+    """Partitions of n with more parts first (a topological order of the
+    merges, the root (1^n) first), and each one's merges (i, j, child)."""
+    shapes = sorted(_partitions(n), key=len, reverse=True)
+    return tuple(
+        (shape, tuple((i, j, _merge(shape, i, j))
+                      for i, j in itertools.combinations(range(len(shape)), 2)))
+        for shape in shapes
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _shape_gathers(k: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Per partition of n into r < n parts, the gather whose entry y (a
+    point of K^r in table order) is the index of the multiset y_1^l1 ...
+    y_r^lr: the table of F_shape, gathered from a spec. The root's table
+    is the whole k^n table, which nothing gathers."""
+    sym = symmetry_index(k, n)
+    return {shape: sym.ranks(np.repeat(_points(k, len(shape)), shape, axis=1))
+            for shape, _ in _shape_dag(n)[1:]}
+
+
+class _Shape(NamedTuple):
+    """One reached shape of a chunk's walk, (N, ...) arrays: which of its
+    parts are essential, the longest merge chain reaching it (-1 on rows it
+    does not reach), its essential parts and its gap (-1 below 2 essential
+    parts)."""
+
+    mask: np.ndarray
+    depth: np.ndarray
+    ess: np.ndarray
+    gap: np.ndarray
+
+
+def _shape_walk(k: int, n: int, specs: np.ndarray) -> dict[tuple[int, ...], _Shape]:
+    """The identification-shape DAG of a chunk of specs, (N, C(k+n-1, n)).
+
+    An iterated identification minor of s is F_lambda(y) = s(y_1^l1 ...
+    y_r^lr) up to a relabeling of its variables, lambda a partition of n,
+    and identifying two essential variables merges two essential parts.
+    Every path of the table closure lifts to a path of shapes and back, so
+    the longest merge chain is the gap index, and a shape's gap is its
+    essential count minus the best among the children it merges into.
+
+    The shapes are walked in topological order, and a shape is gathered and
+    masked only when some row reaches it. The two largest shapes are never
+    gathered: their masks come from the representation. A non-constant
+    spec has all n variables essential, and the root's one child, (2,
+    1^(n-2)), is the minor m(y, z_3, ..., z_n), whose y and z parts are
+    essential as ``_yz_essential`` says. Gives the reached shapes in walk
+    order, the root first."""
+    rows, root = len(specs), (1,) * n
+    gathers = _shape_gathers(k, n)
+    masks = {root: np.repeat(~_constant(specs)[:, None], n, axis=1)}
+    if n >= 2:
+        y, z = _yz_essential(k, n, specs)
+        masks[(2,) + (1,) * (n - 2)] = np.column_stack([y] + [z] * (n - 2))
+    depth = {root: np.zeros(rows, dtype=np.int64)}
+    reached = {}
+    for shape, merges in _shape_dag(n):
+        d = depth.pop(shape, None)
+        if d is None:
+            continue
+        if shape in masks:
+            mask = masks[shape]
+        else:
+            mask = _essential_mask(k, len(shape), specs[:, gathers[shape]])
+        edges = []  # (rows that merge into child, child)
+        for i, j, child in merges:
+            active = (d >= 0) & mask[:, i] & mask[:, j]
+            if active.any():
+                depth[child] = np.maximum(depth.get(child, -1), np.where(active, d + 1, -1))
+                edges.append((active, child))
+        reached[shape] = mask, d, mask.sum(axis=1), edges
+    walk = {}
+    for shape, (mask, d, count, edges) in reached.items():
+        best = np.full(rows, -1, dtype=np.int64)
+        for active, child in edges:  # every child of an edge is reached
+            best = np.maximum(best, np.where(active, reached[child][2], -1))
+        walk[shape] = _Shape(mask, d, count, np.where(count >= 2, count - best, -1))
+    return walk
+
+
+def _deepest(walk: dict[tuple[int, ...], _Shape]) -> np.ndarray:
+    """The gap index per row: the longest merge chain of a shape walk (0
+    below 2 essential variables, where only the root is reached)."""
+    return np.max([s.depth for s in walk.values()], axis=0)
+
+
 @dataclass
 class Census:
     """Counts of symmetric functions per (essential count, gap) bucket."""
@@ -377,7 +497,10 @@ def census(
     The counts take no scan, so the census runs in one process whatever
     ``workers`` says; the budget still bounds the candidate count. The gap
     index distribution covers the listed gap >= 2 class, refused like every
-    listing of it (``_listable_class_size``).
+    listing of it (``_listable_class_size``), and is read off one shape walk
+    (``_shape_walk``) per chunk of the class, which gathers only the shapes
+    that some member of the chunk reaches, never the root's k^n table nor
+    its child's k^(n-1).
     """
     check_domain(k, n)
     total = symmetric_spec_count(k, n)
@@ -389,12 +512,9 @@ def census(
     specs = _nontrivial_gap_array(k, n, total)
     t2 = perf_counter()
     ind_dist = Counter()
-    if len(specs):
-        # imported here, as the suites do, so that analyze never loads it
-        from .facts import SpecFacts
-
-        for p in _chunks(len(specs), k**n):  # the root shape has k^n entries
-            ind_dist.update(SpecFacts(k, n, specs[p]).gap_index.tolist())
+    # the largest shapes the walk gathers have n - 2 parts, k^(n-2) entries
+    for p in _chunks(len(specs), k ** max(n - 2, 0)):
+        ind_dist.update(_deepest(_shape_walk(k, n, specs[p])).tolist())
     stats = {"specs_indexed": len(specs), "count_s": t1 - t0, "list_s": t2 - t1,
              "index_s": perf_counter() - t2}
     return Census(k, n, total, counts, dict(ind_dist), stats)

@@ -17,42 +17,36 @@ every row at once, the facts that the symmetric claims are about:
   range size plus the distinct non-constant restrictions of each order, and
   the separable sets are whole levels: every set of n - o variables for each
   order o with a non-constant restriction, and the empty set;
-* the identification-shape DAG: an iterated identification minor of s is
+* the identification-shape DAG, walked by ``enumeration._shape_walk`` as
+  the census walks it: an iterated identification minor of s is
   F_lambda(y) = s(y_1^l1 ... y_r^lr) up to a relabeling of its variables,
-  lambda a partition of n, and identifying two essential variables merges
-  two essential parts. Every path of the table closure lifts to a path of
-  shapes and back, so the longest merge chain is the gap index, a shape's
-  gap is its essential count minus the best among its children, and every
-  minor is symmetric exactly when every reached F_lambda is symmetric in its
-  essential parts.
+  lambda a partition of n, so the longest merge chain is the gap index, a
+  shape's gap is its essential count minus the best among its children,
+  and every minor is symmetric exactly when every reached F_lambda is
+  symmetric in its essential parts. Only the shapes that some row of the
+  chunk reaches are gathered, and never the two largest.
 
 :class:`TableFacts` computes (ess, gap) for a chunk of raw value tables
 from their essential masks and the essential masks of their one-step
 minors.
 
 ``screens.SCREENS`` turns these facts into each population suite's claim;
-a census imports only this module.
+a census does not import this module.
 
-Gathers are built on first use and cached per (k, n, o) or per shape;
-nothing is built at import.
+Gathers are built on first use and cached per (k, n, o), the shapes' per
+(k, n) in ``enumeration``; nothing is built at import.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from math import comb
 
 import numpy as np
 
-from .enumeration import _fictive_reps, _points, symmetry_index
+from .enumeration import _constant, _deepest, _shape_walk, _yz_essential, symmetry_index
 from .minors import _chunks, _essential_mask, _identify_plan, _values
 from .symmetric import multisets
-
-
-def _constant(a: np.ndarray) -> np.ndarray:
-    """Whether each vector along the last axis is constant."""
-    return np.all(a == a[..., :1], axis=-1)
 
 
 def _ess_gap(k: int, n: int, specs: np.ndarray):
@@ -62,9 +56,7 @@ def _ess_gap(k: int, n: int, specs: np.ndarray):
     ess = np.where(const, 0, n).astype(np.int8)
     if n < 2:
         return ess, np.full(const.shape, -1, np.int8)
-    y_rep, z_rep, _ = _fictive_reps(k, n)
-    y_ess = np.any(specs != specs[..., y_rep], axis=-1)
-    z_ess = np.any(specs != specs[..., z_rep], axis=-1)
+    y_ess, z_ess = _yz_essential(k, n, specs)
     gap = n - y_ess.astype(np.int8) - (n - 2) * z_ess.astype(np.int8)
     return ess, np.where(const, -1, gap).astype(np.int8)
 
@@ -79,45 +71,6 @@ def _restriction_gather(k: int, n: int, o: int) -> np.ndarray:
          for mu in multisets(k, o)],
         dtype=np.intp,
     )
-
-
-def _partitions(n: int, most: int | None = None):
-    """Partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, most or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _merge(shape: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    rest = [p for q, p in enumerate(shape) if q not in (i, j)]
-    return tuple(sorted(rest + [shape[i] + shape[j]], reverse=True))
-
-
-@functools.lru_cache(maxsize=16)
-def _shape_dag(n: int):
-    """Partitions of n with more parts first (a topological order of the
-    merges), and each one's merges (i, j, child)."""
-    shapes = sorted(_partitions(n), key=len, reverse=True)
-    return tuple(
-        (shape, tuple((i, j, _merge(shape, i, j))
-                      for i, j in itertools.combinations(range(len(shape)), 2)))
-        for shape in shapes
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _shape_gathers(k: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Per partition of n into r parts, the gather whose entry y (a point of
-    K^r in table order) is the index of the multiset y_1^l1 ... y_r^lr: the
-    table of F_shape, gathered from a spec. Cached per (k, n) as a whole, so
-    that chunk after chunk finds every shape's gather however many there are
-    (77 at n = 12)."""
-    sym = symmetry_index(k, n)
-    return {shape: sym.ranks(np.repeat(_points(k, len(shape)), shape, axis=1))
-            for shape, _ in _shape_dag(n)}
 
 
 def _distinct_codes(rows: np.ndarray, k: int) -> np.ndarray:
@@ -163,8 +116,7 @@ class SpecFacts:
     def yz_essential(self) -> tuple[np.ndarray, np.ndarray]:
         """Whether y and whether z is essential in the identification minor
         m(y, z_3, ..., z_n) = s({y, y, z_3, ..., z_n}) (n >= 2)."""
-        y_rep, z_rep, _ = _fictive_reps(self.k, self.n)
-        return tuple(np.any(self.specs != self.specs[:, rep], axis=1) for rep in (y_rep, z_rep))
+        return _yz_essential(self.k, self.n, self.specs)
 
     def restriction(self, o: int) -> np.ndarray:
         """(N, C(k+o-1, o), C(k+n-o-1, n-o)): the spec of every order-o
@@ -226,49 +178,25 @@ class SpecFacts:
         return levels
 
     @functools.cached_property
-    def _shape_tables(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-        """Per partition of n into r parts, the table of F_shape, (N, k^r),
-        and which of its parts are essential, (N, r)."""
-        out = {}
-        for shape, gather in _shape_gathers(self.k, self.n).items():
-            table = self.specs[:, gather]
-            out[shape] = table, _essential_mask(self.k, len(shape), table)
-        return out
+    def _shape_tables(self):
+        """The chunk's identification-shape walk (``enumeration._shape_walk``):
+        per shape that some row reaches, its essential parts, depth,
+        essential count and gap."""
+        return _shape_walk(self.k, self.n, self.specs)
 
     @functools.cached_property
     def shapes(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
-        """(shape, depth, ess, gap) for every shape but the root, each an
-        (N,) array: the longest merge chain reaching the shape (-1 when it
-        is not reached), its essential parts and its gap (-1 below 2
-        essential parts). Empty for n < 2."""
-        n = self.n
-        if n < 2:
-            return []
-        rows = len(self.specs)
-        count = {shape: e.sum(axis=1) for shape, (_, e) in self._shape_tables.items()}
-        root = (1,) * n
-        depth = {shape: np.full(rows, -1, dtype=np.int64) for shape in count}
-        depth[root][:] = 0
-        out = []
-        for shape, merges in _shape_dag(n):
-            d, e = depth[shape], self._shape_tables[shape][1]
-            best = np.full(rows, -1, dtype=np.int64)
-            for i, j, child in merges:
-                active = (d >= 0) & e[:, i] & e[:, j]
-                depth[child] = np.maximum(depth[child], np.where(active, d + 1, -1))
-                best = np.maximum(best, np.where(active, count[child], -1))
-            if shape != root:
-                gap = np.where(count[shape] >= 2, count[shape] - best, -1)
-                out.append((shape, d, count[shape], gap))
-        return out
+        """(shape, depth, ess, gap) for every reached shape but the root,
+        each an (N,) array: the longest merge chain reaching the shape (-1
+        on the rows it does not reach), its essential parts and its gap (-1
+        below 2 essential parts). Empty for n < 2."""
+        return [(shape, s.depth, s.ess, s.gap) for shape, s in self._shape_tables.items()
+                if shape != (1,) * self.n]
 
     @functools.cached_property
     def gap_index(self) -> np.ndarray:
         """The longest merge chain per row (0 below 2 essential variables)."""
-        index = np.zeros(len(self.specs), dtype=np.int64)
-        for _, depth, _, _ in self.shapes:
-            index = np.maximum(index, depth)
-        return index
+        return _deepest(self._shape_tables)
 
     @functools.cached_property
     def diagonal(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .enumeration import symmetry_index
+from .enumeration import _shape_gathers, symmetry_index
 from .facts import SpecFacts, _constant
 from .subfunctions import sub_bound
 
@@ -249,8 +249,9 @@ def _verdict_remark2_2(f):
 
 def _verdict_remark2_1(f):
     flagged = np.zeros(len(f.specs), dtype=bool)
+    gathers = _shape_gathers(f.k, f.n)
     for shape, depth, _, _ in f.shapes:
-        table, ess = f._shape_tables[shape]
+        table, ess = f.specs[:, gathers[shape]], f._shape_tables[shape].mask
         # swapping two parts of equal size leaves a shape's table as it is
         unequal = [(a, b) for a, b in itertools.combinations(range(len(shape)), 2)
                    if shape[a] != shape[b]]
@@ -311,8 +312,9 @@ SCREENS = {
 }
 TABLE_SCREENS = frozenset({"lemma2_3", "willard"})
 # The screens whose verdicts read the identification shapes of SpecFacts
-# (its ``gap_index``, ``shapes`` or ``_shape_tables``), whose root shape is
-# each row's whole k^n table, with the least n from which they read them.
+# (its ``gap_index``, ``shapes`` or ``_shape_tables``), with the least n from
+# which they read them. A sample of one is bounded by k^n table entries per
+# row, over the k^(n-1) entries of the largest shape a verdict gathers.
 SHAPE_SCREENS = {"thm2_4": 0, "lemma2_5": 0, "remark2_1": 0, "remark2_2": 0, "thm3_2": 4}
 
 

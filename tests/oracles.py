@@ -13,7 +13,9 @@ tables at every fixing of positions and constants, is the table-level
 oracle of that screen, which reads the restrictions of specs instead.
 
 Also here: the two breadth-first subfunction closures the closure kernel is
-tested against, and the tuple listing of the cells of the gap >= 2 class.
+tested against, the tuple listing of the cells of the gap >= 2 class, and
+the identification-shape walk over every shape (``full_shape_walk``) that
+the census's walk of the reached shapes is tested against.
 """
 
 from __future__ import annotations
@@ -21,12 +23,21 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, deque
+from math import comb
 
 import numpy as np
 
 from aritygap import FiniteFunction
 from aritygap.core import range_size
-from aritygap.enumeration import _nontrivial_gap_array, _tuples, spec_ess_gap, spec_to_function
+from aritygap.enumeration import (
+    _nontrivial_gap_array,
+    _shape_dag,
+    _shape_gathers,
+    _tuples,
+    spec_ess_gap,
+    spec_to_function,
+    symmetry_index,
+)
 from aritygap.minors import (
     _essential_mask,
     _essential_positions,
@@ -442,6 +453,34 @@ def slice_flags(k: int, n: int, tables) -> np.ndarray:
             wrong = _lemma2_1(arity, _asymmetric(k, s, ess, pairs), ess.sum(axis=1))
             flagged |= wrong.reshape(rows, -1).any(axis=1)
     return flagged
+
+
+def full_shape_walk(k: int, n: int, specs) -> dict:
+    """The identification-shape walk that gathers and masks every shape of
+    the DAG, the root's whole k^n table too: per shape, (depth, ess, gap),
+    each (N,), the depth -1 where the shape is not reached and the gap -1
+    below 2 essential parts. ``enumeration._shape_walk`` gathers only the
+    reached shapes and reads the masks of the root and its one child off
+    the representation."""
+    specs = _values(k, specs).reshape(-1, comb(k + n - 1, n))
+    gathers = dict(_shape_gathers(k, n))
+    gathers[(1,) * n] = np.array(symmetry_index(k, n).orbit_of_point, dtype=np.intp)
+    rows = len(specs)
+    masks = {shape: _essential_mask(k, len(shape), specs[:, gathers[shape]])
+             for shape, _ in _shape_dag(n)}
+    count = {shape: e.sum(axis=1) for shape, e in masks.items()}
+    depth = {shape: np.full(rows, -1, dtype=np.int64) for shape in masks}
+    depth[(1,) * n][:] = 0
+    out = {}
+    for shape, merges in _shape_dag(n):
+        d, e = depth[shape], masks[shape]
+        best = np.full(rows, -1, dtype=np.int64)
+        for i, j, child in merges:
+            active = (d >= 0) & e[:, i] & e[:, j]
+            depth[child] = np.maximum(depth[child], np.where(active, d + 1, -1))
+            best = np.maximum(best, np.where(active, count[child], -1))
+        out[shape] = d, count[shape], np.where(count[shape] >= 2, count[shape] - best, -1)
+    return out
 
 
 def check_lemma2_1(k, n, spec, hypothesis=True):

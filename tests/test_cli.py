@@ -295,14 +295,16 @@ def test_census_stats_split_listing_from_indexing(capsys):
 @pytest.mark.parametrize(
     "argv,loaded",
     [
-        (("census", "-k", "3", "-n", "3"), True),
+        (("census", "-k", "3", "-n", "3"), False),  # the shape walk is enumeration's
         (("census", "-k", "3", "-n", "1"), False),  # no member has a gap
         (("analyze", "@sym43-1"), False),
         (("verify", "thm2_3", "-k", "3", "-n", "3"), False),
         (("verify", "thm2_2", "-k", "3", "-n", "3"), False),
+        (("census", "-k", "3", "-n", "12", "--budget-override"), False),
+        (("verify", "remark2_1", "-k", "3", "-n", "3"), True),
     ],
 )
-def test_facts_loaded_only_by_a_census_that_indexes(tmp_path, argv, loaded):
+def test_facts_loaded_only_by_a_screened_suite(tmp_path, argv, loaded):
     argv = list(argv)
     if argv[1].startswith("@"):
         k, n, table = GOLDEN_DOCS[argv[1][1:]]
@@ -318,7 +320,7 @@ def test_facts_loaded_only_by_a_census_that_indexes(tmp_path, argv, loaded):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=300).stdout
-    assert out == f"0 {loaded} False\n"  # only a screened suite loads the screens
+    assert out == f"0 {loaded} {loaded}\n"
 
 
 @pytest.mark.parametrize("k,n,count", [(300, 1, 20), (257, 2, 5)])

@@ -23,12 +23,15 @@ from aritygap.enumeration import (
     LIST_LIMIT,
     _bucket_counts,
     _nontrivial,
+    _nontrivial_gap_array,
+    _shape_walk,
     gap_n_images,
     sample_specs,
     spec_ess_gap,
     symmetry_index,
 )
 from aritygap.minors import _rounds
+from oracles import full_shape_walk
 
 _BATCH = 1 << 18
 
@@ -197,12 +200,46 @@ def test_census_index_equals_the_minor_closure(k, n):
 
 
 def test_census_index_summed_over_small_chunks(monkeypatch):
-    # 27 entries per root table: chunks of 2 members, summed into one Counter
+    # 3 entries in the largest shape the walk gathers, (3): chunks of 21
+    # members, summed into one Counter
     whole = census(3, 3)
     monkeypatch.setattr("aritygap.minors._CHUNK", 64)
     chunked = census(3, 3)
     assert chunked.ind_distribution == whole.ind_distribution == {1: 150}
     assert chunked.stats["specs_indexed"] == 150
+
+
+def assert_walk_is_the_full_walk(k, n, specs):
+    """The walk of the reached shapes against the walk of every shape: the
+    same depth on every row, and the same ess and gap wherever the shape
+    is reached; a shape it leaves out is reached by no row."""
+    walk = _shape_walk(k, n, specs)
+    full = full_shape_walk(k, n, specs)
+    assert list(walk) == [shape for shape in full if shape in walk]
+    for shape, (depth, ess, gap) in full.items():
+        if shape not in walk:
+            assert (depth < 0).all(), shape
+            continue
+        got, reached = walk[shape], depth >= 0
+        assert reached.any(), shape
+        assert np.array_equal(got.depth, depth), shape
+        assert np.array_equal(got.ess[reached], ess[reached]), shape
+        assert np.array_equal(got.gap[reached], gap[reached]), shape
+
+
+@pytest.mark.parametrize(
+    "k,n", [(2, 3), (3, 3), (4, 3), (3, 4), (2, 5), (3, 5), (3, 6), (4, 4)]
+)
+def test_shape_walk_of_the_class_is_the_full_walk(k, n):
+    assert_walk_is_the_full_walk(k, n, _nontrivial_gap_array(k, n, 10**8))
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)])
+def test_shape_walk_of_uniform_specs_is_the_full_walk(k, n):
+    specs = np.array(sample_specs(k, n, 2000, 1))
+    kinds = {spec_ess_gap(k, n, tuple(s))[1] for s in specs.tolist()}
+    assert {None, 1} <= kinds  # constant and gap-1 rows, not only the class
+    assert_walk_is_the_full_walk(k, n, specs)
 
 
 @given(st.data())
