@@ -67,13 +67,13 @@ from .symmetric import (
     multisets,
     orbit_sum,
     recompose,
+    spec_to_function,
 )
 from .enumeration import (
     Census,
     census,
     enumerate_symmetric,
     nontrivial_gap_specs,
-    spec_to_function,
     symmetric_spec_count,
 )
 from .suites import SUITE_NAMES, SuiteReport, UnknownSuiteError, run_suite

@@ -1,9 +1,9 @@
 """Enumeration of symmetric functions, the gap census and the gap >= 2 class.
 
-The population is the multiset representation: a symmetric function of
-arity n over K is one value per size-n multiset, so there are
-k^C(k+n-1, n) of them. The census classifies every one by (essential
-count, gap).
+The population is the multiset representation (``symmetric.SymmetryIndex``):
+a symmetric function of arity n over K is one value per size-n multiset, so
+there are k^C(k+n-1, n) of them. The census classifies every one by
+(essential count, gap).
 
 For a multiset-determined table the whole profile reduces to equality
 patterns on the multiset vector:
@@ -17,7 +17,7 @@ patterns on the multiset vector:
   z is fictive iff F({y, y, z} + alpha) does not depend on z.
 
 Both conditions say that F is constant on fixed groups of multisets
-(``y_groups``, ``z_groups``), so each has exactly k^c solutions, c being
+(``_fictive_groups``), so each has exactly k^c solutions, c being
 the number of union-find components of its groups. The census counts every
 bucket in closed form from the components of Y, Z and Y u Z, in a single
 process and without visiting a candidate. The gap >= 2 class is listed for
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,17 +46,17 @@ import numpy as np
 from .core import (
     BudgetError,
     DomainError,
-    FiniteFunction,
     PreconditionError,
     check_domain,
-    tuple_getter,
 )
-from .minors import _chunks, _essential_mask, _values
+from .minors import _chunks, _digits, _essential_mask, _values
 from .symmetric import (
     GapNSpec,
     _gap2_ternary_table,
     construct_gap_n,
     multisets,
+    spec_to_function,
+    symmetry_index,
 )
 
 DEFAULT_BUDGET = 10**8
@@ -70,72 +69,21 @@ DEFAULT_BUDGET = 10**8
 LIST_LIMIT = 10**8
 
 
-def _points(k: int, n: int) -> np.ndarray:
-    """The k^n points of K^n in table order, one row each."""
-    return np.indices((k,) * n, dtype=_values(k, 0).dtype).reshape(n, k**n).T
-
-
-def _sorted_codes(k: int, values: np.ndarray) -> np.ndarray:
-    """The base-k code of each row of values below k once sorted, its first
-    (smallest) value the most significant digit."""
-    code = np.zeros(len(values), dtype=np.int64)
-    for column in np.sort(values, axis=1).T:
-        code = code * k + column
-    return code
-
-
-@dataclass(frozen=True)
-class SymmetryIndex:
-    """Precomputed multiset bookkeeping for one (k, n)."""
-
-    k: int
-    n: int
-    msets: tuple[tuple[int, ...], ...]
-    index: dict
-    y_groups: tuple[tuple[int, ...], ...]
-    z_groups: tuple[tuple[int, ...], ...]
-
-    @functools.cached_property
-    def _codes(self) -> np.ndarray:
-        """The sorted code of each multiset, ascending: the multisets are
-        listed in lexicographic order."""
-        msets = np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
-        return _sorted_codes(self.k, msets)
-
-    def ranks(self, values: np.ndarray) -> np.ndarray:
-        """The index of the multiset of each row of ``values`` (n values
-        below k per row), found by a search among the multisets' codes."""
-        return np.searchsorted(self._codes, _sorted_codes(self.k, values))
-
-    @functools.cached_property
-    def orbit_of_point(self) -> tuple[int, ...]:
-        """Multiset index of each of the k^n table points, built on first use."""
-        return tuple(self.ranks(_points(self.k, self.n)).tolist())
-
-    @functools.cached_property
-    def orbit_getter(self):
-        """Gather of a spec into the full table through ``orbit_of_point``."""
-        return tuple_getter(self.orbit_of_point)
-
-
-@functools.lru_cache(maxsize=64)
-def symmetry_index(k: int, n: int) -> SymmetryIndex:
-    msets = tuple(multisets(k, n))
-    index = {m: i for i, m in enumerate(msets)}
-    y_groups = []
-    if n >= 2:
-        for alpha in multisets(k, n - 2):
-            y_groups.append(
-                tuple(index[tuple(sorted(alpha + (y, y)))] for y in range(k))
-            )
-    z_groups = []
-    if n >= 3:
-        for y in range(k):
-            for alpha in multisets(k, n - 3):
-                z_groups.append(
-                    tuple(index[tuple(sorted(alpha + (y, y, z)))] for z in range(k))
-                )
-    return SymmetryIndex(k, n, msets, index, tuple(y_groups), tuple(z_groups))
+def _fictive_groups(k: int, n: int):
+    """The groups of multiset indices on which a spec is constant iff y is
+    fictive, {y, y} + alpha over y for each alpha, and iff z is fictive,
+    {y, y, z} + alpha over z for each y and alpha."""
+    index = symmetry_index(k, n).index
+    y_groups = tuple(
+        tuple(index[tuple(sorted(alpha + (y, y)))] for y in range(k))
+        for alpha in (multisets(k, n - 2) if n >= 2 else ())
+    )
+    z_groups = tuple(
+        tuple(index[tuple(sorted(alpha + (y, y, z)))] for z in range(k))
+        for y in range(k)
+        for alpha in (multisets(k, n - 3) if n >= 3 else ())
+    )
+    return y_groups, z_groups
 
 
 def _component_reps(m: int, groups) -> tuple[int, ...]:
@@ -161,21 +109,15 @@ def _component_reps(m: int, groups) -> tuple[int, ...]:
 def _fictive_reps(k: int, n: int):
     """Component representatives of "y fictive", "z fictive" and both: a
     spec satisfies a condition iff spec[j] == spec[rep[j]] for every j."""
-    idx = symmetry_index(k, n)
-    m = len(idx.msets)
+    y_groups, z_groups = _fictive_groups(k, n)
+    m = comb(k + n - 1, n)
     return tuple(
-        _component_reps(m, groups)
-        for groups in (idx.y_groups, idx.z_groups, idx.y_groups + idx.z_groups)
+        _component_reps(m, groups) for groups in (y_groups, z_groups, y_groups + z_groups)
     )
 
 
 def symmetric_spec_count(k: int, n: int) -> int:
     return k ** comb(k + n - 1, n)
-
-
-def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
-    """Expand a multiset value tuple (canonical order) to a full table."""
-    return FiniteFunction(k, n, symmetry_index(k, n).orbit_getter(spec))
 
 
 # The most generator outputs ``_draw_rows`` decodes at once, 64 KiB of them.
@@ -281,28 +223,6 @@ def enumerate_symmetric(
         yield spec_to_function(k, n, spec)
 
 
-@functools.lru_cache(maxsize=64)
-def _fictive_getters(k: int, n: int):
-    """Gathers of the "y fictive" and "z fictive" representatives (n >= 2,
-    so a spec has at least 3 entries and each getter returns a tuple): a
-    spec satisfies a condition iff its gather equals the spec."""
-    y_rep, z_rep, _ = _fictive_reps(k, n)
-    return operator.itemgetter(*y_rep), operator.itemgetter(*z_rep)
-
-
-def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None]:
-    """(essential count, gap) of the symmetric function with this spec."""
-    if spec.count(spec[0]) == len(spec):
-        return 0, None
-    if n < 2:
-        return n, None
-    y_get, z_get = _fictive_getters(k, n)
-    spec = tuple(spec)
-    y_ess = y_get(spec) != spec
-    z_ess = z_get(spec) != spec
-    return n, n - y_ess - (n - 2) * z_ess
-
-
 def _constant(a: np.ndarray) -> np.ndarray:
     """Whether each vector along the last axis is constant."""
     return np.all(a == a[..., :1], axis=-1)
@@ -343,15 +263,13 @@ def _shape_dag(n: int):
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _shape_gathers(k: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Per partition of n into r < n parts, the gather whose entry y (a
+@functools.lru_cache(maxsize=1024)
+def _shape_gather(k: int, n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """For a partition of n into r < n parts, the gather whose entry y (a
     point of K^r in table order) is the index of the multiset y_1^l1 ...
-    y_r^lr: the table of F_shape, gathered from a spec. The root's table
-    is the whole k^n table, which nothing gathers."""
-    sym = symmetry_index(k, n)
-    return {shape: sym.ranks(np.repeat(_points(k, len(shape)), shape, axis=1))
-            for shape, _ in _shape_dag(n)[1:]}
+    y_r^lr: the table of F_shape, gathered from a spec. Built on first use;
+    the root's table is the whole k^n table, which nothing gathers."""
+    return symmetry_index(k, n).ranks(np.repeat(_digits(k, len(shape)), shape, axis=1))
 
 
 class _Shape(NamedTuple):
@@ -384,7 +302,6 @@ def _shape_walk(k: int, n: int, specs: np.ndarray) -> dict[tuple[int, ...], _Sha
     essential as ``_yz_essential`` says. Gives the reached shapes in walk
     order, the root first."""
     rows, root = len(specs), (1,) * n
-    gathers = _shape_gathers(k, n)
     masks = {root: np.repeat(~_constant(specs)[:, None], n, axis=1)}
     if n >= 2:
         y, z = _yz_essential(k, n, specs)
@@ -398,7 +315,7 @@ def _shape_walk(k: int, n: int, specs: np.ndarray) -> dict[tuple[int, ...], _Sha
         if shape in masks:
             mask = masks[shape]
         else:
-            mask = _essential_mask(k, len(shape), specs[:, gathers[shape]])
+            mask = _essential_mask(k, len(shape), specs[:, _shape_gather(k, n, shape)])
         edges = []  # (rows that merge into child, child)
         for i, j, child in merges:
             active = (d >= 0) & mask[:, i] & mask[:, j]

@@ -34,7 +34,7 @@ minors.
 a census does not import this module.
 
 Gathers are built on first use and cached per (k, n, o), the shapes' per
-(k, n) in ``enumeration``; nothing is built at import.
+(k, n, shape) in ``enumeration``; nothing is built at import.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ from math import comb
 
 import numpy as np
 
-from .enumeration import _constant, _deepest, _shape_walk, _yz_essential, symmetry_index
+from .enumeration import _constant, _deepest, _shape_walk, _yz_essential
 from .minors import _chunks, _essential_mask, _identify_plan, _values
-from .symmetric import multisets
+from .symmetric import multisets, symmetry_index
 
 
 def _ess_gap(k: int, n: int, specs: np.ndarray):
     """(ess, gap) of specs at (k, n) along the last axis, gap -1 for None,
-    as ``enumeration.spec_ess_gap`` gives them."""
+    as the per-spec oracle ``spec_ess_gap`` of ``tests/oracles.py`` gives
+    them."""
     const = _constant(specs)
     ess = np.where(const, 0, n).astype(np.int8)
     if n < 2:

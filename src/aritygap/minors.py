@@ -164,6 +164,14 @@ def _powers(k: int, w: int) -> np.ndarray:
     return k ** np.arange(w - 1, -1, -1, dtype=np.int64)
 
 
+def _digits(base: int, width: int) -> np.ndarray:
+    """(base^width, width): the base-``base`` digits of 0, ..., base^width - 1,
+    most significant first, of the narrowest index dtype; for base k, the
+    points of K^width in table order."""
+    count = base**width
+    return np.indices((base,) * width, dtype=_index_dtype(count)).reshape(width, count).T
+
+
 def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
            span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """An order of the rows of the tables ``tabs`` (m >= 1, w entries below
@@ -226,7 +234,7 @@ def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     and (n, n), whether i != j."""
     m = np.arange(k**n, dtype=_index_dtype(k**n))
     steps = k ** np.arange(n - 1, -1, -1, dtype=m.dtype)
-    digits = m // steps[:, None] % k
+    digits = _digits(k, n).T
     # entry m of the minor is entry m + (c_j - c_i) * k^(n-1-i) of the table
     return m + (digits[None] - digits[:, None]) * steps[:, None, None], ~np.eye(n, dtype=bool)
 

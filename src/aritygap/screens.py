@@ -29,9 +29,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .enumeration import _shape_gathers, symmetry_index
+from .enumeration import _shape_gather
 from .facts import SpecFacts, _constant
 from .subfunctions import sub_bound
+from .symmetric import symmetry_index
 
 
 class Violations(NamedTuple):
@@ -249,9 +250,9 @@ def _verdict_remark2_2(f):
 
 def _verdict_remark2_1(f):
     flagged = np.zeros(len(f.specs), dtype=bool)
-    gathers = _shape_gathers(f.k, f.n)
     for shape, depth, _, _ in f.shapes:
-        table, ess = f.specs[:, gathers[shape]], f._shape_tables[shape].mask
+        table = f.specs[:, _shape_gather(f.k, f.n, shape)]
+        ess = f._shape_tables[shape].mask
         # swapping two parts of equal size leaves a shape's table as it is
         unequal = [(a, b) for a, b in itertools.combinations(range(len(shape)), 2)
                    if shape[a] != shape[b]]

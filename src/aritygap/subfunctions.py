@@ -46,6 +46,7 @@ from .core import DomainError, FiniteFunction, PreconditionError
 from .minors import (
     _chunks,
     _collect,
+    _digits,
     _essential_mask,
     _essential_positions,
     _group,
@@ -257,12 +258,6 @@ def _level_records(k: int, n: int, table: tuple) -> tuple[SubfunctionRecord, ...
     return _build_records(k, found)
 
 
-def _digits(base: int, width: int, count: int) -> np.ndarray:
-    """(count, width): the base-``base`` digits of 0, ..., count - 1, most
-    significant first."""
-    return np.arange(count)[:, None] // base ** np.arange(width - 1, -1, -1) % base
-
-
 @functools.lru_cache(maxsize=8)
 def _count_plan(k: int, n: int):
     """The restriction plan of the closure counts at (k, n). Its states
@@ -284,7 +279,7 @@ def _count_plan(k: int, n: int):
     """
     steps = k ** np.arange(n - 1, -1, -1)
     codes = (k + 1) ** np.arange(n - 1, -1, -1)
-    states = _digits(k + 1, n, (k + 1) ** n)  # digit k: the position is free
+    states = _digits(k + 1, n)  # digit k: the position is free
     level = (states != k).sum(axis=1)
     states = states[np.argsort(level, kind="stable")]
     sizes = np.bincount(level, minlength=n + 1).tolist()
@@ -298,7 +293,7 @@ def _count_plan(k: int, n: int):
         free = d == k
         pos = np.nonzero(free)[1].reshape(size, a)
         # intp, which numpy gathers through without a cast
-        slices = (np.where(free, 0, d) @ steps)[:, None] + steps[pos] @ _digits(k, a, k**a).T
+        slices = (np.where(free, 0, d) @ steps)[:, None] + steps[pos] @ _digits(k, a).T
         fixed = np.nonzero(~free)[1].reshape(size, o)
         parents = place[(d @ codes)[:, None] + (k - np.take_along_axis(d, fixed, 1)) * codes[fixed]]
         levels.append((lo, slices, slices[:, 0], parents, np.left_shift(1, fixed).astype(bit)))

@@ -44,6 +44,7 @@ from .core import (
     iter_points,
     range_size,
 )
+from .documents import dump_function
 from .minors import essential_count, gap, gap_index, gap_profile
 from .subfunctions import sub_bound, subfunction_closure
 from .symmetric import (
@@ -58,6 +59,7 @@ from .symmetric import (
     multisets,
     recompose,
     SymmetricSpec,
+    symmetry_index,
 )
 from .enumeration import (
     DEFAULT_BUDGET,
@@ -71,7 +73,6 @@ from .enumeration import (
     gap2_ternary_images,
     gap_n_images,
     symmetric_spec_count,
-    symmetry_index,
 )
 
 VIOLATION_CAP = 100
@@ -121,12 +122,8 @@ class SuiteReport:
         }
 
 
-def _doc(f: FiniteFunction) -> dict:
-    return {"k": f.k, "n": f.n, "table": list(f.table)}
-
-
 def _violation(f: FiniteFunction, assertion: str, **info) -> dict:
-    return {"function": _doc(f), "assertion": assertion, "info": info}
+    return {"function": dump_function(f), "assertion": assertion, "info": info}
 
 
 def _keep(violations: list, record: dict) -> int:
@@ -425,7 +422,9 @@ def _run_thm2_3(name, k, n, mode, seed, sample, budget):
     if n != 3:
         raise UnknownSuiteError("thm2_3 is a ternary claim; run it with n=3")
     if k > 4:
-        raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET)
+        # a fixed limit: no option lifts it, and the claim is not sampled
+        raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET, "constructions",
+                          "construction limit")
     orbit = np.array(symmetry_index(k, 3).orbit_of_point)
     bucket = set(map(tuple, _nontrivial_gap_array(k, 3, budget, gaps={2})[:, orbit].tolist()))
     images = gap2_ternary_images(k)
@@ -468,6 +467,8 @@ def _run_thm2_1(name, k, n, mode, seed, sample, budget):
     form_count = k ** (len(dis_index) + 1)
     if form_count > budget:
         raise BudgetError(form_count, budget)
+    if seed is None:
+        raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
     eq_index = [m for m, p in enumerate(iter_points(k, n)) if not is_all_distinct(p)]
     violations = []
     total = 0
@@ -484,8 +485,6 @@ def _run_thm2_1(name, k, n, mode, seed, sample, budget):
             p = gap_profile(f)
             if not (p.ess == n and p.gap == n):
                 total += _keep(violations, _violation(f, "thm2_1.form-has-full-gap"))
-    if seed is None:
-        raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
     for tab in _seeded_rows(k, k**n, sample or 2000, seed, 20).tolist():
         f = FiniteFunction(k, n, tab)
         if essential_count(f) != n:
@@ -515,7 +514,6 @@ def _sample_decomposable_pairs(k, n, count, seed):
     half_zero = [v for v in range(k) if (2 * v) % k == 0]
     pairs = []
     idx_g = multisets(k, 2)
-    dis_orbits = [m for m in multisets(k, n) if len(set(m)) == n]
     attempt = 0
     while len(pairs) < count and attempt < 80 * count:
         rng = random.Random((seed << 26) ^ attempt)

@@ -4,7 +4,9 @@ A function is symmetric when its table is invariant under every permutation
 of its essential positions (fictive positions are exempt). A non-constant
 function that is invariant under all of S_n is determined by one value per
 size-n multiset over K; ``SymmetricSpec`` is that representation and drives
-enumeration.
+enumeration. ``SymmetryIndex`` (``symmetry_index``) is the one map between
+table points and multisets: expansion, compression, the total-symmetry test,
+the census and the suite screens all read it.
 
 The constructors build the classified families:
 
@@ -30,6 +32,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     DecompositionError,
     DomainError,
@@ -40,7 +44,7 @@ from .core import (
     iter_points,
     tuple_getter,
 )
-from .minors import _essential_positions, essential_count, gap
+from .minors import _digits, _essential_positions, essential_count, gap
 
 
 def multisets(k: int, n: int) -> list[tuple[int, ...]]:
@@ -75,23 +79,72 @@ def is_symmetric(f: FiniteFunction) -> bool:
     return True
 
 
+def _sorted_codes(k: int, values: np.ndarray) -> np.ndarray:
+    """The base-k code of each row of values below k once sorted, its first
+    (smallest) value the most significant digit."""
+    code = np.zeros(len(values), dtype=np.int64)
+    for column in np.sort(values, axis=1).T:
+        code = code * k + column
+    return code
+
+
+@dataclass(frozen=True)
+class SymmetryIndex:
+    """The multiset representation at one (k, n): the size-n multisets in
+    canonical order, each one's index, and the gathers between a table and
+    its one value per multiset. The only map between points and multisets."""
+
+    k: int
+    n: int
+    msets: tuple[tuple[int, ...], ...]
+    index: dict
+
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """The sorted code of each multiset, ascending: the multisets are
+        listed in lexicographic order. A multiset's code is the table index
+        of its sorted point."""
+        msets = np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
+        return _sorted_codes(self.k, msets)
+
+    def ranks(self, values: np.ndarray) -> np.ndarray:
+        """The index of the multiset of each row of ``values`` (n values
+        below k per row), found by a search among the multisets' codes."""
+        return np.searchsorted(self._codes, _sorted_codes(self.k, values))
+
+    @functools.cached_property
+    def orbit_of_point(self) -> tuple[int, ...]:
+        """Multiset index of each of the k^n table points, built on first use."""
+        return tuple(self.ranks(_digits(self.k, self.n)).tolist())
+
+    @functools.cached_property
+    def orbit_getter(self):
+        """Gather of a spec into the full table through ``orbit_of_point``."""
+        return tuple_getter(self.orbit_of_point)
+
+    @functools.cached_property
+    def multiset_getter(self):
+        """Gather of a table's entry at each multiset's sorted point: the
+        spec of a multiset-determined table."""
+        return tuple_getter(self._codes.tolist())
+
+
 @functools.lru_cache(maxsize=64)
-def _sorted_point_getter(k: int, n: int):
-    # entry m of the table read at the sorted coordinates of point m
-    return tuple_getter(tuple(index_of(sorted(p), k) for p in iter_points(k, n)))
+def symmetry_index(k: int, n: int) -> SymmetryIndex:
+    msets = tuple(multisets(k, n))
+    return SymmetryIndex(k, n, msets, {m: i for i, m in enumerate(msets)})
+
+
+def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
+    """Expand a multiset value tuple (canonical order) to a full table."""
+    return FiniteFunction(k, n, symmetry_index(k, n).orbit_getter(spec))
 
 
 def is_totally_symmetric(f: FiniteFunction) -> bool:
-    """Whether the table depends only on the multiset of coordinates."""
-    return _sorted_point_getter(f.k, f.n)(f.table) == f.table
-
-
-@functools.lru_cache(maxsize=64)
-def _multiset_getter(k: int, n: int):
-    """The size-n multisets over K and a gather of their entries (each one
-    at its sorted point) from a table."""
-    msets = tuple(multisets(k, n))
-    return msets, tuple_getter(tuple(index_of(m, k) for m in msets))
+    """Whether the table depends only on the multiset of coordinates: the
+    expansion of its entries at the sorted points is the table."""
+    idx = symmetry_index(f.k, f.n)
+    return idx.orbit_getter(idx.multiset_getter(f.table)) == f.table
 
 
 @dataclass
@@ -120,12 +173,7 @@ class SymmetricSpec:
 
 def expand(spec: SymmetricSpec) -> FiniteFunction:
     """The value table assigning each point the value of its sorted multiset."""
-    vals = spec.values
-    return FiniteFunction(
-        spec.k,
-        spec.n,
-        (vals[tuple(sorted(p))] for p in iter_points(spec.k, spec.n)),
-    )
+    return spec_to_function(spec.k, spec.n, spec.as_tuple())
 
 
 def compress(f: FiniteFunction) -> SymmetricSpec:
@@ -134,8 +182,8 @@ def compress(f: FiniteFunction) -> SymmetricSpec:
         raise PreconditionError(
             "table is not invariant under all coordinate permutations"
         )
-    msets, getter = _multiset_getter(f.k, f.n)
-    return SymmetricSpec(f.k, f.n, dict(zip(msets, getter(f.table))))
+    idx = symmetry_index(f.k, f.n)
+    return SymmetricSpec(f.k, f.n, dict(zip(idx.msets, idx.multiset_getter(f.table))))
 
 
 def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:
@@ -150,16 +198,13 @@ def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:
     for c in alpha:
         if not 0 <= c < k:
             raise DomainError(f"alpha entry {c} outside 0..{k - 1}")
-    key = tuple(sorted(alpha))
     weight = 1
     for c in Counter(alpha).values():
         weight *= math.factorial(c)
-    weight %= k
-    return FiniteFunction(
-        k,
-        n,
-        (weight if tuple(sorted(p)) == key else 0 for p in iter_points(k, n)),
-    )
+    idx = symmetry_index(k, n)
+    spec = [0] * len(idx.msets)
+    spec[idx.index[tuple(sorted(alpha))]] = weight % k
+    return spec_to_function(k, n, tuple(spec))
 
 
 @functools.lru_cache(maxsize=64)
@@ -434,10 +479,10 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
     h = FiniteFunction(
         k, n, (v if is_all_distinct(p) else 0 for p, v in zip(iter_points(k, n), f.table))
     )
-    unknowns = multisets(k, n - 2)
-    unknown_index = {m: i for i, m in enumerate(unknowns)}
+    unknowns = symmetry_index(k, n - 2)
+    big_index = symmetry_index(k, n)
     equations = []
-    for big in multisets(k, n):
+    for big, value in zip(big_index.msets, big_index.multiset_getter(f.table)):
         counts = Counter(big)
         if len(counts) == n:
             continue
@@ -447,24 +492,18 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
                 reduced = list(big)
                 reduced.remove(v)
                 reduced.remove(v)
-                idx = unknown_index[tuple(reduced)]
+                idx = unknowns.index[tuple(reduced)]
                 coeffs[idx] = coeffs.get(idx, 0) + math.comb(c, 2)
-        equations.append((coeffs, f.table[index_of(big, k)]))
+        equations.append((coeffs, value))
 
     from .minors import gap_index, gap_profile
 
     want_gap = 2 if gap_index(f) > 2 else n - 2
 
-    def build(solution):
-        return expand(
-            SymmetricSpec(
-                k, n - 2, {m: solution[i] for m, i in unknown_index.items()}
-            )
-        )
-
+    m = len(unknowns.msets)
     g = None
-    for count, solution in enumerate(_solutions({}, equations, k, len(unknowns))):
-        candidate = build(solution)
+    for count, solution in enumerate(_solutions({}, equations, k, m)):
+        candidate = spec_to_function(k, n - 2, tuple(solution[i] for i in range(m)))
         if g is None:
             g = candidate
         p = gap_profile(candidate)

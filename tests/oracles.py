@@ -13,15 +13,18 @@ tables at every fixing of positions and constants, is the table-level
 oracle of that screen, which reads the restrictions of specs instead.
 
 Also here: the two breadth-first subfunction closures the closure kernel is
-tested against, the tuple listing of the cells of the gap >= 2 class, and
-the identification-shape walk over every shape (``full_shape_walk``) that
-the census's walk of the reached shapes is tested against.
+tested against, the tuple listing of the cells of the gap >= 2 class, the
+(essential count, gap) of one spec (``spec_ess_gap``) that the checkers
+read and the batched ``facts`` are tested against, and the
+identification-shape walk over every shape (``full_shape_walk``) that the
+census's walk of the reached shapes is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter, deque
 from math import comb
 
@@ -30,11 +33,11 @@ import numpy as np
 from aritygap import FiniteFunction
 from aritygap.core import range_size
 from aritygap.enumeration import (
+    _fictive_reps,
     _nontrivial_gap_array,
     _shape_dag,
-    _shape_gathers,
+    _shape_gather,
     _tuples,
-    spec_ess_gap,
     spec_to_function,
     symmetry_index,
 )
@@ -163,6 +166,28 @@ def closure_symmetric(f: FiniteFunction) -> _Closure:
 
 # ---------------------------------------------------------------------------
 # the exact claims, one instance at a time
+
+
+@functools.lru_cache(maxsize=64)
+def _fictive_getters(k: int, n: int):
+    """Gathers of the "y fictive" and "z fictive" representatives (n >= 2,
+    so a spec has at least 3 entries and each getter returns a tuple): a
+    spec satisfies a condition iff its gather equals the spec."""
+    y_rep, z_rep, _ = _fictive_reps(k, n)
+    return operator.itemgetter(*y_rep), operator.itemgetter(*z_rep)
+
+
+def spec_ess_gap(k: int, n: int, spec: tuple[int, ...]) -> tuple[int, int | None]:
+    """(essential count, gap) of the symmetric function with this spec."""
+    if spec.count(spec[0]) == len(spec):
+        return 0, None
+    if n < 2:
+        return n, None
+    y_get, z_get = _fictive_getters(k, n)
+    spec = tuple(spec)
+    y_ess = y_get(spec) != spec
+    z_ess = z_get(spec) != spec
+    return n, n - y_ess - (n - 2) * z_ess
 
 
 def fast_profile_of(f: FiniteFunction) -> tuple[int, int | None]:
@@ -463,14 +488,19 @@ def full_shape_walk(k: int, n: int, specs) -> dict:
     reached shapes and reads the masks of the root and its one child off
     the representation."""
     specs = _values(k, specs).reshape(-1, comb(k + n - 1, n))
-    gathers = dict(_shape_gathers(k, n))
-    gathers[(1,) * n] = np.array(symmetry_index(k, n).orbit_of_point, dtype=np.intp)
+    root = (1,) * n
     rows = len(specs)
-    masks = {shape: _essential_mask(k, len(shape), specs[:, gathers[shape]])
+
+    def gather(shape):  # the root's is the multiset index of every point
+        if shape == root:
+            return np.array(symmetry_index(k, n).orbit_of_point, dtype=np.intp)
+        return _shape_gather(k, n, shape)
+
+    masks = {shape: _essential_mask(k, len(shape), specs[:, gather(shape)])
              for shape, _ in _shape_dag(n)}
     count = {shape: e.sum(axis=1) for shape, e in masks.items()}
     depth = {shape: np.full(rows, -1, dtype=np.int64) for shape in masks}
-    depth[(1,) * n][:] = 0
+    depth[root][:] = 0
     out = {}
     for shape, merges in _shape_dag(n):
         d, e = depth[shape], masks[shape]

@@ -360,10 +360,22 @@ def test_verify_refuses_class_over_listing_limit(capsys):
     assert "use sampling" not in err
 
 
+def test_verify_thm2_3_refusal_names_a_fixed_limit(capsys):
+    # past k = 4 no budget lifts the refusal and thm2_3 cannot sample, so
+    # it offers neither remedy
+    code, out, err = run_cli(capsys, "verify", "thm2_3", "-k", "5", "-n", "3",
+                             "--budget", "100000000000")
+    assert code == 2
+    assert out == ""
+    assert "61035156250 constructions" in err and "construction limit" in err
+    assert "use sampling" not in err and "override" not in err
+
+
 @pytest.mark.parametrize("k,n,members", [(4, 5, 65532), (3, 5, 78)])
 def test_verify_samples_gap2_class_beyond_n4(capsys, k, n, members):
-    from aritygap.enumeration import nontrivial_gap_specs, spec_ess_gap
+    from aritygap.enumeration import nontrivial_gap_specs
     from aritygap.suites import _sample_gap2_specs
+    from oracles import spec_ess_gap
 
     gap2 = [s for s in nontrivial_gap_specs(k, n) if spec_ess_gap(k, n, s) == (n, 2)]
     assert len(gap2) == members

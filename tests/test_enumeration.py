@@ -22,16 +22,15 @@ from aritygap import (
 from aritygap.enumeration import (
     LIST_LIMIT,
     _bucket_counts,
+    _fictive_groups,
     _nontrivial,
     _nontrivial_gap_array,
     _shape_walk,
     gap_n_images,
     sample_specs,
-    spec_ess_gap,
-    symmetry_index,
 )
 from aritygap.minors import _rounds
-from oracles import full_shape_walk
+from oracles import full_shape_walk, spec_ess_gap
 
 _BATCH = 1 << 18
 
@@ -49,8 +48,8 @@ def spec_of_index(k, n, idx):
 def scan_range(k, n, start, stop):
     """Oracle: bucket counts plus non-trivial-gap spec indices for one index
     range, by testing every candidate's y and z groups (numpy, in batches)."""
-    idx = symmetry_index(k, n)
-    m = len(idx.msets)
+    m = math.comb(k + n - 1, n)
+    y_groups, z_groups = _fictive_groups(k, n)
     counts = Counter()
     nontrivial = []
     weights = np.array([k ** (m - 1 - j) for j in range(m)], dtype=np.int64)
@@ -65,12 +64,12 @@ def scan_range(k, n, start, stop):
             counts[(n, None)] += len(a) - nc
             continue
         y_fict = np.ones(len(a), dtype=bool)
-        for grp in idx.y_groups:
+        for grp in y_groups:
             g0 = v[:, grp[0]]
             for t in grp[1:]:
                 y_fict &= v[:, t] == g0
         z_fict = np.ones(len(a), dtype=bool)
-        for grp in idx.z_groups:
+        for grp in z_groups:
             g0 = v[:, grp[0]]
             for t in grp[1:]:
                 z_fict &= v[:, t] == g0

@@ -28,7 +28,6 @@ from aritygap.cli import main
 from aritygap.enumeration import (
     _fictive_reps,
     nontrivial_gap_specs,
-    spec_ess_gap,
     spec_to_function,
     symmetry_index,
 )
@@ -47,7 +46,14 @@ from aritygap.suites import (
 )
 from aritygap.symmetric import construct_gap2_ternary, diagonal_values, is_symmetric, multisets
 import oracles
-from oracles import ORACLES, closure_generic, closure_symmetric, lemma2_1_records, slice_flags
+from oracles import (
+    ORACLES,
+    closure_generic,
+    closure_symmetric,
+    lemma2_1_records,
+    slice_flags,
+    spec_ess_gap,
+)
 from table_strategies import table_chunks
 
 # (verify arguments, exit code, sha256 of the JSON report)

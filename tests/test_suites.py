@@ -125,6 +125,16 @@ def test_thm2_1_form():
     assert report.instances_checked >= 2184
 
 
+def test_thm2_1_without_seed_refused_before_the_forms(monkeypatch):
+    # the missing seed used to be noticed only after every form was profiled
+    def profiled(f):
+        raise AssertionError("a form was profiled")
+
+    monkeypatch.setattr(suites, "gap_profile", profiled)
+    with pytest.raises(DomainError, match="explicit seed"):
+        run_suite("thm2_1", 3, 3)
+
+
 def test_cor2_1_counts():
     report = run_suite("cor2_1", 3, 3)
     assert report.passed
