@@ -276,41 +276,31 @@ def _worker_count(text: str) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it as it was."""
-    parser = argparse.ArgumentParser(
-        prog="aritygap",
-        description=(
-            "Analyze finite k-valued functions given as value tables: "
-            "essential variables, identification minors, arity gap, "
-            "subfunctions, separability, symmetric constructions, censuses "
-            "and verification suites."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_output(p):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("analyze", help="report the analysis of one function document")
+def _add_analyze(p):
     p.add_argument("input", nargs="?", default="-", help="function document path or - for stdin")
-    add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("construct", help="build a function table from a constructor spec")
+
+def _add_construct(p):
     p.add_argument("kind", choices=_CONSTRUCT_KINDS)
     p.add_argument("spec", nargs="?", default="-", help="spec document path or - for stdin")
-    add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_construct)
 
-    p = sub.add_parser("decompose", help="extract the pairwise-conjunction decomposition")
+
+def _add_decompose(p):
     p.add_argument("input", nargs="?", default="-")
-    add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("census", help="classify all symmetric functions at (k, n)")
+
+def _add_census(p):
     p.add_argument("-k", type=_int_at_least(2), required=True)
     p.add_argument("-n", type=_int_at_least(0), required=True)
     p.add_argument("--workers", type=_worker_count, default=1,
@@ -321,10 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print one line of run statistics to stderr (not part of the report)",
     )
-    add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_census)
 
-    p = sub.add_parser("verify", help="run one registered verification suite")
+
+def _add_verify(p):
     p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
     p.add_argument("-k", type=_int_at_least(2), required=True)
     p.add_argument("-n", type=_int_at_least(0), required=True)
@@ -338,15 +329,64 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print one line of run statistics to stderr (not part of the report)",
     )
-    add_common(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_verify)
 
+
+# Each command's help line and the function that adds its arguments: the
+# full parser and the one-command parsers are both built from these.
+_COMMANDS = {
+    "analyze": ("report the analysis of one function document", _add_analyze),
+    "construct": ("build a function table from a constructor spec", _add_construct),
+    "decompose": ("extract the pairwise-conjunction decomposition", _add_decompose),
+    "census": ("classify all symmetric functions at (k, n)", _add_census),
+    "verify": ("run one registered verification suite", _add_verify),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process: parsing leaves it as it was."""
+    parser = argparse.ArgumentParser(
+        prog="aritygap",
+        description=(
+            "Analyze finite k-valued functions given as value tables: "
+            "essential variables, identification minors, arity gap, "
+            "subfunctions, separability, symmetric constructions, censuses "
+            "and verification suites."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, built once per process. It is
+    built as the full parser builds its subparser for ``name``, so its help,
+    usage and errors read the same."""
+    parser = argparse.ArgumentParser(prog=f"aritygap {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the command it names, if it names
+    one, and with the full parser otherwise. Arguments left over by the
+    command's parser are reported by the full parser, under its usage, as
+    the full parser reports them."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

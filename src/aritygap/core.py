@@ -52,8 +52,8 @@ class BudgetError(RuntimeError):
                 f"explicit budget override"
             )
         else:
-            # a fixed limit: no override lifts it, and sampling lists the
-            # same class, so there is nothing to suggest
+            # a fixed limit, which no override lifts, or a budget that
+            # sampling would not help meet: there is nothing to suggest
             message = (
                 f"listing requires {_count(required)} {unit}, over the {limit} of "
                 f"{_count(budget)}"

@@ -176,9 +176,10 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarra
 _FULL_GAP_SUITES = frozenset({"thm3_1", "lemma3_1"})
 
 
-def _check_sample_size(count: int, width: int, unit: str) -> None:
-    """Refuse a sample of ``count`` rows of ``width`` entries each when it
-    spans more than ``LIST_LIMIT`` entries, before anything is drawn."""
+def _check_listing_size(count: int, width: int, unit: str) -> None:
+    """Refuse ``count`` rows of ``width`` entries each (a sample, or
+    ``thm2_6``'s linear maps) when they span more than ``LIST_LIMIT``
+    entries, before any row is drawn or built."""
     if count * width > LIST_LIMIT:
         raise BudgetError(count * width, LIST_LIMIT, unit, "listing limit")
 
@@ -210,7 +211,7 @@ def _population(name, k, n, mode, seed, sample, budget):
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
         count = sample or (10000 if name == "willard" else 1000)
-        _check_sample_size(count, width, "table entries")
+        _check_listing_size(count, width, "table entries")
         if name == "willard":
             params["sample"] = count
         return (_seeded_rows(k, width, count, seed, 20), f"sample(raw tables, {count})",
@@ -224,8 +225,8 @@ def _population(name, k, n, mode, seed, sample, budget):
                               f"never holds at n = {n}; use exhaustive mode")
         count = sample or (1000 if name == "lemma2_1" else 300)
         if reads_shapes(name, n):
-            _check_sample_size(count, k**n, "table entries")
-        _check_sample_size(count, width, "spec entries")
+            _check_listing_size(count, k**n, "table entries")
+        _check_listing_size(count, width, "spec entries")
         if name == "lemma2_1":
             return (_seeded_rows(k, width, count, seed, 24), f"sample({count})", [], params,
                     count)
@@ -466,7 +467,8 @@ def _run_thm2_1(name, k, n, mode, seed, sample, budget):
     ]
     form_count = k ** (len(dis_index) + 1)
     if form_count > budget:
-        raise BudgetError(form_count, budget)
+        # every mode sweeps all the forms, so sampling would not help
+        raise BudgetError(form_count, budget, "forms", "--budget")
     if seed is None:
         raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
     eq_index = [m for m, p in enumerate(iter_points(k, n)) if not is_all_distinct(p)]
@@ -580,6 +582,7 @@ def _run_thm2_6(name, k, n, mode, seed, sample, budget):
     all-coefficients-k/2 maps as the only all-essential witnesses."""
     if n < 2:
         raise UnknownSuiteError("thm2_6 needs n >= 2: a gap needs two essential variables")
+    _check_listing_size(k ** (n + 1), k**n, "table entries")
     violations = []
     total = 0
     instances = 0

@@ -450,18 +450,62 @@ def test_successive_calls_share_one_parser(capsys, monkeypatch):
         ("verify", "cor4_1", "-k", "3", "-n", "3", "--format", "json"),  # a pass
         ("verify", "cor4_1", "-k", "3", "--format", "json"),  # -n is missing
         ("verify", "cor4_1", "-k", "3", "-n", "3", "--workers", "3"),  # over the CPUs
+        ("verify", "cor4_1", "-k", "3", "-n", "3", "--frob"),  # the full parser reports it
         ("verify", "cor4_1", "-k", "3", "-n", "3", "--format", "json"),
     ]
-    cli.build_parser.cache_clear()
+
+    def clear():
+        cli._command_parser.cache_clear()
+        cli.build_parser.cache_clear()
+
+    clear()
     shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._command_parser.cache_info().misses == 1
     assert cli.build_parser.cache_info().misses == 1
     fresh = []
     for argv in calls:
-        cli.build_parser.cache_clear()
+        clear()
         fresh.append(run_cli(capsys, *argv))
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 2, 2, 0]
+    assert [code for code, _, _ in shared] == [0, 2, 2, 2, 0]
     assert "at most 2" in shared[2][2]
+
+
+def test_census_builds_no_other_command_arguments(capsys, monkeypatch):
+    def built(parser):
+        raise AssertionError("verify's arguments were built")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", (cli._COMMANDS["verify"][0], built))
+    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
+    code, out, _ = run_cli(capsys, "census", "-k", "2", "-n", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["population"] == 8
+    assert cli.build_parser.cache_info().misses == 0
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    argv = ["census", "-k", "2", "-n", "2", "--format", "json"]
+    want = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["aritygap", *argv])
+    assert main() == 0
+    assert (0, *capsys.readouterr()) == want
+    monkeypatch.setattr(sys, "argv", ["aritygap", "census", "-k", "2"])
+    assert main() == 2
+    assert "aritygap census: error: the following arguments are required: -n" in (
+        capsys.readouterr().err)
+
+
+GOLDEN_CLI = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("row", GOLDEN_CLI, ids=lambda row: " ".join(row["argv"]) or "(none)")
+def test_usage_and_errors_unchanged(capsys, monkeypatch, row):
+    # stdout, stderr and exit code recorded from the one-parser CLI (under
+    # Python 3.11, COLUMNS=80 and two CPUs) before each command got a parser
+    # of its own
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert run_cli(capsys, *row["argv"]) == (row["code"], row["out"], row["err"])
 
 
 # recorded while these suites still checked every instance, with one worker

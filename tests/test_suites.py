@@ -135,6 +135,41 @@ def test_thm2_1_without_seed_refused_before_the_forms(monkeypatch):
         run_suite("thm2_1", 3, 3)
 
 
+@pytest.mark.parametrize("k,n,entries", [(2, 13, 2**27), (4, 12, 4**25)])
+def test_thm2_6_past_the_listing_limit_refused_before_any_map(capsys, monkeypatch, k, n, entries):
+    # (4, 12) used to start building 4^13 linear maps of 4^12 entries each
+    def constructed(k, spec):
+        raise AssertionError("a linear map was built")
+
+    monkeypatch.setattr(suites, "construct_linear", constructed)
+    assert cli.main(["verify", "thm2_6", "-k", str(k), "-n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: listing requires {entries} table entries, "
+                   "over the listing limit of 100000000\n")
+
+
+def test_thm2_6_red_at_n2():
+    # README "Known red checks": identifying x_1 with x_2 in x_1 + 2 x_2
+    # (mod 3) leaves a constant, so both variables go fictive and the gap is 2
+    doc = run_suite("thm2_6", 3, 2).to_doc()
+    assert (doc["passed"], doc["instances_checked"], doc["violations_total"]) == (False, 12, 6)
+    first = doc["violations"][0]
+    assert first["assertion"] == "thm2_6.odd-radix-gap"
+    assert first["info"] == {"coeffs": [1, 2]}
+    assert first["function"] == {"k": 3, "n": 2, "table": [0, 2, 1, 1, 0, 2, 2, 1, 0]}
+
+
+def test_thm2_1_forms_over_budget_refused_without_suggesting_sampling(capsys):
+    # the refusal used to count "candidates" and suggest sampling, which
+    # cannot help: every mode sweeps all the forms
+    argv = ["verify", "thm2_1", "-k", "4", "-n", "3", "--mode", "sample", "--seed", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: listing requires 1125899906842624 forms, over the --budget of 100000000\n"
+
+
 def test_cor2_1_counts():
     report = run_suite("cor2_1", 3, 3)
     assert report.passed
