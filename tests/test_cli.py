@@ -666,6 +666,31 @@ GOLDEN_REPORTS = [
      "dc2f1bddad96d9bee5980f029933fc3b574daca3e5a31288dadde6043fb7eee2"),
     (('census', '-k', '3', '-n', '6', '--budget-override'), 0,
      "8f4c33cd58bd1b11d6649dd430af32856d2b83da6bd86563da1a405855876519"),
+    # recorded before the constructive suites were decided on arrays and
+    # thm2_6 joined the screened runner; (3, 2) and (4, 2) are the red
+    # thm2_6 rows of README "Known red checks"
+    (("verify", "thm2_6", "-k", "4", "-n", "3"), 0,
+     "018b4531b3c3ccdbae3f73876480137d0bcae95bf5ca89d108a7d049750cf26d"),
+    (("verify", "thm2_6", "-k", "2", "-n", "9"), 0,
+     "c9ed66891e12799f65d641737d1a5f8d23507db0c44578d2b50a2b1b8b740fb1"),
+    (("verify", "thm2_6", "-k", "3", "-n", "2"), 1,
+     "ecf9b289f37eba5d880bf754e13593bf8d72cb6e939b968808de1179c58ada5c"),
+    (("verify", "thm2_6", "-k", "4", "-n", "2"), 1,
+     "7c50c238e64c1b93b9b386cbb707c72ceeed5d6bd2899131b605678419a236d8"),
+    (("verify", "thm2_2", "-k", "3", "-n", "2"), 0,
+     "4932d0dd4c6a9c8154ba88788aa91dcfa9d35edf99c2cfb366c2d78125e1f367"),
+    (("verify", "thm2_2", "-k", "4", "-n", "2"), 0,
+     "50d89a1ada73055af5ea4f969c8bb07085610c0104eb0ffd71e6cacb1c2456cb"),
+    (("verify", "thm2_2", "-k", "4", "-n", "4"), 0,
+     "c4d2317c194664e22896e9db158a162513156bd4fb26f745d4e3902d40c15913"),
+    (("verify", "thm2_3", "-k", "3", "-n", "3"), 0,
+     "9425fa1cf40786c132ec0a776ca42ff9b152d1dd0da9de0b9c62087ac10c9fa2"),
+    (("verify", "thm2_3", "-k", "2", "-n", "3"), 0,
+     "abbf26d817f302e846e43f9ecc00682cd82fb23e63eaadb1911f51ff281308e2"),
+    (("verify", "cor2_1", "-k", "4", "-n", "2"), 0,
+     "7b479cea972279935c92d88de6f3fb710ede981f28c80ddea170d569d0b1e594"),
+    (("verify", "cor2_1", "-k", "4", "-n", "4"), 0,
+     "d88e90f0958b89ee5e7d406b530a2e0ec481f10b622ab1fa0803a7291a2ac336"),
 ]
 
 
