@@ -46,14 +46,10 @@ import numpy as np
 from .core import (
     BudgetError,
     DomainError,
-    PreconditionError,
     check_domain,
 )
 from .minors import _chunks, _digits, _essential_mask, _values
 from .symmetric import (
-    GapNSpec,
-    _gap2_ternary_table,
-    construct_gap_n,
     multisets,
     spec_to_function,
     symmetry_index,
@@ -519,33 +515,3 @@ def _nontrivial_gap_array(
     if len(parts) > 1 and symmetric_spec_count(k, n) > budget:
         specs = specs[np.lexsort(specs.T[::-1])]  # each cell ascends alone
     return specs
-
-
-def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:
-    """Tables of every valid full-gap construction at (k, n), deduplicated."""
-    if not 2 <= n <= k:
-        return set()
-    subsets = list(itertools.combinations(range(k), n))
-    images: set[tuple[int, ...]] = set()
-    for a0 in range(k):
-        for combo in itertools.product(range(k), repeat=len(subsets)):
-            try:
-                f = construct_gap_n(
-                    k, n, GapNSpec(a0, dict(zip(subsets, combo)))
-                )
-            except PreconditionError:
-                continue
-            images.add(f.table)
-    return images
-
-
-def gap2_ternary_images(k: int) -> set[tuple[int, ...]]:
-    """Tables of every valid ternary gap-2 construction, both families."""
-    images: set[tuple[int, ...]] = set()
-    for family in ("minority", "majority"):
-        for a in itertools.product(range(k), repeat=k):
-            if len(set(a)) < 2:
-                continue
-            for combo in itertools.product(range(k), repeat=comb(k, 3)):
-                images.add(_gap2_ternary_table(k, family, a, combo))
-    return images

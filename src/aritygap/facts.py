@@ -28,7 +28,8 @@ every row at once, the facts that the symmetric claims are about:
 
 :class:`TableFacts` computes (ess, gap) for a chunk of raw value tables
 from their essential masks and the essential masks of their one-step
-minors.
+minors; ess alone reads no minor, so a hypothesis over it leaves the
+minors to the instance rows.
 
 ``screens.SCREENS`` turns these facts into each population suite's claim;
 a census does not import this module.
@@ -112,6 +113,11 @@ class SpecFacts:
     def ess_gap(self) -> tuple[np.ndarray, np.ndarray]:
         """(ess, gap) per row, gap -1 where it is undefined."""
         return _ess_gap(self.k, self.n, self.specs)
+
+    @property
+    def ess(self) -> np.ndarray:
+        """The essential variables per row: n, or 0 for a constant row."""
+        return self.ess_gap[0]
 
     @functools.cached_property
     def yz_essential(self) -> tuple[np.ndarray, np.ndarray]:
@@ -231,19 +237,27 @@ class TableFacts:
             for p in _chunks(len(tables), len(i) * k**n)])
 
     @functools.cached_property
+    def _essential(self) -> np.ndarray:
+        """(N, n): whether each position is essential in each row."""
+        return _essential_mask(self.k, self.n, self.tables)
+
+    @functools.cached_property
+    def ess(self) -> np.ndarray:
+        """The essential variables per row, read without any minor."""
+        return self._essential.sum(axis=1).astype(np.int8)
+
+    @functools.cached_property
     def ess_gap(self) -> tuple[np.ndarray, np.ndarray]:
         """(ess, gap) per row, gap -1 where it is undefined: ess minus the
         most essential variables of a one-step minor x_i := x_j, i != j
         both essential."""
-        k, n, tables = self.k, self.n, self.tables
-        mask = _essential_mask(k, n, tables)
-        ess = mask.sum(axis=1)
-        best = np.zeros(len(tables), dtype=np.int64)
+        k, n, mask, ess = self.k, self.n, self._essential, self.ess
+        best = np.zeros(len(self.tables), dtype=np.int64)
         if n >= 2:
             i, j = np.nonzero(_identify_plan(k, n)[1])
             counts = self.minor_masks.sum(axis=2)
             best = np.where(mask[:, i] & mask[:, j], counts, -1).max(axis=1)
-        return ess.astype(np.int8), np.where(ess >= 2, ess - best, -1).astype(np.int8)
+        return ess, np.where(ess >= 2, ess - best, -1).astype(np.int8)
 
     def table(self, row: int) -> list[int]:
         """The value table of one row."""

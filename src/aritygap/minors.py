@@ -213,6 +213,14 @@ def _distinct(k: int, tabs: np.ndarray) -> np.ndarray:
     return tabs[order[new]]
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a 2-d array of non-negative integers (at
+    least one column): its entries in big-endian bytes, so keys compare as
+    the rows do, entry by entry."""
+    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * rows.shape[1]))).ravel()
+
+
 def _collect(parts, make, merge) -> tuple[np.ndarray, ...]:
     """The rows that ``make`` gives for the parts, each a tuple of arrays
     of distinct rows, made distinct together by ``merge``. Held rows are

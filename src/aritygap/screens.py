@@ -59,7 +59,7 @@ def _restricted(ess: np.ndarray, gap: np.ndarray, row: int, c: int) -> dict:
 
 
 def _all_essential(f: SpecFacts):
-    return f.ess_gap[0] == f.n
+    return f.ess == f.n
 
 
 def _nontrivial_gap(f: SpecFacts):
@@ -293,6 +293,20 @@ def _verdict_willard(f):
                       lambda r, _: {"gap": int(gap[r])}), {}
 
 
+def _verdict_thm2_6(f):
+    k, n, gap = f.k, f.n, f.ess_gap[1]
+    # the coefficients of a linear table: c = t[0], a_i = t[e_i] - c mod k
+    const = f.tables[:, :1].astype(np.int64)
+    coeffs = (f.tables[:, [k ** (n - 1 - i) for i in range(n)]] - const) % k
+    half = (gap == 2) & np.all(coeffs == k // 2, axis=1)
+    odd = k % 2 == 1
+    return (Violations(("thm2_6.odd-radix-gap", "thm2_6.even-witness-form"),
+                       np.stack([odd & (gap >= 2), (not odd) & (gap >= 2) & ~half], axis=1),
+                       lambda r, s: {"coeffs": coeffs[r].tolist(),
+                                     **({"gap": int(gap[r])} if s else {})}),
+            {"odd" if odd else "even": np.ones(len(gap), dtype=np.int64)})
+
+
 SCREENS = {
     "thm3_1": (lambda f: _gap_n(f) & (f.n > 2), _verdict_thm3_1),
     "lemma3_1": (lambda f: _gap_n(f) & (f.n <= f.k), _verdict_lemma3_1),
@@ -310,8 +324,9 @@ SCREENS = {
     "remark2_1": (_nontrivial_gap, _verdict_remark2_1),
     "lemma2_3": (lambda f: _gap_2(f) & (f.n > 3), _verdict_lemma2_3),
     "willard": (lambda f: _all_essential(f) & (f.n >= 2), _verdict_willard),
+    "thm2_6": (lambda f: _all_essential(f) & (f.n >= 2), _verdict_thm2_6),
 }
-TABLE_SCREENS = frozenset({"lemma2_3", "willard"})
+TABLE_SCREENS = frozenset({"lemma2_3", "willard", "thm2_6"})
 # The screens whose verdicts read the identification shapes of SpecFacts
 # (its ``gap_index``, ``shapes`` or ``_shape_tables``), with the least n from
 # which they read them. A sample of one is bounded by k^n table entries per

@@ -9,7 +9,7 @@ hypothesis filter is empty at the given parameters.
 Every screened suite is a population suite. Its population is one array,
 one row per instance in report order, built by ``_population``: multiset
 specs for the symmetric claims, raw value tables for the unrestricted ones
-(``lemma2_3``, ``willard``). Where a full symmetric space is out of reach,
+(``lemma2_3``, ``willard``) and for ``thm2_6``'s linear maps. Where a full symmetric space is out of reach,
 the exhaustively enumerable non-trivial-gap subclass (see
 ``nontrivial_gap_specs``) is used and the report says so in its notes.
 
@@ -17,7 +17,9 @@ the exhaustively enumerable non-trivial-gap subclass (see
 process, by the batched screens of ``screens`` over ``facts`` (imported on
 first use: every CLI process imports this module, and only these suites
 need them). A screen is the only statement of its claim: its violation
-count and its records are read off the same arrays.
+count and its records are read off the same arrays. The classifications by
+construction (``thm2_2``, ``thm2_3``, ``cor2_1``) compare the sorted tables of
+a listed cell with those of one gather per construction form.
 
 Reports are deterministic: byte-identical for identical parameters and
 seed. A worker count is accepted and has no effect.
@@ -45,17 +47,19 @@ from .core import (
     range_size,
 )
 from .documents import dump_function
-from .minors import essential_count, gap, gap_index, gap_profile
+from .minors import _row_keys, essential_count, gap, gap_index, gap_profile
 from .subfunctions import sub_bound, subfunction_closure
 from .symmetric import (
-    GapNSpec,
-    _gap2_ternary_table,
-    construct_gap_n,
+    _gap_n_images,
+    _gap_n_plan,
+    _ternary_images,
+    _ternary_plan,
     construct_linear,
     LinearSpec,
     expand,
     extract_decomposition,
     is_symmetric,
+    linear_tables,
     multisets,
     recompose,
     SymmetricSpec,
@@ -64,14 +68,13 @@ from .symmetric import (
 from .enumeration import (
     DEFAULT_BUDGET,
     LIST_LIMIT,
+    _constant,
     _draw_rows,
     _fictive,
     _fictive_reps,
     _nontrivial_gap_array,
     _seeded_rows,
     _solutions,
-    gap2_ternary_images,
-    gap_n_images,
     symmetric_spec_count,
 )
 
@@ -176,26 +179,29 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarra
 _FULL_GAP_SUITES = frozenset({"thm3_1", "lemma3_1"})
 
 
-def _check_listing_size(count: int, width: int, unit: str) -> None:
-    """Refuse ``count`` rows of ``width`` entries each (a sample, or
-    ``thm2_6``'s linear maps) when they span more than ``LIST_LIMIT``
-    entries, before any row is drawn or built."""
+def _check_listing_size(count: int, width: int, unit: str, limit: str = "listing limit") -> None:
+    """Refuse ``count`` rows of ``width`` entries each (a sample, ``thm2_6``'s
+    linear maps or ``cor2_1``'s constructions) when they span more than
+    ``LIST_LIMIT`` entries, before any row is drawn or built."""
     if count * width > LIST_LIMIT:
-        raise BudgetError(count * width, LIST_LIMIT, unit, "listing limit")
+        raise BudgetError(count * width, LIST_LIMIT, unit, limit)
 
 
 def _population(name, k, n, mode, seed, sample, budget):
     """The population that suite ``name`` checks, as one array with one row
-    per instance in report order: raw value tables for ``lemma2_3`` and
-    ``willard``, multiset specs for the others. Returns it with the mode
-    string, the notes and the parameters of the report, and the number of
-    generators seeded to draw it (0 for a listed population).
+    per instance in report order: raw value tables for ``lemma2_3``,
+    ``willard`` and ``thm2_6``, multiset specs for the others. Returns it
+    with the mode string, the notes and the parameters of the report, and
+    the number of generators seeded to draw it (0 for a listed population).
 
-    ``willard`` always samples raw tables, ``lemma2_3`` lists every table
-    while there are at most ``FULL_SCAN_LIMIT`` and samples them beyond.
-    A sample of more than ``LIST_LIMIT`` table or spec entries is refused
-    before anything is drawn; a spec sample counts the k^n table entries
-    of each row where its screen gathers them.
+    ``thm2_6`` lists every linear map in (coefficients, constant) product
+    order, in every mode. ``willard`` always samples raw tables,
+    ``lemma2_3`` lists every table while there are at most
+    ``FULL_SCAN_LIMIT`` and samples them beyond.
+    A sample, or ``thm2_6``'s listing, of more than ``LIST_LIMIT`` table or
+    spec entries is refused before anything is drawn or built; a spec
+    sample counts the k^n table entries of each row where its screen
+    gathers them.
     ``lemma2_1`` takes the full spec space, or a seeded sample, or (with a
     note) the listed gap >= 2 class when the full space is out of reach.
     The others take the listed gap >= 2 class, only its gap-n cell for
@@ -203,6 +209,11 @@ def _population(name, k, n, mode, seed, sample, budget):
     refused for those suites at n >= 3."""
     from .screens import reads_shapes
 
+    if name == "thm2_6":
+        if n < 2:
+            raise UnknownSuiteError("thm2_6 needs n >= 2: a gap needs two essential variables")
+        _check_listing_size(k ** (n + 1), k**n, "table entries")
+        return linear_tables(k, n), "exhaustive(linear specs)", [], {}, 0
     params = {"seed": seed, "sample": sample}
     if name in ("lemma2_3", "willard"):
         width = k**n
@@ -310,7 +321,7 @@ def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, note
 def _run_population(name, k, n, mode, seed, sample, budget):
     """Check the suite's population in chunks of 2000, in order, each chunk
     keeping only the records still wanted, and report them with the run's
-    stats; ``thm3_2`` and ``lemma3_1`` then add to the report."""
+    stats; ``thm3_2``, ``lemma3_1`` and ``thm2_6`` then add to the report."""
     t0 = perf_counter()
     rows, mode_desc, notes, params, draws = _population(name, k, n, mode, seed, sample,
                                                         budget)
@@ -338,7 +349,21 @@ def _run_population(name, k, n, mode, seed, sample, budget):
         _thm3_2_subcases(report)
     elif name == "lemma3_1":
         _lemma3_1_equality_witnesses(report)
+    elif name == "thm2_6":
+        _thm2_6_witness(report)
     return report
+
+
+def _thm2_6_witness(report):
+    """At even k, a record that no linear map has a gap of 2 or more: with
+    no violation only the all-k/2 maps can, and a constant shift does not
+    change a gap, so none does exactly when the one with constant 0 does not."""
+    k, n = report.k, report.n
+    if k % 2 == 0 and report.violations_total == 0:
+        f = construct_linear(k, LinearSpec((k // 2,) * n, 0))
+        if gap(f) < 2:
+            report.violations_total += 1
+            report.violations.append(_violation(f, "thm2_6.even-witness-exists"))
 
 
 def _thm3_2_subcases(report):
@@ -368,9 +393,9 @@ def _lemma3_1_equality_witnesses(report):
         report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
         return
     eq_checked = 0
-    subsets = list(itertools.combinations(range(k), n))
+    plan, _ = _gap_n_plan(k, n)
     for combo in itertools.product(range(1, k), repeat=comb(k, n)):
-        f = construct_gap_n(k, n, GapNSpec(0, dict(zip(subsets, combo))))
+        f = FiniteFunction(k, n, np.array((0, *combo))[plan].tolist())
         eq_checked += 1
         closure = subfunction_closure(f)
         expected = sub_bound(n, k) + range_size(f)
@@ -383,37 +408,48 @@ def _lemma3_1_equality_witnesses(report):
     }
 
 
+def _cell_tables(k, n, budget, gap):
+    """The tables of the listed gap-``gap`` cell, in ascending order; a
+    cell over ``--budget`` is refused, which no sample would meet."""
+    specs = _nontrivial_gap_array(k, n, budget, "--budget", gaps={gap})
+    tables = specs[:, list(symmetry_index(k, n).orbit_of_point)]
+    return tables[np.argsort(_row_keys(tables), kind="stable")]
+
+
+def _first_unshared(bucket, images):
+    """The first row of the bucket outside the images, else of the images
+    outside the bucket (each array ascending)."""
+    for rows, other in ((bucket, images), (images, bucket)):
+        outside = ~np.isin(_row_keys(rows), _row_keys(other))
+        if outside.any():
+            return rows[np.argmax(outside)].tolist()
+
+
+def _constructive_report(name, k, n, bucket, images, fits):
+    """The report of a classification by construction: a record first
+    when the images are not the bucket (both ascending and distinct), then
+    one per bucket row that ``fits`` says its coefficients do not rebuild,
+    in bucket order, until ``VIOLATION_CAP`` are kept."""
+    kept = []
+    if not np.array_equal(bucket, images):
+        kept.append(_violation(FiniteFunction(k, n, _first_unshared(bucket, images)),
+                               f"{name}.image-equals-bucket",
+                               bucket=len(bucket), image=len(images)))
+    wrong = np.flatnonzero(~fits)
+    total = len(kept) + len(wrong)
+    kept += [_violation(FiniteFunction(k, n, bucket[r].tolist()), f"{name}.read-off")
+             for r in wrong[: VIOLATION_CAP - len(kept)].tolist()]
+    return _mk_report(name, k, n, "exhaustive(constructive)", {}, len(bucket), Counter(),
+                      total, kept, [])
+
+
 def _run_thm2_2(name, k, n, mode, seed, sample, budget):
     """Full-gap symmetric classification: the census bucket equals the image
     of the full-gap constructor, and coefficients read back off each member."""
-    orbit = np.array(symmetry_index(k, n).orbit_of_point)
-    bucket = set(map(tuple, _nontrivial_gap_array(k, n, budget, gaps={n})[:, orbit].tolist()))
-    images = gap_n_images(k, n)
-    violations = []
-    total = 0
-    if bucket != images:
-        total += 1
-        extra = sorted(bucket - images)[:3]
-        missing = sorted(images - bucket)[:3]
-        witness = FiniteFunction(k, n, (extra or missing or [(0,) * k**n])[0])
-        violations.append(
-            _violation(witness, "thm2_2.image-equals-bucket",
-                       bucket=len(bucket), image=len(images))
-        )
-    for tab in sorted(bucket):
-        f = FiniteFunction(k, n, tab)
-        a0 = f.table[0]
-        b = {
-            frozenset(c): f(tuple(c))
-            for c in itertools.combinations(range(k), n)
-        }
-        rebuilt = construct_gap_n(k, n, GapNSpec(a0, b))
-        if rebuilt.table != tab:
-            total += _keep(violations, _violation(f, "thm2_2.read-off"))
-    return _mk_report(
-        name, k, n, "exhaustive(constructive)",
-        {}, len(bucket), Counter(), total, violations[:VIOLATION_CAP], [],
-    )
+    bucket = _cell_tables(k, n, budget, n)
+    plan, reader = _gap_n_plan(k, n)
+    fits = np.all(bucket[:, reader][:, plan] == bucket, axis=1)
+    return _constructive_report(name, k, n, bucket, _gap_n_images(k, n), fits)
 
 
 def _run_thm2_3(name, k, n, mode, seed, sample, budget):
@@ -426,33 +462,13 @@ def _run_thm2_3(name, k, n, mode, seed, sample, budget):
         # a fixed limit: no option lifts it, and the claim is not sampled
         raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET, "constructions",
                           "construction limit")
-    orbit = np.array(symmetry_index(k, 3).orbit_of_point)
-    bucket = set(map(tuple, _nontrivial_gap_array(k, 3, budget, gaps={2})[:, orbit].tolist()))
-    images = gap2_ternary_images(k)
-    violations = []
-    total = 0
-    if bucket != images:
-        total += 1
-        sample_tab = next(iter(bucket ^ images))
-        violations.append(
-            _violation(FiniteFunction(k, 3, sample_tab), "thm2_3.image-equals-bucket",
-                       bucket=len(bucket), image=len(images))
-        )
-    diagonal = [index_of((i, i, i), k) for i in range(k)]
-    subsets = [index_of(c, k) for c in itertools.combinations(range(k), 3)]
-    for tab in sorted(bucket):
-        a = [tab[m] for m in diagonal]
-        b = [tab[m] for m in subsets]
-        # a constant diagonal fits neither family
-        fits = len(set(a)) > 1 and any(
-            _gap2_ternary_table(k, family, a, b) == tab for family in ("minority", "majority")
-        )
-        if not fits:
-            total += _keep(violations, _violation(FiniteFunction(k, 3, tab), "thm2_3.read-off"))
-    return _mk_report(
-        name, k, 3, "exhaustive(constructive)",
-        {}, len(bucket), Counter(), total, violations[:VIOLATION_CAP], [],
-    )
+    bucket = _cell_tables(k, 3, budget, 2)
+    plans, reader = _ternary_plan(k)
+    coefficients = bucket[:, reader]
+    # a constant diagonal fits neither family
+    fits = ~_constant(coefficients[:, :k]) & np.any(
+        np.all(coefficients[:, plans] == bucket[:, None], axis=2), axis=1)
+    return _constructive_report(name, k, 3, bucket, _ternary_images(k), fits)
 
 
 def _run_thm2_1(name, k, n, mode, seed, sample, budget):
@@ -577,81 +593,25 @@ def _run_thm2_5(name, k, n, mode, seed, sample, budget):
     )
 
 
-def _run_thm2_6(name, k, n, mode, seed, sample, budget):
-    """Linear functions have non-trivial gap exactly at even radix, with the
-    all-coefficients-k/2 maps as the only all-essential witnesses."""
-    if n < 2:
-        raise UnknownSuiteError("thm2_6 needs n >= 2: a gap needs two essential variables")
-    _check_listing_size(k ** (n + 1), k**n, "table entries")
-    violations = []
-    total = 0
-    instances = 0
-    subcounts: Counter = Counter()
-    witnesses = 0
-    for coeffs in itertools.product(range(k), repeat=n):
-        for const in range(k):
-            f = construct_linear(k, LinearSpec(coeffs, const))
-            if essential_count(f) != n:
-                continue
-            instances += 1
-            g = gap(f)
-            if k % 2 == 1:
-                subcounts["odd"] += 1
-                if g >= 2:
-                    total += _keep(violations, _violation(f, "thm2_6.odd-radix-gap",
-                                                          coeffs=list(coeffs)))
-            else:
-                subcounts["even"] += 1
-                if g >= 2:
-                    witnesses += 1
-                    if not (g == 2 and all(c == k // 2 for c in coeffs)):
-                        total += _keep(violations, _violation(f, "thm2_6.even-witness-form",
-                                                              coeffs=list(coeffs), gap=g))
-    if k % 2 == 0 and witnesses == 0:
-        total += 1
-        violations.append(
-            _violation(
-                construct_linear(k, LinearSpec((k // 2,) * n, 0)),
-                "thm2_6.even-witness-exists",
-            )
-        )
-    return _mk_report(
-        name, k, n, "exhaustive(linear specs)",
-        {}, instances, subcounts, total, violations, [],
-    )
-
-
 def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     """Count of full-gap symmetric functions, decided constructively."""
     if not 2 <= n <= k:
         raise UnknownSuiteError("cor2_1 needs 2 <= n <= k")
     printed = k * comb(k, n) + 1 - k
     proof_logic = k ** (comb(k, n) + 1) - k
-    constructive = len(gap_n_images(k, n))
-    notes = []
-    violations = []
-    total = 0
+    # one table per coefficient row that is not constant, a fixed limit
+    _check_listing_size(proof_logic, k**n, "table entries", "construction limit")
+    constructive = len(_gap_n_images(k, n))
     bucket = None
     if symmetric_spec_count(k, n) <= FULL_SCAN_LIMIT:
-        bucket = len(_nontrivial_gap_array(k, n, budget, gaps={n}))
-    if constructive != proof_logic:
-        total += 1
-        violations.append(
-            {
-                "function": None,
-                "assertion": "cor2_1.constructive-count",
-                "info": {"constructive": constructive, "expected": proof_logic},
-            }
-        )
-    if bucket is not None and bucket != constructive:
-        total += 1
-        violations.append(
-            {
-                "function": None,
-                "assertion": "cor2_1.census-cross-check",
-                "info": {"census": bucket, "constructive": constructive},
-            }
-        )
+        bucket = len(_nontrivial_gap_array(k, n, budget, "--budget", gaps={n}))
+    checks = [("cor2_1.constructive-count", constructive != proof_logic,
+               {"constructive": constructive, "expected": proof_logic}),
+              ("cor2_1.census-cross-check", bucket is not None and bucket != constructive,
+               {"census": bucket, "constructive": constructive})]
+    violations = [{"function": None, "assertion": assertion, "info": info}
+                  for assertion, failed, info in checks if failed]
+    notes = []
     if printed != proof_logic:
         notes.append(
             f"the closed-form count as printed ({printed}) disagrees with the "
@@ -662,7 +622,7 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
         name, k, n, "constructive-count",
         {"printed_formula": printed, "derivation_count": proof_logic,
          "census_bucket": bucket},
-        constructive, Counter(), total, violations, notes,
+        constructive, Counter(), len(violations), violations, notes,
     )
 
 
@@ -671,12 +631,11 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
 _SUITES = {
     **dict.fromkeys(("lemma2_1", "lemma2_2", "lemma2_3", "lemma2_4", "lemma2_5", "remark2_1",
                      "remark2_2", "thm2_4", "thm3_1", "lemma3_1", "thm3_2", "cor3_1", "thm4_1",
-                     "cor4_1", "cor4_2", "willard"), _run_population),
+                     "cor4_1", "cor4_2", "willard", "thm2_6"), _run_population),
     "thm2_1": _run_thm2_1,
     "thm2_2": _run_thm2_2,
     "thm2_3": _run_thm2_3,
     "thm2_5": _run_thm2_5,
-    "thm2_6": _run_thm2_6,
     "cor2_1": _run_cor2_1,
 }
 

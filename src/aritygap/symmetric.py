@@ -17,6 +17,8 @@ The constructors build the classified families:
 * ``construct_gap2_ternary``: the two ternary gap-2 families. On a point
   with value pattern {c, c, d} the "minority" family reads its coefficient
   off the lone value d, the "majority" family off the doubled value c.
+  Each form is one gather from its coefficients (``_gap_n_plan``,
+  ``_ternary_plan``), which the classification suites read as well.
 * ``construct_linear``: the table of a1*x1 + ... + an*xn + c mod k.
 * ``recompose`` / ``extract_decomposition``: the pairwise-conjunction
   decomposition f = (sum over equal pairs i<j of g on the remaining
@@ -44,7 +46,7 @@ from .core import (
     iter_points,
     tuple_getter,
 )
-from .minors import _digits, _essential_positions, essential_count, gap
+from .minors import _digits, _essential_positions, _row_keys, _values, essential_count, gap
 
 
 def multisets(k: int, n: int) -> list[tuple[int, ...]]:
@@ -255,13 +257,8 @@ def construct_gap_n(k: int, n: int, spec: GapNSpec) -> FiniteFunction:
             "at least two among a0 and the subset coefficients must be "
             "distinct (all equal would give a constant function)"
         )
-    table = []
-    for p in iter_points(k, n):
-        if is_all_distinct(p):
-            table.append(b[frozenset(p)])
-        else:
-            table.append(spec.a0)
-    return FiniteFunction(k, n, table)
+    plan, _ = _gap_n_plan(k, n)
+    return FiniteFunction(k, n, np.array([spec.a0, *b.values()])[plan].tolist())
 
 
 @dataclass
@@ -296,39 +293,67 @@ def construct_gap2_ternary(k: int, spec: TernaryGap2Spec) -> FiniteFunction:
             "at least two among the diagonal coefficients a_i must be distinct"
         )
     b = _normalize_coefficient_map(spec.b, k, 3, "subset coefficient")
-    subsets = _ternary_plan(k)[0]
-    return FiniteFunction(k, 3, _gap2_ternary_table(k, spec.family, a, [b[s] for s in subsets]))
+    plan = _ternary_plan(k)[0][("minority", "majority").index(spec.family)]
+    return FiniteFunction(k, 3, np.array([*a, *b.values()])[plan].tolist())
 
 
-def _gap2_ternary_table(k: int, family: str, a: Sequence[int], b: Sequence[int]) -> tuple:
-    """The table :func:`construct_gap2_ternary` builds, from the diagonal
-    coefficients ``a`` and one coefficient per 3-subset of K in
-    combinations order, ``b``; nothing is checked."""
-    _, minority, majority = _ternary_plan(k)
-    return (minority if family == "minority" else majority)((*a, *b))
+@functools.lru_cache(maxsize=64)
+def _gap_n_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full-gap form as a gather from its coefficients (a0, then one
+    per n-subset of K in combinations order): each point's slot, 0 (a0)
+    where a coordinate repeats, 1 + r where its value set is subset r; and
+    a point per slot to read them off a table, 0 and each sorted subset."""
+    subsets = np.array(list(itertools.combinations(range(k), n)), dtype=np.int64)
+    # combinations come in lexicographic order, so their codes ascend
+    codes = _sorted_codes(k, subsets.reshape(-1, n))
+    points = _digits(k, n)
+    ordered = np.sort(points, axis=1)
+    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    slots = np.where(distinct, 1 + np.searchsorted(codes, _sorted_codes(k, points)), 0)
+    return slots, np.concatenate([[0], codes])
 
 
 @functools.lru_cache(maxsize=16)
-def _ternary_plan(k: int):
-    """The 3-subsets of K, and for each family a gather that reads every
-    point's value off the coefficients a_0, ..., a_{k-1} followed by one
-    coefficient per subset: a_i on (i, i, i), the subset's coefficient on an
-    all-distinct point, and on {c, c, d} a_d (minority) or a_c (majority)."""
-    subsets = tuple(_zero_coefficients(k, 3))
-    slot = {s: k + r for r, s in enumerate(subsets)}
-    minority, majority = [], []
-    for x, y, z in iter_points(k, 3):
-        if x == y == z:
-            lone = doubled = x
-        elif len({x, y, z}) == 3:
-            lone = doubled = slot[frozenset((x, y, z))]
-        elif x in (y, z):
-            doubled, lone = x, (z if x == y else y)
-        else:
-            doubled, lone = y, x
-        minority.append(lone)
-        majority.append(doubled)
-    return subsets, tuple_getter(minority), tuple_getter(majority)
+def _ternary_plan(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two ternary gap-2 families as gathers from their coefficients
+    (a_0, ..., a_{k-1}, then one per 3-subset of K): per family, minority
+    first, each point's slot, a_i on (i, i, i), the subset's on an
+    all-distinct point, a_d (minority) or a_c (majority) on {c, c, d}; and
+    a point per slot to read them off a table, (i, i, i) and each subset."""
+    subset_slots, reader = _gap_n_plan(k, 3)
+    x, y, z = _digits(k, 3).T.astype(np.int64)
+    doubled = np.where((x == y) | (x == z), x, y)
+    lone = x + y + z - 2 * doubled
+    plans = np.where(subset_slots > 0, k - 1 + subset_slots, np.stack([lone, doubled]))
+    return plans, np.concatenate([np.arange(k) * (k * k + k + 1), reader[1:]])
+
+
+def _distinct_images(plans: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The distinct tables that the plans (one gather per row of ``plans``)
+    make of the coefficient rows ``rows``, in ascending order."""
+    tables = rows[:, plans.reshape(-1)].reshape(len(rows) * len(plans), -1)
+    _, first = np.unique(_row_keys(tables), return_index=True)
+    return tables[first]
+
+
+def _gap_n_images(k: int, n: int) -> np.ndarray:
+    """The tables of every full-gap construction at (k, n): the plan
+    applied to every coefficient row that is not constant. None below
+    n = 2 or above n = k, where the form is not defined or not valid."""
+    if not 2 <= n <= k:
+        return np.zeros((0, k**n), dtype=_values(k, ()).dtype)
+    plan, _ = _gap_n_plan(k, n)
+    rows = _values(k, _digits(k, 1 + math.comb(k, n)))
+    return _distinct_images(plan[None], rows[np.any(rows != rows[:, :1], axis=1)])
+
+
+def _ternary_images(k: int) -> np.ndarray:
+    """The tables of every ternary gap-2 construction of either family:
+    both plans applied to every coefficient row whose diagonal
+    coefficients are not all equal."""
+    plans, _ = _ternary_plan(k)
+    rows = _values(k, _digits(k, k + math.comb(k, 3)))
+    return _distinct_images(plans, rows[np.any(rows[:, :k] != rows[:, :1], axis=1)])
 
 
 @dataclass
@@ -346,15 +371,25 @@ def construct_linear(k: int, spec: LinearSpec) -> FiniteFunction:
             raise DomainError(f"coefficient {v} outside 0..{k - 1}")
     if not 0 <= spec.constant < k:
         raise DomainError(f"constant {spec.constant} outside 0..{k - 1}")
-    n = len(coeffs)
-    return FiniteFunction(
-        k,
-        n,
-        (
-            (sum(a * c for a, c in zip(coeffs, p)) + spec.constant) % k
-            for p in iter_points(k, n)
-        ),
-    )
+    dots = _digits(k, len(coeffs)) @ np.array(coeffs, dtype=np.int64)
+    return FiniteFunction(k, len(coeffs), ((dots + spec.constant) % k).tolist())
+
+
+def linear_tables(k: int, n: int) -> np.ndarray:
+    """(k^(n+1), k^n): the table that :func:`construct_linear` builds for
+    every (a_1, ..., a_n, c), in product order, the constant last. The dot
+    products a.x of the first m coefficients and coordinates extend to m + 1
+    by adding a_(m+1) x_(m+1) mod k, read off a (k, k) product table."""
+    # two values below k add up to less than 256 in uint8 up to k = 128
+    values = np.arange(k, dtype=np.uint8 if k <= 128 else np.int64)
+    product = (np.arange(k)[:, None] * np.arange(k) % k).astype(values.dtype)
+    dots = np.zeros((1, 1), dtype=values.dtype)
+    for _ in range(n):
+        dots = (dots[:, None, :, None] + product[None, :, None, :]) % k
+        dots = dots.reshape(len(dots) * k, -1)
+    tables = dots[:, None, :] + values[:, None]
+    tables %= k
+    return tables.reshape(k ** (n + 1), k**n)
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,27 @@
 
 The per-instance checkers of the screened claims, one function per claim,
 that the screens' records are compared with: each takes one row (a
-multiset spec, or a raw table for ``lemma2_3`` and ``willard``) and
-returns None when the row is outside the claim's hypothesis, else (subcase
-counts, violation records). With ``hypothesis=False`` a checker evaluates
-its conclusion on any row where that conclusion is defined. ``ORACLES``
-maps every screened suite to its checker. ``lemma2_1_records`` walks the
-subfunction closure of one table breadth first, the order in which the
-``lemma2_1`` screen writes its records; ``slice_flags``, which slices
-tables at every fixing of positions and constants, is the table-level
-oracle of that screen, which reads the restrictions of specs instead.
+multiset spec, or a raw table for ``lemma2_3``, ``willard`` and ``thm2_6``)
+and returns None when the row is outside the claim's hypothesis, else
+(subcase counts, violation records). With ``hypothesis=False`` a checker
+evaluates its conclusion on any row where that conclusion is defined.
+``ORACLES`` maps every screened suite to its checker. ``lemma2_1_records``
+walks the subfunction closure of one table breadth first, the order in
+which the ``lemma2_1`` screen writes its records; ``slice_flags``, which
+slices tables at every fixing of positions and constants, is the
+table-level oracle of that screen, which reads the restrictions of specs
+instead.
 
-Also here: the two breadth-first subfunction closures the closure kernel is
-tested against, the tuple listing of the cells of the gap >= 2 class, the
-(essential count, gap) of one spec (``spec_ess_gap``) that the checkers
-read and the batched ``facts`` are tested against, and the
-identification-shape walk over every shape (``full_shape_walk``) that the
-census's walk of the reached shapes is tested against.
+Also here: the classifications by construction member by member, their
+forms built point by point (``gap_n_images``, ``gap2_ternary_images``,
+``constructive_records``), that the array images and records of
+``thm2_2`` and ``thm2_3`` are tested against; the two breadth-first
+subfunction closures the closure kernel is tested against, the tuple
+listing of the cells of the gap >= 2 class, the (essential count, gap) of
+one spec (``spec_ess_gap``) that the checkers read and the batched
+``facts`` are tested against, and the identification-shape walk over
+every shape (``full_shape_walk``) that the census's walk of the reached
+shapes is tested against.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from aritygap.subfunctions import (
     weak_dominants,
 )
 from aritygap.screens import _asymmetric, _lemma2_1
-from aritygap.suites import _violation
+from aritygap.suites import VIOLATION_CAP, _violation
 from aritygap.symmetric import compress, diagonal_values, is_symmetric
 
 
@@ -77,6 +82,88 @@ def cell_specs(k: int, n: int, gaps: set, *, budget: int = 10**8) -> list[tuple[
     """The rows of ``enumeration._nontrivial_gap_array`` that lists only the
     cells with a gap in ``gaps``, as tuples."""
     return _tuples(_nontrivial_gap_array(k, n, budget, gaps=gaps))
+
+
+@functools.lru_cache(maxsize=16)
+def _gap_n_slots(k: int, n: int) -> operator.itemgetter:
+    """The table of the full-gap form from its coefficients (a0, then one
+    per n-subset), read point by point: a0 on a point with a repeated
+    coordinate, the coefficient of its value set on an all-distinct one."""
+    subsets = {s: 1 + r for r, s in enumerate(itertools.combinations(range(k), n))}
+    return operator.itemgetter(*(subsets.get(tuple(sorted(p)), 0)
+                                 for p in itertools.product(range(k), repeat=n)))
+
+
+def gap_n_images(k: int, n: int) -> set[tuple[int, ...]]:
+    """Tables of every valid full-gap construction at (k, n), deduplicated:
+    the coefficients not all equal."""
+    if not 2 <= n <= k:
+        return set()
+    get = _gap_n_slots(k, n)
+    return {get(coeffs) for coeffs in itertools.product(range(k), repeat=1 + comb(k, n))
+            if len(set(coeffs)) > 1}
+
+
+@functools.lru_cache(maxsize=16)
+def _ternary_slots(k: int, family: str) -> operator.itemgetter:
+    """The table of a ternary gap-2 family member from its coefficients
+    (a_0, ..., a_{k-1}, then one per 3-subset), read point by point."""
+    subsets = {s: k + r for r, s in enumerate(itertools.combinations(range(k), 3))}
+    slots = []
+    for p in itertools.product(range(k), repeat=3):
+        counts = Counter(p).most_common()
+        if len(counts) == 3:
+            slots.append(subsets[tuple(sorted(p))])
+        elif len(counts) == 1 or family == "majority":
+            slots.append(counts[0][0])
+        else:
+            slots.append(counts[1][0])
+    return operator.itemgetter(*slots)
+
+
+@functools.lru_cache(maxsize=8)
+def gap2_ternary_images(k: int, families=("minority", "majority")) -> set[tuple[int, ...]]:
+    """Tables of every valid ternary gap-2 construction of the families,
+    deduplicated: the diagonal coefficients not all equal."""
+    images: set[tuple[int, ...]] = set()
+    for family in families:
+        get = _ternary_slots(k, family)
+        for a in itertools.product(range(k), repeat=k):
+            if len(set(a)) > 1:
+                images.update(get(a + b) for b in itertools.product(range(k), repeat=comb(k, 3)))
+    return images
+
+
+def constructive_records(name: str, k: int, n: int, bucket: set) -> tuple[int, int, list]:
+    """(instances, violations, records) of ``thm2_2`` or ``thm2_3`` over a
+    set of cell tables, member by member: the record that the images are
+    not the bucket first, its witness the least bucket table outside the
+    images, else the least image outside the bucket; then a read-off record
+    per member, in ascending order, whose coefficients read off it do not
+    rebuild it, until ``VIOLATION_CAP`` are kept."""
+    images = gap_n_images(k, n) if name == "thm2_2" else gap2_ternary_images(k)
+    records = []
+    if bucket != images:
+        witness = min(bucket - images, default=None) or min(images - bucket)
+        records.append(_violation(FiniteFunction(k, n, witness), f"{name}.image-equals-bucket",
+                                  bucket=len(bucket), image=len(images)))
+    total = len(records)
+    b_points = [sum(c * k ** (n - 1 - i) for i, c in enumerate(s))
+                for s in itertools.combinations(range(k), n)]
+    for tab in sorted(bucket):
+        b = [tab[m] for m in b_points]
+        if name == "thm2_2":
+            fits = _gap_n_slots(k, n)((tab[0], *b)) == tab
+        else:
+            a = [tab[i * (k * k + k + 1)] for i in range(k)]
+            fits = len(set(a)) > 1 and any(
+                _ternary_slots(k, family)((*a, *b)) == tab
+                for family in ("minority", "majority"))
+        if not fits:
+            total += 1
+            if len(records) < VIOLATION_CAP:
+                records.append(_violation(FiniteFunction(k, n, tab), f"{name}.read-off"))
+    return len(bucket), total, records
 
 
 def canonical_key(k: int, arity: int, table: tuple):
@@ -408,6 +495,24 @@ def check_willard(k, n, table, hypothesis=True):
     return Counter(), violations
 
 
+def check_thm2_6(k, n, table, hypothesis=True):
+    """Linear functions: no all-essential one has a gap of 2 or more at odd
+    k, and at even k only the all-k/2 maps, with gap 2. The coefficients
+    are read off the table as off a linear one: c = t[0], a_i = t[e_i] - c
+    mod k."""
+    f = FiniteFunction(k, n, table)
+    if hypothesis and (essential_count(f) != n or n < 2):
+        return None
+    g = gap(f)
+    coeffs = [(table[k ** (n - 1 - i)] - table[0]) % k for i in range(n)]
+    if k % 2 == 1:
+        violations = [_violation(f, "thm2_6.odd-radix-gap", coeffs=coeffs)] if g >= 2 else []
+        return Counter(odd=1), violations
+    if g >= 2 and not (g == 2 and all(c == k // 2 for c in coeffs)):
+        return Counter(even=1), [_violation(f, "thm2_6.even-witness-form", coeffs=coeffs, gap=g)]
+    return Counter(even=1), []
+
+
 def lemma2_1_records(f: FiniteFunction) -> list:
     """Lemma 2.1's violation records of f: every state of its subfunction
     closure below f, breadth first, is symmetric and has no essential
@@ -637,4 +742,5 @@ ORACLES = {
     "cor4_1": check_cor4_1,
     "cor4_2": check_cor4_2,
     "willard": check_willard,
+    "thm2_6": check_thm2_6,
 }

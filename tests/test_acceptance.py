@@ -30,7 +30,8 @@ from aritygap import (
     sub_count,
     separable_sets,
 )
-from aritygap.enumeration import enumerate_symmetric, gap2_ternary_images, spec_to_function, nontrivial_gap_specs
+from aritygap.enumeration import enumerate_symmetric, spec_to_function, nontrivial_gap_specs
+from oracles import gap2_ternary_images
 
 WORKERS = 8
 

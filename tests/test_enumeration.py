@@ -26,11 +26,10 @@ from aritygap.enumeration import (
     _nontrivial,
     _nontrivial_gap_array,
     _shape_walk,
-    gap_n_images,
     sample_specs,
 )
 from aritygap.minors import _rounds
-from oracles import full_shape_walk, spec_ess_gap
+from oracles import full_shape_walk, gap_n_images, spec_ess_gap
 
 _BATCH = 1 << 18
 

@@ -4,6 +4,7 @@ import sys
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aritygap import DomainError, FiniteFunction, UnknownSuiteError, run_suite
@@ -11,6 +12,8 @@ from aritygap import cli, suites
 from aritygap.enumeration import DEFAULT_BUDGET
 from aritygap.screens import SCREENS, TABLE_SCREENS
 from aritygap.suites import SUITE_NAMES
+from aritygap.symmetric import symmetry_index
+import oracles
 
 
 def test_unknown_suite():
@@ -138,10 +141,10 @@ def test_thm2_1_without_seed_refused_before_the_forms(monkeypatch):
 @pytest.mark.parametrize("k,n,entries", [(2, 13, 2**27), (4, 12, 4**25)])
 def test_thm2_6_past_the_listing_limit_refused_before_any_map(capsys, monkeypatch, k, n, entries):
     # (4, 12) used to start building 4^13 linear maps of 4^12 entries each
-    def constructed(k, spec):
+    def constructed(k, n):
         raise AssertionError("a linear map was built")
 
-    monkeypatch.setattr(suites, "construct_linear", constructed)
+    monkeypatch.setattr(suites, "linear_tables", constructed)
     assert cli.main(["verify", "thm2_6", "-k", str(k), "-n", str(n)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -168,6 +171,62 @@ def test_thm2_1_forms_over_budget_refused_without_suggesting_sampling(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: listing requires 1125899906842624 forms, over the --budget of 100000000\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("thm2_2 -k 5 -n 5 --mode sample --seed 1", "152587890620 class members, over the --budget of 100000000"),
+    ("thm2_3 -k 4 -n 3 --budget 5", "130044 class members, over the --budget of 5"),
+    ("cor2_1 -k 3 -n 3 --budget 5", "150 class members, over the --budget of 5"),
+])
+def test_constructive_cell_over_budget_refused_without_suggesting_sampling(capsys, argv,
+                                                                           message):
+    # these suites cannot sample, yet the refusal used to suggest it
+    assert cli.main(["verify", *argv.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: listing requires {message}\n"
+
+
+def test_cor2_1_past_the_construction_limit_refused_before_any_image(capsys, monkeypatch):
+    # (5, 2) has 5^11 - 5 coefficient rows of 25 entries; it used to run
+    # past 45 s and 0.49 GB building them one table at a time
+    def built(k, n):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(suites, "_gap_n_images", built)
+    assert cli.main(["verify", "cor2_1", "-k", "5", "-n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: listing requires 1220703000 table entries, "
+                   "over the construction limit of 100000000\n")
+
+
+@pytest.mark.parametrize("name,k,change", [
+    *((name, 3, change) for name in ("thm2_2", "thm2_3")
+      for change in ("drop one", "alter one", "alter all")),
+    ("thm2_2", 4, "alter one"), ("thm2_3", 4, "alter one"),
+])
+def test_constructive_records_on_a_changed_cell_equal_the_oracle(monkeypatch, name, k, change):
+    # every run at k <= 4 passes, so only a changed cell reaches the records
+    listed = suites._nontrivial_gap_array
+
+    def changed(*args, **kwargs):
+        specs = listed(*args, **kwargs).copy()
+        if change != "drop one":
+            # the value of {0, 0, 1}, which neither construction leaves free
+            rows = slice(None) if change == "alter all" else slice(0, 1)
+            specs[rows, 1] = (specs[rows, 1] + 1) % k
+        if change != "alter all":
+            specs = np.delete(specs, len(specs) // 2, axis=0)
+        return specs
+
+    monkeypatch.setattr(suites, "_nontrivial_gap_array", changed)
+    report = run_suite(name, k, 3)
+    cell = changed(k, 3, DEFAULT_BUDGET, gaps={3 if name == "thm2_2" else 2})
+    bucket = set(map(tuple, cell[:, list(symmetry_index(k, 3).orbit_of_point)].tolist()))
+    got = (report.instances_checked, report.violations_total, report.violations)
+    assert got == oracles.constructive_records(name, k, 3, bucket)
+    assert not report.passed
 
 
 def test_cor2_1_counts():

@@ -33,6 +33,8 @@ from aritygap import (
     recompose,
 )
 from aritygap.suites import _sample_decomposable_pairs
+from aritygap.symmetric import _gap_n_images, _ternary_images, _ternary_plan, linear_tables
+import oracles
 
 
 def oracle_orbit_sum(n, alpha, k):
@@ -154,6 +156,32 @@ def test_construct_linear_examples():
     assert gap(construct_linear(2, LinearSpec((1, 1), 0))) == 2
     assert gap(construct_linear(4, LinearSpec((2, 2, 2), 0))) == 2
     assert gap(construct_linear(3, LinearSpec((1, 1, 1), 0))) == 1
+
+
+def test_linear_tables_equal_construct_linear():
+    for k, n in [(2, 0), (3, 1), (2, 3), (3, 2), (4, 2), (5, 2)]:
+        want = [list(construct_linear(k, LinearSpec(a, c)).table)
+                for a in itertools.product(range(k), repeat=n) for c in range(k)]
+        assert linear_tables(k, n).tolist() == want, (k, n)
+
+
+@pytest.mark.parametrize("k,n", [(3, 2), (4, 2), (3, 3), (4, 3)])
+def test_gap_n_images_equal_the_oracle(k, n):
+    # ascending and distinct, as the bucket they are compared with
+    assert _gap_n_images(k, n).tolist() == sorted(map(list, oracles.gap_n_images(k, n)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_ternary_images_equal_the_oracle(k):
+    plans, _ = _ternary_plan(k)
+    rows = itertools.product(range(k), repeat=k + math.comb(k, 3))
+    rows = [r for r in rows if len(set(r[:k])) > 1]
+    union = set()
+    for plan, family in zip(plans.tolist(), ("minority", "majority")):
+        images = {tuple(r[i] for i in plan) for r in rows}
+        assert images == oracles.gap2_ternary_images(k, (family,)), family
+        union |= images
+    assert _ternary_images(k).tolist() == sorted(map(list, union))
 
 
 def test_recompose_examples():
