@@ -413,7 +413,7 @@ def _cell_tables(k, n, budget, gap):
     cell over ``--budget`` is refused, which no sample would meet."""
     specs = _nontrivial_gap_array(k, n, budget, "--budget", gaps={gap})
     tables = specs[:, list(symmetry_index(k, n).orbit_of_point)]
-    return tables[np.argsort(_row_keys(tables), kind="stable")]
+    return tables[np.argsort(_row_keys(tables))]
 
 
 def _first_unshared(bucket, images):
