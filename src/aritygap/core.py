@@ -14,7 +14,6 @@ after construction, so everything is safe to use from parallel workers.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -89,15 +88,6 @@ def iter_points(k: int, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(k), repeat=n)
 
 
-def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
-    """A gather of the entries at ``indices``, always returned as a tuple
-    (``operator.itemgetter`` over a single index returns the bare entry)."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return operator.itemgetter(*indices)
-
-
 def check_domain(k: int, n: int):
     """Reject a radix below 2 or a negative arity."""
     if k < 2:
@@ -112,10 +102,7 @@ class FiniteFunction:
     __slots__ = ("k", "n", "table", "_hash")
 
     def __init__(self, k: int, n: int, table: Iterable[int]):
-        if k < 2:
-            raise DomainError(f"radix must be at least 2, got {k}")
-        if n < 0:
-            raise DomainError(f"arity must be non-negative, got {n}")
+        check_domain(k, n)
         tab = tuple(table)
         if len(tab) != k**n:
             raise DomainError(

@@ -24,7 +24,6 @@ Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -67,22 +66,6 @@ def essential_count(f: FiniteFunction) -> int:
     return len(_essential_positions(f.k, f.n, f.table))
 
 
-@functools.lru_cache(maxsize=1024)
-def _identify_getter(k: int, n: int, i: int, j: int) -> operator.itemgetter:
-    # entry m of the minor is entry m + (c_j - c_i) * k^(n-1-i) of the table
-    step_i = k ** (n - 1 - i)
-    step_j = k ** (n - 1 - j)
-    return operator.itemgetter(
-        *(m + ((m // step_j) % k - (m // step_i) % k) * step_i for m in range(k**n))
-    )
-
-
-def _identify_table(k: int, n: int, table: tuple, i: int, j: int) -> tuple:
-    # x_i := x_j on 0-based positions i, j; a gather of k^n >= 2 entries,
-    # so the getter returns a tuple
-    return _identify_getter(k, n, i, j)(table)
-
-
 def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
     """The identification minor substituting x_j for x_i.
 
@@ -101,7 +84,8 @@ def identify(f: FiniteFunction, i: int, j: int) -> FiniteFunction:
                 f"variable x_{pos} is not essential; minors are defined only "
                 f"for essential pairs"
             )
-    return FiniteFunction(f.k, f.n, _identify_table(f.k, f.n, f.table, i - 1, j - 1))
+    index = _identify_index(f.k, f.n, f.k ** (f.n - i), f.k ** (f.n - j))
+    return FiniteFunction(f.k, f.n, _values(f.k, f.table)[index].tolist())
 
 
 @dataclass(frozen=True)
@@ -124,11 +108,6 @@ def _chunks(count: int, width: int):
     """Slices of range(count) whose rows of ``width`` entries fit in a chunk."""
     step = max(1, _CHUNK // width)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
-
-
-def _index_dtype(size: int):
-    """The narrowest of int32 and int64 that indexes ``size`` entries."""
-    return np.int32 if size <= 1 << 31 else np.int64
 
 
 def _essential_mask(k: int, n: int, tabs: np.ndarray) -> np.ndarray:
@@ -166,10 +145,10 @@ def _powers(k: int, w: int) -> np.ndarray:
 
 def _digits(base: int, width: int) -> np.ndarray:
     """(base^width, width): the base-``base`` digits of 0, ..., base^width - 1,
-    most significant first, of the narrowest index dtype; for base k, the
-    points of K^width in table order."""
+    most significant first, as intp, which numpy gathers through without a
+    cast; for base k, the points of K^width in table order."""
     count = base**width
-    return np.indices((base,) * width, dtype=_index_dtype(count)).reshape(width, count).T
+    return np.indices((base,) * width, dtype=np.intp).reshape(width, count).T
 
 
 def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
@@ -235,16 +214,23 @@ def _collect(parts, make, merge) -> tuple[np.ndarray, ...]:
     return held[0] if len(held) == 1 else merge(*map(np.concatenate, zip(*held)))
 
 
+def _identify_index(k: int, n: int, step_i, step_j) -> np.ndarray:
+    """The index of a table into its minor x_i := x_j, from the steps
+    k^(n-1-i) and k^(n-1-j) of the 0-based positions i and j: ints, or
+    arrays that broadcast along a last axis of the k^n entries."""
+    # entry m of the minor is entry m + (c_j - c_i) * k^(n-1-i) of the
+    # table, c_p = m // k^(n-1-p) mod k
+    m = np.arange(k**n)
+    return m + (m // step_j % k - m // step_i % k) * step_i
+
+
 @functools.lru_cache(maxsize=8)
 def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, n, k^n): entry [i, j] indexes a table into its minor x_i := x_j
-    (0-based positions), n^2 k^n entries of 4 bytes where k^n <= 2^31;
-    and (n, n), whether i != j."""
-    m = np.arange(k**n, dtype=_index_dtype(k**n))
-    steps = k ** np.arange(n - 1, -1, -1, dtype=m.dtype)
-    digits = _digits(k, n).T
-    # entry m of the minor is entry m + (c_j - c_i) * k^(n-1-i) of the table
-    return m + (digits[None] - digits[:, None]) * steps[:, None, None], ~np.eye(n, dtype=bool)
+    (0-based positions), n^2 k^n entries of 8 bytes; and (n, n), whether
+    i != j."""
+    steps = k ** np.arange(n - 1, -1, -1)
+    return _identify_index(k, n, steps[:, None, None], steps[:, None]), ~np.eye(n, dtype=bool)
 
 
 @functools.lru_cache(maxsize=16)

@@ -50,26 +50,11 @@ from .minors import (
     _essential_mask,
     _essential_positions,
     _group,
-    _index_dtype,
     _values,
     essential_count,
     identify,
 )
 from .symmetric import is_symmetric
-
-
-@functools.lru_cache(maxsize=1024)
-def _restrict_index(k: int, n: int, i: int, c: int) -> tuple[int, ...]:
-    step = k ** (n - i)
-    return tuple(
-        s for base in range(c * step, k**n, step * k) for s in range(base, base + step)
-    )
-
-
-def _restrict_table(k: int, n: int, table: tuple, i: int, c: int) -> tuple:
-    # fix 1-based position i to c, dropping the position; a gather through a
-    # shared index (map keeps the one-entry result at n = 1 a tuple)
-    return tuple(map(table.__getitem__, _restrict_index(k, n, i, c)))
 
 
 def restrict(f: FiniteFunction, i: int, c: int) -> FiniteFunction:
@@ -78,7 +63,8 @@ def restrict(f: FiniteFunction, i: int, c: int) -> FiniteFunction:
         raise DomainError(f"position {i} outside 1..{f.n}")
     if not 0 <= c < f.k:
         raise DomainError(f"constant {c} outside 0..{f.k - 1}")
-    return FiniteFunction(f.k, f.n - 1, _restrict_table(f.k, f.n, f.table, i, c))
+    index, _ = _restrict_plan(f.k, f.n)
+    return FiniteFunction(f.k, f.n - 1, _values(f.k, f.table)[index[i - 1, c]].tolist())
 
 
 @dataclass(frozen=True)
@@ -138,7 +124,7 @@ def _restrict_plan(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     """At arity a >= 1: (a, k, k^(a-1)), entry [j, c] indexes a table into
     its restriction x_j := c (0-based j), and (a, a - 1), row j the
     positions other than j."""
-    m = np.arange(k**a, dtype=_index_dtype(k**a))
+    m = np.arange(k**a, dtype=np.intp)
     index = np.stack([m.reshape(k**j, k, -1).transpose(1, 0, 2).reshape(k, -1) for j in range(a)])
     keep = np.array([[q for q in range(a) if q != j] for j in range(a)], dtype=np.intp)
     return index, keep.reshape(a, a - 1)
@@ -411,20 +397,20 @@ def dominants(f: FiniteFunction) -> frozenset[int]:
         raise PreconditionError("dominants undefined for arity-0 functions")
     if not is_symmetric(f):
         raise PreconditionError("dominants are defined for symmetric functions")
-    return frozenset(
-        c for c in range(f.k) if restrict(f, f.n, c).is_constant()
-    )
+    # column c of the table as (k^(n-1), k) is its restriction x_n := c
+    slices = _values(f.k, f.table).reshape(-1, f.k)
+    return frozenset(np.flatnonzero((slices == slices[0]).all(axis=0)).tolist())
 
 
 def essential_core(f: FiniteFunction) -> FiniteFunction:
-    """Drop fictive positions until every remaining variable is essential."""
-    g = f
-    while True:
-        ess = _essential_positions(g.k, g.n, g.table)
-        if len(ess) == g.n:
-            return g
-        fictive = next(p for p in range(1, g.n + 1) if p not in ess)
-        g = restrict(g, fictive, 0)
+    """Drop fictive positions until every remaining variable is essential:
+    one index fixes every fictive position to 0."""
+    ess = _essential_positions(f.k, f.n, f.table)
+    if len(ess) == f.n:
+        return f
+    point = tuple(slice(None) if p in ess else 0 for p in range(1, f.n + 1))
+    core = _values(f.k, f.table).reshape((f.k,) * f.n)[point]
+    return FiniteFunction(f.k, len(ess), core.ravel().tolist())
 
 
 def weak_dominants(f: FiniteFunction) -> frozenset[int]:
@@ -441,10 +427,7 @@ def weak_dominants(f: FiniteFunction) -> frozenset[int]:
     ess = sorted(_essential_positions(f.k, f.n, f.table))
     if len(ess) < 2:
         raise PreconditionError("weak dominants need at least 2 essential variables")
-    p, q = ess[0], ess[1]
-    minor = identify(f, p, q)
-    reduced = restrict(minor, p, 0)  # position p is fictive in the minor
-    core = essential_core(reduced)
+    core = essential_core(identify(f, ess[0], ess[1]))
     if core.n <= 1:
         return frozenset(range(f.k))
     return dominants(core)

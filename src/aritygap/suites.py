@@ -27,7 +27,6 @@ seed. A worker count is accepted and has no effect.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,15 +40,12 @@ from .core import (
     DomainError,
     FiniteFunction,
     check_domain,
-    index_of,
-    is_all_distinct,
-    iter_points,
-    range_size,
 )
 from .documents import dump_function
-from .minors import _row_keys, essential_count, gap, gap_index, gap_profile
-from .subfunctions import sub_bound, subfunction_closure
+from .minors import _digits, _row_keys, _values, gap, gap_index, gap_profile
+from .subfunctions import sub_bound
 from .symmetric import (
+    _distinct_points,
     _gap_n_images,
     _gap_n_plan,
     _ternary_images,
@@ -127,14 +123,6 @@ class SuiteReport:
 
 def _violation(f: FiniteFunction, assertion: str, **info) -> dict:
     return {"function": dump_function(f), "assertion": assertion, "info": info}
-
-
-def _keep(violations: list, record: dict) -> int:
-    """Keep a violation record while fewer than ``VIOLATION_CAP`` are kept;
-    returns 1, the record's share of the violation total."""
-    if len(violations) < VIOLATION_CAP:
-        violations.append(record)
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +284,7 @@ def _screened_chunk(name, k, n, chunk, cap):
 # suite runners
 
 
-def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, notes,
-               stats=None):
+def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, notes, stats):
     subcases = {
         key: {"instances": int(cnt), "vacuous": cnt == 0}
         for key, cnt in sorted(subcounts.items())
@@ -314,8 +301,17 @@ def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, note
         vacuous=instances == 0,
         subcases=subcases,
         notes=notes,
-        stats=stats or {},
+        stats=stats,
     )
+
+
+def _stats(draws, t0, t1, checker_rows=0, merge_s=0.0):
+    """The stats of a runner that built its population (listings, images,
+    draws from ``draws`` seeded generators) from t0 to t1, then checked it
+    and merged the results of its chunks (``merge_s`` of the time) until
+    now; ``checker_rows`` rows read for records or checked one at a time."""
+    return {"draws": draws, "checker_rows": checker_rows, "build_s": t1 - t0,
+            "check_s": perf_counter() - t1 - merge_s, "merge_s": merge_s}
 
 
 def _run_population(name, k, n, mode, seed, sample, budget):
@@ -325,32 +321,30 @@ def _run_population(name, k, n, mode, seed, sample, budget):
     t0 = perf_counter()
     rows, mode_desc, notes, params, draws = _population(name, k, n, mode, seed, sample,
                                                         budget)
-    build_s = perf_counter() - t0
+    t1 = perf_counter()
     instances = total = checked = 0
     subcounts: Counter = Counter()
     kept: list = []
     merge_s = 0.0
-    start = perf_counter()
     for lo in range(0, len(rows), 2000):
         inst, sc, tv, kv, flagged = _screened_chunk(
             name, k, n, rows[lo : lo + 2000], VIOLATION_CAP - len(kept))
-        t0 = perf_counter()
+        start = perf_counter()
         instances += inst
         subcounts.update(sc)
         total += tv
         checked += flagged
         kept.extend(kv)
-        merge_s += perf_counter() - t0
-    stats = {"draws": draws, "checker_rows": checked, "build_s": build_s,
-             "check_s": perf_counter() - start - merge_s, "merge_s": merge_s}
+        merge_s += perf_counter() - start
     report = _mk_report(name, k, n, mode_desc, params, instances, subcounts, total, kept,
-                        notes, stats)
+                        notes, {})
     if name == "thm3_2":
         _thm3_2_subcases(report)
     elif name == "lemma3_1":
         _lemma3_1_equality_witnesses(report)
     elif name == "thm2_6":
         _thm2_6_witness(report)
+    report.stats = _stats(draws, t0, t1, checked, merge_s)
     return report
 
 
@@ -381,7 +375,11 @@ def _thm3_2_subcases(report):
 def _lemma3_1_equality_witnesses(report):
     """Add Lemma 3.1's equality witnesses to the report: the full-gap
     constructions with a zero repeated-point coefficient and every
-    distinct-point coefficient nonzero, whose sub must equal the bound."""
+    distinct-point coefficient nonzero, in product order, whose sub must
+    equal the bound. A witness's spec is 0 on every multiset with a repeated
+    value and its coefficient on each n-subset of K."""
+    from .facts import SpecFacts
+
     k, n = report.k, report.n
     if n > k:
         report.notes.append("bound hypothesis needs n <= k; vacuous here")
@@ -392,19 +390,21 @@ def _lemma3_1_equality_witnesses(report):
         )
         report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
         return
-    eq_checked = 0
-    plan, _ = _gap_n_plan(k, n)
-    for combo in itertools.product(range(1, k), repeat=comb(k, n)):
-        f = FiniteFunction(k, n, np.array((0, *combo))[plan].tolist())
-        eq_checked += 1
-        closure = subfunction_closure(f)
-        expected = sub_bound(n, k) + range_size(f)
-        if closure.sub_count != expected:
-            report.violations_total += _keep(report.violations, _violation(
-                f, "lemma3_1.equality-witness", sub=closure.sub_count, expected=expected))
+    idx = symmetry_index(k, n)
+    specs = np.zeros(((k - 1) ** comb(k, n), len(idx.msets)), dtype=_values(k, ()).dtype)
+    specs[:, [len(set(m)) == n for m in idx.msets]] = 1 + _digits(k - 1, comb(k, n))
+    sub = np.concatenate([SpecFacts(k, n, specs[lo:lo + 2000]).closure_counts[0]
+                          for lo in range(0, len(specs), 2000)])
+    expected = sub_bound(n, k) + sum(np.any(specs == v, axis=1) for v in range(k))
+    wrong = np.flatnonzero(sub != expected)
+    report.violations_total += len(wrong)
+    for r in wrong[: VIOLATION_CAP - len(report.violations)].tolist():
+        report.violations.append(_violation(
+            FiniteFunction(k, n, specs[r, idx.orbit_of_point].tolist()),
+            "lemma3_1.equality-witness", sub=int(sub[r]), expected=int(expected[r])))
     report.subcases["equality-witness"] = {
-        "instances": eq_checked,
-        "vacuous": eq_checked == 0,
+        "instances": len(specs),
+        "vacuous": len(specs) == 0,
     }
 
 
@@ -412,7 +412,7 @@ def _cell_tables(k, n, budget, gap):
     """The tables of the listed gap-``gap`` cell, in ascending order; a
     cell over ``--budget`` is refused, which no sample would meet."""
     specs = _nontrivial_gap_array(k, n, budget, "--budget", gaps={gap})
-    tables = specs[:, list(symmetry_index(k, n).orbit_of_point)]
+    tables = specs[:, symmetry_index(k, n).orbit_of_point]
     return tables[np.argsort(_row_keys(tables))]
 
 
@@ -425,11 +425,12 @@ def _first_unshared(bucket, images):
             return rows[np.argmax(outside)].tolist()
 
 
-def _constructive_report(name, k, n, bucket, images, fits):
+def _constructive_report(name, k, n, bucket, images, fits, t0, t1):
     """The report of a classification by construction: a record first
     when the images are not the bucket (both ascending and distinct), then
     one per bucket row that ``fits`` says its coefficients do not rebuild,
-    in bucket order, until ``VIOLATION_CAP`` are kept."""
+    in bucket order, until ``VIOLATION_CAP`` are kept. Both were built from
+    t0 to t1."""
     kept = []
     if not np.array_equal(bucket, images):
         kept.append(_violation(FiniteFunction(k, n, _first_unshared(bucket, images)),
@@ -440,16 +441,19 @@ def _constructive_report(name, k, n, bucket, images, fits):
     kept += [_violation(FiniteFunction(k, n, bucket[r].tolist()), f"{name}.read-off")
              for r in wrong[: VIOLATION_CAP - len(kept)].tolist()]
     return _mk_report(name, k, n, "exhaustive(constructive)", {}, len(bucket), Counter(),
-                      total, kept, [])
+                      total, kept, [], _stats(0, t0, t1))
 
 
 def _run_thm2_2(name, k, n, mode, seed, sample, budget):
     """Full-gap symmetric classification: the census bucket equals the image
     of the full-gap constructor, and coefficients read back off each member."""
+    t0 = perf_counter()
     bucket = _cell_tables(k, n, budget, n)
+    images = _gap_n_images(k, n)
+    t1 = perf_counter()
     plan, reader = _gap_n_plan(k, n)
     fits = np.all(bucket[:, reader][:, plan] == bucket, axis=1)
-    return _constructive_report(name, k, n, bucket, _gap_n_images(k, n), fits)
+    return _constructive_report(name, k, n, bucket, images, fits, t0, t1)
 
 
 def _run_thm2_3(name, k, n, mode, seed, sample, budget):
@@ -462,59 +466,60 @@ def _run_thm2_3(name, k, n, mode, seed, sample, budget):
         # a fixed limit: no option lifts it, and the claim is not sampled
         raise BudgetError(2 * k**k * k ** comb(k, 3), DEFAULT_BUDGET, "constructions",
                           "construction limit")
+    t0 = perf_counter()
     bucket = _cell_tables(k, 3, budget, 2)
+    images = _ternary_images(k)
+    t1 = perf_counter()
     plans, reader = _ternary_plan(k)
     coefficients = bucket[:, reader]
     # a constant diagonal fits neither family
     fits = ~_constant(coefficients[:, :k]) & np.any(
         np.all(coefficients[:, plans] == bucket[:, None], axis=2), axis=1)
-    return _constructive_report(name, k, 3, bucket, _ternary_images(k), fits)
+    return _constructive_report(name, k, 3, bucket, images, fits, t0, t1)
 
 
 def _run_thm2_1(name, k, n, mode, seed, sample, budget):
     """Full-gap form on raw tables: every repeated-point-constant table with a
     deviating all-distinct value has full gap, and (sampled) a full-gap
-    all-essential table is constant on repeated points."""
+    all-essential table is constant on repeated points.
+
+    The forms are one gather from the coefficient rows (a0, then one value
+    per all-distinct point in table order) in product order, the all-equal
+    rows left out: slot 0 on every point with a repeated coordinate, 1 + r on
+    the r-th all-distinct point. Their records come first, then those of the
+    converse's sample."""
     if not 2 <= n <= k:
         raise UnknownSuiteError("thm2_1 needs 2 <= n <= k")
-
-    dis_index = [
-        (index_of(p, k), p) for p in iter_points(k, n) if is_all_distinct(p)
-    ]
-    form_count = k ** (len(dis_index) + 1)
-    if form_count > budget:
+    t0 = perf_counter()
+    distinct = _distinct_points(k, n)
+    slots = 1 + int(distinct.sum())
+    if k**slots > budget:
         # every mode sweeps all the forms, so sampling would not help
-        raise BudgetError(form_count, budget, "forms", "--budget")
+        raise BudgetError(k**slots, budget, "forms", "--budget")
+    _check_listing_size(k**slots, k**n, "table entries")
     if seed is None:
         raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
-    eq_index = [m for m, p in enumerate(iter_points(k, n)) if not is_all_distinct(p)]
-    violations = []
-    total = 0
-    instances = 0
-    for a0 in range(k):
-        for dis_vals in itertools.product(range(k), repeat=len(dis_index)):
-            if all(v == a0 for v in dis_vals):
-                continue
-            tab = [a0] * k**n
-            for (m, _), v in zip(dis_index, dis_vals):
-                tab[m] = v
-            f = FiniteFunction(k, n, tab)
-            instances += 1
-            p = gap_profile(f)
-            if not (p.ess == n and p.gap == n):
-                total += _keep(violations, _violation(f, "thm2_1.form-has-full-gap"))
-    for tab in _seeded_rows(k, k**n, sample or 2000, seed, 20).tolist():
-        f = FiniteFunction(k, n, tab)
-        if essential_count(f) != n:
-            continue
-        instances += 1
-        eq_const = len({f.table[m] for m in eq_index}) == 1
-        if (gap(f) == n) != eq_const:
-            total += _keep(violations, _violation(f, "thm2_1.converse-eq-constant"))
+    from .facts import TableFacts
+
+    rows = _values(k, _digits(k, slots))
+    forms = rows[~_constant(rows)][:, np.where(distinct, np.cumsum(distinct), 0)]
+    count = sample or 2000
+    drawn = _seeded_rows(k, k**n, count, seed, 20)
+    t1 = perf_counter()
+    ess, g = TableFacts(k, n, forms).ess_gap
+    form_wrong = (ess != n) | (g != n)
+    ess, g = TableFacts(k, n, drawn).ess_gap
+    converse = drawn[ess == n]
+    converse_wrong = (g[ess == n] == n) != _constant(converse[:, ~distinct])
+    kept = []
+    for tables, wrong, assertion in ((forms, form_wrong, "thm2_1.form-has-full-gap"),
+                                     (converse, converse_wrong, "thm2_1.converse-eq-constant")):
+        kept += [_violation(FiniteFunction(k, n, t), assertion)
+                 for t in tables[wrong][: VIOLATION_CAP - len(kept)].tolist()]
     return _mk_report(
-        name, k, n, "exhaustive(form) + sample(converse)",
-        {"seed": seed, "sample": sample or 2000},
-        instances, Counter(), total, violations, [],
+        name, k, n, "exhaustive(form) + sample(converse)", {"seed": seed, "sample": count},
+        len(forms) + len(converse), Counter(), int(form_wrong.sum() + converse_wrong.sum()),
+        kept, [], _stats(count, t0, t1),
     )
 
 
@@ -526,6 +531,8 @@ def _sample_decomposable_pairs(k, n, count, seed):
     doubled slot of the one-step minor goes fictive), with some off-diagonal
     value differing from twice the diagonal so the minor stays non-constant.
     Every draw is verified against the generic profile before use.
+    Returns the pairs and the number of generators seeded for them, one
+    per attempt.
     """
     if n != 4:
         raise UnknownSuiteError("constructed decomposition pairs cover n = 4")
@@ -555,7 +562,7 @@ def _sample_decomposable_pairs(k, n, count, seed):
         p = gap_profile(f)
         if p.ess == n and p.gap == 2:
             pairs.append((g, h, f))
-    return pairs
+    return pairs, attempt
 
 
 def _run_thm2_5(name, k, n, mode, seed, sample, budget):
@@ -566,30 +573,30 @@ def _run_thm2_5(name, k, n, mode, seed, sample, budget):
     count = sample or 120
     if seed is None:
         raise DomainError("thm2_5 draws constructed pairs; provide an explicit seed")
-    pairs = _sample_decomposable_pairs(k, n, count, seed)
+    t0 = perf_counter()
+    pairs, attempts = _sample_decomposable_pairs(k, n, count, seed)
+    t1 = perf_counter()
     violations = []
-    total = 0
-    checked = 0
     subcounts: Counter = Counter()
     for g0, h0, f in pairs:
-        checked += 1
         try:
             pair = extract_decomposition(f)
         except Exception as exc:
-            total += _keep(violations, _violation(f, "thm2_5.extract-failed", error=str(exc)))
+            violations.append(_violation(f, "thm2_5.extract-failed", error=str(exc)))
             continue
         if recompose(pair.g, pair.h).table != f.table:
-            total += _keep(violations, _violation(f, "thm2_5.round-trip"))
+            violations.append(_violation(f, "thm2_5.round-trip"))
             continue
         if not is_symmetric(pair.g) or not is_symmetric(pair.h):
-            total += _keep(violations, _violation(f, "thm2_5.pair-symmetric"))
+            violations.append(_violation(f, "thm2_5.pair-symmetric"))
         gp = gap_profile(pair.g)
         want = 2 if gap_index(f) > 2 else n - 2
         in_class = gp.ess == n - 2 and (gp.ess < 2 or gp.gap == want)
         subcounts["g-in-stated-class" if in_class else "g-outside-stated-class"] += 1
     return _mk_report(
-        name, k, n, f"sample(constructed pairs, {checked})",
-        {"seed": seed, "sample": count}, checked, subcounts, total, violations, [],
+        name, k, n, f"sample(constructed pairs, {len(pairs)})", {"seed": seed, "sample": count},
+        len(pairs), subcounts, len(violations), violations[:VIOLATION_CAP], [],
+        _stats(attempts, t0, t1, len(pairs)),
     )
 
 
@@ -601,10 +608,12 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     proof_logic = k ** (comb(k, n) + 1) - k
     # one table per coefficient row that is not constant, a fixed limit
     _check_listing_size(proof_logic, k**n, "table entries", "construction limit")
+    t0 = perf_counter()
     constructive = len(_gap_n_images(k, n))
     bucket = None
     if symmetric_spec_count(k, n) <= FULL_SCAN_LIMIT:
         bucket = len(_nontrivial_gap_array(k, n, budget, "--budget", gaps={n}))
+    t1 = perf_counter()
     checks = [("cor2_1.constructive-count", constructive != proof_logic,
                {"constructive": constructive, "expected": proof_logic}),
               ("cor2_1.census-cross-check", bucket is not None and bucket != constructive,
@@ -622,7 +631,7 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
         name, k, n, "constructive-count",
         {"printed_formula": printed, "derivation_count": proof_logic,
          "census_bucket": bucket},
-        constructive, Counter(), len(violations), violations, notes,
+        constructive, Counter(), len(violations), violations, notes, _stats(0, t0, t1),
     )
 
 
@@ -664,12 +673,7 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}"
         )
-    t0 = perf_counter()
     report = runner(name, k, n, mode, seed, sample, budget)
-    if not report.stats:
-        # a runner that checks each instance itself, in this process
-        report.stats = {"draws": 0, "checker_rows": report.instances_checked,
-                        "build_s": 0.0, "check_s": perf_counter() - t0, "merge_s": 0.0}
     report.stats = {"source": report.mode, "instances": report.instances_checked,
                     **report.stats, "workers": 1}
     return report

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -41,12 +42,8 @@ from .core import (
     DomainError,
     FiniteFunction,
     PreconditionError,
-    index_of,
-    is_all_distinct,
-    iter_points,
-    tuple_getter,
 )
-from .minors import _digits, _essential_positions, _row_keys, _values, essential_count, gap
+from .minors import _digits, _essential_positions, _powers, _row_keys, _values, essential_count, gap
 
 
 def multisets(k: int, n: int) -> list[tuple[int, ...]]:
@@ -59,11 +56,9 @@ def _swap_getter(k: int, n: int, a: int, b: int):
     # entry m of the table with the 0-based positions a and b swapped
     step_a = k ** (n - 1 - a)
     step_b = k ** (n - 1 - b)
-    return tuple_getter(
-        tuple(
-            m + ((m // step_b) % k - (m // step_a) % k) * (step_a - step_b)
-            for m in range(k**n)
-        )
+    # k^n >= 2 entries, so the getter returns a tuple
+    return operator.itemgetter(
+        *(m + ((m // step_b) % k - (m // step_a) % k) * (step_a - step_b) for m in range(k**n))
     )
 
 
@@ -102,33 +97,25 @@ class SymmetryIndex:
     index: dict
 
     @functools.cached_property
-    def _codes(self) -> np.ndarray:
+    def codes(self) -> np.ndarray:
         """The sorted code of each multiset, ascending: the multisets are
         listed in lexicographic order. A multiset's code is the table index
-        of its sorted point."""
+        of its sorted point: the gather of a multiset-determined table's spec."""
         msets = np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
         return _sorted_codes(self.k, msets)
 
     def ranks(self, values: np.ndarray) -> np.ndarray:
         """The index of the multiset of each row of ``values`` (n values
         below k per row), found by a search among the multisets' codes."""
-        return np.searchsorted(self._codes, _sorted_codes(self.k, values))
+        return np.searchsorted(self.codes, _sorted_codes(self.k, values))
 
     @functools.cached_property
-    def orbit_of_point(self) -> tuple[int, ...]:
-        """Multiset index of each of the k^n table points, built on first use."""
-        return tuple(self.ranks(_digits(self.k, self.n)).tolist())
-
-    @functools.cached_property
-    def orbit_getter(self):
-        """Gather of a spec into the full table through ``orbit_of_point``."""
-        return tuple_getter(self.orbit_of_point)
-
-    @functools.cached_property
-    def multiset_getter(self):
-        """Gather of a table's entry at each multiset's sorted point: the
-        spec of a multiset-determined table."""
-        return tuple_getter(self._codes.tolist())
+    def orbit_of_point(self) -> np.ndarray:
+        """Multiset index of each of the k^n table points, built on first
+        use: the gather of a spec into its table."""
+        orbit = self.ranks(_digits(self.k, self.n))
+        orbit.flags.writeable = False
+        return orbit
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,14 +126,15 @@ def symmetry_index(k: int, n: int) -> SymmetryIndex:
 
 def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
     """Expand a multiset value tuple (canonical order) to a full table."""
-    return FiniteFunction(k, n, symmetry_index(k, n).orbit_getter(spec))
+    return FiniteFunction(k, n, np.asarray(spec)[symmetry_index(k, n).orbit_of_point].tolist())
 
 
 def is_totally_symmetric(f: FiniteFunction) -> bool:
     """Whether the table depends only on the multiset of coordinates: the
     expansion of its entries at the sorted points is the table."""
     idx = symmetry_index(f.k, f.n)
-    return idx.orbit_getter(idx.multiset_getter(f.table)) == f.table
+    table = _values(f.k, f.table)
+    return np.array_equal(table[idx.codes][idx.orbit_of_point], table)
 
 
 @dataclass
@@ -185,7 +173,8 @@ def compress(f: FiniteFunction) -> SymmetricSpec:
             "table is not invariant under all coordinate permutations"
         )
     idx = symmetry_index(f.k, f.n)
-    return SymmetricSpec(f.k, f.n, dict(zip(idx.msets, idx.multiset_getter(f.table))))
+    spec = _values(f.k, f.table)[idx.codes].tolist()
+    return SymmetricSpec(f.k, f.n, dict(zip(idx.msets, spec)))
 
 
 def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:
@@ -297,6 +286,13 @@ def construct_gap2_ternary(k: int, spec: TernaryGap2Spec) -> FiniteFunction:
     return FiniteFunction(k, 3, np.array([*a, *b.values()])[plan].tolist())
 
 
+def _distinct_points(k: int, n: int) -> np.ndarray:
+    """(k^n,): whether each point of K^n, in table order, has n distinct
+    coordinates."""
+    ordered = np.sort(_digits(k, n), axis=1)
+    return np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
 @functools.lru_cache(maxsize=64)
 def _gap_n_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The full-gap form as a gather from its coefficients (a0, then one
@@ -306,11 +302,8 @@ def _gap_n_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     subsets = np.array(list(itertools.combinations(range(k), n)), dtype=np.int64)
     # combinations come in lexicographic order, so their codes ascend
     codes = _sorted_codes(k, subsets.reshape(-1, n))
-    points = _digits(k, n)
-    ordered = np.sort(points, axis=1)
-    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    slots = np.where(distinct, 1 + np.searchsorted(codes, _sorted_codes(k, points)), 0)
-    return slots, np.concatenate([[0], codes])
+    subset = 1 + np.searchsorted(codes, _sorted_codes(k, _digits(k, n)))
+    return np.where(_distinct_points(k, n), subset, 0), np.concatenate([[0], codes])
 
 
 @functools.lru_cache(maxsize=16)
@@ -414,21 +407,17 @@ def recompose(g: FiniteFunction, h: FiniteFunction) -> FiniteFunction:
             f"got {g.n} and {h.n}"
         )
     k, n = h.k, h.n
-    for m, p in enumerate(iter_points(k, n)):
-        if not is_all_distinct(p) and h.table[m] != 0:
-            raise PreconditionError(
-                f"h must vanish on repeated-coordinate points, h{p} = {h.table[m]}"
-            )
-    pairs = list(itertools.combinations(range(n), 2))
-    table = []
-    for p in iter_points(k, n):
-        s = h.table[index_of(p, k)]
-        for i, j in pairs:
-            if p[i] == p[j]:
-                rest = p[:i] + p[i + 1 : j] + p[j + 1 :]
-                s += g.table[index_of(rest, k)]
-        table.append(s % k)
-    return FiniteFunction(k, n, table)
+    points, table, g_table = _digits(k, n), np.array(h.table), np.array(g.table)
+    bad = np.flatnonzero(~_distinct_points(k, n) & (table != 0))
+    if len(bad):
+        m = int(bad[0])
+        raise PreconditionError(f"h must vanish on repeated-coordinate points, "
+                                f"h{tuple(points[m].tolist())} = {h.table[m]}")
+    for i, j in itertools.combinations(range(n), 2):
+        # g at each point without its coordinates i and j, where they agree
+        rest = np.delete(points, (i, j), axis=1) @ _powers(k, n - 2)
+        table += np.where(points[:, i] == points[:, j], g_table[rest], 0)
+    return FiniteFunction(k, n, (table % k).tolist())
 
 
 def _propagate(assign: dict, pending: list, k: int):
@@ -511,13 +500,11 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
     if gap(f) != 2:
         raise PreconditionError(f"input has gap {gap(f)}, expected 2")
 
-    h = FiniteFunction(
-        k, n, (v if is_all_distinct(p) else 0 for p, v in zip(iter_points(k, n), f.table))
-    )
+    h = FiniteFunction(k, n, np.where(_distinct_points(k, n), f.table, 0).tolist())
     unknowns = symmetry_index(k, n - 2)
     big_index = symmetry_index(k, n)
     equations = []
-    for big, value in zip(big_index.msets, big_index.multiset_getter(f.table)):
+    for big, value in zip(big_index.msets, _values(k, f.table)[big_index.codes].tolist()):
         counts = Counter(big)
         if len(counts) == n:
             continue
@@ -558,7 +545,6 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
 
 
 def diagonal_values(f: FiniteFunction) -> tuple[int, ...]:
-    """The k values f(c, c, ..., c) for c in K."""
-    if f.n == 0:
-        return (f.table[0],) * f.k
-    return tuple(f((c,) * f.n) for c in range(f.k))
+    """The k values f(c, c, ..., c) for c in K: the point c^n has index
+    c (k^n - 1) / (k - 1), which is 0 at arity 0."""
+    return tuple(f.table[c * (f.k**f.n - 1) // (f.k - 1)] for c in range(f.k))

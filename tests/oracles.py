@@ -13,6 +13,13 @@ slices tables at every fixing of positions and constants, is the
 table-level oracle of that screen, which reads the restrictions of specs
 instead.
 
+``thm2_1_records`` checks ``thm2_1``'s forms and its sampled converse one
+table at a time, and ``lemma3_1_equality_witnesses`` the equality
+witnesses of ``lemma3_1`` one closure at a time; the suite decides both on
+arrays. ``restrict_table`` fixes a position block by block, for the
+breadth-first closures below and the kernels' tests, and
+``recompose_loop`` recomposes a decomposition pair point by point.
+
 Also here: the classifications by construction member by member, their
 forms built point by point (``gap_n_images``, ``gap2_ternary_images``,
 ``constructive_records``), that the array images and records of
@@ -35,11 +42,12 @@ from math import comb
 
 import numpy as np
 
-from aritygap import FiniteFunction
-from aritygap.core import range_size
+from aritygap import FiniteFunction, PreconditionError
+from aritygap.core import index_of, is_all_distinct, iter_points, range_size
 from aritygap.enumeration import (
     _fictive_reps,
     _nontrivial_gap_array,
+    _seeded_rows,
     _shape_dag,
     _shape_gather,
     _tuples,
@@ -61,7 +69,6 @@ from aritygap.minors import (
 from aritygap.subfunctions import (
     _build_records,
     _Closure,
-    _restrict_table,
     dominants,
     restrict,
     separable_sets,
@@ -166,6 +173,38 @@ def constructive_records(name: str, k: int, n: int, bucket: set) -> tuple[int, i
     return len(bucket), total, records
 
 
+def restrict_table(k: int, n: int, table: tuple, i: int, c: int) -> tuple:
+    """The table with the 1-based position i fixed to c and dropped, block
+    by block."""
+    step = k ** (n - i)
+    block = step * k
+    out = []
+    for base in range(0, len(table), block):
+        s = base + c * step
+        out.extend(table[s : s + step])
+    return tuple(out)
+
+
+def recompose_loop(g: FiniteFunction, h: FiniteFunction) -> FiniteFunction:
+    """``symmetric.recompose`` point by point: h(p) plus g at p without its
+    coordinates i and j, for every pair i < j with p_i = p_j, mod k; h must
+    vanish on every point with a repeated coordinate."""
+    k, n = h.k, h.n
+    for m, p in enumerate(iter_points(k, n)):
+        if not is_all_distinct(p) and h.table[m] != 0:
+            raise PreconditionError(
+                f"h must vanish on repeated-coordinate points, h{p} = {h.table[m]}"
+            )
+    table = []
+    for p in iter_points(k, n):
+        s = h.table[index_of(p, k)]
+        for i, j in itertools.combinations(range(n), 2):
+            if p[i] == p[j]:
+                s += g.table[index_of(p[:i] + p[i + 1 : j] + p[j + 1 :], k)]
+        table.append(s % k)
+    return FiniteFunction(k, n, table)
+
+
 def canonical_key(k: int, arity: int, table: tuple):
     first = table[0]
     if all(v == first for v in table):
@@ -199,7 +238,7 @@ def closure_generic(f: FiniteFunction) -> _Closure:
         for p in ess_local:
             rest = remaining[: p - 1] + remaining[p:]
             for c in range(k):
-                child = (rest, _restrict_table(k, arity, table, p, c))
+                child = (rest, restrict_table(k, arity, table, p, c))
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
@@ -245,7 +284,7 @@ def closure_symmetric(f: FiniteFunction) -> _Closure:
         for c in range(k):
             child = tuple(sorted(mu + (c,)))
             if child not in states:
-                states[child] = _restrict_table(k, arity, table, 1, c)
+                states[child] = restrict_table(k, arity, table, 1, c)
                 queue.append(child)
     return _Closure(functools.partial(_build_records, k, found), frozenset(separable),
                     len(found))
@@ -513,6 +552,78 @@ def check_thm2_6(k, n, table, hypothesis=True):
     return Counter(even=1), []
 
 
+def _keep(violations: list, record: dict) -> int:
+    """Keep a violation record while fewer than ``VIOLATION_CAP`` are kept;
+    returns 1, the record's share of the violation total."""
+    if len(violations) < VIOLATION_CAP:
+        violations.append(record)
+    return 1
+
+
+def thm2_1_records(k: int, n: int, seed: int, sample: int | None = None):
+    """``thm2_1`` form by form and table by table: (instances, violation
+    total, the first ``VIOLATION_CAP`` records). Every form (a0 on the
+    repeated points, a value per all-distinct point, not all equal to a0)
+    has full gap, and every all-essential sampled table has full gap
+    exactly when it is constant on the repeated points."""
+    dis_index = [(index_of(p, k), p) for p in iter_points(k, n) if is_all_distinct(p)]
+    eq_index = [m for m, p in enumerate(iter_points(k, n)) if not is_all_distinct(p)]
+    violations = []
+    total = 0
+    instances = 0
+    for a0 in range(k):
+        for dis_vals in itertools.product(range(k), repeat=len(dis_index)):
+            if all(v == a0 for v in dis_vals):
+                continue
+            tab = [a0] * k**n
+            for (m, _), v in zip(dis_index, dis_vals):
+                tab[m] = v
+            f = FiniteFunction(k, n, tab)
+            instances += 1
+            p = gap_profile(f)
+            if not (p.ess == n and p.gap == n):
+                total += _keep(violations, _violation(f, "thm2_1.form-has-full-gap"))
+    for tab in _seeded_rows(k, k**n, sample or 2000, seed, 20).tolist():
+        f = FiniteFunction(k, n, tab)
+        if essential_count(f) != n:
+            continue
+        instances += 1
+        eq_const = len({f.table[m] for m in eq_index}) == 1
+        if (gap(f) == n) != eq_const:
+            total += _keep(violations, _violation(f, "thm2_1.converse-eq-constant"))
+    return instances, total, violations
+
+
+def lemma3_1_equality_witnesses(report):
+    """Lemma 3.1's equality witnesses added to the report construction by
+    construction: each full-gap table with a zero repeated-point
+    coefficient and nonzero distinct-point ones, its sub off its closure."""
+    k, n = report.k, report.n
+    if n > k:
+        report.notes.append("bound hypothesis needs n <= k; vacuous here")
+        return
+    if (k - 1) ** comb(k, n) > 100_000:
+        report.notes.append(
+            "equality-witness family too large to sweep; skipped"
+        )
+        report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
+        return
+    eq_checked = 0
+    slots = _gap_n_slots(k, n)
+    for combo in itertools.product(range(1, k), repeat=comb(k, n)):
+        f = FiniteFunction(k, n, slots((0, *combo)))
+        eq_checked += 1
+        closure = subfunction_closure(f)
+        expected = sub_bound(n, k) + range_size(f)
+        if closure.sub_count != expected:
+            report.violations_total += _keep(report.violations, _violation(
+                f, "lemma3_1.equality-witness", sub=closure.sub_count, expected=expected))
+    report.subcases["equality-witness"] = {
+        "instances": eq_checked,
+        "vacuous": eq_checked == 0,
+    }
+
+
 def lemma2_1_records(f: FiniteFunction) -> list:
     """Lemma 2.1's violation records of f: every state of its subfunction
     closure below f, breadth first, is symmetric and has no essential
@@ -536,7 +647,7 @@ def lemma2_1_records(f: FiniteFunction) -> list:
             fact = facts[table] = (
                 order > 0 and is_symmetric(FiniteFunction(k, arity, table)),
                 ess_local,
-                [(p, [_restrict_table(k, arity, table, p, c) for c in range(k)])
+                [(p, [restrict_table(k, arity, table, p, c) for c in range(k)])
                  for p in ess_local],
             )
         symmetric, ess_local, children = fact

@@ -154,7 +154,7 @@ def test_construct_rejects_bad_json(tmp_path, capsys):
 
 
 def test_decompose_roundtrip(tmp_path, capsys):
-    g0, h0, f = _sample_decomposable_pairs(4, 4, 1, seed=21)[0]
+    g0, h0, f = _sample_decomposable_pairs(4, 4, 1, seed=21)[0][0]
     path = write_doc(tmp_path, "f.json", {"k": 4, "n": 4, "table": list(f.table)})
     code, out, _ = run_cli(capsys, "decompose", path, "--format", "json")
     assert code == 0

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is used somewhere.
+"""Every name a module of the package imports is used in that module,
+every private module-level name is used somewhere, and every name of the
+package that the benchmark (``perfbench/``) reads still exists.
 
 No linter ships with the project, so this walks the syntax tree of each
 module of ``src/aritygap`` (``__init__.py`` re-exports, so it is left out)
@@ -10,6 +11,7 @@ string (as ``monkeypatch.setattr`` takes it).
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -96,3 +98,37 @@ def test_orphan_found():
     reader = "from m import _seen\nmonkeypatch.setattr('m._Old', None)\n"
     assert orphans({"m.py": module}, [module]) == ["m.py: _seen", "m.py: _left", "m.py: _Old"]
     assert orphans({"m.py": module}, [module, reader]) == ["m.py: _left"]
+
+
+def benchmark_names() -> list[tuple[str, str | None]]:
+    """(module, name) for every ``from aritygap.m import name`` of the
+    benchmark's sources, (module, None) for every ``import aritygap.m`` and
+    for every module its tracer wraps (``tracer._MODULES``)."""
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("aritygap"):
+                found += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(alias.name, None) for alias in node.names
+                          if alias.name.startswith("aritygap")]
+            elif (isinstance(node, ast.Assign) and path.name == "tracer.py"
+                  and any(isinstance(t, ast.Name) and t.id == "_MODULES" for t in node.targets)):
+                found += [(f"aritygap.{m}", None) for m in ast.literal_eval(node.value)]
+    return found
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # the benchmark's kernel rates, cache counters and trace mode read these;
+    # Tier-1 never runs them, and a missing one would only show there
+    names = benchmark_names()
+    assert ("aritygap.minors", "identify") in names and ("aritygap.cli", None) in names
+    for module, name in names:
+        mod = importlib.import_module(module)
+        # a submodule, as in "from aritygap import minors", is imported
+        if name is not None and not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")
+    minors = importlib.import_module("aritygap.minors")
+    subfunctions = importlib.import_module("aritygap.subfunctions")
+    assert callable(minors._essential_positions.cache_clear)
+    assert callable(subfunctions._closure_cached.cache_info)

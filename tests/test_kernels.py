@@ -1,10 +1,11 @@
 """The gather-index table kernels against the per-entry loops they replaced.
 
-The loop versions below are kept verbatim as oracles: an identification, a
-restriction, the symmetric (ess, gap) test, a swap test, the total-symmetry
-test, compression and spec expansion must give the same tables and the
-same answers, on every position pair and constant, for k in 2..4 and n in
-0..4. The cell listings of the gap >= 2 class and the n = 4 gap-2 sampler
+The loop versions below (and ``oracles.restrict_table``) are kept verbatim
+as oracles: an identification on every essential pair, a restriction, the
+essential core, the dominants, the symmetric (ess, gap) test, a swap test,
+the total-symmetry test, compression and spec expansion must give the same
+tables and the same answers, on every position pair and constant, for k in
+2..4 and n in 0..4. The cell listings of the gap >= 2 class and the n = 4 gap-2 sampler
 are checked against the filter and the draw loop they replaced, the seeded row sampler
 against the uniform spec and raw-table draw loops (also with output blocks
 so short that rows are drawn on past them), the listed full space
@@ -25,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aritygap import FiniteFunction, DomainError, PreconditionError
+from aritygap import FiniteFunction, DomainError, PreconditionError, dominants, essential_core
+from aritygap import identify, restrict
 from aritygap.core import BudgetError, index_of, iter_points
 from aritygap.enumeration import (
     _fictive_reps,
@@ -39,10 +41,9 @@ from aritygap.enumeration import (
     symmetric_spec_count,
     symmetry_index,
 )
-from aritygap.minors import _essential_mask, _essential_positions, _identify_table, _values
-from aritygap.subfunctions import _restrict_table
+from aritygap.minors import _essential_mask, _essential_positions, _values
 from aritygap.suites import _sample_gap2_specs
-from oracles import cell_specs, spec_ess_gap
+from oracles import cell_specs, restrict_table, spec_ess_gap
 from aritygap.symmetric import (
     _swap_invariant,
     compress,
@@ -65,15 +66,28 @@ def loop_identify_table(k, n, table, i, j):
     return tuple(out)
 
 
-def loop_restrict_table(k, n, table, i, c):
-    # fix 1-based position i to c, dropping the position
-    step = k ** (n - i)
-    block = step * k
-    out = []
-    for base in range(0, len(table), block):
-        s = base + c * step
-        out.extend(table[s : s + step])
-    return tuple(out)
+def loop_essential_core(f):
+    # drop the first fictive position, fixed to 0, until none is left
+    k, n, table = f.k, f.n, f.table
+    while True:
+        ess = _essential_positions(k, n, table)
+        if len(ess) == n:
+            return FiniteFunction(k, n, table)
+        fictive = next(p for p in range(1, n + 1) if p not in ess)
+        table = restrict_table(k, n, table, fictive, 0)
+        n -= 1
+
+
+def loop_dominants(f):
+    return frozenset(c for c in range(f.k)
+                     if len(set(restrict_table(f.k, f.n, f.table, f.n, c))) == 1)
+
+
+def with_fictive(k, n, table, positions):
+    """The table with each 0-based position of ``positions`` made fictive:
+    every entry read where those coordinates are 0."""
+    steps = [k ** (n - 1 - p) for p in positions]
+    return tuple(table[m - sum((m // s) % k * s for s in steps)] for m in range(k**n))
 
 
 def loop_spec_ess_gap(k, n, spec):
@@ -101,11 +115,23 @@ def specs(k, n):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_identify_table_equals_loop(k, n, data):
+    # a random table has every position essential; one fictive position
+    # leaves the pairs with it out
     table = data.draw(tables(k, n))
-    for i, j in itertools.product(range(n), repeat=2):
-        got = _identify_table(k, n, table, i, j)
-        assert type(got) is tuple
-        assert got == loop_identify_table(k, n, table, i, j)
+    for t in (table, with_fictive(k, n, table, range(min(n, 1)))):
+        f = FiniteFunction(k, n, t)
+        ess = _essential_positions(k, n, t)
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            if i == j:
+                with pytest.raises(DomainError):
+                    identify(f, i, j)
+            elif i in ess and j in ess:
+                got = identify(f, i, j)
+                assert got.n == n and type(got.table) is tuple
+                assert got.table == loop_identify_table(k, n, t, i - 1, j - 1)
+            else:
+                with pytest.raises(PreconditionError):
+                    identify(f, i, j)
 
 
 @pytest.mark.parametrize("k,n", DOMAINS)
@@ -113,18 +139,51 @@ def test_identify_table_equals_loop(k, n, data):
 @given(data=st.data())
 def test_restrict_table_equals_loop(k, n, data):
     table = data.draw(tables(k, n))
+    f = FiniteFunction(k, n, table)
     for i, c in itertools.product(range(1, n + 1), range(k)):
-        got = _restrict_table(k, n, table, i, c)
-        assert type(got) is tuple
-        assert len(got) == k ** (n - 1)
-        assert got == loop_restrict_table(k, n, table, i, c)
+        got = restrict(f, i, c)
+        assert got.n == n - 1 and type(got.table) is tuple
+        assert got.table == restrict_table(k, n, table, i, c)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_restrict_to_single_entry_is_a_tuple(k):
-    table = tuple(range(k))
+    # fixing the only position of a unary table leaves an arity-0 table
+    f = FiniteFunction(k, 1, range(k))
     for c in range(k):
-        assert _restrict_table(k, 1, table, 1, c) == (c,)
+        got = restrict(f, 1, c)
+        assert (got.n, got.table) == (0, (c,))
+        assert got.table == restrict_table(k, 1, f.table, 1, c)
+
+
+@pytest.mark.parametrize("k,n", DOMAINS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_essential_core_equals_loop(k, n, data):
+    # any fictive positions, every one between the first and the last, and
+    # a constant, which keeps no position
+    table = data.draw(tables(k, n))
+    fictive = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    for t in (table, with_fictive(k, n, table, fictive),
+              with_fictive(k, n, table, range(1, n - 1)), (table[0],) * k**n):
+        f = FiniteFunction(k, n, t)
+        got = essential_core(f)
+        assert got == loop_essential_core(f)
+        assert _essential_positions(k, got.n, got.table) == tuple(range(1, got.n + 1))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k, n in DOMAINS if n >= 1])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_dominants_equal_loop(k, n, data):
+    # at n = 1 every constant is a dominant: each restriction is a value
+    f = spec_to_function(k, n, data.draw(specs(k, n)))
+    got = dominants(f)
+    assert got == loop_dominants(f)
+    if n == 1:
+        assert got == frozenset(range(k))
+    f = spec_to_function(k, n, (0,) * (math.comb(k + n - 1, n) - 1) + (1,))
+    assert dominants(f) == loop_dominants(f)
 
 
 @pytest.mark.parametrize("k,n", DOMAINS)

@@ -14,6 +14,7 @@ before the screens: every instance then went through its checker.
 
 import hashlib
 import itertools
+import os
 import random
 from collections import Counter
 from math import comb
@@ -161,7 +162,7 @@ def test_stats_go_to_stderr_only(capsys):
     ("lemma2_1 -k 4 -n 4 --mode sample --seed 1 --sample 300", 300),
     ("willard -k 3 -n 3 --seed 1", 10000),
     ("thm4_1 -k 3 -n 5 --mode sample --seed 1 --sample 5", 5),
-    ("thm2_1 -k 3 -n 3 --seed 1 --sample 20", 0),
+    ("thm2_1 -k 3 -n 3 --seed 1 --sample 20", 20),
 ])
 def test_stats_count_the_generators_seeded(capsys, args, draws):
     # a gap-2 sample seeds one generator per attempt, kept or not: the
@@ -169,6 +170,25 @@ def test_stats_count_the_generators_seeded(capsys, args, draws):
     main(["verify", *args.split(), "--format", "json", "--stats"])
     (line,) = capsys.readouterr().err.splitlines()
     assert f" draws={draws} checker_rows=" in line
+
+
+@pytest.mark.parametrize("args,fields", [
+    ("thm2_1 -k 3 -n 3 --seed 1 --sample 20", "instances=2204 draws=20 checker_rows=0"),
+    ("thm2_2 -k 4 -n 4", "instances=12 draws=0 checker_rows=0"),
+    ("thm2_3 -k 4 -n 3", "instances=129024 draws=0 checker_rows=0"),
+    ("cor2_1 -k 4 -n 2", "instances=16380 draws=0 checker_rows=0"),
+    ("thm2_5 -k 6 -n 4 --seed 1 --sample 5", "instances=5 draws=10 checker_rows=5"),
+])
+def test_stats_of_the_runners_outside_the_population_runner(capsys, args, fields):
+    # these runners used to get checker_rows = instances and build_s = 0
+    # whatever they did: thm2_3 at (4, 3) printed checker_rows=129024
+    # build_s=0.000 while it decides every member on arrays and spends most
+    # of its time listing the cell and the images
+    main(["verify", *args.split(), "--format", "json", "--stats", "-o", os.devnull])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f" {fields} build_s=" in line
+    if args.startswith("thm2_3"):
+        assert " build_s=0.000 " not in line
 
 
 @pytest.mark.parametrize("suite,violations", [("cor4_2", 168), ("thm3_2", 258048)])

@@ -128,14 +128,84 @@ def test_thm2_1_form():
     assert report.instances_checked >= 2184
 
 
+def forbid_form_listing(monkeypatch, slots):
+    """Fail the test where ``thm2_1`` lists the coefficient rows of its
+    forms, ``slots`` values each."""
+    digits = suites._digits
+
+    def listed(base, width):
+        if width == slots:
+            raise AssertionError("a form was listed")
+        return digits(base, width)
+
+    monkeypatch.setattr(suites, "_digits", listed)
+
+
 def test_thm2_1_without_seed_refused_before_the_forms(monkeypatch):
     # the missing seed used to be noticed only after every form was profiled
-    def profiled(f):
-        raise AssertionError("a form was profiled")
-
-    monkeypatch.setattr(suites, "gap_profile", profiled)
+    forbid_form_listing(monkeypatch, 7)  # a0 and the 6 all-distinct points
     with pytest.raises(DomainError, match="explicit seed"):
         run_suite("thm2_1", 3, 3)
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_thm2_1_equals_its_oracle(k, n, seed):
+    # the forms and the converse's sample decided on arrays, against the
+    # loop over one FiniteFunction per form and drawn table
+    report = run_suite("thm2_1", k, n, seed=seed)
+    instances, total, records = oracles.thm2_1_records(k, n, seed)
+    assert report.instances_checked == instances
+    assert (report.violations_total, report.violations) == (total, records)
+
+
+def test_thm2_1_records_the_forms_first_then_the_converse(monkeypatch):
+    # no table violates the claim, so flip the full-gap verdict of every
+    # table whose first three entries are 0: 80 forms (a0 = 0 and the
+    # values at (0, 1), (0, 2) are 0, not all entries 0), then the
+    # all-essential sampled tables among them
+    from aritygap import facts
+
+    ess_gap = facts.TableFacts.ess_gap.func
+
+    def flipped(self):
+        ess, gap = ess_gap(self)
+        flip = np.all(self.tables[:, :3] == 0, axis=1)
+        return ess, np.where(flip, np.where(gap == self.n, 1, self.n), gap).astype(gap.dtype)
+
+    monkeypatch.setattr(facts.TableFacts, "ess_gap", property(flipped))
+    doc = run_suite("thm2_1", 3, 2, seed=1, sample=300).to_doc()
+    assertions = [v["assertion"] for v in doc["violations"]]
+    converse = len(assertions) - 80
+    assert 0 < converse and doc["violations_total"] == len(assertions) <= 100
+    assert assertions == ["thm2_1.form-has-full-gap"] * 80 + ["thm2_1.converse-eq-constant"] * converse
+    assert all(v["function"]["table"][:3] == [0, 0, 0] for v in doc["violations"])
+
+
+def test_thm2_1_past_the_listing_limit_refused_before_any_form(capsys, monkeypatch):
+    # (4, 2) has 4^13 forms of 16 entries; the sweep used to run past 20 s
+    forbid_form_listing(monkeypatch, 13)
+    assert cli.main(["verify", "thm2_1", "-k", "4", "-n", "2", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: listing requires 1073741824 table entries, "
+                   "over the listing limit of 100000000\n")
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (3, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3),
+                                 (4, 4), (5, 5), (5, 3), (2, 3)])
+def test_lemma3_1_equality_witnesses_equal_their_oracle(k, n):
+    # sub read off the witnesses' specs, against the closure of each table;
+    # at n = 1 the constant witnesses break the bound, (5, 3) is skipped and
+    # (2, 3) is outside n <= k
+    docs = []
+    for add in (suites._lemma3_1_equality_witnesses, oracles.lemma3_1_equality_witnesses):
+        report = suites._mk_report("lemma3_1", k, n, "", {}, 0, {}, 0, [], [], {})
+        add(report)
+        docs.append(report.to_doc())
+    assert docs[0] == docs[1]
+    if n == 1:
+        assert docs[0]["violations_total"] > 0
 
 
 @pytest.mark.parametrize("k,n,entries", [(2, 13, 2**27), (4, 12, 4**25)])

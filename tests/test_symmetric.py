@@ -210,6 +210,26 @@ def test_recompose_agrees_with_h_on_distinct_points():
             assert f(p) == h(p)
 
 
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (3, 5)])
+def test_recompose_equals_the_loop(k, n):
+    # the pair gathers against the point-by-point sum, and the same refusal
+    rng = random.Random(k * 10 + n)
+    for _ in range(5):
+        g = FiniteFunction(k, n - 2, [rng.randrange(k) for _ in range(k ** (n - 2))])
+        h = FiniteFunction(k, n, [rng.randrange(k) if len(set(p)) == n else 0
+                                  for p in iter_points(k, n)])
+        assert recompose(g, h) == oracles.recompose_loop(g, h)
+        bad = list(h.table)
+        bad[rng.choice([m for m, p in enumerate(iter_points(k, n)) if len(set(p)) < n])] = 1
+        bad = FiniteFunction(k, n, bad)
+        messages = []
+        for recomposed in (recompose, oracles.recompose_loop):
+            with pytest.raises(PreconditionError) as refused:
+                recomposed(g, bad)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+
 def test_recompose_validation():
     g = FiniteFunction(4, 2, [0] * 16)
     bad_h = FiniteFunction(4, 4, [1] + [0] * 255)  # nonzero on the diagonal
@@ -220,7 +240,7 @@ def test_recompose_validation():
 
 
 def test_extract_decomposition_roundtrip():
-    pairs = _sample_decomposable_pairs(4, 4, 6, seed=13)
+    pairs, _ = _sample_decomposable_pairs(4, 4, 6, seed=13)
     assert len(pairs) == 6
     for g0, h0, f in pairs:
         pair = extract_decomposition(f)
@@ -251,6 +271,12 @@ def test_extract_decomposition_no_solution():
     assert (prof.ess, prof.gap) == (4, 2)
     with pytest.raises(DecompositionError):
         extract_decomposition(f)
+
+
+@pytest.mark.parametrize("k,n", [(2, 0), (3, 0), (2, 1), (3, 2), (4, 3), (5, 2)])
+def test_diagonal_values_read_each_constant_point(k, n):
+    f = FiniteFunction(k, n, range(k**n) if k**n <= k else [m % k for m in range(k**n)])
+    assert diagonal_values(f) == tuple(f((c,) * n) if n else f.table[0] for c in range(k))
 
 
 def test_diagonal_values_examples():
