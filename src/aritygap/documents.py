@@ -38,11 +38,9 @@ def load_function(obj: Any) -> FiniteFunction:
     _require("table" in obj, "missing field 'table'")
     table = obj["table"]
     _require(isinstance(table, list), "field 'table' must be an array")
-    for v in table:
-        _require(
-            isinstance(v, int) and not isinstance(v, bool),
-            "table entries must be integers",
-        )
+    # one check per distinct entry type; bool is a subclass of int
+    _require(all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, table))),
+             "table entries must be integers")
     try:
         return FiniteFunction(k, n, table)
     except DomainError as exc:

@@ -12,10 +12,11 @@ minors a round at a time (``_rounds``): one gather through a per-(k, n)
 index gives every minor of a whole round. The gap index is the number of
 rounds, which is at most m = ess - gap, the most essential variables of a
 one-step minor, since each identification makes at least one more
-variable fictive. ``gap_index`` and ``gap_profile`` first look for a chain
-that loses exactly one essential variable per identification down to 2,
-which shows that the index is m (``_tight_chain``, the minors of one table
-at a time); only without one do they count the rounds, keeping no minor.
+variable fictive. Within ``_PLAN_ENTRIES``, gap and index come off a plan
+over the set partitions of the positions (``_minor_plan``); past it a chain
+that loses exactly one essential variable per identification down to 2
+shows that the index is m (``_tight_chain``, the minors of one table at a
+time), and only without one are the rounds counted, keeping no minor.
 Only ``all_minors`` maps every reached table to its depth.
 
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
@@ -224,6 +225,63 @@ def _identify_index(k: int, n: int, step_i, step_j) -> np.ndarray:
     return m + (m // step_j % k - m // step_i % k) * step_i
 
 
+# The most entries the restriction plan (``subfunctions._count_plan``) or
+# the minor plan gathers per table. Within 2^15 the restriction plan counted
+# random, symmetric, parity, AND and two-variable tables at least as fast as
+# the walk (1.5-3x faster on the analyze classes), constant tables up to 30
+# us slower; past it the walk overtakes it on structured tables, first on
+# two-variable tables at (2, 8), (3, 6) and (4, 5), and on every kind at n =
+# 2 from k = 100. The minor plan was faster on every kind of table within it.
+_PLAN_ENTRIES = 1 << 15
+
+
+def _zero_pairs(k: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position p of K^a in turn, the points with x_p != 0 and x_p := 0."""
+    axes = [np.arange(k**a).reshape(k**p, k, -1) for p in range(a)]
+    return (np.concatenate([v[:, 1:].ravel() for v in axes]),
+            np.concatenate([np.repeat(v[:, :1], k - 1, axis=1).ravel() for v in axes]))
+
+
+@functools.lru_cache(maxsize=64)
+def _minor_plan_entries(k: int, n: int) -> int:
+    """2 sum_r S(n, r) r (k-1) k^(r-1), S the Stirling numbers of the
+    second kind: the entries the minor plan gathers per table."""
+    s = [1]  # S(m, r) for r = 0..m
+    for _ in range(n):
+        s = [r * a + b for r, (a, b) in enumerate(zip(s + [0], [0] + s))]
+    return 2 * sum(s[r] * r * (k - 1) * k ** (r - 1) for r in range(1, n + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _minor_plan(k: int, n: int):
+    """The identification plan at (k, n), n >= 1: chains of
+    identifications reach f with the blocks of a set partition of the
+    positions set equal (a growth string; in order of depth, n less its
+    blocks). Returns the pair index (2, H) of g[y], g[y with y_b := 0] for
+    each partition's block table g, block b and y_b != 0; the starts of the
+    blocks and of the partitions; per pair of blocks a < b of a partition,
+    the two blocks, the partition and the one merging them; the depths."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    strings.sort(key=max, reverse=True)
+    place = {s: i for i, s in enumerate(strings)}
+    steps = k ** np.arange(n - 1, -1, -1)
+    pairs, seg, edges, first = [], [], [], [0]
+    for i, s in enumerate(strings):
+        r = max(s) + 1
+        table = np.equal.outer(range(r), s) @ steps @ _digits(k, r).T  # y_b at block b
+        pairs.append(table[np.stack(_zero_pairs(k, r))])
+        seg += [(k - 1) * k ** (r - 1)] * r
+        edges += [(first[-1] + a, first[-1] + b, i,
+                   place[tuple(a if x == b else x - (x > b) for x in s)])
+                  for a in range(r) for b in range(a + 1, r)]
+        first.append(first[-1] + r)
+    return (np.concatenate(pairs, axis=1), np.cumsum([0] + seg[:-1]), np.array(first[:-1]),
+            tuple(np.array(edges, dtype=np.intp).reshape(-1, 4).T),
+            n - 1 - np.array([max(s) for s in strings]))
+
+
 @functools.lru_cache(maxsize=8)
 def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, n, k^n): entry [i, j] indexes a table into its minor x_i := x_j
@@ -341,7 +399,7 @@ def gap(f: FiniteFunction) -> int:
         raise PreconditionError(
             f"arity gap undefined: only {len(ess)} essential variable(s)"
         )
-    return len(ess) - int(_one_step(f)[1].sum(axis=1).max())
+    return _gap_and_index(f, index=False)[0]
 
 
 def _tight_chain(k: int, n: int, tab: np.ndarray, row: np.ndarray, ess: int,
@@ -364,31 +422,37 @@ def _tight_chain(k: int, n: int, tab: np.ndarray, row: np.ndarray, ess: int,
                for r in np.flatnonzero(mask.sum(axis=1) == ess - 1))
 
 
-def gap_index(f: FiniteFunction) -> int:
-    """Maximal identification-chain depth over all minors: the number of
-    rounds of the minor closure.
-
-    Let m = ess(f) - gap(f), the most essential variables of a one-step
-    minor. A minor has fewer essential variables than its table, so every
-    table of round d has at most m - d + 1, and a round follows round d
-    only when one of its tables has 2 or more: there are at most m rounds
-    (one when m < 2). A chain of identifications that loses exactly one
-    variable per step, from a one-step minor with m essential variables
-    down to one with 2, reaches round m - 1 with a table that has a
-    minor, so the index is then m. Such a chain is looked for first,
-    among the minors of the first one-step minor with m essential
-    variables (``_tight_chain``); only when none is found are the rounds
-    walked and counted.
-    """
-    if essential_count(f) < 2:
-        raise PreconditionError("gap index undefined below 2 essential variables")
+def _gap_and_index(f: FiniteFunction, index: bool = True) -> tuple[int, int | None]:
+    """The gap of f (ess >= 2) and, if ``index``, its gap index: the
+    deepest partition reached on the minor plan. Past it, with m = ess -
+    gap, round d has at most m - d + 1 essential variables, so at most m
+    rounds; a chain from a one-step minor losing one per identification
+    down to 2 (``_tight_chain``) shows m, else the rounds are counted."""
+    k, n = f.k, f.n
+    if _minor_plan_entries(k, n) <= _PLAN_ENTRIES:
+        pairs, starts, first, (a, b, parent, child), depth = _minor_plan(k, n)
+        t = _values(k, f.table)[pairs]
+        ess = np.logical_or.reduceat(t[0] != t[1], starts)
+        live, reached = ess[a] & ess[b], depth == 0
+        for _ in range(n - 1):
+            reached[child[live & reached[parent]]] = True
+        counts, one = np.add.reduceat(ess, first, dtype=np.intp), slice(1, 1 + n * (n - 1) // 2)
+        return int(counts[0] - (counts[one] * reached[one]).max()), int(depth[reached][-1])
     tabs, mask = _one_step(f)
     counts = mask.sum(axis=1)
     r = int(counts.argmax())
     m = int(counts[r])
-    if m >= 2 and _tight_chain(f.k, f.n, tabs[r], mask[r], m, set()):
-        return m
-    return sum(1 for _ in _rounds(f))
+    if not index or m >= 2 and _tight_chain(k, n, tabs[r], mask[r], m, set()):
+        return essential_count(f) - m, m if index else None
+    return essential_count(f) - m, sum(1 for _ in _rounds(f))
+
+
+def gap_index(f: FiniteFunction) -> int:
+    """Maximal identification-chain depth over all minors: the number of
+    rounds of the minor closure."""
+    if essential_count(f) < 2:
+        raise PreconditionError("gap index undefined below 2 essential variables")
+    return _gap_and_index(f)[1]
 
 
 @dataclass(frozen=True)
@@ -411,6 +475,5 @@ def gap_profile(f: FiniteFunction) -> GapProfile:
     ess = essential_count(f)
     if ess < 2:
         return GapProfile(ess, None, None, None)
-    g = gap(f)  # the one-step minors, which the rounds start from
-    label = (ess, g, f.k) if g >= 2 else None
-    return GapProfile(ess, g, gap_index(f), label)
+    g, index = _gap_and_index(f)
+    return GapProfile(ess, g, index, (ess, g, f.k) if g >= 2 else None)

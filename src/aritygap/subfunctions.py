@@ -44,6 +44,7 @@ import numpy as np
 
 from .core import DomainError, FiniteFunction, PreconditionError
 from .minors import (
+    _PLAN_ENTRIES,
     _chunks,
     _collect,
     _digits,
@@ -51,6 +52,7 @@ from .minors import (
     _essential_positions,
     _group,
     _values,
+    _zero_pairs,
     essential_count,
     identify,
 )
@@ -284,12 +286,7 @@ def _count_plan(k: int, n: int):
         parents = place[(d @ codes)[:, None] + (k - np.take_along_axis(d, fixed, 1)) * codes[fixed]]
         levels.append((lo, slices, slices[:, 0], parents, np.left_shift(1, fixed).astype(bit)))
         if a:
-            # per free position p in turn, the points with x_p != 0, and
-            # the same points with x_p := 0, as places in the slice
-            axes = [np.arange(k**a).reshape(k**p, k, -1) for p in range(a)]
-            pairs = (np.concatenate([v[:, 1:].ravel() for v in axes]),
-                     np.concatenate([np.repeat(v[:, :1], k - 1, axis=1).ravel() for v in axes]))
-            for side, pair in zip(sides, pairs):
+            for side, pair in zip(sides, _zero_pairs(k, a)):
                 side.append(slices[:, pair].ravel())
             seg = (k - 1) * k ** (a - 1)
             starts.append(sum(map(len, sides[0][:-1])) + a * seg * np.arange(size))
@@ -298,15 +295,6 @@ def _count_plan(k: int, n: int):
     index = np.concatenate(sides[0] + sides[1] + [np.zeros(0, np.intp)])
     return (index, np.concatenate(bits + [np.zeros(0, bit)]),
             np.concatenate(starts + [np.zeros(0, np.intp)]), levels)
-
-
-# The most entries the restriction plan gathers per table. Within 2^15 the
-# plan counted random, symmetric, parity, AND and two-variable tables at
-# least as fast as the walk (1.5-3x faster on the analyze classes, a tie at
-# n = 2 for k = 50..64), constant tables up to 30 us slower; past it the
-# walk overtakes it on structured tables, first on two-variable tables at
-# (2, 8), (3, 6) and (4, 5), and on every kind at n = 2 from k = 100.
-_PLAN_ENTRIES = 1 << 15
 
 
 def _plan_fits(k: int, n: int) -> bool:

@@ -59,6 +59,14 @@ def test_analyze_malformed(tmp_path, capsys):
     assert "table" in err
 
 
+@pytest.mark.parametrize("entry", [True, 1.0, "1", None])
+def test_analyze_refuses_a_table_entry_that_is_not_an_integer(tmp_path, capsys, entry):
+    path = write_doc(tmp_path, "bad.json", {"k": 2, "n": 2, "table": [0, 1, entry, 1]})
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, out) == (2, "")
+    assert "table entries must be integers" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,6 +8,7 @@ from table_strategies import kernel_cases
 from aritygap import (
     FiniteFunction,
     DomainError,
+    GapProfile,
     PreconditionError,
     all_minors,
     construct_gap2_ternary,
@@ -384,9 +385,12 @@ def test_gap_index_of_a_wide_parity_counts_its_rounds():
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The functions whose minor rounds are walked while the test runs."""
+    """The functions whose minor rounds are walked while the test runs.
+    Every table takes the path of the tables past the minor plan's bound:
+    the one-step minors, the tight chain and the rounds."""
     from aritygap import minors
 
+    monkeypatch.setattr(minors, "_PLAN_ENTRIES", 0)
     walked, rounds = [], minors._rounds
 
     def counted(f):
@@ -489,3 +493,115 @@ def test_grouping_is_exact_when_hashes_collide(monkeypatch):
         assert new[0] and all(n == (a[0] != b[0]) for a, b, n in zip(rows, rows[1:], new[1:]))
         assert sum(new) == len({r[0] for r in rows})
         assert all(a[1] <= b[1] for a, b, n in zip(rows, rows[1:], new[1:]) if not n)
+
+
+def walked_gap_and_index(f):
+    """The gap from the one-step minors and the number of minor rounds."""
+    from aritygap.minors import _one_step, _rounds
+
+    return (essential_count(f) - int(_one_step(f)[1].sum(axis=1).max()),
+            sum(1 for _ in _rounds(f)))
+
+
+def assert_plan_equals_walk(f):
+    from aritygap.minors import _gap_and_index
+
+    want = walked_gap_and_index(f)
+    assert (gap(f), gap_index(f)) == _gap_and_index(f) == want, f
+    p = gap_profile(f)
+    assert (p.gap, p.index) == want, f
+
+
+def plan_domains():
+    """Every (k, n), n >= 2, whose minor plan is within the bound."""
+    from aritygap.minors import _PLAN_ENTRIES, _minor_plan_entries
+
+    return [(k, n) for n in range(2, 7) for k in range(2, 100)
+            if _minor_plan_entries(k, n) <= _PLAN_ENTRIES]
+
+
+def test_minor_plan_equals_walk_on_every_small_table():
+    for k, n in ((2, 2), (2, 3), (3, 2)):
+        for table in itertools.product(range(k), repeat=k**n):
+            f = FiniteFunction(k, n, table)
+            if essential_count(f) >= 2:
+                assert_plan_equals_walk(f)
+
+
+def structured_tables(k, n, rng):
+    """Random, parity, AND, majority, two-variable and fictive-position
+    tables at (k, n), by kind."""
+    import numpy as np
+
+    x = np.array(list(iter_points(k, n)))
+    two = rng.sample(range(n), 2)
+    inner = np.array([rng.randrange(k) for _ in range(k * k)])
+    keep = sorted(rng.sample(range(n), rng.randrange(2, n + 1)))
+    lookup = np.array([rng.randrange(k) for _ in range(k ** len(keep))])
+    tables = {
+        "random": np.array([rng.randrange(k) for _ in range(k**n)]),
+        "parity": x.sum(axis=1) % 2,
+        "sum": x.sum(axis=1) % k,
+        "and": (x != 0).all(axis=1),
+        "majority": 2 * (x != 0).sum(axis=1) > n,
+        "two-variable": inner[x[:, two[0]] * k + x[:, two[1]]],
+        "fictive": lookup[x[:, keep] @ k ** np.arange(len(keep))],
+    }
+    return {kind: FiniteFunction(k, n, t.astype(int).tolist()) for kind, t in tables.items()}
+
+
+def test_minor_plan_equals_walk_at_every_domain_within_its_bound():
+    from aritygap.minors import _PLAN_ENTRIES, _minor_plan_entries
+
+    domains = plan_domains()
+    for edge in ((2, 6), (3, 5), (4, 5), (90, 2), (17, 3), (7, 4)):
+        assert edge in domains
+    for k, n in ((2, 7), (3, 6), (5, 5), (91, 2), (18, 3), (8, 4)):
+        assert _minor_plan_entries(k, n) > _PLAN_ENTRIES
+    rng = random.Random(24)
+    for k, n in domains:
+        for f in structured_tables(k, n, rng).values():
+            if essential_count(f) >= 2:
+                assert_plan_equals_walk(f)
+
+
+def test_minor_plan_on_constant_and_low_arity_tables():
+    for f in (FiniteFunction(3, 0, [2]), FiniteFunction(2, 1, [0, 1]),
+              FiniteFunction(5, 1, [0, 0, 0, 0, 0]), FiniteFunction(3, 4, [1] * 81)):
+        assert gap_profile(f) == GapProfile(essential_count(f), None, None, None)
+        with pytest.raises(PreconditionError):
+            gap(f)
+        with pytest.raises(PreconditionError):
+            gap_index(f)
+
+
+def test_minor_plan_size_is_its_closed_form():
+    from aritygap.minors import _minor_plan, _minor_plan_entries
+
+    # 2 sum_r S(n, r) r (k-1) k^(r-1), from the Stirling numbers
+    assert [_minor_plan_entries(k, n) for k, n in ((2, 1), (3, 3), (4, 4), (4, 5), (2, 7))] == [
+        2, 184, 3606, 30966, 61490]
+    bell = [1, 1, 2, 5, 15, 52, 203]  # the set partitions of n positions
+    for k, n in [(2, 1), (7, 1)] + plan_domains()[::7] + [(2, 6), (3, 5), (4, 5)]:
+        pairs, _, _, _, depth = _minor_plan.__wrapped__(k, n)
+        assert pairs.shape == (2, _minor_plan_entries(k, n) // 2)
+        assert len(depth) == bell[n]
+
+
+class Built(Exception):
+    pass
+
+
+def test_minor_plan_is_never_built_past_its_bound(monkeypatch):
+    from aritygap import minors
+
+    def refuse(k, n):
+        raise Built
+
+    monkeypatch.setattr(minors, "_minor_plan", refuse)
+    rng = random.Random(7)
+    for f in structured_tables(2, 7, rng).values():
+        if essential_count(f) >= 2:
+            assert (gap(f), gap_index(f)) == walked_gap_and_index(f)
+    with pytest.raises(Built):
+        gap(PARITY2)
