@@ -14,6 +14,7 @@ after construction, so everything is safe to use from parallel workers.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,13 +32,24 @@ class DecompositionError(PreconditionError):
     """No pairwise-conjunction decomposition exists for the input."""
 
 
-def _count(value: int) -> str:
-    """A count in decimal or, past the digits Python turns into text, as a
-    power of ten it reaches (0.30102 is below log10(2))."""
+def _at_least(bits: int) -> str:
+    """A count of ``bits`` bits as a power of ten it reaches (0.30102 < log10(2))."""
+    return f"at least 10^{(bits - 1) * 30102 // 100000}"
+
+
+def _count(value: int | str) -> str:
+    """A count in decimal or, past the digits Python turns into text, as
+    ``_at_least`` gives it; the text of ``_power`` is kept as it is."""
     try:
         return str(value)
     except ValueError:
-        return f"at least 10^{(value.bit_length() - 1) * 30102 // 100000}"
+        return _at_least(value.bit_length())
+
+
+def _power(k: int, m: int) -> int | str:
+    """k^m (k >= 2) or, past 2^21 bits, slow to raise, its ``_count`` text."""
+    bits = m * math.log2(k)
+    return k**m if bits <= 1 << 21 else _at_least(int(bits) + 1)
 
 
 class BudgetError(RuntimeError):
@@ -104,9 +116,10 @@ class FiniteFunction:
     def __init__(self, k: int, n: int, table: Iterable[int]):
         check_domain(k, n)
         tab = tuple(table)
-        if len(tab) != k**n:
+        # k >= 2, so past the table's bit length k^n outgrows it whatever k is
+        if n > len(tab).bit_length() or len(tab) != k**n:
             raise DomainError(
-                f"table has {len(tab)} entries, expected {k}^{n} = {k ** n}"
+                f"table has {len(tab)} entries, expected {k}^{n} = {_count(_power(k, n))}"
             )
         if not (0 <= min(tab) and max(tab) < k):
             v = next(v for v in tab if not 0 <= v < k)

@@ -46,6 +46,7 @@ import numpy as np
 from .core import (
     BudgetError,
     DomainError,
+    _power,
     check_domain,
 )
 from .minors import _chunks, _digits, _essential_mask, _values
@@ -114,6 +115,14 @@ def _fictive_reps(k: int, n: int):
 
 def symmetric_spec_count(k: int, n: int) -> int:
     return k ** comb(k + n - 1, n)
+
+
+def _spec_width(k: int, n: int) -> int:
+    """C(k + n - 1, n) spec entries, refused past ``LIST_LIMIT`` before any listing."""
+    width = comb(k + n - 1, n)
+    if width > LIST_LIMIT:
+        raise BudgetError(width, LIST_LIMIT, "spec entries", "listing limit")
+    return width
 
 
 # The most generator outputs ``_draw_rows`` decodes at once, 64 KiB of them.
@@ -416,9 +425,11 @@ def census(
     its child's k^(n-1).
     """
     check_domain(k, n)
-    total = symmetric_spec_count(k, n)
-    if total > budget and not override:
-        raise BudgetError(total, budget)
+    width = comb(k + n - 1, n)
+    # k >= 2, so k^width is over the budget once width passes its bit length
+    if not override and (width > budget.bit_length() or k**width > budget):
+        raise BudgetError(_power(k, width), budget)
+    total = k ** _spec_width(k, n)
     t0 = perf_counter()
     counts = _bucket_counts(k, n)
     t1 = perf_counter()
@@ -459,8 +470,10 @@ def _fictive(specs: np.ndarray, rep: tuple[int, ...]) -> np.ndarray:
 def _listable_class_size(k: int, n: int, budget: int, limit: str = "budget") -> int:
     """Size of the gap >= 2 class, refused from the counts, before anything
     is built, when it is over the budget or its table entries are over
-    ``LIST_LIMIT``. ``limit`` names the budget in the refusal: "budget" for
-    one an option sets, any other name for a fixed one."""
+    ``LIST_LIMIT``; a spec wider than ``LIST_LIMIT`` is refused before the
+    counts. ``limit`` names the budget in the refusal: "budget" for one an
+    option sets, any other name for a fixed one."""
+    _spec_width(k, n)
     size = _nontrivial(_bucket_counts(k, n))
     if size > budget:
         raise BudgetError(size, budget, "class members", limit)

@@ -8,9 +8,10 @@ attained after a single step; the single-step computation is used here and
 the equivalence with the closure-wide maximum is exercised by tests.
 
 The minor closure of one table is a numpy kernel that walks the reached
-minors a round at a time (``_rounds``): one gather through a per-(k, n)
-index gives every minor of a whole round. The gap index is the number of
-rounds, which is at most m = ess - gap, the most essential variables of a
+minors a round at a time (``_rounds``), from round 0, f itself: one gather
+through a per-(k, n) index gives every minor of a whole round, and each
+round holds every table once. The gap index is the number of rounds after
+round 0, which is at most m = ess - gap, the most essential variables of a
 one-step minor, since each identification makes at least one more
 variable fictive. Within ``_PLAN_ENTRIES``, gap and index come off a plan
 over the set partitions of the positions (``_minor_plan``); past it a chain
@@ -187,12 +188,6 @@ def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
     return order, new
 
 
-def _distinct(k: int, tabs: np.ndarray) -> np.ndarray:
-    """The distinct rows of the tables ``tabs`` (m >= 1, entries below k)."""
-    order, new = _group(k, tabs)
-    return tabs[order[new]]
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One bytes key per row of a 2-d array of non-negative integers (at
     least one column): its entries in big-endian bytes, so keys compare as
@@ -291,72 +286,41 @@ def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _identify_index(k, n, steps[:, None, None], steps[:, None]), ~np.eye(n, dtype=bool)
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_rows(k: int, n: int, ess: tuple[int, ...]) -> np.ndarray:
-    """The rows of the identification plan for x_i := x_j, i != j both in
-    the 1-based positions ``ess``."""
-    plan, _ = _identify_plan(k, n)
-    pos = np.array(ess, dtype=np.intp) - 1
-    i, j = np.nonzero(~np.eye(len(ess), dtype=bool))
-    return plan[pos[i], pos[j]]
-
-
-@functools.lru_cache(maxsize=4)
-def _one_step(f: FiniteFunction) -> tuple[np.ndarray, np.ndarray]:
-    """The one-step identification minors of f, which has at least two
-    essential variables (x_i := x_j for every ordered pair of them), and
-    their essential masks; shared by the gap and the closure."""
-    k, n = f.k, f.n
-    tabs = _values(k, f.table)[_pair_rows(k, n, _essential_positions(k, n, f.table))]
-    mask = _essential_mask(k, n, tabs)
-    tabs.flags.writeable = mask.flags.writeable = False
-    return tabs, mask
-
-
-# A round of at most this many tables is walked as it is: removing its
-# repeats costs more than walking them.
-_SMALL_ROUND = 32
-
-
 def _next_round(k: int, n: int, tabs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The minors x_i := x_j of the tables ``tabs`` for every pair i != j
-    of positions essential in them (``mask``): each once, or as often as
-    they come when there are at most ``_SMALL_ROUND``."""
+    of positions essential in them (``mask``), each once."""
     plan, pairs = _identify_plan(k, n)
     rows, i, j = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
     # one flat gather: row r's entry e is entry r * k^n + e of the rows
     flat, w = tabs.reshape(-1), k**n
-    parts = _chunks(len(rows), w)
-    if len(parts) <= 1:
-        kids = flat[rows[:, None] * w + plan[i, j]]
-        return _distinct(k, kids) if len(kids) > _SMALL_ROUND else kids
-    return _collect(parts, lambda p: (_distinct(k, flat[rows[p, None] * w + plan[i[p], j[p]]]),),
-                    lambda t: (_distinct(k, t),))[0]
+
+    def distinct(kids):  # each table once, in the order tables first come
+        return (kids[list({row.tobytes(): r for r, row in enumerate(kids)}.values())],)
+
+    return _collect(_chunks(len(rows), w),
+                    lambda p: distinct(flat[rows[p, None] * w + plan[i[p], j[p]]]), distinct)[0]
+
+
+def _round_zero(f: FiniteFunction) -> tuple[np.ndarray, np.ndarray]:
+    """f as round 0: its table, (1, k^n), and its essential mask, (1, n)."""
+    ess = _essential_positions(f.k, f.n, f.table)
+    return _values(f.k, f.table)[None], np.array([[p in ess for p in range(1, f.n + 1)]])
 
 
 def _rounds(f: FiniteFunction):
     """The rounds of the minor closure of f, which has at least two
-    essential variables, as (m, k^n) arrays of tables.
-
-    Round d holds the tables that a chain of exactly d identifications
-    reaches, each once (a round of at most ``_SMALL_ROUND`` tables as
-    often as it was reached); one gather gives round d + 1 from it.
-    Every identification makes one more variable fictive, so there are
-    fewer rounds than essential variables, and only reached tables are
-    ever gathered: the cost follows the size of the closure. Only the
-    round in hand is held.
-    """
+    essential variables, as (m, k^n) arrays of tables. Round 0 is f, and
+    one gather of round d gives round d + 1, the tables that a chain of
+    exactly d + 1 identifications reaches, each once; rounds 1, 2, ... are
+    yielded. Every identification makes one more variable fictive, so there
+    are fewer rounds than essential variables. Only reached tables are
+    gathered, and only the round in hand is held."""
     k, n = f.k, f.n
-    tabs, mask = _one_step(f)
-    if len(tabs) > _SMALL_ROUND:
-        order, new = _group(k, tabs)
-        tabs, mask = tabs[order[new]], mask[order[new]]
-    most = int(mask.sum(axis=1).max())  # essential variables of the round at most
-    while True:
-        yield tabs
-        if most < 2:
-            return
+    tabs, mask = _round_zero(f)
+    most = int(mask.sum())  # essential variables of the round at most
+    while most >= 2:
         tabs = _next_round(k, n, tabs, mask)
+        yield tabs
         # a minor has fewer essential variables than its table
         most -= 1
         if most >= 2:
@@ -426,8 +390,9 @@ def _gap_and_index(f: FiniteFunction, index: bool = True) -> tuple[int, int | No
     """The gap of f (ess >= 2) and, if ``index``, its gap index: the
     deepest partition reached on the minor plan. Past it, with m = ess -
     gap, round d has at most m - d + 1 essential variables, so at most m
-    rounds; a chain from a one-step minor losing one per identification
-    down to 2 (``_tight_chain``) shows m, else the rounds are counted."""
+    rounds; a chain from the best minor of round 1, one gather of f,
+    losing one per identification down to 2 (``_tight_chain``) shows m,
+    else the rounds are counted."""
     k, n = f.k, f.n
     if _minor_plan_entries(k, n) <= _PLAN_ENTRIES:
         pairs, starts, first, (a, b, parent, child), depth = _minor_plan(k, n)
@@ -438,10 +403,10 @@ def _gap_and_index(f: FiniteFunction, index: bool = True) -> tuple[int, int | No
             reached[child[live & reached[parent]]] = True
         counts, one = np.add.reduceat(ess, first, dtype=np.intp), slice(1, 1 + n * (n - 1) // 2)
         return int(counts[0] - (counts[one] * reached[one]).max()), int(depth[reached][-1])
-    tabs, mask = _one_step(f)
-    counts = mask.sum(axis=1)
-    r = int(counts.argmax())
-    m = int(counts[r])
+    tabs = _next_round(k, n, *_round_zero(f))
+    mask = _essential_mask(k, n, tabs)
+    r = int(mask.sum(axis=1).argmax())
+    m = int(mask[r].sum())
     if not index or m >= 2 and _tight_chain(k, n, tabs[r], mask[r], m, set()):
         return essential_count(f) - m, m if index else None
     return essential_count(f) - m, sum(1 for _ in _rounds(f))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, log2, perm
 from time import perf_counter
 
 import numpy as np
@@ -39,6 +39,8 @@ from .core import (
     BudgetError,
     DomainError,
     FiniteFunction,
+    _at_least,
+    _power,
     check_domain,
 )
 from .documents import dump_function
@@ -205,7 +207,8 @@ def _population(name, k, n, mode, seed, sample, budget):
     params = {"seed": seed, "sample": sample}
     if name in ("lemma2_3", "willard"):
         width = k**n
-        if name == "lemma2_3" and mode == "exhaustive" and k**width <= FULL_SCAN_LIMIT:
+        if (name == "lemma2_3" and mode == "exhaustive"
+                and width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT):
             return _solutions(k, range(width)), "exhaustive(raw tables)", [], params, 0
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
@@ -232,13 +235,12 @@ def _population(name, k, n, mode, seed, sample, budget):
         specs, draws = _sample_gap2_specs(k, n, count, seed)
         return specs, f"sample(gap-2, {count})", [], params, draws
     if name == "lemma2_1":
-        total = symmetric_spec_count(k, n)
-        if total <= FULL_SCAN_LIMIT:
+        if width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT:
             return _solutions(k, range(width)), "exhaustive", [], params, 0
         specs = _nontrivial_gap_array(k, n, budget)
         notes = [
-            f"full symmetric domain has {total} candidates, over the per-suite scan "
-            f"limit of {FULL_SCAN_LIMIT}; checked the exhaustively enumerable "
+            f"full symmetric domain has {symmetric_spec_count(k, n)} candidates, over the "
+            f"per-suite scan limit of {FULL_SCAN_LIMIT}; checked the exhaustively enumerable "
             f"non-trivial-gap subclass ({len(specs)} members)"
         ]
         return specs, "exhaustive(non-trivial-gap subclass)", notes, params, 0
@@ -491,16 +493,16 @@ def _run_thm2_1(name, k, n, mode, seed, sample, budget):
     if not 2 <= n <= k:
         raise UnknownSuiteError("thm2_1 needs 2 <= n <= k")
     t0 = perf_counter()
-    distinct = _distinct_points(k, n)
-    slots = 1 + int(distinct.sum())
-    if k**slots > budget:
+    slots = 1 + perm(k, n)  # a0 and one per all-distinct point
+    if slots > budget.bit_length() or k**slots > budget:
         # every mode sweeps all the forms, so sampling would not help
-        raise BudgetError(k**slots, budget, "forms", "--budget")
+        raise BudgetError(_power(k, slots), budget, "forms", "--budget")
     _check_listing_size(k**slots, k**n, "table entries")
     if seed is None:
         raise DomainError("thm2_1's converse direction is sampled; provide an explicit seed")
     from .facts import TableFacts
 
+    distinct = _distinct_points(k, n)
     rows = _values(k, _digits(k, slots))
     forms = rows[~_constant(rows)][:, np.where(distinct, np.cumsum(distinct), 0)]
     count = sample or 2000
@@ -605,8 +607,14 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     if not 2 <= n <= k:
         raise UnknownSuiteError("cor2_1 needs 2 <= n <= k")
     printed = k * comb(k, n) + 1 - k
-    proof_logic = k ** (comb(k, n) + 1) - k
     # one table per coefficient row that is not constant, a fixed limit
+    slots = comb(k, n) + 1
+    power = _power(k, slots)
+    if isinstance(power, str):
+        # (k^slots - k) k^n has the bits of k^(slots + n) - 1
+        bits = int((slots + n) * log2(k)) + (k & (k - 1) > 0)
+        raise BudgetError(_at_least(bits), LIST_LIMIT, "table entries", "construction limit")
+    proof_logic = power - k
     _check_listing_size(proof_logic, k**n, "table entries", "construction limit")
     t0 = perf_counter()
     constructive = len(_gap_n_images(k, n))

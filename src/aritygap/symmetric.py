@@ -43,7 +43,8 @@ from .core import (
     FiniteFunction,
     PreconditionError,
 )
-from .minors import _digits, _essential_positions, _powers, _row_keys, _values, essential_count, gap
+from .minors import (_digits, _essential_positions, _powers, _row_keys, _values, essential_count,
+                     gap, gap_index, gap_profile)
 
 
 def multisets(k: int, n: int) -> list[tuple[int, ...]]:
@@ -497,8 +498,9 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
         raise PreconditionError("input is not symmetric")
     if essential_count(f) != n:
         raise PreconditionError("input must depend on all of its variables")
-    if gap(f) != 2:
-        raise PreconditionError(f"input has gap {gap(f)}, expected 2")
+    got = gap(f)
+    if got != 2:
+        raise PreconditionError(f"input has gap {got}, expected 2")
 
     h = FiniteFunction(k, n, np.where(_distinct_points(k, n), f.table, 0).tolist())
     unknowns = symmetry_index(k, n - 2)
@@ -517,8 +519,6 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
                 idx = unknowns.index[tuple(reduced)]
                 coeffs[idx] = coeffs.get(idx, 0) + math.comb(c, 2)
         equations.append((coeffs, value))
-
-    from .minors import gap_index, gap_profile
 
     want_gap = 2 if gap_index(f) > 2 else n - 2
 

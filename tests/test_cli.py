@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from aritygap import FiniteFunction, cli, orbit_sum, recompose
 from aritygap.cli import main
-from aritygap.suites import _sample_decomposable_pairs
+from aritygap.suites import SUITE_NAMES, _sample_decomposable_pairs
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +66,59 @@ def test_analyze_refuses_a_table_entry_that_is_not_an_integer(tmp_path, capsys, 
     code, out, err = run_cli(capsys, "analyze", path)
     assert (code, out) == (2, "")
     assert "table entries must be integers" in err
+
+
+@pytest.mark.parametrize("n,expected", [(5, "32"), (20000, "at least 10^6020"),
+                                        (10**10, "at least 10^3010200000")])
+def test_analyze_refuses_a_table_far_shorter_than_its_arity(tmp_path, capsys, n, expected):
+    # 2^20000 has more digits than Python turns into text, and 2^(10^10)
+    # is not taken at all
+    path = write_doc(tmp_path, "short.json", {"k": 2, "n": n, "table": [0, 1]})
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: table has 2 entries, expected 2^{n} = {expected}\n"
+
+
+@pytest.mark.parametrize("argv", [("census",), ("census", "--budget-override"),
+                                  *(("verify", name, *seed) for name in SUITE_NAMES
+                                    for seed in ((), ("--seed", "1")))],
+                         ids="-".join)
+def test_huge_radix_is_refused_before_anything_is_built(capsys, monkeypatch, argv):
+    # at k = 100000 a spec has 5 000 050 000 entries and a table 10^10:
+    # every command exits 2 before it lists a multiset or a digit row
+    from aritygap import enumeration, facts, minors, screens, suites, symmetric
+
+    def refuse(*args):
+        raise AssertionError("built before the refusal")
+
+    for module in (enumeration, facts, minors, screens, suites, symmetric):
+        for name in ("symmetry_index", "_digits"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(capsys, *argv[:2], "-k", "100000", "-n", "2", *argv[2:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,count,tail", [
+    ("verify cor2_1 -k 64 -n 4", lambda: (64 ** (comb(64, 4) + 1) - 64) * 64**4,
+     "table entries, over the construction limit of 100000000"),
+    ("verify cor2_1 -k 1000 -n 2", lambda: (1000 ** (comb(1000, 2) + 1) - 1000) * 1000**2,
+     "table entries, over the construction limit of 100000000"),
+    ("verify thm2_1 -k 1000 -n 2 --seed 1", lambda: 1000 ** (1 + 1000 * 999),
+     "forms, over the --budget of 100000000"),
+    ("census -k 2 -n 2100000", lambda: 2**2100001, "candidates, over the budget"),
+    ("census -k 3 -n 1630", lambda: 3 ** comb(1632, 2), "candidates, over the budget"),
+])
+def test_refusal_past_two_million_bits_names_the_exact_count(capsys, argv, count, tail):
+    # such counts are named from their bit length, not raised, and read as
+    # the text of the exact count does
+    from aritygap.core import _count
+
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    verb = "exhaustive enumeration" if argv.startswith("census") else "listing"
+    assert err.startswith(f"error: {verb} requires {_count(count())} {tail}")
 
 
 @pytest.mark.parametrize(

@@ -132,3 +132,20 @@ def test_every_name_the_benchmark_reads_exists():
     subfunctions = importlib.import_module("aritygap.subfunctions")
     assert callable(minors._essential_positions.cache_clear)
     assert callable(subfunctions._closure_cached.cache_info)
+
+
+def readme_helpers() -> list[tuple[str, str]]:
+    """(module, name) for every backquoted ``module._name`` of README.md
+    whose module is one of the package's."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {p.stem for p in MODULES}
+    return [(m, name) for m, name in re.findall(r"`(\w+)\.(_\w+)`", text) if m in modules]
+
+
+def test_every_helper_the_readme_names_exists():
+    # a deleted helper must not stay named in the README
+    names = readme_helpers()
+    assert ("minors", "_gap_and_index") in names and len(names) >= 20
+    missing = [f"{m}.{name}" for m, name in names
+               if not hasattr(importlib.import_module(f"aritygap.{m}"), name)]
+    assert missing == []

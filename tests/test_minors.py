@@ -320,7 +320,6 @@ def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
     from aritygap import minors
 
     monkeypatch.setattr(minors, "_CHUNK", 16)
-    monkeypatch.setattr(minors, "_SMALL_ROUND", 0)
     rng = random.Random(11)
     cases = [FiniteFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
              for k, n in ((2, 4), (3, 3), (2, 5), (4, 3), (3, 4)) for _ in range(5)]
@@ -330,6 +329,8 @@ def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
         got = {FiniteFunction(f.k, f.n, t): d for t, d in depths.items()}
         assert got == oracle_minor_closure(f), f
         assert_index_is_the_deepest_oracle_minor(f)
+        for tabs in minors._rounds(f):
+            assert len(set(map(tuple, tabs.tolist()))) == len(tabs), f
 
 
 def test_minor_kernel_on_wide_parity_stays_small():
@@ -387,7 +388,7 @@ def test_gap_index_of_a_wide_parity_counts_its_rounds():
 def walks(monkeypatch):
     """The functions whose minor rounds are walked while the test runs.
     Every table takes the path of the tables past the minor plan's bound:
-    the one-step minors, the tight chain and the rounds."""
+    the first round, gathered from f, the tight chain and the rounds."""
     from aritygap import minors
 
     monkeypatch.setattr(minors, "_PLAN_ENTRIES", 0)
@@ -496,11 +497,12 @@ def test_grouping_is_exact_when_hashes_collide(monkeypatch):
 
 
 def walked_gap_and_index(f):
-    """The gap from the one-step minors and the number of minor rounds."""
-    from aritygap.minors import _one_step, _rounds
+    """The gap from the first minor round and the number of minor rounds."""
+    from aritygap.minors import _essential_mask, _rounds
 
-    return (essential_count(f) - int(_one_step(f)[1].sum(axis=1).max()),
-            sum(1 for _ in _rounds(f)))
+    rounds = _rounds(f)
+    ess = _essential_mask(f.k, f.n, next(rounds)).sum(axis=1)
+    return essential_count(f) - int(ess.max()), 1 + sum(1 for _ in rounds)
 
 
 def assert_plan_equals_walk(f):
