@@ -320,7 +320,7 @@ def _add_verify(p):
     p.add_argument("-k", type=_int_at_least(2), required=True)
     p.add_argument("-n", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--sample", type=_int_at_least(1), default=None)
     p.add_argument("--workers", type=_worker_count, default=1,
                    help="accepted; every suite runs in one process")

@@ -16,18 +16,29 @@ patterns on the multiset vector:
 * y is fictive iff F is constant on {y, y} + alpha over y for each alpha,
   z is fictive iff F({y, y, z} + alpha) does not depend on z.
 
-Both conditions say that F is constant on fixed groups of multisets
-(``_fictive_groups``), so each has exactly k^c solutions, c being
-the number of union-find components of its groups. The census counts every
-bucket in closed form from the components of Y, Z and Y u Z, in a single
-process and without visiting a candidate. The gap >= 2 class is listed for
-any n >= 2 within the budget and ``LIST_LIMIT``, cell by cell, by assigning
-values to the components of each cell's condition; a caller that needs one
-gap lists only the cells of that gap. The census reads the gap index of
-every member off the identification-shape DAG (``_shape_walk``, which the
-suite screens read through ``facts.SpecFacts``), a chunk of the listed
-array at a time. Tests check the counts and the class against a scan of
-every candidate, and the indices against the generic minor closure.
+Each condition says that F is constant on each component of these groups,
+so it has exactly k^c solutions, c_Y, c_Z or c_YZ for both. The components
+have closed forms (``_fictive_reps``, ``_component_counts``):
+
+* y fictive: F depends only on the parity of each value's multiplicity,
+  as swapping a pair {a, a} for {b, b} keeps a parity vector, and the
+  y-groups do only that: c_Y = sum of C(k, j) over j <= n, j = n (mod 2);
+* z fictive: at n >= 4, F is constant on the multisets that repeat a value,
+  as {y, y, w, w} + gamma links the repeated values y and w (c_Z = C(k, n)
+  + 1); at n = 3, per repeated value (c_Z = C(k, 3) + k);
+* both: F is constant on all multisets that repeat a value (c_YZ = C(k, n)
+  + 1). All-distinct multisets lie in no group.
+
+The census counts every bucket from c_Y, c_Z and c_YZ without visiting a
+candidate. The gap >= 2 class is listed for any n >= 2 within the budget
+and ``LIST_LIMIT``, cell by cell, by assigning values to the components of
+each cell's condition; a caller that needs one gap lists only its cells.
+The census reads the gap index of every member off the identification-shape
+DAG (``_shape_walk``, which the suite screens read through
+``facts.SpecFacts``), a chunk of the listed array at a time. Tests check
+the counts and the class against a scan of every candidate, the components
+against a union-find over the groups, and the indices against the generic
+minor closure.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import ceil, comb, sqrt
+from math import ceil, comb, log2, sqrt
 from time import perf_counter
 from typing import NamedTuple
 
@@ -46,15 +57,12 @@ import numpy as np
 from .core import (
     BudgetError,
     DomainError,
+    _at_least,
     _power,
     check_domain,
 )
-from .minors import _chunks, _digits, _essential_mask, _values
-from .symmetric import (
-    multisets,
-    spec_to_function,
-    symmetry_index,
-)
+from .minors import _chunks, _digits, _essential_mask, _row_keys, _values
+from .symmetric import spec_to_function, symmetry_index
 
 DEFAULT_BUDGET = 10**8
 # Most table entries (members x k^n) a listing of the gap >= 2 class, or a
@@ -66,51 +74,57 @@ DEFAULT_BUDGET = 10**8
 LIST_LIMIT = 10**8
 
 
-def _fictive_groups(k: int, n: int):
-    """The groups of multiset indices on which a spec is constant iff y is
-    fictive, {y, y} + alpha over y for each alpha, and iff z is fictive,
-    {y, y, z} + alpha over z for each y and alpha."""
-    index = symmetry_index(k, n).index
-    y_groups = tuple(
-        tuple(index[tuple(sorted(alpha + (y, y)))] for y in range(k))
-        for alpha in (multisets(k, n - 2) if n >= 2 else ())
-    )
-    z_groups = tuple(
-        tuple(index[tuple(sorted(alpha + (y, y, z)))] for z in range(k))
-        for y in range(k)
-        for alpha in (multisets(k, n - 3) if n >= 3 else ())
-    )
-    return y_groups, z_groups
+class _Components(NamedTuple):
+    """Each multiset's component, numbered in order of first position, and
+    that first position: a spec is constant on each component iff
+    spec[j] == spec[rep[j]] for every j."""
+
+    label: np.ndarray
+    rep: np.ndarray
 
 
-def _component_reps(m: int, groups) -> tuple[int, ...]:
-    """For each of m positions, the first position of its union-find
-    component under "equal within each group"."""
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for grp in groups:
-        root = find(grp[0])
-        for t in grp[1:]:
-            parent[find(t)] = root
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(find(j), j) for j in range(m))
+def _components(key: np.ndarray) -> _Components:
+    """One component per distinct key of the multisets."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return _Components(rank[inverse], first[inverse])
 
 
 @functools.lru_cache(maxsize=64)
-def _fictive_reps(k: int, n: int):
-    """Component representatives of "y fictive", "z fictive" and both: a
-    spec satisfies a condition iff spec[j] == spec[rep[j]] for every j."""
-    y_groups, z_groups = _fictive_groups(k, n)
-    m = comb(k + n - 1, n)
-    return tuple(
-        _component_reps(m, groups) for groups in (y_groups, z_groups, y_groups + z_groups)
-    )
+def _fictive_reps(k: int, n: int) -> tuple[_Components, _Components, _Components]:
+    """The components of "y fictive", "z fictive" and both, read off each
+    multiset's sorted values: its parity vector, whether it repeats a value
+    and, at n = 3, the value it repeats."""
+    rows = symmetry_index(k, n).rows
+    own = np.arange(len(rows))
+    if n < 2:  # no groups: each multiset is a component of its own
+        return (_Components(own, own),) * 3
+    places = np.arange(n)
+    starts = np.maximum.accumulate(
+        np.where(np.diff(rows, axis=1, prepend=-1) != 0, places, 0), axis=1)
+    # a value's multiplicity is odd where its run ends an even step past its start
+    odd = (np.diff(rows, axis=1, append=k) != 0) & ((places - starts) % 2 == 0)
+    parity = _row_keys(np.sort(np.where(odd, rows, k), axis=1))
+    repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    both = _components(np.where(repeat, -1, own))
+    if n == 2:  # the minor has no z
+        z = _Components(own, own)
+    elif n == 3:  # the middle value is the repeated one
+        z = _components(np.where(repeat, rows[:, 1] - k, own))
+    else:
+        z = both
+    return _components(parity), z, both
+
+
+def _component_counts(k: int, n: int) -> tuple[int, int, int]:
+    """c_Y, c_Z and c_YZ, the component counts of "y fictive", "z fictive"
+    and both, in closed form: below n = 2 every multiset is its own."""
+    if n < 2:
+        return (comb(k + n - 1, n),) * 3
+    c_yz = comb(k, n) + 1
+    c_z = comb(k + 1, 2) if n == 2 else comb(k, 3) + k if n == 3 else c_yz
+    return sum(comb(k, j) for j in range(n % 2, min(n, k) + 1, 2)), c_z, c_yz
 
 
 def symmetric_spec_count(k: int, n: int) -> int:
@@ -195,9 +209,17 @@ def _seeded_rows(k: int, width: int, count: int, seed: int, shift: int) -> np.nd
     return _draw_rows(k, width, [(seed << shift) ^ i for i in range(count)])
 
 
+def _check_seed(seed: int | None) -> None:
+    """Refuse a negative seed: ``random.Random`` seeds with its absolute
+    value, so s and -s would draw the same rows."""
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be at least 0, got {seed}")
+
+
 def sample_specs(k: int, n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     """``count`` uniformly random specs; draw i comes from its own
-    generator, seeded with (seed << 24) ^ i."""
+    generator, seeded with (seed << 24) ^ i (seed >= 0)."""
+    _check_seed(seed)
     return _tuples(_seeded_rows(k, comb(k + n - 1, n), count, seed, 24))
 
 
@@ -237,8 +259,8 @@ def _yz_essential(k: int, n: int, specs: np.ndarray) -> tuple[np.ndarray, np.nda
     """Whether y and whether z is essential in the identification minor
     m(y, z_3, ..., z_n) = s({y, y, z_3, ..., z_n}) of the specs along the
     last axis (n >= 2)."""
-    y_rep, z_rep, _ = _fictive_reps(k, n)
-    return tuple(np.any(specs != specs[..., rep], axis=-1) for rep in (y_rep, z_rep))
+    y, z, _ = _fictive_reps(k, n)
+    return tuple(np.any(specs != specs[..., c.rep], axis=-1) for c in (y, z))
 
 
 def _partitions(n: int, most: int | None = None):
@@ -380,16 +402,16 @@ class Census:
 
 
 def _bucket_counts(k: int, n: int) -> dict:
-    """(ess, gap) -> count, in closed form: a condition whose groups form c
-    components has exactly k^c solutions, and inclusion-exclusion over Y, Z
-    and Y u Z splits the non-constant specs into the four (y fictive,
-    z fictive) cells."""
+    """(ess, gap) -> count, in closed form: a condition of c components has
+    exactly k^c solutions, and inclusion-exclusion over c_Y, c_Z and c_YZ
+    splits the non-constant specs into the four (y fictive, z fictive)
+    cells."""
     m = comb(k + n - 1, n)
     counts = Counter({(0, None): k})
     if n < 2:
         counts[(n, None)] += k**m - k
         return dict(counts)
-    cy, cz, cyz = (len(set(rep)) for rep in _fictive_reps(k, n))
+    cy, cz, cyz = _component_counts(k, n)
     cells = {
         (True, True): k**cyz - k,
         (True, False): k**cy - k**cyz,
@@ -451,30 +473,39 @@ def nontrivial_gap_specs(
     return _tuples(_nontrivial_gap_array(k, n, budget))
 
 
-def _solutions(k: int, rep: tuple[int, ...]) -> np.ndarray:
-    """Every spec with spec[j] == spec[rep[j]], one row each, in ascending
-    spec order: number the components in order of first position, and the
-    base-k digits of 0, 1, ... (component 0 most significant) are their
-    values."""
-    firsts, labels = np.unique(rep, return_inverse=True)
-    c = len(firsts)
+def _solutions(k: int, label: np.ndarray) -> np.ndarray:
+    """Every spec constant on each component of ``label`` (components
+    numbered in order of first position), one row each, in ascending spec
+    order: the base-k digits of 0, 1, ... (component 0 most significant)
+    are the components' values."""
+    c = int(label.max()) + 1
     values = _values(k, range(k))
     digits = [np.tile(np.repeat(values, k ** (c - 1 - d)), k**d) for d in range(c)]
-    return np.stack(digits, axis=1)[:, labels]
+    return np.stack(digits, axis=1)[:, label]
 
 
-def _fictive(specs: np.ndarray, rep: tuple[int, ...]) -> np.ndarray:
+def _fictive(specs: np.ndarray, rep: np.ndarray) -> np.ndarray:
     return np.all(specs == specs[:, rep], axis=1)
 
 
 def _listable_class_size(k: int, n: int, budget: int, limit: str = "budget") -> int:
-    """Size of the gap >= 2 class, refused from the counts, before anything
-    is built, when it is over the budget or its table entries are over
-    ``LIST_LIMIT``; a spec wider than ``LIST_LIMIT`` is refused before the
-    counts. ``limit`` names the budget in the refusal: "budget" for one an
-    option sets, any other name for a fixed one."""
+    """Size of the gap >= 2 class, k^c_Y - k, plus k^c_Z - k^c_YZ at n >= 3,
+    refused before anything is built when it is over the budget or its
+    table entries are over ``LIST_LIMIT``; a spec wider than ``LIST_LIMIT``
+    is refused first. ``limit`` names the budget in the refusal: "budget"
+    for one an option sets, any other name for a fixed one. The class is
+    over the budget once c_Y passes its bit length (k^c_Y - k >= 2^(c_Y-1)),
+    and such a size past 2^21 bits is named as ``core._power`` names one."""
     _spec_width(k, n)
-    size = _nontrivial(_bucket_counts(k, n))
+    if n < 2:  # a gap needs two essential variables
+        return 0
+    cy, cz, cyz = _component_counts(k, n)
+    if cy > budget.bit_length() and cy * log2(k) > 1 << 21:
+        # the bits of k^c_Y, one fewer where k is a power of two, and one
+        # more at n = 3, where c_Z = c_Y and the class is about twice k^c_Y
+        bits = int(cy * log2(k)) + 1 + (n == 3) - (k & (k - 1) == 0)
+        raise BudgetError(_at_least(bits), budget, "class members", limit)
+    size = k**cy - k + (k**cz - k**cyz if n >= 3 else 0)
     if size > budget:
         raise BudgetError(size, budget, "class members", limit)
     if size * k**n > LIST_LIMIT:
@@ -513,16 +544,16 @@ def _nontrivial_gap_array(
     m = comb(k + n - 1, n)
     if not _listable_class_size(k, n, budget, limit):
         return np.zeros((0, m), dtype=np.uint8)
-    y_rep, z_rep, yz_rep = _fictive_reps(k, n)
-    # each cell: its gap, its components, and the components of what its
-    # members must not satisfy (the other condition; constancy for both)
-    cells = [(n, yz_rep, [0] * m)]
+    y, z, both = _fictive_reps(k, n)
+    # each cell: its gap, its components, and the representatives of what
+    # its members must not satisfy (the other condition; constancy for both)
+    cells = [(n, both, np.zeros(m, dtype=np.intp))]
     if n >= 3:
-        cells = [(n - 1, z_rep, y_rep), (2, y_rep, z_rep)] + cells
+        cells = [(n - 1, z, y.rep), (2, y, z.rep)] + cells
     parts = []
-    for gap, rep, other in cells:
+    for gap, comps, other in cells:
         if gaps is None or gap in gaps:
-            specs = _solutions(k, rep)
+            specs = _solutions(k, comps.label)
             parts.append(specs[~_fictive(specs, other)])
     specs = np.concatenate(parts) if parts else np.zeros((0, m), dtype=np.uint8)
     if len(parts) > 1 and symmetric_spec_count(k, n) > budget:

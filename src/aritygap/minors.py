@@ -130,16 +130,6 @@ def _essential_mask(k: int, n: int, tabs: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _hash_weights(width: int) -> np.ndarray:
-    """Fixed pseudo-random odd 64-bit weights, one per entry of a row of
-    ``width`` entries (splitmix64 of the entry's place)."""
-    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return ((z ^ (z >> np.uint64(31))) | np.uint64(1)).view(np.int64)
-
-
-@functools.lru_cache(maxsize=256)
 def _powers(k: int, w: int) -> np.ndarray:
     """k^(w-1), ..., k, 1: a table's base-k number as a dot product."""
     return k ** np.arange(w - 1, -1, -1, dtype=np.int64)
@@ -153,6 +143,14 @@ def _digits(base: int, width: int) -> np.ndarray:
     return np.indices((base,) * width, dtype=np.intp).reshape(width, count).T
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a 2-d array of non-negative integers (at
+    least one column): its entries in big-endian bytes, so keys compare as
+    the rows do, entry by entry."""
+    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * rows.shape[1]))).ravel()
+
+
 def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
            span: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """An order of the rows of the tables ``tabs`` (m >= 1, w entries below
@@ -162,9 +160,8 @@ def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
     at the first).
 
     When k^w * span fits in 63 bits, a table's base-k number (times span,
-    plus its tie) is an exact key. Wider tables are sorted by a 64-bit
-    hash of their entries; should two different tables share a hash, by
-    their bytes instead, so the grouping is exact either way.
+    plus its tie) is an exact key. Wider tables are sorted by their bytes
+    (``_row_keys``), then by their ties.
     """
     w = tabs.shape[1]
     if w * (k - 1).bit_length() + (span - 1).bit_length() <= 63:
@@ -174,26 +171,10 @@ def _group(k: int, tabs: np.ndarray, tie: np.ndarray | None = None,
         order = np.argsort(key, kind="stable")
         s = key[order] // span
         return order, np.concatenate(([True], s[1:] != s[:-1]))
-    h = tabs @ _hash_weights(w)
-    order = np.argsort(h, kind="stable") if tie is None else np.lexsort((tie, h))
-    s = tabs[order]
-    new = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
-    hs = h[order]
-    if np.any(new[1:] & (hs[1:] == hs[:-1])):
-        keys = np.ascontiguousarray(tabs).view(np.dtype((np.void, tabs.itemsize * w)))
-        order = np.arange(len(tabs)) if tie is None else np.argsort(tie, kind="stable")
-        order = order[np.argsort(keys.ravel()[order], kind="stable")]
-        s = tabs[order]
-        new = np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1)))
-    return order, new
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One bytes key per row of a 2-d array of non-negative integers (at
-    least one column): its entries in big-endian bytes, so keys compare as
-    the rows do, entry by entry."""
-    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return big.view(np.dtype((np.void, big.itemsize * rows.shape[1]))).ravel()
+    keys = _row_keys(tabs)
+    order = np.argsort(keys) if tie is None else np.lexsort((tie, keys))
+    s = keys[order]
+    return order, np.concatenate(([True], s[1:] != s[:-1]))
 
 
 def _collect(parts, make, merge) -> tuple[np.ndarray, ...]:

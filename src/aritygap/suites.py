@@ -66,6 +66,8 @@ from .symmetric import (
 from .enumeration import (
     DEFAULT_BUDGET,
     LIST_LIMIT,
+    _check_seed,
+    _component_counts,
     _constant,
     _draw_rows,
     _fictive,
@@ -135,30 +137,30 @@ def _sample_gap2_specs(k: int, n: int, count: int, seed: int) -> tuple[np.ndarra
     """``count`` seeded gap-2 symmetric specs, one row each, and the number
     of generators seeded for them. Attempt i draws from its own generator,
     seeded with (seed << 28) ^ i. At n = 4 an attempt is one uniform
-    y-fictive spec, one value per component of "y fictive" in order of
-    first position, kept if z is essential in it, which makes its gap 2;
-    the first ``count`` kept in attempt order are the sample, within
-    60 * count attempts. At any other n an attempt is one uniform draw, with
-    replacement, from the listed gap-2 cell. The listing is bounded by
-    ``DEFAULT_BUDGET``, a fixed limit here, since no budget option reaches a
-    sample."""
+    y-fictive spec, one value per parity class of multisets in order of
+    first multiset (a y-fictive spec depends only on the parity of each
+    value's multiplicity: ``enumeration._fictive_reps``), kept if z is
+    essential in it, which makes its gap 2; the first ``count`` kept in
+    attempt order are the sample, within 60 * count attempts. At any other
+    n an attempt is one uniform draw, with replacement, from the listed
+    gap-2 cell. The listing is bounded by ``DEFAULT_BUDGET``, a fixed limit
+    here, since no budget option reaches a sample."""
     if n != 4:
         members = _nontrivial_gap_array(k, n, DEFAULT_BUDGET, "sampling limit", {2})
         if not len(members):
             return members, 0
         picks = _draw_rows(len(members), 1, [(seed << 28) ^ i for i in range(count)])
         return members[picks[:, 0]], count
-    y_rep, z_rep, _ = _fictive_reps(k, n)
-    firsts, labels = np.unique(y_rep, return_inverse=True)
+    y, z, _ = _fictive_reps(k, n)
     blocks = []
     kept = attempt = 0
     while kept < count and attempt < 60 * count:
         # no more attempts than specs still wanted, so none is drawn in vain
         stop = min(attempt + count - kept, 60 * count)
         seeds = [(seed << 28) ^ i for i in range(attempt, stop)]
-        specs = _draw_rows(k, len(firsts), seeds)[:, labels]
+        specs = _draw_rows(k, _component_counts(k, n)[0], seeds)[:, y.label]
         attempt = stop
-        blocks.append(specs[~_fictive(specs, z_rep)])
+        blocks.append(specs[~_fictive(specs, z.rep)])
         kept += len(blocks[-1])
     return np.concatenate(blocks), attempt
 
@@ -209,7 +211,7 @@ def _population(name, k, n, mode, seed, sample, budget):
         width = k**n
         if (name == "lemma2_3" and mode == "exhaustive"
                 and width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT):
-            return _solutions(k, range(width)), "exhaustive(raw tables)", [], params, 0
+            return _solutions(k, np.arange(width)), "exhaustive(raw tables)", [], params, 0
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
         count = sample or (10000 if name == "willard" else 1000)
@@ -236,7 +238,7 @@ def _population(name, k, n, mode, seed, sample, budget):
         return specs, f"sample(gap-2, {count})", [], params, draws
     if name == "lemma2_1":
         if width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT:
-            return _solutions(k, range(width)), "exhaustive", [], params, 0
+            return _solutions(k, np.arange(width)), "exhaustive", [], params, 0
         specs = _nontrivial_gap_array(k, n, budget)
         notes = [
             f"full symmetric domain has {symmetric_spec_count(k, n)} candidates, over the "
@@ -244,9 +246,11 @@ def _population(name, k, n, mode, seed, sample, budget):
             f"non-trivial-gap subclass ({len(specs)} members)"
         ]
         return specs, "exhaustive(non-trivial-gap subclass)", notes, params, 0
-    gaps = {n} if name in _FULL_GAP_SUITES else None
-    return (_nontrivial_gap_array(k, n, budget, gaps=gaps), "exhaustive(non-trivial gap)", [],
-            params, 0)
+    full_gap = name in _FULL_GAP_SUITES
+    # past n = 2 such a suite's sample is refused, so its refusal suggests none
+    limit = "--budget" if full_gap and n >= 3 else "budget"
+    return (_nontrivial_gap_array(k, n, budget, limit, {n} if full_gap else None),
+            "exhaustive(non-trivial gap)", [], params, 0)
 
 
 def _screened_chunk(name, k, n, chunk, cap):
@@ -291,20 +295,9 @@ def _mk_report(name, k, n, mode, params, instances, subcounts, total, kept, note
         key: {"instances": int(cnt), "vacuous": cnt == 0}
         for key, cnt in sorted(subcounts.items())
     }
-    return SuiteReport(
-        suite=name,
-        k=k,
-        n=n,
-        mode=mode,
-        parameters=params,
-        instances_checked=instances,
-        violations_total=total,
-        violations=kept,
-        vacuous=instances == 0,
-        subcases=subcases,
-        notes=notes,
-        stats=stats,
-    )
+    return SuiteReport(suite=name, k=k, n=n, mode=mode, parameters=params,
+                       instances_checked=instances, violations_total=total, violations=kept,
+                       vacuous=instances == 0, subcases=subcases, notes=notes, stats=stats)
 
 
 def _stats(draws, t0, t1, checker_rows=0, merge_s=0.0):
@@ -368,10 +361,8 @@ def _thm3_2_subcases(report):
     for key in ("i", "ii", "iii", "iv"):
         report.subcases.setdefault(key, {"instances": 0, "vacuous": True})
     if report.subcases["i"]["vacuous"]:
-        report.notes.append(
-            "subcase (i) needs a gap index above 2, hence at least 6 variables; "
-            "vacuous at these parameters"
-        )
+        report.notes.append("subcase (i) needs a gap index above 2, hence at least 6 "
+                            "variables; vacuous at these parameters")
 
 
 def _lemma3_1_equality_witnesses(report):
@@ -387,9 +378,7 @@ def _lemma3_1_equality_witnesses(report):
         report.notes.append("bound hypothesis needs n <= k; vacuous here")
         return
     if (k - 1) ** comb(k, n) > 100_000:
-        report.notes.append(
-            "equality-witness family too large to sweep; skipped"
-        )
+        report.notes.append("equality-witness family too large to sweep; skipped")
         report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
         return
     idx = symmetry_index(k, n)
@@ -546,19 +535,11 @@ def _sample_decomposable_pairs(k, n, count, seed):
         rng = random.Random((seed << 26) ^ attempt)
         attempt += 1
         diag = rng.randrange(k)
-        gvals = {}
-        for m in idx_g:
-            if m[0] == m[1]:
-                gvals[m] = diag
-            else:
-                gvals[m] = rng.choice(half_zero)
+        gvals = {m: diag if m[0] == m[1] else rng.choice(half_zero) for m in idx_g}
         if all(v == (2 * diag) % k for m, v in gvals.items() if m[0] != m[1]):
             continue
         g = expand(SymmetricSpec(k, 2, gvals))
-        hvals = {
-            m: (rng.randrange(k) if len(set(m)) == n else 0)
-            for m in multisets(k, n)
-        }
+        hvals = {m: rng.randrange(k) if len(set(m)) == n else 0 for m in multisets(k, n)}
         h = expand(SymmetricSpec(k, n, hvals))
         f = recompose(g, h)
         p = gap_profile(f)
@@ -676,6 +657,7 @@ def run_suite(
         raise UnknownSuiteError(f"unknown mode {mode!r}; use exhaustive or sample")
     if sample is not None and sample < 1:
         raise DomainError(f"sample size must be at least 1, got {sample}")
+    _check_seed(seed)
     runner = _SUITES.get(name)
     if runner is None:
         raise UnknownSuiteError(

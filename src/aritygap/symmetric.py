@@ -98,12 +98,16 @@ class SymmetryIndex:
     index: dict
 
     @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """(C(k+n-1, n), n): each multiset's values, sorted, one row each."""
+        return np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
+
+    @functools.cached_property
     def codes(self) -> np.ndarray:
         """The sorted code of each multiset, ascending: the multisets are
         listed in lexicographic order. A multiset's code is the table index
         of its sorted point: the gather of a multiset-determined table's spec."""
-        msets = np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
-        return _sorted_codes(self.k, msets)
+        return _sorted_codes(self.k, self.rows)
 
     def ranks(self, values: np.ndarray) -> np.ndarray:
         """The index of the multiset of each row of ``values`` (n values

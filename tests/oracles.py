@@ -25,11 +25,14 @@ forms built point by point (``gap_n_images``, ``gap2_ternary_images``,
 ``constructive_records``), that the array images and records of
 ``thm2_2`` and ``thm2_3`` are tested against; the two breadth-first
 subfunction closures the closure kernel is tested against, the tuple
-listing of the cells of the gap >= 2 class, the (essential count, gap) of
-one spec (``spec_ess_gap``) that the checkers read and the batched
-``facts`` are tested against, and the identification-shape walk over
-every shape (``full_shape_walk``) that the census's walk of the reached
-shapes is tested against.
+listing of the cells of the gap >= 2 class, the groups of multisets on
+which a spec is constant iff y or z is fictive (``_fictive_groups``) and
+their union-find components (``union_find_reps``), that the closed-form
+components of ``enumeration`` are tested against, the (essential count,
+gap) of one spec (``spec_ess_gap``, read off those components) that the
+checkers read and the batched ``facts`` are tested against, and the
+identification-shape walk over every shape (``full_shape_walk``) that the
+census's walk of the reached shapes is tested against.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import numpy as np
 from aritygap import FiniteFunction, PreconditionError
 from aritygap.core import index_of, is_all_distinct, iter_points, range_size
 from aritygap.enumeration import (
-    _fictive_reps,
     _nontrivial_gap_array,
     _seeded_rows,
     _shape_dag,
@@ -78,7 +80,7 @@ from aritygap.subfunctions import (
 )
 from aritygap.screens import _asymmetric, _lemma2_1
 from aritygap.suites import VIOLATION_CAP, _violation
-from aritygap.symmetric import compress, diagonal_values, is_symmetric
+from aritygap.symmetric import compress, diagonal_values, is_symmetric, multisets
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +296,60 @@ def closure_symmetric(f: FiniteFunction) -> _Closure:
 # the exact claims, one instance at a time
 
 
+def _fictive_groups(k: int, n: int):
+    """The groups of multiset indices on which a spec is constant iff y is
+    fictive, {y, y} + alpha over y for each alpha, and iff z is fictive,
+    {y, y, z} + alpha over z for each y and alpha."""
+    index = symmetry_index(k, n).index
+    y_groups = tuple(
+        tuple(index[tuple(sorted(alpha + (y, y)))] for y in range(k))
+        for alpha in (multisets(k, n - 2) if n >= 2 else ())
+    )
+    z_groups = tuple(
+        tuple(index[tuple(sorted(alpha + (y, y, z)))] for z in range(k))
+        for y in range(k)
+        for alpha in (multisets(k, n - 3) if n >= 3 else ())
+    )
+    return y_groups, z_groups
+
+
+def _component_reps(m: int, groups) -> tuple[int, ...]:
+    """For each of m positions, the first position of its union-find
+    component under "equal within each group"."""
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for grp in groups:
+        root = find(grp[0])
+        for t in grp[1:]:
+            parent[find(t)] = root
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(find(j), j) for j in range(m))
+
+
+@functools.lru_cache(maxsize=64)
+def union_find_reps(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The component representatives of "y fictive", "z fictive" and both,
+    by union-find over their groups: a spec satisfies a condition iff
+    spec[j] == spec[rep[j]] for every j."""
+    y_groups, z_groups = _fictive_groups(k, n)
+    m = comb(k + n - 1, n)
+    return tuple(
+        _component_reps(m, groups) for groups in (y_groups, z_groups, y_groups + z_groups)
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def _fictive_getters(k: int, n: int):
     """Gathers of the "y fictive" and "z fictive" representatives (n >= 2,
     so a spec has at least 3 entries and each getter returns a tuple): a
     spec satisfies a condition iff its gather equals the spec."""
-    y_rep, z_rep, _ = _fictive_reps(k, n)
+    y_rep, z_rep, _ = union_find_reps(k, n)
     return operator.itemgetter(*y_rep), operator.itemgetter(*z_rep)
 
 

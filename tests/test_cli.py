@@ -837,6 +837,13 @@ def test_verify_sampling_needs_seed(capsys):
     assert "seed" in err
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "cor4_2", "-k", "4", "-n", "4", "--mode",
+                             "sample", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "--seed: must be at least 0, got -1" in err
+
+
 def test_reports_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "verify", "thm2_2", "-k", "3", "-n", "3", "--format", "json")
     _, out2, _ = run_cli(capsys, "verify", "thm2_2", "-k", "3", "-n", "3", "--format", "json")

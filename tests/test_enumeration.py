@@ -22,14 +22,21 @@ from aritygap import (
 from aritygap.enumeration import (
     LIST_LIMIT,
     _bucket_counts,
-    _fictive_groups,
+    _component_counts,
+    _fictive_reps,
     _nontrivial,
     _nontrivial_gap_array,
     _shape_walk,
     sample_specs,
 )
 from aritygap.minors import _rounds
-from oracles import full_shape_walk, gap_n_images, spec_ess_gap
+from oracles import (
+    _fictive_groups,
+    full_shape_walk,
+    gap_n_images,
+    spec_ess_gap,
+    union_find_reps,
+)
 
 _BATCH = 1 << 18
 
@@ -158,6 +165,14 @@ def test_sample_specs_seed_scheme():
     )
     sampled = enumerate_symmetric(3, 4, sample=50, seed=7)
     assert [f.table for f in sampled] == [spec_to_function(3, 4, s).table for s in specs]
+
+
+def test_sample_specs_refuses_a_negative_seed():
+    # seeds 1 and -1 would share their first row
+    with pytest.raises(DomainError, match="seed must be at least 0"):
+        sample_specs(3, 3, 5, -1)
+    with pytest.raises(DomainError, match="seed must be at least 0"):
+        list(enumerate_symmetric(3, 3, sample=5, seed=-1))
 
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (2, 3)])
@@ -296,6 +311,20 @@ def test_structural_equals_scan_where_both_available():
     with pytest.raises(BudgetError) as err:
         nontrivial_gap_specs(3, 3, budget=149)
     assert err.value.required == 150
+
+
+@pytest.mark.parametrize("k,n", [
+    (k, n) for k in range(2, 9) for n in range(9)
+    if n < 2 or math.comb(k + n - 1, n) <= 6000
+])
+def test_fictive_components_equal_union_find(k, n):
+    # the closed forms against the union-find over the groups themselves
+    for comps, reps, count in zip(_fictive_reps(k, n), union_find_reps(k, n),
+                                  _component_counts(k, n)):
+        assert comps.rep.tolist() == list(reps)
+        # components numbered in order of first position
+        assert comps.label.tolist() == np.unique(reps, return_inverse=True)[1].tolist()
+        assert len(set(reps)) == count
 
 
 def test_class_over_listing_limit_refused():

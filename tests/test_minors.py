@@ -472,9 +472,8 @@ def test_gap_index_of_a_wide_random_table_walks_no_round(monkeypatch):
         gap_index(FiniteFunction.from_callable(2, 8, lambda *x: sum(x) % 2))
 
 
-def test_grouping_is_exact_when_hashes_collide(monkeypatch):
-    # rows too wide for an exact key are grouped by a hash; with every
-    # hash equal, by their bytes
+def test_grouping_of_wide_rows_is_exact():
+    # rows too wide for an exact base-k key are grouped by their bytes
     import numpy as np
 
     from aritygap import minors
@@ -484,16 +483,17 @@ def test_grouping_is_exact_when_hashes_collide(monkeypatch):
     tabs[150:] = tabs[rng.integers(0, 150, 150)]
     tie = rng.integers(0, 3, 300)
     want = {(tuple(r), t) for r, t in zip(tabs.tolist(), tie.tolist())}
-    for weights in (minors._hash_weights, lambda w: np.zeros(w, dtype=np.int64)):
-        monkeypatch.setattr(minors, "_hash_weights", weights)
-        order, new = minors._group(2, tabs, tie, 3)
-        rows = [(tuple(tabs[m].tolist()), int(tie[m])) for m in order]
-        assert sorted(set(rows)) == sorted(want)
-        # new marks each change of table, and each table is one run, its
-        # rows ordered by their ties
-        assert new[0] and all(n == (a[0] != b[0]) for a, b, n in zip(rows, rows[1:], new[1:]))
-        assert sum(new) == len({r[0] for r in rows})
-        assert all(a[1] <= b[1] for a, b, n in zip(rows, rows[1:], new[1:]) if not n)
+    order, new = minors._group(2, tabs, tie, 3)
+    rows = [(tuple(tabs[m].tolist()), int(tie[m])) for m in order]
+    assert sorted(set(rows)) == sorted(want)
+    # new marks each change of table, and each table is one run, its rows
+    # ordered by their ties and then by their places
+    assert new[0] and all(n == (a[0] != b[0]) for a, b, n in zip(rows, rows[1:], new[1:]))
+    assert sum(new) == len({r[0] for r in rows})
+    assert all((tie[a], a) < (tie[b], b) for a, b, n in zip(order, order[1:], new[1:]) if not n)
+    order, new = minors._group(2, tabs)
+    assert sorted(order.tolist()) == list(range(300))
+    assert sum(new) == len({r[0] for r in rows})
 
 
 def walked_gap_and_index(f):

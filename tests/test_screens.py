@@ -235,8 +235,8 @@ def chunks(draw, domains=DOMAINS):
         top = 1 if kind == "binary" else k - 1
         spec = [draw(st.integers(0, top)) for _ in range(m)]
         if kind == "fictive" and n >= 2:
-            rep = draw(st.sampled_from(_fictive_reps(k, n)))
-            spec = [spec[r] for r in rep]  # constant on each component
+            comps = draw(st.sampled_from(_fictive_reps(k, n)))
+            spec = [spec[r] for r in comps.rep.tolist()]  # constant on each component
         specs.append(tuple(spec))
     return k, n, specs
 

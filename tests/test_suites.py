@@ -73,6 +73,15 @@ def test_run_suite_rejects_sample_below_one(name, mode, sample):
         run_suite(name, 4, 4, mode=mode, seed=1, sample=sample)
 
 
+@pytest.mark.parametrize("name,mode", [
+    ("cor4_2", "sample"), ("lemma2_1", "sample"), ("willard", "exhaustive"), ("thm2_1", "sample"),
+])
+def test_run_suite_rejects_a_negative_seed(name, mode):
+    # random.Random seeds with the absolute value: -1 would draw as 1 does
+    with pytest.raises(DomainError, match="seed must be at least 0, got -1"):
+        run_suite(name, 4, 3, mode=mode, seed=-1)
+
+
 def test_lemma2_2_dichotomy_small():
     report = run_suite("lemma2_2", 3, 3)
     assert report.passed
@@ -247,14 +256,54 @@ def test_thm2_1_forms_over_budget_refused_without_suggesting_sampling(capsys):
     ("thm2_2 -k 5 -n 5 --mode sample --seed 1", "152587890620 class members, over the --budget of 100000000"),
     ("thm2_3 -k 4 -n 3 --budget 5", "130044 class members, over the --budget of 5"),
     ("cor2_1 -k 3 -n 3 --budget 5", "150 class members, over the --budget of 5"),
+    ("lemma3_1 -k 5 -n 4", "152587890620 class members, over the --budget of 100000000"),
+    ("thm3_1 -k 5 -n 4", "152587890620 class members, over the --budget of 100000000"),
 ])
 def test_constructive_cell_over_budget_refused_without_suggesting_sampling(capsys, argv,
                                                                            message):
-    # these suites cannot sample, yet the refusal used to suggest it
+    # these suites cannot sample here (thm3_1 and lemma3_1 past n = 2), yet
+    # the refusal used to suggest it
     assert cli.main(["verify", *argv.split()]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: listing requires {message}\n"
+
+
+def test_large_radix_refusals_build_nothing():
+    # Every suite and the census at (k, 2) for k up to 10 000, and cor4_2 at
+    # (300, 3), refuse from the closed-form counts: each run exits 2 with one
+    # error line in under a second, in one child process capped at 800 MB of
+    # address space. Listing the multiset groups first used to take seconds
+    # per run at k = 1 000 and fail with MemoryError at k = 10 000.
+    script = (
+        "import contextlib, io, resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))\n"
+        "from aritygap import cli\n"
+        "from aritygap.suites import _SUITES\n"
+        "runs = [['verify', s, '-k', str(k), '-n', '2'] for k in (1000, 3000, 10000)\n"
+        "        for s in _SUITES]\n"
+        "runs += [['census', '-k', str(k), '-n', '2'] for k in (1000, 3000, 10000)]\n"
+        "runs.append(['verify', 'cor4_2', '-k', '300', '-n', '3'])\n"
+        "for argv in runs:\n"
+        "    err, out = io.StringIO(), io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(argv)\n"
+        "    seconds = time.perf_counter() - start\n"
+        "    print(repr((' '.join(argv), code, out.getvalue(), err.getvalue(), seconds)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    runs = [eval(line) for line in child.stdout.splitlines()]
+    assert len(runs) == 3 * (len(suites._SUITES) + 1) + 1
+    for argv, code, out, err, seconds in runs:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert seconds < 1, (argv, seconds)
 
 
 def test_cor2_1_past_the_construction_limit_refused_before_any_image(capsys, monkeypatch):
