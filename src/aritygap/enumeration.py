@@ -488,24 +488,30 @@ def _fictive(specs: np.ndarray, rep: np.ndarray) -> np.ndarray:
     return np.all(specs == specs[:, rep], axis=1)
 
 
-def _listable_class_size(k: int, n: int, budget: int, limit: str = "budget") -> int:
-    """Size of the gap >= 2 class, k^c_Y - k, plus k^c_Z - k^c_YZ at n >= 3,
-    refused before anything is built when it is over the budget or its
-    table entries are over ``LIST_LIMIT``; a spec wider than ``LIST_LIMIT``
-    is refused first. ``limit`` names the budget in the refusal: "budget"
-    for one an option sets, any other name for a fixed one. The class is
-    over the budget once c_Y passes its bit length (k^c_Y - k >= 2^(c_Y-1)),
-    and such a size past 2^21 bits is named as ``core._power`` names one."""
+def _listable_class_size(k: int, n: int, budget: int, limit: str = "budget",
+                         gaps: set[int] | None = None) -> int:
+    """Size of the cells of the gap >= 2 class whose gap is in ``gaps`` (all
+    when None): gap n, k^c_YZ - k, and at n >= 3 gap n - 1, k^c_Z - k^c_YZ,
+    and gap 2, k^c_Y - k^c_YZ. Refused before anything is built when over
+    the budget or when its table entries are over ``LIST_LIMIT``; a spec
+    wider than ``LIST_LIMIT`` is refused first. ``limit`` names the budget
+    in the refusal: "budget" for one an option sets, any other name for a
+    fixed one. A non-empty cell, k^a - k^b >= 2^(a-1), is over the budget
+    once a passes its bit length; such a size past 2^21 bits is named as
+    ``core._power`` names one."""
     _spec_width(k, n)
     if n < 2:  # a gap needs two essential variables
         return 0
     cy, cz, cyz = _component_counts(k, n)
-    if cy > budget.bit_length() and cy * log2(k) > 1 << 21:
-        # the bits of k^c_Y, one fewer where k is a power of two, and one
-        # more at n = 3, where c_Z = c_Y and the class is about twice k^c_Y
-        bits = int(cy * log2(k)) + 1 + (n == 3) - (k & (k - 1) == 0)
+    cells = [(a, b) for g, a, b in [(n, cyz, 1)] + [(n - 1, cz, cyz), (2, cy, cyz)] * (n >= 3)
+             if a > b and (gaps is None or g in gaps)]
+    top = max((a for a, _ in cells), default=0)
+    if top > budget.bit_length() and top * log2(k) > 1 << 21:
+        # the bits of k^top, one fewer where k is a power of two, and one
+        # more where two cells reach it (at n = 3, c_Z = c_Y)
+        bits = int(top * log2(k)) + [a for a, _ in cells].count(top) - (k & (k - 1) == 0)
         raise BudgetError(_at_least(bits), budget, "class members", limit)
-    size = k**cy - k + (k**cz - k**cyz if n >= 3 else 0)
+    size = sum(k**a - k**b for a, b in cells)
     if size > budget:
         raise BudgetError(size, budget, "class members", limit)
     if size * k**n > LIST_LIMIT:
@@ -530,10 +536,10 @@ def _nontrivial_gap_array(
     n - 1), y fictive alone (gap 2) and both (gap n); for n = 2 it is the
     y-fictive cell (gap 2). Each cell is listed from its own components,
     less the specs that also meet the other condition, or the constants for
-    the both-fictive cell. The budget bounds the whole class's size and
-    ``LIST_LIMIT`` its table entries, both checked from the counts before
-    anything is built, whatever ``gaps`` selects (``limit`` names the
-    budget, as in ``_listable_class_size``).
+    the both-fictive cell. The budget bounds the selected cells' size and
+    ``LIST_LIMIT`` their table entries, both checked from the counts before
+    anything is built (``limit`` names the budget, as in
+    ``_listable_class_size``).
     Suite witness lists follow the order of this list, so the order is part
     of every report: when the whole domain fits the budget, the cells come
     in the order above, each ascending, as a scan of the domain in batches
@@ -542,7 +548,7 @@ def _nontrivial_gap_array(
     is ascending.
     """
     m = comb(k + n - 1, n)
-    if not _listable_class_size(k, n, budget, limit):
+    if not _listable_class_size(k, n, budget, limit, gaps):
         return np.zeros((0, m), dtype=np.uint8)
     y, z, both = _fictive_reps(k, n)
     # each cell: its gap, its components, and the representatives of what

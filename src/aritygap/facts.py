@@ -75,6 +75,7 @@ def _restriction_gather(k: int, n: int, o: int) -> np.ndarray:
     )
 
 
+# not ``minors._group``: with a row tie it counted 300 specs at (4, 4) 2.6x slower
 def _distinct_codes(rows: np.ndarray, k: int) -> np.ndarray:
     """One int64 code per row of a 2-d array of values below k, equal
     exactly when the rows are equal: base-k digits, re-numbered densely

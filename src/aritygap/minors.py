@@ -7,18 +7,18 @@ remove essential variables, the maximum over all iterated minors is
 attained after a single step; the single-step computation is used here and
 the equivalence with the closure-wide maximum is exercised by tests.
 
-The minor closure of one table is a numpy kernel that walks the reached
-minors a round at a time (``_rounds``), from round 0, f itself: one gather
-through a per-(k, n) index gives every minor of a whole round, and each
-round holds every table once. The gap index is the number of rounds after
-round 0, which is at most m = ess - gap, the most essential variables of a
-one-step minor, since each identification makes at least one more
-variable fictive. Within ``_PLAN_ENTRIES``, gap and index come off a plan
-over the set partitions of the positions (``_minor_plan``); past it a chain
-that loses exactly one essential variable per identification down to 2
-shows that the index is m (``_tight_chain``, the minors of one table at a
-time), and only without one are the rounds counted, keeping no minor.
-Only ``all_minors`` maps every reached table to its depth.
+The minor closures of a batch of tables are one numpy walk a round at a
+time (``_rounds``), from round 0, the tables themselves: one gather through
+a per-(k, n) index gives every minor of a round, tagged with the table it
+comes from, and each round holds every (tag, table) once. ``_minor_rows``
+gives each with its depth, the last round that holds it. The gap index is
+the number of rounds after round 0, at most m = ess - gap, the most
+essential variables of a one-step minor, since each identification makes
+at least one more variable fictive. Within ``_PLAN_ENTRIES``, gap and index
+come off a plan over the set partitions of the positions (``_minor_plan``);
+past it the gap comes off round 1, and a chain from there that loses one
+essential variable per identification down to 2 shows that the index is m
+(``_tight_chain``); only without one are the other rounds counted.
 
 Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 """
@@ -26,9 +26,7 @@ Variable positions are 1-based throughout the public API (x_1, ..., x_n).
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -267,41 +265,40 @@ def _identify_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _identify_index(k, n, steps[:, None, None], steps[:, None]), ~np.eye(n, dtype=bool)
 
 
-def _next_round(k: int, n: int, tabs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _next_round(k: int, n: int, tabs: np.ndarray, mask: np.ndarray, tags: np.ndarray):
     """The minors x_i := x_j of the tables ``tabs`` for every pair i != j
-    of positions essential in them (``mask``), each once."""
+    of positions essential in them (``mask``), as (tags, tables): a minor
+    takes the tag of its table, and each (tag, table) comes once. The tags
+    ascend, and so do the minors'."""
     plan, pairs = _identify_plan(k, n)
     rows, i, j = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
     # one flat gather: row r's entry e is entry r * k^n + e of the rows
     flat, w = tabs.reshape(-1), k**n
 
-    def distinct(kids):  # each table once, in the order tables first come
-        return (kids[list({row.tobytes(): r for r, row in enumerate(kids)}.values())],)
+    def distinct(tags, kids):  # each (tag, table) once, in the order they first come
+        # a dict of row bytes per tag, as tags ascend: a sort (``_group``) or tuple keys was slower
+        edges = [0, *(np.flatnonzero(np.diff(tags)) + 1).tolist(), len(tags)]
+        keep = [r for lo, hi in zip(edges, edges[1:]) for r in
+                dict(zip(map(np.ndarray.tobytes, kids[lo:hi]), range(lo, hi))).values()]
+        return tags[keep], kids[keep]
 
-    return _collect(_chunks(len(rows), w),
-                    lambda p: distinct(flat[rows[p, None] * w + plan[i[p], j[p]]]), distinct)[0]
-
-
-def _round_zero(f: FiniteFunction) -> tuple[np.ndarray, np.ndarray]:
-    """f as round 0: its table, (1, k^n), and its essential mask, (1, n)."""
-    ess = _essential_positions(f.k, f.n, f.table)
-    return _values(f.k, f.table)[None], np.array([[p in ess for p in range(1, f.n + 1)]])
+    return _collect(_chunks(len(rows), w), lambda p: distinct(
+        tags[rows[p]], flat[rows[p, None] * w + plan[i[p], j[p]]]), distinct)
 
 
-def _rounds(f: FiniteFunction):
-    """The rounds of the minor closure of f, which has at least two
-    essential variables, as (m, k^n) arrays of tables. Round 0 is f, and
-    one gather of round d gives round d + 1, the tables that a chain of
-    exactly d + 1 identifications reaches, each once; rounds 1, 2, ... are
-    yielded. Every identification makes one more variable fictive, so there
-    are fewer rounds than essential variables. Only reached tables are
-    gathered, and only the round in hand is held."""
-    k, n = f.k, f.n
-    tabs, mask = _round_zero(f)
-    most = int(mask.sum())  # essential variables of the round at most
+def _rounds(k: int, n: int, tabs: np.ndarray):
+    """The rounds of the minor closures of the (m, k^n) tables ``tabs``, as
+    (tags, tables), a minor tagged with the row of ``tabs`` it comes from.
+    Round 0 is ``tabs``; one gather of round d gives round d + 1, each (tag,
+    table) that exactly d + 1 identifications reach, once. Rounds 1, 2, ...
+    are yielded, fewer than the essential variables, as each identification
+    makes one more fictive; only the round in hand is held."""
+    tags = np.arange(len(tabs))
+    mask = _essential_mask(k, n, tabs)
+    most = int(mask.sum(axis=1).max(initial=0))  # essential variables of the round at most
     while most >= 2:
-        tabs = _next_round(k, n, tabs, mask)
-        yield tabs
+        tags, tabs = _next_round(k, n, tabs, mask, tags)
+        yield tags, tabs
         # a minor has fewer essential variables than its table
         most -= 1
         if most >= 2:
@@ -309,32 +306,27 @@ def _rounds(f: FiniteFunction):
             most = int(mask.sum(axis=1).max())
 
 
-@functools.lru_cache(maxsize=4)
-def _minor_closure(f: FiniteFunction) -> Mapping[tuple, int]:
-    """All iterated minor tables mapped to their maximal chain length, for
-    ``all_minors``: a table's depth is the last round that holds it.
-
-    Memoised on f, that is on (k, n, table), for the last 4 functions
-    only, so a run over many functions keeps none of them. Callers share
-    the mapping, so it is read-only.
-    """
-    if essential_count(f) < 2:
-        return MappingProxyType({})
-    found: dict[tuple, int] = {}
-    for depth, tabs in enumerate(_rounds(f), 1):
-        for p in _chunks(len(tabs), f.k**f.n):
-            found.update(dict.fromkeys(map(tuple, tabs[p].tolist()), depth))
-    return MappingProxyType(found)
+def _minor_rows(k: int, n: int, tabs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every iterated identification minor of each of the (m, k^n) tables
+    ``tabs``: the row of ``tabs`` it comes from, its depth (the longest
+    chain to it, the last round that holds it) and its table, (T,), (T,)
+    and (T, k^n), by row, then depth, then table."""
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), tabs[:0])]
+    parts += [(t, np.full(len(t), d), r) for d, (t, r) in enumerate(_rounds(k, n, tabs), 1)]
+    tag, depth, tables = map(np.concatenate, zip(*parts))
+    keys = _row_keys(tables)
+    # each (tag, table) once, from the last round that holds it
+    last = {(t, key): m for m, (t, key) in enumerate(zip(tag.tolist(), keys.tolist()))}
+    keep = np.array(list(last.values()), dtype=np.intp)
+    keep = keep[np.lexsort((keys[keep], depth[keep], tag[keep]))]
+    return tag[keep], depth[keep], tables[keep]
 
 
 def all_minors(f: FiniteFunction) -> tuple[MinorRecord, ...]:
     """Every iterated identification minor with its maximal chain depth."""
-    depths = _minor_closure(f)
-    records = [
-        MinorRecord(FiniteFunction(f.k, f.n, tab), d) for tab, d in depths.items()
-    ]
-    records.sort(key=lambda r: (r.depth, r.function.table))
-    return tuple(records)
+    _, depth, tables = _minor_rows(f.k, f.n, _values(f.k, f.table)[None])
+    return tuple(MinorRecord(FiniteFunction(f.k, f.n, t), d)
+                 for t, d in zip(tables.tolist(), depth.tolist()))
 
 
 def gap(f: FiniteFunction) -> int:
@@ -361,7 +353,7 @@ def _tight_chain(k: int, n: int, tab: np.ndarray, row: np.ndarray, ess: int,
     if key in seen:
         return False
     seen.add(key)
-    kids = _next_round(k, n, tab[None], row[None])
+    _, kids = _next_round(k, n, tab[None], row[None], np.zeros(1, dtype=np.intp))
     mask = _essential_mask(k, n, kids)
     return any(_tight_chain(k, n, kids[r], mask[r], ess - 1, seen)
                for r in np.flatnonzero(mask.sum(axis=1) == ess - 1))
@@ -371,9 +363,9 @@ def _gap_and_index(f: FiniteFunction, index: bool = True) -> tuple[int, int | No
     """The gap of f (ess >= 2) and, if ``index``, its gap index: the
     deepest partition reached on the minor plan. Past it, with m = ess -
     gap, round d has at most m - d + 1 essential variables, so at most m
-    rounds; a chain from the best minor of round 1, one gather of f,
-    losing one per identification down to 2 (``_tight_chain``) shows m,
-    else the rounds are counted."""
+    rounds; a chain from the best minor of round 1 losing one per
+    identification down to 2 (``_tight_chain``) shows m, else the walk
+    that gave round 1 counts the rest."""
     k, n = f.k, f.n
     if _minor_plan_entries(k, n) <= _PLAN_ENTRIES:
         pairs, starts, first, (a, b, parent, child), depth = _minor_plan(k, n)
@@ -384,13 +376,14 @@ def _gap_and_index(f: FiniteFunction, index: bool = True) -> tuple[int, int | No
             reached[child[live & reached[parent]]] = True
         counts, one = np.add.reduceat(ess, first, dtype=np.intp), slice(1, 1 + n * (n - 1) // 2)
         return int(counts[0] - (counts[one] * reached[one]).max()), int(depth[reached][-1])
-    tabs = _next_round(k, n, *_round_zero(f))
+    rounds = _rounds(k, n, _values(k, f.table)[None])
+    _, tabs = next(rounds)
     mask = _essential_mask(k, n, tabs)
     r = int(mask.sum(axis=1).argmax())
     m = int(mask[r].sum())
     if not index or m >= 2 and _tight_chain(k, n, tabs[r], mask[r], m, set()):
         return essential_count(f) - m, m if index else None
-    return essential_count(f) - m, sum(1 for _ in _rounds(f))
+    return essential_count(f) - m, 1 + sum(1 for _ in rounds)
 
 
 def gap_index(f: FiniteFunction) -> int:

@@ -6,9 +6,9 @@ spec or over every reached identification shape. For those rows the
 functions here apply the same predicate to each state of the row's
 closure, and lay the verdicts out as :class:`screens.Violations` in the
 order of the per-instance records: the subfunctions of
-``subfunctions._closure_levels`` in breadth-first order, the minors of
-``minors.all_minors`` by depth, then table. The screens import this module
-for the first row they flag.
+``subfunctions._closure_levels`` in breadth-first order, and the minors of
+one walk over the flagged rows of a chunk (``minors._minor_rows``) by depth,
+then table. The screens import this module for the first row they flag.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import itertools
 
 import numpy as np
 
-from .core import FiniteFunction
 from .facts import TableFacts
-from .minors import _essential_mask, _values, all_minors
+from .minors import _essential_mask, _minor_rows
 from .screens import Violations, _asymmetric, _lemma2_1, _lemma2_5, _no_slots, _remark2_2
 from .subfunctions import _closure_levels
+from .symmetric import symmetry_index
 
 
 def _per_state(head: Violations, assertions, row, wrong, info) -> Violations:
@@ -77,13 +77,12 @@ def lemma2_1_violations(f, flagged: np.ndarray) -> Violations:
 
 def _minors(f, flagged: np.ndarray):
     """The iterated identification minors of the flagged rows of the spec
-    facts ``f``, row by row in ``all_minors`` order: the row and depth of
-    each, (T,), and their tables, (T, k^n)."""
+    facts ``f``, one walk for all, row by row in ``all_minors`` order: the
+    row and depth of each, (T,), and their tables, (T, k^n)."""
     rows = np.flatnonzero(flagged)
-    minors = [all_minors(FiniteFunction(f.k, f.n, f.table(r))) for r in rows.tolist()]
-    depth = np.array([m.depth for ms in minors for m in ms], dtype=np.int64)
-    tables = _values(f.k, [m.function.table for ms in minors for m in ms])
-    return np.repeat(rows, [len(ms) for ms in minors]), depth, tables
+    orbit = symmetry_index(f.k, f.n).orbit_of_point
+    tag, depth, tables = _minor_rows(f.k, f.n, f.specs[rows][:, orbit])
+    return rows[tag], depth, tables
 
 
 def lemma2_5_violations(f, head: Violations, flagged: np.ndarray) -> Violations:

@@ -29,7 +29,7 @@ from aritygap.enumeration import (
     _shape_walk,
     sample_specs,
 )
-from aritygap.minors import _rounds
+from aritygap.minors import _rounds, _values
 from oracles import (
     _fictive_groups,
     full_shape_walk,
@@ -206,9 +206,8 @@ def test_census_index_equals_the_minor_closure(k, n):
     # the rounds of the per-function minor closure are the oracle of the
     # batched shape DAG, counted without gap_index's tight chain; (3, 6)
     # has index 3, a chain deeper than 2
-    oracle = Counter(
-        sum(1 for _ in _rounds(spec_to_function(k, n, s))) for s in nontrivial_gap_specs(k, n)
-    )
+    tables = (_values(k, spec_to_function(k, n, s).table)[None] for s in nontrivial_gap_specs(k, n))
+    oracle = Counter(sum(1 for _ in _rounds(k, n, t)) for t in tables)
     assert census(k, n, override=True).ind_distribution == oracle
 
 

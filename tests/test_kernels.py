@@ -334,16 +334,36 @@ def test_full_gap_listing_follows_the_ascending_listing():
         assert len(want) == size
 
 
+# The members of each cell of cell_gaps(n) where the class listing is
+# refused below, None where the cell is refused as the class is: at (3, 3)
+# the class's 150 members are over the budget of 149, but each cell fits;
+# at n = 2 the class is its gap-2 cell; at (3, 20) c_YZ = c_Z = 1, so only
+# the gap-2 cell has members, 78 of 3^20 entries each.
+CELL_SIZES = {(3, 3): [144, 144, 6], (5, 2): [None, 0, None], (3, 20): [None, 0, 0]}
+
+
 @pytest.mark.parametrize("k,n,budget", [(3, 3, 149), (5, 2, 10**8), (3, 20, 10**8)])
 def test_full_gap_listing_refused_like_the_class(k, n, budget):
+    # a listing of some cells is bounded by the size of those cells alone
     with pytest.raises(BudgetError) as want:
         nontrivial_gap_specs(k, n, budget=budget)
-    for gaps in cell_gaps(n):
+    for gaps, size in zip(cell_gaps(n), CELL_SIZES[k, n]):
+        if size is not None:
+            assert len(cell_specs(k, n, gaps, budget=budget)) == size
+            continue
         with pytest.raises(BudgetError) as got:
             cell_specs(k, n, gaps, budget=budget)
         assert str(got.value) == str(want.value)
         assert (got.value.required, got.value.budget) == (want.value.required,
                                                           want.value.budget)
+
+
+def test_an_empty_cell_lists_nothing_however_wide():
+    # at n >= 4 the gap n - 1 cell is empty (c_Z = c_YZ); at (60, 4) k^c_Z
+    # has about 2.9 million bits, which a non-empty cell would be refused by
+    assert cell_specs(60, 4, {3}) == []
+    with pytest.raises(BudgetError):
+        cell_specs(60, 4, {2})
 
 
 def loop_shape_gathers(k, n):

@@ -189,14 +189,14 @@ def test_gap_profile_examples():
 def test_one_step_equals_closure_max_exhaustive_binary():
     # the gap shortcut: the best essential count over one-step minors equals
     # the best over the whole closure, every binary 3-ary table
-    from aritygap.minors import _essential_positions, _minor_closure
+    from aritygap.minors import _essential_positions
 
     for idx in range(2**8):
         table = tuple((idx >> i) & 1 for i in range(8))
         f = FiniteFunction(2, 3, table)
         if essential_count(f) < 2:
             continue
-        depths = _minor_closure(f)
+        depths = {r.function.table: r.depth for r in all_minors(f)}
         one = max(
             len(_essential_positions(2, 3, t)) for t, d in depths.items() if d == 1
         )
@@ -204,14 +204,14 @@ def test_one_step_equals_closure_max_exhaustive_binary():
 
 
 def test_one_step_equals_closure_max_sampled_ternary():
-    from aritygap.minors import _essential_positions, _minor_closure
+    from aritygap.minors import _essential_positions
 
     rng = random.Random(9)
     for _ in range(150):
         f = FiniteFunction(3, 3, [rng.randrange(3) for _ in range(27)])
         if essential_count(f) < 2:
             continue
-        depths = _minor_closure(f)
+        depths = {r.function.table: r.depth for r in all_minors(f)}
         one = max(
             len(_essential_positions(3, 3, t)) for t, d in depths.items() if d == 1
         )
@@ -226,56 +226,6 @@ def test_willard_bound_sampled():
             assert gap(f) <= 2
 
 
-def test_minor_closure_memo_hits_return_equal_data():
-    from aritygap.minors import _minor_closure
-
-    _minor_closure.cache_clear()
-    first = dict(_minor_closure(DOUBLE4))
-    hits = _minor_closure.cache_info().hits
-    again = _minor_closure(FiniteFunction(4, 4, DOUBLE4.table))
-    assert _minor_closure.cache_info().hits == hits + 1
-    assert dict(again) == first
-    assert {FiniteFunction(4, 4, t): d for t, d in first.items()} == oracle_minor_closure(
-        DOUBLE4
-    )
-
-
-def test_minor_closure_memo_cannot_be_changed_by_callers():
-    from aritygap.minors import _minor_closure
-
-    records = list(all_minors(DOUBLE4))
-    records.clear()
-    depths = _minor_closure(DOUBLE4)
-    with pytest.raises(TypeError):
-        depths[DOUBLE4.table] = 99
-    with pytest.raises(TypeError):
-        del depths[next(iter(depths))]
-    assert max(depths.values()) == max(oracle_minor_closure(DOUBLE4).values()) == 2
-    assert len(all_minors(DOUBLE4)) == len(depths) > 0
-
-
-def test_minor_closure_memo_keeps_no_earlier_instance():
-    # all_minors alone reads the memo; the gap index counts rounds
-    from aritygap.minors import _minor_closure
-
-    _minor_closure.cache_clear()
-    all_minors(DOUBLE4)
-    assert gap_index(DOUBLE4) == gap_profile(DOUBLE4).index == 2
-    all_minors(DOUBLE4)
-    assert _minor_closure.cache_info()[:2] == (1, 1)
-    rng = random.Random(5)
-    others = set()
-    while len(others) < _minor_closure.cache_info().maxsize:
-        f = FiniteFunction(3, 3, [rng.randrange(3) for _ in range(27)])
-        if essential_count(f) >= 2:
-            others.add(f)
-    for f in others:
-        all_minors(f)
-    misses = _minor_closure.cache_info().misses
-    all_minors(DOUBLE4)
-    assert _minor_closure.cache_info().misses == misses + 1
-
-
 def assert_index_is_the_deepest_oracle_minor(f):
     deepest = max(oracle_minor_closure(f).values())
     assert gap_index(f) == gap_profile(f).index == deepest
@@ -284,10 +234,7 @@ def assert_index_is_the_deepest_oracle_minor(f):
 @given(kernel_cases())
 @settings(max_examples=60, deadline=None)
 def test_minor_kernel_equals_oracle(f):
-    from aritygap.minors import _minor_closure
-
-    got = {FiniteFunction(f.k, f.n, t): d for t, d in _minor_closure(f).items()}
-    assert got == oracle_minor_closure(f)
+    assert {r.function: r.depth for r in all_minors(f)} == oracle_minor_closure(f)
     if essential_count(f) >= 2:
         assert gap(f) == gap_profile(f).gap == oracle_gap(f)
         assert_index_is_the_deepest_oracle_minor(f)
@@ -304,12 +251,9 @@ def test_minor_kernel_on_a_wide_table_with_two_essential_variables():
 def test_minor_kernel_equals_oracle_on_every_binary_ternary_table():
     # small enough to take every table, among them those where an
     # identification makes a third variable fictive
-    from aritygap.minors import _minor_closure
-
     for idx in range(2**8):
         f = FiniteFunction(2, 3, [(idx >> i) & 1 for i in range(8)])
-        got = {FiniteFunction(2, 3, t): d for t, d in _minor_closure(f).items()}
-        assert got == oracle_minor_closure(f), f
+        assert {r.function: r.depth for r in all_minors(f)} == oracle_minor_closure(f), f
         if essential_count(f) >= 2:
             assert_index_is_the_deepest_oracle_minor(f)
 
@@ -325,12 +269,59 @@ def test_minor_kernel_in_small_chunks_equals_oracle(monkeypatch):
              for k, n in ((2, 4), (3, 3), (2, 5), (4, 3), (3, 4)) for _ in range(5)]
     cases += [DOUBLE4, ORBIT3, FiniteFunction.from_callable(2, 5, lambda *x: sum(x) % 2)]
     for f in cases:
-        depths = minors._minor_closure.__wrapped__(f)
-        got = {FiniteFunction(f.k, f.n, t): d for t, d in depths.items()}
-        assert got == oracle_minor_closure(f), f
+        assert {r.function: r.depth for r in all_minors(f)} == oracle_minor_closure(f), f
         assert_index_is_the_deepest_oracle_minor(f)
-        for tabs in minors._rounds(f):
+        for _, tabs in walk(f):
             assert len(set(map(tuple, tabs.tolist()))) == len(tabs), f
+
+
+def test_batch_walk_equals_the_oracle_row_by_row(monkeypatch):
+    # one walk over a batch, its gathers split into parts of 16 entries:
+    # two equal tables each keep their minors, and a table with one
+    # essential variable and a constant have none
+    from aritygap import minors
+
+    monkeypatch.setattr(minors, "_CHUNK", 16)
+    rng = random.Random(28)
+    batch = [FiniteFunction(3, 3, [rng.randrange(3) for _ in range(27)]), ORBIT3,
+             FiniteFunction.from_callable(3, 3, lambda a, b, c: b), ORBIT3,
+             FiniteFunction(3, 3, [1] * 27), MINORITY]
+    tag, depth, tables = minors._minor_rows(3, 3, minors._values(3, [f.table for f in batch]))
+    got = list(zip(tag.tolist(), depth.tolist(), map(tuple, tables.tolist())))
+    want = [(r, d, h.table) for r, f in enumerate(batch)
+            for h, d in sorted(oracle_minor_closure(f).items(), key=lambda m: (m[1], m[0].table))]
+    assert got == want
+    assert [(r, m.depth, m.function.table) for r, f in enumerate(batch)
+            for m in all_minors(f)] == want
+
+
+def test_minor_order_is_the_tables_order_past_k_256():
+    # entry 1 of the two minors is 1 against 256, whose little-endian
+    # bytes would sort the other way
+    rng = random.Random(3)
+    table = [rng.randrange(257) for _ in range(257**2)]
+    table[0], table[258] = 256, 1  # f(0, 0) and f(1, 1)
+    f = FiniteFunction(257, 2, table)
+    # x_1 := x_2 gives f(y, y), x_2 := x_1 gives f(x, x), each with one
+    # essential variable
+    diagonal = [table[258 * x] for x in range(257)]
+    assert [(r.depth, r.function.table) for r in all_minors(f)] == [
+        (1, tuple(diagonal * 257)), (1, tuple(v for v in diagonal for _ in range(257)))]
+
+
+def test_all_minors_and_remark2_2_records_read_the_one_walk(monkeypatch):
+    from aritygap import minors
+    from aritygap.suites import run_suite
+
+    def refuse(*args):
+        raise Walked
+
+    monkeypatch.setattr(minors, "_rounds", refuse)
+    with pytest.raises(Walked):
+        all_minors(DOUBLE4)
+    # (3, 5) has gap-2 rows that the remark2_2 screen flags
+    with pytest.raises(Walked):
+        run_suite("remark2_2", 3, 5)
 
 
 def test_minor_kernel_on_wide_parity_stays_small():
@@ -342,17 +333,18 @@ def test_minor_kernel_on_wide_parity_stays_small():
 
     import numpy as np
 
-    from aritygap.minors import _minor_closure
+    from aritygap.minors import _minor_rows
 
     f = FiniteFunction.from_callable(2, 10, lambda *x: sum(x) % 2)
     tracemalloc.start()
     try:
         assert gap(f) == 2
-        depths = _minor_closure.__wrapped__(f)
+        _, depth, tables = _minor_rows(2, 10, np.array([f.table], dtype=np.uint8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+    depths = dict(zip(map(tuple, tables.tolist()), depth.tolist()))
     points = np.array(list(iter_points(2, 10)))
     expected = {}
     for bits in range(2**10 - 1):
@@ -368,10 +360,7 @@ def test_gap_index_of_a_wide_parity_counts_its_rounds():
     # its deepest minor, a constant, is 5 identifications down
     import tracemalloc
 
-    from aritygap.minors import _minor_closure
-
     f = FiniteFunction.from_callable(2, 10, lambda *x: sum(x) % 2)
-    _minor_closure.cache_clear()
     tracemalloc.start()
     try:
         assert gap_index(f) == gap_profile(f).index == 5
@@ -379,27 +368,35 @@ def test_gap_index_of_a_wide_parity_counts_its_rounds():
     finally:
         tracemalloc.stop()
     # the largest round's gather (about 12 MB) sets the peak; no minor is
-    # kept as a tuple, nor the closure memoised
+    # kept past its round
     assert peak < 32 << 20
-    assert _minor_closure.cache_info()[:2] == (0, 0)
 
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The functions whose minor rounds are walked while the test runs.
-    Every table takes the path of the tables past the minor plan's bound:
-    the first round, gathered from f, the tight chain and the rounds."""
+    """The functions whose minor rounds are walked past the first while
+    the test runs. Every table takes the path of the tables past the minor
+    plan's bound: the first round, the tight chain and the rounds."""
     from aritygap import minors
 
     monkeypatch.setattr(minors, "_PLAN_ENTRIES", 0)
     walked, rounds = [], minors._rounds
 
-    def counted(f):
-        walked.append(f)
-        return rounds(f)
+    def counted(k, n, tabs):
+        walk = rounds(k, n, tabs)
+        yield next(walk)
+        walked.append(FiniteFunction(k, n, tabs[0].tolist()))
+        yield from walk
 
     monkeypatch.setattr(minors, "_rounds", counted)
     return walked
+
+
+def walk(f):
+    """The minor rounds of f alone, as (tags, tables)."""
+    from aritygap.minors import _rounds, _values
+
+    return _rounds(f.k, f.n, _values(f.k, f.table)[None])
 
 
 # Found by a seeded search of random tables. No chain from the first
@@ -459,7 +456,10 @@ def test_gap_index_of_a_wide_random_table_walks_no_round(monkeypatch):
     # and 1.2 GB; a chain that loses one variable a step shows index 8
     from aritygap import minors
 
-    def refuse(f):
+    rounds = minors._rounds
+
+    def refuse(*args):  # the first round only
+        yield next(rounds(*args))
         raise Walked
 
     monkeypatch.setattr(minors, "_rounds", refuse)
@@ -498,10 +498,10 @@ def test_grouping_of_wide_rows_is_exact():
 
 def walked_gap_and_index(f):
     """The gap from the first minor round and the number of minor rounds."""
-    from aritygap.minors import _essential_mask, _rounds
+    from aritygap.minors import _essential_mask
 
-    rounds = _rounds(f)
-    ess = _essential_mask(f.k, f.n, next(rounds)).sum(axis=1)
+    rounds = walk(f)
+    ess = _essential_mask(f.k, f.n, next(rounds)[1]).sum(axis=1)
     return essential_count(f) - int(ess.max()), 1 + sum(1 for _ in rounds)
 
 

@@ -253,25 +253,35 @@ def test_thm2_1_forms_over_budget_refused_without_suggesting_sampling(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("thm2_2 -k 5 -n 5 --mode sample --seed 1", "152587890620 class members, over the --budget of 100000000"),
-    ("thm2_3 -k 4 -n 3 --budget 5", "130044 class members, over the --budget of 5"),
-    ("cor2_1 -k 3 -n 3 --budget 5", "150 class members, over the --budget of 5"),
-    ("lemma3_1 -k 5 -n 4", "152587890620 class members, over the --budget of 100000000"),
-    ("thm3_1 -k 5 -n 4", "152587890620 class members, over the --budget of 100000000"),
+    ("thm2_2 -k 5 -n 5 --budget 5 --mode sample --seed 1", "20 class members, over the --budget of 5"),
+    ("thm2_3 -k 4 -n 3 --budget 5", "129024 class members, over the --budget of 5"),
+    ("cor2_1 -k 3 -n 3 --budget 5", "6 class members, over the --budget of 5"),
+    ("lemma3_1 -k 5 -n 4 --budget 5", "15620 class members, over the --budget of 5"),
+    ("thm3_1 -k 5 -n 4 --budget 5", "15620 class members, over the --budget of 5"),
 ])
 def test_constructive_cell_over_budget_refused_without_suggesting_sampling(capsys, argv,
                                                                            message):
     # these suites cannot sample here (thm3_1 and lemma3_1 past n = 2), yet
-    # the refusal used to suggest it
+    # the refusal used to suggest it; each names the size of its own cell
     assert cli.main(["verify", *argv.split()]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: listing requires {message}\n"
 
 
+@pytest.mark.parametrize("suite,k,n,instances", [
+    ("thm2_2", 5, 5, 20), ("thm3_1", 5, 4, 15620), ("lemma3_1", 5, 4, 15620)])
+def test_one_cell_listing_is_bounded_by_its_cell(suite, k, n, instances):
+    # the whole gap >= 2 class has 152 587 890 620 members here, over the
+    # budget; the cell these suites list used to be refused with it
+    doc = run_suite(suite, k, n).to_doc()
+    assert (doc["passed"], doc["instances_checked"]) == (True, instances)
+
+
 def test_large_radix_refusals_build_nothing():
-    # Every suite and the census at (k, 2) for k up to 10 000, and cor4_2 at
-    # (300, 3), refuse from the closed-form counts: each run exits 2 with one
+    # Every suite and the census at (k, 2) for k up to 10 000, and cor4_2 and
+    # the one-cell listings of thm3_1, lemma3_1 and thm2_2 at (300, 3),
+    # refuse from the closed-form counts: each run exits 2 with one
     # error line in under a second, in one child process capped at 800 MB of
     # address space. Listing the multiset groups first used to take seconds
     # per run at k = 1 000 and fail with MemoryError at k = 10 000.
@@ -283,7 +293,8 @@ def test_large_radix_refusals_build_nothing():
         "runs = [['verify', s, '-k', str(k), '-n', '2'] for k in (1000, 3000, 10000)\n"
         "        for s in _SUITES]\n"
         "runs += [['census', '-k', str(k), '-n', '2'] for k in (1000, 3000, 10000)]\n"
-        "runs.append(['verify', 'cor4_2', '-k', '300', '-n', '3'])\n"
+        "runs += [['verify', s, '-k', '300', '-n', '3']\n"
+        "         for s in ('cor4_2', 'thm3_1', 'lemma3_1', 'thm2_2')]\n"
         "for argv in runs:\n"
         "    err, out = io.StringIO(), io.StringIO()\n"
         "    start = time.perf_counter()\n"
@@ -299,7 +310,7 @@ def test_large_radix_refusals_build_nothing():
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     runs = [eval(line) for line in child.stdout.splitlines()]
-    assert len(runs) == 3 * (len(suites._SUITES) + 1) + 1
+    assert len(runs) == 3 * (len(suites._SUITES) + 1) + 4
     for argv, code, out, err, seconds in runs:
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
