@@ -59,6 +59,7 @@ def _write_text(path: str | None, text: str):
 def _analyze_doc(f) -> dict:
     profile = gap_profile(f)
     symmetric = is_symmetric(f)
+    values = sorted(range_of(f))
     report = {
         "k": f.k,
         "n": f.n,
@@ -68,8 +69,8 @@ def _analyze_doc(f) -> dict:
         "gap": profile.gap,
         "gap_index": profile.index,
         "class_label": list(profile.class_label) if profile.class_label else None,
-        "range": sorted(range_of(f)),
-        "range_size": len(range_of(f)),
+        "range": values,
+        "range_size": len(values),
         "diagonal": list(diagonal_values(f)),
     }
     sep = separable_sets(f)

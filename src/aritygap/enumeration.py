@@ -61,7 +61,7 @@ from .core import (
     _power,
     check_domain,
 )
-from .minors import _chunks, _digits, _essential_mask, _row_keys, _values
+from .minors import _chunks, _digits, _essential_mask, _values
 from .symmetric import spec_to_function, symmetry_index
 
 DEFAULT_BUDGET = 10**8
@@ -105,8 +105,8 @@ def _fictive_reps(k: int, n: int) -> tuple[_Components, _Components, _Components
         np.where(np.diff(rows, axis=1, prepend=-1) != 0, places, 0), axis=1)
     # a value's multiplicity is odd where its run ends an even step past its start
     odd = (np.diff(rows, axis=1, append=k) != 0) & ((places - starts) % 2 == 0)
-    parity = _row_keys(np.sort(np.where(odd, rows, k), axis=1))
-    repeat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    parity = symmetry_index(k + 1, n).ranks(np.where(odd, rows, k))  # odd values, k-padded
+    repeat = ~symmetry_index(k, n).distinct
     both = _components(np.where(repeat, -1, own))
     if n == 2:  # the minor has no z
         z = _Components(own, own)

@@ -90,7 +90,7 @@ def _verdict_thm3_1(f):
 def _verdict_thm3_2(f):
     k, n = f.k, f.n
     ind = f.gap_index if n >= 4 else np.ones(len(f.specs), dtype=np.int64)
-    doubled = [symmetry_index(k, 2).index[(c, c)] for c in range(k)]
+    doubled = symmetry_index(k, 2).ranks(np.repeat(np.arange(k)[:, None], 2, axis=1))
     ess2, gap2 = (a[:, doubled] for a in f.restriction_ess_gap(2))
     ess1, gap1 = f.restriction_ess_gap(1)
     wdom = f.weak_dominants

@@ -82,6 +82,11 @@ VIOLATION_CAP = 100
 FULL_SCAN_LIMIT = 200_000
 
 
+def _fits_full_scan(k: int, width: int) -> bool:
+    """Whether k^width is at most ``FULL_SCAN_LIMIT``, read without a huge power."""
+    return width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT
+
+
 class UnknownSuiteError(ValueError):
     pass
 
@@ -209,8 +214,7 @@ def _population(name, k, n, mode, seed, sample, budget):
     params = {"seed": seed, "sample": sample}
     if name in ("lemma2_3", "willard"):
         width = k**n
-        if (name == "lemma2_3" and mode == "exhaustive"
-                and width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT):
+        if name == "lemma2_3" and mode == "exhaustive" and _fits_full_scan(k, width):
             return _solutions(k, np.arange(width)), "exhaustive(raw tables)", [], params, 0
         if seed is None:
             raise DomainError(f"{name} samples raw tables; provide an explicit seed")
@@ -237,7 +241,7 @@ def _population(name, k, n, mode, seed, sample, budget):
         specs, draws = _sample_gap2_specs(k, n, count, seed)
         return specs, f"sample(gap-2, {count})", [], params, draws
     if name == "lemma2_1":
-        if width <= FULL_SCAN_LIMIT.bit_length() and k**width <= FULL_SCAN_LIMIT:
+        if _fits_full_scan(k, width):
             return _solutions(k, np.arange(width)), "exhaustive", [], params, 0
         specs = _nontrivial_gap_array(k, n, budget)
         notes = [
@@ -382,8 +386,8 @@ def _lemma3_1_equality_witnesses(report):
         report.subcases["equality-witness"] = {"instances": 0, "vacuous": True}
         return
     idx = symmetry_index(k, n)
-    specs = np.zeros(((k - 1) ** comb(k, n), len(idx.msets)), dtype=_values(k, ()).dtype)
-    specs[:, [len(set(m)) == n for m in idx.msets]] = 1 + _digits(k - 1, comb(k, n))
+    specs = np.zeros(((k - 1) ** comb(k, n), len(idx.rows)), dtype=_values(k, ()).dtype)
+    specs[:, idx.distinct] = 1 + _digits(k - 1, comb(k, n))
     sub = np.concatenate([SpecFacts(k, n, specs[lo:lo + 2000]).closure_counts[0]
                           for lo in range(0, len(specs), 2000)])
     expected = sub_bound(n, k) + sum(np.any(specs == v, axis=1) for v in range(k))
@@ -600,7 +604,7 @@ def _run_cor2_1(name, k, n, mode, seed, sample, budget):
     t0 = perf_counter()
     constructive = len(_gap_n_images(k, n))
     bucket = None
-    if symmetric_spec_count(k, n) <= FULL_SCAN_LIMIT:
+    if _fits_full_scan(k, comb(k + n - 1, n)):
         bucket = len(_nontrivial_gap_array(k, n, budget, "--budget", gaps={n}))
     t1 = perf_counter()
     checks = [("cor2_1.constructive-count", constructive != proof_logic,

@@ -77,42 +77,53 @@ def is_symmetric(f: FiniteFunction) -> bool:
     return True
 
 
-def _sorted_codes(k: int, values: np.ndarray) -> np.ndarray:
-    """The base-k code of each row of values below k once sorted, its first
-    (smallest) value the most significant digit."""
-    code = np.zeros(len(values), dtype=np.int64)
-    for column in np.sort(values, axis=1).T:
-        code = code * k + column
-    return code
-
-
 @dataclass(frozen=True)
 class SymmetryIndex:
-    """The multiset representation at one (k, n): the size-n multisets in
-    canonical order, each one's index, and the gathers between a table and
-    its one value per multiset. The only map between points and multisets."""
+    """The multiset representation at one (k, n), in arrays: the size-n
+    multisets in canonical order, their ranks, and the gathers between a
+    table and its one value per multiset. The only map to multisets."""
 
     k: int
     n: int
-    msets: tuple[tuple[int, ...], ...]
-    index: dict
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
         """(C(k+n-1, n), n): each multiset's values, sorted, one row each."""
-        return np.array(self.msets, dtype=np.int64).reshape(len(self.msets), self.n)
+        k, n = self.k, self.n
+        width = math.comb(k + n - 1, n)
+        values = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(k), n))
+        return np.fromiter(values, dtype=np.int64, count=width * n).reshape(width, n)
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
-        """The sorted code of each multiset, ascending: the multisets are
-        listed in lexicographic order. A multiset's code is the table index
-        of its sorted point: the gather of a multiset-determined table's spec."""
-        return _sorted_codes(self.k, self.rows)
+        """The table index of each multiset's sorted point, ascending: the
+        gather of a multiset-determined table's spec."""
+        return self.rows @ _powers(self.k, self.n)
+
+    @functools.cached_property
+    def distinct(self) -> np.ndarray:
+        """Whether each multiset has n distinct values."""
+        return np.all(self.rows[:, 1:] != self.rows[:, :-1], axis=1)
+
+    @functools.cached_property
+    def _after(self) -> np.ndarray:
+        """(n + 1, k): [r, a] counts the size-r multisets over a + 1..k-1."""
+        k, n = self.k, self.n
+        after = np.zeros((n + 1, k), dtype=np.int64)
+        after[0] = 1
+        for r in range(1, n + 1):
+            after[r, :k - 1] = np.cumsum(after[r - 1, :k - 1][::-1])[::-1]
+        return after
 
     def ranks(self, values: np.ndarray) -> np.ndarray:
         """The index of the multiset of each row of ``values`` (n values
-        below k per row), found by a search among the multisets' codes."""
-        return np.searchsorted(self.codes, _sorted_codes(self.k, values))
+        below k on the last axis), exact whatever k^n is: after a_0 <= ... <=
+        a_(n-1) come, per place i, the multisets that exceed a_i first at i."""
+        ordered = np.sort(values, axis=-1)
+        rank = np.full(ordered.shape[:-1], math.comb(self.k + self.n - 1, self.n) - 1)
+        for i in range(self.n):
+            rank -= self._after[self.n - i][ordered[..., i]]
+        return rank
 
     @functools.cached_property
     def orbit_of_point(self) -> np.ndarray:
@@ -123,10 +134,7 @@ class SymmetryIndex:
         return orbit
 
 
-@functools.lru_cache(maxsize=64)
-def symmetry_index(k: int, n: int) -> SymmetryIndex:
-    msets = tuple(multisets(k, n))
-    return SymmetryIndex(k, n, msets, {m: i for i, m in enumerate(msets)})
+symmetry_index = functools.lru_cache(maxsize=64)(SymmetryIndex)
 
 
 def spec_to_function(k: int, n: int, spec: tuple[int, ...]) -> FiniteFunction:
@@ -174,12 +182,9 @@ def expand(spec: SymmetricSpec) -> FiniteFunction:
 def compress(f: FiniteFunction) -> SymmetricSpec:
     """Inverse of :func:`expand`; requires a multiset-determined table."""
     if not is_totally_symmetric(f):
-        raise PreconditionError(
-            "table is not invariant under all coordinate permutations"
-        )
-    idx = symmetry_index(f.k, f.n)
-    spec = _values(f.k, f.table)[idx.codes].tolist()
-    return SymmetricSpec(f.k, f.n, dict(zip(idx.msets, spec)))
+        raise PreconditionError("table is not invariant under all coordinate permutations")
+    spec = _values(f.k, f.table)[symmetry_index(f.k, f.n).codes].tolist()
+    return SymmetricSpec(f.k, f.n, dict(zip(multisets(f.k, f.n), spec)))
 
 
 def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:
@@ -194,13 +199,10 @@ def orbit_sum(n: int, alpha: Sequence[int], k: int) -> FiniteFunction:
     for c in alpha:
         if not 0 <= c < k:
             raise DomainError(f"alpha entry {c} outside 0..{k - 1}")
-    weight = 1
-    for c in Counter(alpha).values():
-        weight *= math.factorial(c)
+    weight = math.prod(map(math.factorial, Counter(alpha).values()))
     idx = symmetry_index(k, n)
-    spec = [0] * len(idx.msets)
-    spec[idx.index[tuple(sorted(alpha))]] = weight % k
-    return spec_to_function(k, n, tuple(spec))
+    hit = idx.orbit_of_point == idx.ranks(np.array(alpha, dtype=np.int64).reshape(1, n))
+    return FiniteFunction(k, n, np.where(hit, weight % k, 0).tolist())
 
 
 @functools.lru_cache(maxsize=64)
@@ -294,8 +296,8 @@ def construct_gap2_ternary(k: int, spec: TernaryGap2Spec) -> FiniteFunction:
 def _distinct_points(k: int, n: int) -> np.ndarray:
     """(k^n,): whether each point of K^n, in table order, has n distinct
     coordinates."""
-    ordered = np.sort(_digits(k, n), axis=1)
-    return np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    idx = symmetry_index(k, n)
+    return idx.distinct[idx.orbit_of_point]
 
 
 @functools.lru_cache(maxsize=64)
@@ -304,11 +306,10 @@ def _gap_n_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     per n-subset of K in combinations order): each point's slot, 0 (a0)
     where a coordinate repeats, 1 + r where its value set is subset r; and
     a point per slot to read them off a table, 0 and each sorted subset."""
-    subsets = np.array(list(itertools.combinations(range(k), n)), dtype=np.int64)
-    # combinations come in lexicographic order, so their codes ascend
-    codes = _sorted_codes(k, subsets.reshape(-1, n))
-    subset = 1 + np.searchsorted(codes, _sorted_codes(k, _digits(k, n)))
-    return np.where(_distinct_points(k, n), subset, 0), np.concatenate([[0], codes])
+    idx = symmetry_index(k, n)
+    # the n-subsets are the multisets of n distinct values, in the same order
+    slots = np.where(idx.distinct, np.cumsum(idx.distinct), 0)
+    return slots[idx.orbit_of_point], np.concatenate([[0], idx.codes[idx.distinct]])
 
 
 @functools.lru_cache(maxsize=16)
@@ -507,26 +508,21 @@ def extract_decomposition(f: FiniteFunction) -> DecompositionPair:
         raise PreconditionError(f"input has gap {got}, expected 2")
 
     h = FiniteFunction(k, n, np.where(_distinct_points(k, n), f.table, 0).tolist())
-    unknowns = symmetry_index(k, n - 2)
-    big_index = symmetry_index(k, n)
-    equations = []
-    for big, value in zip(big_index.msets, _values(k, f.table)[big_index.codes].tolist()):
-        counts = Counter(big)
-        if len(counts) == n:
-            continue
-        coeffs: dict[int, int] = {}
-        for v, c in counts.items():
-            if c >= 2:
-                reduced = list(big)
-                reduced.remove(v)
-                reduced.remove(v)
-                idx = unknowns.index[tuple(reduced)]
-                coeffs[idx] = coeffs.get(idx, 0) + math.comb(c, 2)
-        equations.append((coeffs, value))
+    # per multiset with a repeated value, C(mult(v), 2) per repeated v, and
+    # the multisets M - {v, v}, whose indices one rank call reads
+    equations, reduced = [], []
+    values = _values(k, f.table)[symmetry_index(k, n).codes].tolist()
+    for big, value in zip(multisets(k, n), values):
+        repeated = [(v, math.comb(c, 2)) for v, c in Counter(big).items() if c >= 2]
+        if repeated:
+            equations.append(([c for _, c in repeated], value))
+            reduced += [big[:big.index(v)] + big[big.index(v) + 2:] for v, _ in repeated]
+    unknowns = iter(symmetry_index(k, n - 2).ranks(np.array(reduced)).tolist())
+    equations = [({next(unknowns): c for c in coeffs}, value) for coeffs, value in equations]
 
     want_gap = 2 if gap_index(f) > 2 else n - 2
 
-    m = len(unknowns.msets)
+    m = math.comb(k + n - 3, n - 2)
     g = None
     for count, solution in enumerate(_solutions({}, equations, k, m)):
         candidate = spec_to_function(k, n - 2, tuple(solution[i] for i in range(m)))

@@ -300,7 +300,7 @@ def _fictive_groups(k: int, n: int):
     """The groups of multiset indices on which a spec is constant iff y is
     fictive, {y, y} + alpha over y for each alpha, and iff z is fictive,
     {y, y, z} + alpha over z for each y and alpha."""
-    index = symmetry_index(k, n).index
+    index = {m: i for i, m in enumerate(multisets(k, n))}
     y_groups = tuple(
         tuple(index[tuple(sorted(alpha + (y, y)))] for y in range(k))
         for alpha in (multisets(k, n - 2) if n >= 2 else ())

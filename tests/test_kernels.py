@@ -11,7 +11,9 @@ against the uniform spec and raw-table draw loops (also with output blocks
 so short that rows are drawn on past them), the listed full space
 against ``itertools.product``, and the identification-shape gathers of
 ``enumeration`` and the multiset index of every table point against the
-point-by-point lookup they replaced. The reshaped essential mask is held
+point-by-point lookup they replaced; the multiset ranks and the
+restriction gathers against a dict over ``multisets``, also where a
+base-k code would overflow. The reshaped essential mask is held
 to the per-table scan ``_essential_positions``, also over more rows than
 one chunk holds.
 """
@@ -41,6 +43,7 @@ from aritygap.enumeration import (
     symmetric_spec_count,
     symmetry_index,
 )
+from aritygap.facts import _restriction_gather
 from aritygap.minors import _essential_mask, _essential_positions, _values
 from aritygap.suites import _sample_gap2_specs
 from oracles import cell_specs, restrict_table, spec_ess_gap
@@ -369,7 +372,7 @@ def test_an_empty_cell_lists_nothing_however_wide():
 def loop_shape_gathers(k, n):
     """Per partition of n, the multiset index of each point's y_1^l1 ...
     y_r^lr, one point at a time."""
-    index = symmetry_index(k, n).index
+    index = {m: i for i, m in enumerate(multisets(k, n))}
     return {
         shape: [index[tuple(sorted(itertools.chain.from_iterable(
             (v,) * part for v, part in zip(y, shape))))] for y in iter_points(k, len(shape))]
@@ -388,6 +391,31 @@ def test_shape_gathers_equal_loop(k, n):
         assert gather.tolist() == want[shape], shape
     # the root shape's gather is the multiset index of every point
     assert list(symmetry_index(k, n).orbit_of_point) == want[(1,) * n]
+
+
+RANK_DOMAINS = [(2, 0), (3, 1), (3, 3), (4, 4), (300, 2), (2, 70)]
+
+
+@pytest.mark.parametrize("k,n", RANK_DOMAINS)
+def test_ranks_equal_loop(k, n):
+    # at (2, 70) a base-k code of 70 digits would not fit in 63 bits
+    index = {m: i for i, m in enumerate(multisets(k, n))}
+    idx = symmetry_index(k, n)
+    assert idx.rows.tolist() == [list(m) for m in index]
+    assert idx.ranks(idx.rows).tolist() == list(range(len(index)))
+    values = np.random.default_rng(1).integers(0, k, size=(200, n))
+    assert idx.ranks(values).tolist() == [index[tuple(sorted(v))] for v in values.tolist()]
+    assert idx.ranks(values.reshape(20, 10, n)).reshape(-1).tolist() == idx.ranks(values).tolist()
+
+
+@pytest.mark.parametrize("k,n", RANK_DOMAINS)
+def test_restriction_gather_equals_loop(k, n):
+    index = {m: i for i, m in enumerate(multisets(k, n))}
+    for o in range(1, n + 1):
+        gather = _restriction_gather(k, n, o)
+        assert gather.dtype == np.intp
+        assert gather.tolist() == [[index[tuple(sorted(m + mu))] for m in multisets(k, n - o)]
+                                   for mu in multisets(k, o)], o
 
 
 def loop_sample_gap2_n4(k, n, count, seed):

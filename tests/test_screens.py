@@ -14,6 +14,7 @@ before the screens: every instance then went through its checker.
 
 import hashlib
 import itertools
+import json
 import os
 import random
 from collections import Counter
@@ -28,6 +29,7 @@ from aritygap import FiniteFunction, TernaryGap2Spec
 from aritygap.cli import main
 from aritygap.enumeration import (
     _fictive_reps,
+    _seeded_rows,
     nontrivial_gap_specs,
     spec_to_function,
     symmetry_index,
@@ -129,6 +131,12 @@ GOLDEN = [
      "e7a840ddec60b433609f2030233c8dd001130c29c5ba697c5b7249f44c88749a"),
     ("lemma2_1 -k 4 -n 4 --mode sample --seed 2 --sample 300", 0,
      "d5ee203e86b837c2d668815d1d515ce1e644cfaf4fc3ca6c6c17f6e3a97c2f88"),
+    # a wide radix (500 500 multisets) and a wide arity, where a base-k
+    # code of a multiset no longer fits in 63 bits
+    ("lemma2_1 -k 1000 -n 2 --mode sample --seed 1 --sample 1", 0,
+     "2a42fe7bec0e1806913d0cf262c9a902c4f32f19a2260acc37ef6f54b573dfb5"),
+    ("lemma2_1 -k 2 -n 70 --mode sample --seed 1 --sample 5", 0,
+     "c42acca682905fa4c79bddd5248c1fbac0c7de19b4fc3dc7b8b6abb2a7a3b108"),
 ]
 
 
@@ -345,6 +353,28 @@ def test_asymmetric_minor_flag_on_known_specs():
 def test_spec_facts_keep_values_over_255():
     # 256 is 0 in uint8, which would make this row constant
     assert list(SpecFacts(300, 1, [(256,) + (0,) * 299]).ess_gap[0]) == [1]
+
+
+@pytest.mark.parametrize("n", [127, 128, 130])
+def test_wide_arity_reports_equal_spec_ess_gap(capsys, n):
+    # past n = 127 an essential count does not fit in int8; the parity of
+    # the count of ones has gap 2, the seeded sample gap 1
+    k, count = 2, 3
+    code = main(["verify", "lemma2_1", "-k", str(k), "-n", str(n), "--mode", "sample",
+                 "--seed", "1", "--sample", str(count), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    specs = _seeded_rows(k, n + 1, count, 1, 24).tolist() + [[m % 2 for m in range(n + 1)]]
+    want = [spec_ess_gap(k, n, tuple(spec)) for spec in specs]
+    assert report["instances_checked"] == sum(ess == n for ess, _ in want[:count])
+    facts = SpecFacts(k, n, specs)
+    assert list(zip(*(a.tolist() for a in facts.ess_gap))) == [(e, _none(g)) for e, g in want]
+    assert want[-1] == (n, 2)
+    ess, gap = facts.restriction_ess_gap(1)
+    for i, spec in enumerate(specs):
+        for c in range(k):
+            rest = tuple(spec[c:c + n])
+            assert (ess[i, c], gap[i, c]) == tuple(map(_none, spec_ess_gap(k, n - 1, rest)))
 
 
 @pytest.mark.parametrize("name", sorted(set(SCREENS) - TABLE_SCREENS))
